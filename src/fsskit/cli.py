@@ -1,6 +1,6 @@
 """Command-line front end: JSON run configs, CSV/Touchstone export.
 
-Usage: fsskit --config run.json [--out-dir DIR] [--threads N]
+Usage: fsskit --config run.json [--out-dir DIR]
 
 All physical inputs live in the config file; field names carry their
 units as suffixes (l_nh, h_mm, f_start_ghz, ...).  Outputs are
@@ -15,10 +15,9 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -52,7 +51,7 @@ from .synthesis import (
     synthesize_lc,
     width_for_bandwidth,
 )
-from .touchstone import read_touchstone, write_touchstone
+from .touchstone import format_table, read_touchstone, write_touchstone
 from .twoport import IncidenceCondition, Polarization
 
 OUT_DIR_ENV = "FSSKIT_OUT_DIR"
@@ -114,13 +113,17 @@ def _block(doc: dict, name: str) -> dict:
     return value
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(block: dict, key: str, context: str, default=None, *, required_for=None):
     if key not in block:
         if required_for is not None:
             raise ConfigError(f"mode '{required_for}' requires field '{context}.{key}'")
         return default
     value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"'{context}.{key}' must be a number")
     return float(value)
 
@@ -132,6 +135,9 @@ def _parse_circuit(doc: dict, mode: str, required: bool) -> tuple[CircuitParams 
         "h_mm", "eps_r", "h1_mm", "loss_tangent", "mirrored",
     }
     _check_keys(block, allowed, "circuit")
+    mirrored = block.get("mirrored", True)
+    if not isinstance(mirrored, bool):
+        raise ConfigError("'circuit.mirrored' must be true or false")
     if not block and not required:
         return None, False
 
@@ -139,7 +145,6 @@ def _parse_circuit(doc: dict, mode: str, required: bool) -> tuple[CircuitParams 
     l_nh = _number(block, "l_nh", "circuit", required_for=mode if required else None)
     if l_nh is None:
         return None, False
-    mirrored = bool(block.get("mirrored", True))
     h1_mm = _number(block, "h1_mm", "circuit", 10.0 if order == 2 else None)
     try:
         params = CircuitParams(
@@ -213,7 +218,7 @@ def _parse_incidence(doc: dict) -> tuple[IncidenceCondition, ...]:
         raise ConfigError("'incidence.pol' must be a non-empty list of 'TE'/'TM'")
     conditions = []
     for theta in thetas:
-        if isinstance(theta, bool) or not isinstance(theta, (int, float)):
+        if not _is_number(theta):
             raise ConfigError("'incidence.theta_deg' entries must be numbers")
         for pol in pols:
             if pol not in ("TE", "TM"):
@@ -282,6 +287,8 @@ def parse_config(text: str) -> RunConfig:
         widths = sweep.get("w_mm")
         if not isinstance(widths, list) or not widths:
             raise ConfigError("mode 'sweep-w' requires field 'sweep.w_mm' (non-empty list)")
+        if not all(_is_number(w) for w in widths):
+            raise ConfigError("'sweep.w_mm' entries must be numbers")
         cfg.sweep_widths_mm = tuple(sorted(float(w) for w in widths))
 
     if mode == "synthesize":
@@ -324,19 +331,19 @@ def parse_config(text: str) -> RunConfig:
                     f"unknown fit parameter {name!r}; allowed: {', '.join(_FIT_KEYS)}"
                 )
         cfg.fit_free = tuple(free)
-        initial = fit.get("initial", {})
-        bounds = fit.get("bounds", {})
+        initial = _block(fit, "initial")
+        bounds = _block(fit, "bounds")
         _check_keys(initial, set(_FIT_KEYS), "fit.initial")
         _check_keys(bounds, set(_FIT_KEYS), "fit.bounds")
         base = cfg.circuit
         for name in free:
             circ_field, mult = _FIT_KEYS[name]
-            start = initial.get(name)
-            start_si = getattr(base, circ_field) if start is None else float(start) * mult
+            start = _number(initial, name, "fit.initial")
+            start_si = getattr(base, circ_field) if start is None else start * mult
             if name in bounds:
                 pair = bounds[name]
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    raise ConfigError(f"'fit.bounds.{name}' must be a [low, high] pair")
+                if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
+                    raise ConfigError(f"'fit.bounds.{name}' must be a [low, high] pair of numbers")
                 lo, hi = float(pair[0]) * mult, float(pair[1]) * mult
             else:
                 lo, hi = start_si / 4.0, start_si * 4.0
@@ -375,17 +382,14 @@ def _db_floor(mag: np.ndarray) -> np.ndarray:
 
 
 def _write_response_csv(path: Path, curves: Sequence[tuple[IncidenceCondition, ResponseCurve]]) -> None:
-    freqs = curves[0][1].freqs
     header = ["f_ghz"]
-    columns = [freqs / 1e9]
+    columns = [curves[0][1].freqs / 1e9]
     for inc, curve in curves:
         token = _condition_token(inc)
         header += [f"s11_db_{token}", f"s21_db_{token}"]
         columns += [_db_floor(np.abs(curve.s11)), _db_floor(np.abs(curve.s21))]
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt_num(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    body = format_table(np.column_stack(columns), "%.12g", ",")
+    path.write_text(",".join(header) + "\n" + body, encoding="utf-8")
 
 
 _METRIC_FIELDS = (
@@ -414,27 +418,13 @@ def _write_metrics_csv(path: Path, rows: Sequence[tuple[float, PassbandMetrics]]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _map_jobs(jobs: Sequence, worker: Callable, threads: int) -> list:
-    """Ordered map, optionally across a thread pool."""
-    if threads == 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    workers = os.cpu_count() or 1 if threads == 0 else threads
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, jobs))
-
-
 # ---------------------------------------------------------------------------
 # modes
 
 
-def _run_simulate(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
+def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     net = build_network(cfg.circuit, mirrored=cfg.mirrored)
-
-    def job(inc: IncidenceCondition):
-        return sweep_response(net, cfg.grid, inc)
-
-    curves = _map_jobs(cfg.incidence, job, threads)
-    pairs = list(zip(cfg.incidence, curves))
+    pairs = [(inc, sweep_response(net, cfg.grid, inc)) for inc in cfg.incidence]
 
     artifacts: list[str] = []
     if cfg.csv_name:
@@ -462,26 +452,16 @@ def _run_simulate(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
     return {"mode": "simulate", "conditions": conditions, "artifacts": artifacts}
 
 
-def _run_sweep_w(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
-    def job(w_mm: float):
-        params = params_from_geometry(
-            geometry_with_width(cfg.geometry, w_mm * 1e-3),
-            cfg.calibration,
-            cfg.ring_l1,
-            cfg.ring_c1,
-        )
-        curve = sweep_response(build_network(params), cfg.grid, cfg.incidence[0])
-        return extract_metrics(curve)
-
-    def safe(w_mm: float):
+def _run_sweep_w(cfg: RunConfig, out_dir: Path) -> dict:
+    ok_rows, failures = [], []
+    for w_mm in cfg.sweep_widths_mm:
         try:
-            return w_mm, job(w_mm), None
+            geometry = geometry_with_width(cfg.geometry, w_mm * 1e-3)
+            params = params_from_geometry(geometry, cfg.calibration, cfg.ring_l1, cfg.ring_c1)
+            curve = sweep_response(build_network(params), cfg.grid, cfg.incidence[0])
+            ok_rows.append((w_mm, extract_metrics(curve)))
         except FssError as exc:
-            return w_mm, None, str(exc)
-
-    results = _map_jobs(cfg.sweep_widths_mm, safe, threads)
-    ok_rows = [(w_mm, m) for w_mm, m, err in results if m is not None]
-    failures = [{"w_mm": w_mm, "error": err} for w_mm, m, err in results if m is None]
+            failures.append({"w_mm": w_mm, "error": str(exc)})
     artifacts: list[str] = []
     if cfg.metrics_csv_name:
         path = out_dir / cfg.metrics_csv_name
@@ -491,7 +471,7 @@ def _run_sweep_w(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
     return {"mode": "sweep-w", "rows": rows, "failures": failures, "artifacts": artifacts}
 
 
-def _run_synthesize(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
+def _run_synthesize(cfg: RunConfig, out_dir: Path) -> dict:
     lc = synthesize_lc(cfg.design)
     report: dict[str, Any] = {
         "mode": "synthesize",
@@ -515,7 +495,7 @@ def _run_synthesize(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
     return report
 
 
-def _run_fit(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
+def _run_fit(cfg: RunConfig, out_dir: Path) -> dict:
     observed = read_touchstone(cfg.fit_touchstone)
     free = tuple(_FIT_KEYS[name][0] for name in cfg.fit_free)
     problem = FitProblem(
@@ -542,7 +522,7 @@ def _run_fit(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
     }
 
 
-def _run_analyze(cfg: RunConfig, out_dir: Path, threads: int) -> dict:
+def _run_analyze(cfg: RunConfig, out_dir: Path) -> dict:
     curve = read_touchstone(cfg.analyze_touchstone)
     entry = {
         "theta_deg": math.degrees(curve.incidence.theta),
@@ -561,11 +541,11 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig, out_dir: str | os.PathLike = "out", threads: int = 1) -> dict:
+def run(cfg: RunConfig, out_dir: str | os.PathLike = "out") -> dict:
     """Execute one mode, writing artifacts under out_dir; returns the summary."""
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[cfg.mode](cfg, out_path, threads)
+    return _RUNNERS[cfg.mode](cfg, out_path)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -580,18 +560,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         help=f"output directory (default ./out, or ${OUT_DIR_ENV} when set)",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for sweeps; 0 picks the CPU count",
-    )
     args = parser.parse_args(argv)
 
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "out"
-    if args.threads < 0:
-        print("error: --threads must be >= 0", file=sys.stderr)
-        return EXIT_CONFIG
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")
@@ -606,7 +577,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        summary = run(cfg, out_dir=out_dir, threads=args.threads)
+        summary = run(cfg, out_dir=out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

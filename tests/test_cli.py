@@ -191,11 +191,9 @@ class TestSimulateMode:
         cfg = parse_config(json.dumps(doc))
         run(cfg, out_dir=tmp_path / "a")
         run(cfg, out_dir=tmp_path / "b")
-        run(cfg, out_dir=tmp_path / "c", threads=4)
         for name in ("response.csv", "response_te0deg.s2p", "response_tm30deg.s2p"):
             a = (tmp_path / "a" / name).read_bytes()
             assert a == (tmp_path / "b" / name).read_bytes()
-            assert a == (tmp_path / "c" / name).read_bytes()
 
     def test_theta_zero_te_tm_identical_metrics(self, tmp_path):
         doc = simulate_doc(incidence={"theta_deg": [0], "pol": ["TE", "TM"]})
@@ -331,6 +329,26 @@ class TestShippedConfigs:
         assert all(a > b for a, b in zip(fbws, fbws[1:]))
 
 
+def fit_doc(s2p, **fit):
+    return {
+        "mode": "fit",
+        "circuit": dict(REFERENCE_CIRCUIT),
+        "fit": {"touchstone": str(s2p), "free": ["l_nh"], **fit},
+    }
+
+
+#: configs whose values have the wrong JSON type; each must fail as a config error
+WRONG_TYPES = {
+    "sweep_w_mm_word": lambda s2p: {"mode": "sweep-w", "sweep": {"w_mm": [1.0, "x"]}},
+    "sweep_w_mm_numeric_string": lambda s2p: {"mode": "sweep-w", "sweep": {"w_mm": [0.6, "1.4"]}},
+    "fit_initial_word": lambda s2p: fit_doc(s2p, initial={"l_nh": "x"}),
+    "fit_initial_list": lambda s2p: fit_doc(s2p, initial=[3.0]),
+    "fit_bounds_word": lambda s2p: fit_doc(s2p, bounds={"l_nh": [0.5, "x"]}),
+    "mirrored_string": lambda s2p: simulate_doc(circuit={**REFERENCE_CIRCUIT, "mirrored": "false"}),
+    "mirrored_number": lambda s2p: simulate_doc(circuit={**REFERENCE_CIRCUIT, "mirrored": 0}),
+}
+
+
 class TestMainEntry:
     def write_config(self, tmp_path, doc):
         path = tmp_path / "run.json"
@@ -349,6 +367,15 @@ class TestMainEntry:
         code = main(["--config", path, "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "requires field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+    def test_wrong_value_type_exits_as_config_error(self, case, tmp_path, capsys):
+        s2p = tmp_path / "obs.s2p"
+        s2p.write_text("# GHz S RI R 50\n1.0 0 0 1 0 1 0 0 0\n")
+        path = self.write_config(tmp_path, WRONG_TYPES[case](s2p))
+        code = main(["--config", path, "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_compute_error_exit(self, tmp_path, capsys):
         doc = {
