@@ -21,6 +21,7 @@ from .twoport import (
     abcd_shunt,
     abcd_tline,
     cascade,
+    everywhere,
     shunt_rl_admittance,
     shunt_series_rlc_admittance,
 )
@@ -107,6 +108,9 @@ class CircuitParams:
     h1        air gap between layers, m; required when order = 2
     order     1 or 2
     loss_tangent  spacer dielectric loss
+
+    The element values L, L1, C1, R and R1 may be (k, 1) column arrays:
+    the network then evaluates k parameter sets at once, one per row.
     """
 
     L: float
@@ -121,17 +125,21 @@ class CircuitParams:
     loss_tangent: float = DEFAULT_LOSS_TANGENT
 
     def __post_init__(self):
-        if self.L <= 0 or self.L1 <= 0 or self.C1 <= 0:
+        if not (everywhere(self.L > 0) and everywhere(self.L1 > 0) and everywhere(self.C1 > 0)):
             raise DomainError("L, L1 and C1 must be positive")
-        if self.R < 0 or self.R1 < 0:
+        if not (everywhere(self.R >= 0) and everywhere(self.R1 >= 0)):
             raise DomainError("R and R1 must be nonnegative")
-        if self.h < 0:
+        if not self.h >= 0:
             raise DomainError("spacer length must be nonnegative")
+        if not self.eps_r > 0:
+            raise DomainError("spacer permittivity must be positive")
+        if not self.loss_tangent >= 0:
+            raise DomainError("loss tangent must be nonnegative")
         if self.order not in (1, 2):
             raise DomainError(f"order must be 1 or 2, got {self.order}")
         if self.order == 2 and self.h1 is None:
             raise DomainError("second-order parameters require the air gap h1")
-        if self.h1 is not None and self.h1 < 0:
+        if self.h1 is not None and not self.h1 >= 0:
             raise DomainError("air gap must be nonnegative")
 
 
@@ -142,7 +150,10 @@ class BranchKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ShuntBranch:
-    """Grounded branch: series R-L-C for the ring sheet, series R-L for the grid."""
+    """Grounded branch: series R-L-C for the ring sheet, series R-L for the grid.
+
+    Element values may be (k, 1) column arrays, as in CircuitParams.
+    """
 
     kind: BranchKind
     resistance: float

@@ -128,6 +128,13 @@ def _number(block: dict, key: str, context: str, default=None, *, required_for=N
     return float(value)
 
 
+def _integer(block: dict, key: str, context: str, default: int) -> int:
+    value = _number(block, key, context, default)
+    if not float(value).is_integer():
+        raise ConfigError(f"'{context}.{key}' must be an integer")
+    return int(value)
+
+
 def _parse_circuit(doc: dict, mode: str, required: bool) -> tuple[CircuitParams | None, bool]:
     block = _block(doc, "circuit")
     allowed = {
@@ -141,7 +148,7 @@ def _parse_circuit(doc: dict, mode: str, required: bool) -> tuple[CircuitParams 
     if not block and not required:
         return None, False
 
-    order = int(_number(block, "order", "circuit", 1))
+    order = _integer(block, "order", "circuit", 1)
     l_nh = _number(block, "l_nh", "circuit", required_for=mode if required else None)
     if l_nh is None:
         return None, False
@@ -201,7 +208,7 @@ def _parse_grid(doc: dict) -> FrequencyGrid:
         return FrequencyGrid(
             f_start=_number(block, "f_start_ghz", "grid", 1.0) * 1e9,
             f_stop=_number(block, "f_stop_ghz", "grid", 5.0) * 1e9,
-            n_points=int(_number(block, "n_points", "grid", 1001)),
+            n_points=_integer(block, "n_points", "grid", 1001),
         )
     except FssError as exc:
         raise ConfigError(f"invalid grid block: {exc}") from exc

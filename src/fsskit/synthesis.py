@@ -225,8 +225,9 @@ def fit_circuit(problem: FitProblem) -> FitResult:
 
     Levenberg damping: steps that increase the residual are rejected and
     the damping grows; accepted steps shrink it.  The Jacobian uses central
-    differences with a relative step of 1e-6 in a scaled parameter space.
-    A singular normal matrix only increases the damping, never aborts.
+    differences with a relative step of 1e-6 in a scaled parameter space;
+    all 2k perturbed parameter sets are evaluated as one batch.  A singular
+    normal matrix only increases the damping, never aborts.
     """
     obs = np.abs(problem.observed.s21)
     scale = np.array([abs(problem.initial[n]) for n in problem.free])
@@ -234,27 +235,28 @@ def fit_circuit(problem: FitProblem) -> FitResult:
     hi = np.array([problem.bounds[n][1] for n in problem.free]) / scale
     u = np.clip(np.ones(len(problem.free)), lo, hi)
 
-    def residual(u_vec: np.ndarray) -> np.ndarray:
+    def residuals(rows: np.ndarray) -> np.ndarray:
+        """(m, nf) residuals of the m scaled parameter sets in the rows."""
+        values = rows * scale
+        batch = {name: values[:, i:i + 1] for i, name in enumerate(problem.free)}
         mags = np.abs(_s21_on(
-            build_network(
-                replace(problem.base, **dict(zip(problem.free, u_vec * scale))),
-                mirrored=problem.mirrored,
-            ),
+            build_network(replace(problem.base, **batch), mirrored=problem.mirrored),
             problem.observed,
         ))
         return mags - obs
 
+    def residual(u_vec: np.ndarray) -> np.ndarray:
+        return residuals(u_vec[None, :])[0]
+
     def jacobian(u_vec: np.ndarray) -> np.ndarray:
-        cols = []
-        for k in range(u_vec.size):
-            step = 1e-6 * max(abs(u_vec[k]), 1e-3)
-            up = u_vec.copy()
-            dn = u_vec.copy()
-            up[k] = min(u_vec[k] + step, hi[k])
-            dn[k] = max(u_vec[k] - step, lo[k])
-            span = up[k] - dn[k]
-            cols.append((residual(up) - residual(dn)) / span)
-        return np.column_stack(cols)
+        k = u_vec.size
+        step = 1e-6 * np.maximum(np.abs(u_vec), 1e-3)
+        up = np.minimum(u_vec + step, hi)
+        dn = np.maximum(u_vec - step, lo)
+        eye = np.eye(k, dtype=bool)
+        res = residuals(np.concatenate([np.where(eye, up, u_vec), np.where(eye, dn, u_vec)]))
+        # BLAS rounds jac.T @ jac differently for an F-ordered jac, so keep C order
+        return np.ascontiguousarray(((res[:k] - res[k:]) / (up - dn)[:, None]).T)
 
     r = residual(u)
     cost = float(r @ r)

@@ -79,7 +79,10 @@ def _parse_option_line(tokens: list[str], line_no: int) -> tuple[float, str, flo
 
 
 def _to_complex(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex values from the two columns of each pair in RI, MA or dB."""
+    """Complex values from the two columns of each pair in RI, MA or dB.
+
+    A dB magnitude too large for a float raises OverflowError.
+    """
     if fmt == "db":
         # numpy's pow differs from CPython's in the last bit for some inputs
         a = np.array([10.0 ** x for x in (a / 20.0).ravel().tolist()]).reshape(a.shape)
@@ -94,11 +97,11 @@ def _to_complex(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _parse_records(records: list, mult: float) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies in Hz and the (n, 8) values of (line_no, line, tokens) records.
+def _parse_records(records: list, mult: float, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies in Hz and the (n, 4) complex values of (line_no, line, tokens) records.
 
-    Raises for the earliest record with a non-numeric field or a frequency
-    that does not increase.
+    Raises for the earliest record with a non-numeric or non-finite field,
+    a frequency that does not increase, or a dB magnitude that overflows.
     """
     try:
         values = np.array([tokens for _, _, tokens in records], dtype=float)
@@ -109,18 +112,32 @@ def _parse_records(records: list, mult: float) -> tuple[np.ndarray, np.ndarray]:
             except ValueError:
                 break
         if bad:
-            _parse_records(records[:bad], mult)
+            _parse_records(records[:bad], mult, fmt)
         raise TouchstoneError(f"non-numeric field in {line!r}", line_no) from None
     freqs = values[:, 0] * mult
-    down = np.flatnonzero(freqs[1:] <= freqs[:-1])
-    if down.size:
-        i = down[0] + 1
+    bad = ~np.isfinite(values).all(axis=1)
+    bad[1:] |= freqs[1:] <= freqs[:-1]
+    if bad.any():
+        i = int(np.argmax(bad))
+        if i:
+            _parse_records(records[:i], mult, fmt)
+        line_no, line, _ = records[i]
+        if not np.isfinite(values[i]).all():
+            raise TouchstoneError(f"non-finite field in {line!r}", line_no)
         raise TouchstoneError(
             f"frequencies must be strictly increasing; "
             f"{float(freqs[i])} follows {float(freqs[i - 1])}",
-            records[i][0],
+            line_no,
         )
-    return freqs, values[:, 1:]
+    try:
+        return freqs, _to_complex(fmt, values[:, 1::2], values[:, 2::2])
+    except OverflowError:
+        for (line_no, line, _), row in zip(records, values):
+            try:
+                _to_complex(fmt, row[1::2], row[2::2])
+            except OverflowError:
+                raise TouchstoneError(f"dB magnitude overflows in {line!r}", line_no) from None
+        raise
 
 
 def read_touchstone(path: str | os.PathLike) -> ResponseCurve:
@@ -168,15 +185,14 @@ def read_touchstone(path: str | os.PathLike) -> ResponseCurve:
                 records.append((line_no, line, tokens))
         except TouchstoneError:
             if records:  # a fault in an earlier record is reported first
-                _parse_records(records, mult)
+                _parse_records(records, mult, fmt)
             raise
 
     if mult is None:
         raise TouchstoneError("file has no option line", line_no=None)
     if not records:
         raise TouchstoneError("file holds no data records", line_no=None)
-    freqs, values = _parse_records(records, mult)
-    data = _to_complex(fmt, values[:, 0::2], values[:, 1::2])
+    freqs, data = _parse_records(records, mult, fmt)
     return ResponseCurve(
         freqs=freqs,
         s11=data[:, 0],

@@ -4,7 +4,9 @@ Every network element is expressed as a 2x2 ABCD chain matrix relating
 port voltages and currents.  Cascading is matrix multiplication with the
 wave-arrival side on the left.  All functions accept either scalar
 frequencies or 1-D numpy arrays and evaluate elementwise, so a full
-frequency sweep is a single vectorized call.
+frequency sweep is a single vectorized call.  Element values may also be
+column arrays of shape (k, 1); they broadcast against the frequencies, so
+k parameter sets are evaluated at once as a (k, nf) batch.
 """
 
 from __future__ import annotations
@@ -47,6 +49,15 @@ class IncidenceCondition:
     def __post_init__(self):
         if not 0.0 <= self.theta < math.pi / 2:
             raise DomainError(f"incidence angle must be in [0, pi/2), got {self.theta}")
+
+
+def everywhere(cond) -> bool:
+    """Whether a scalar or elementwise comparison holds for every entry.
+
+    Write domain checks as ``not everywhere(x > 0)`` so that NaN fails
+    them.  A plain bool is returned as is, which keeps scalar checks cheap.
+    """
+    return cond if cond.__class__ is bool else bool(cond.all())
 
 
 #: Normal incidence.  TE and TM produce identical results at theta = 0.
@@ -123,7 +134,7 @@ def shunt_series_rlc_admittance(r1, l1, c1, f):
     At the branch resonance with r1 = 0 the impedance vanishes; the exact
     zero is clamped to SHORT_ADMITTANCE so downstream cascades stay finite.
     """
-    if r1 < 0 or l1 <= 0 or c1 <= 0:
+    if not (everywhere(r1 >= 0) and everywhere(l1 > 0) and everywhere(c1 > 0)):
         raise DomainError("series RLC branch requires r1 >= 0, l1 > 0, c1 > 0")
     f = np.asarray(f, dtype=float)
     if not np.all(f > 0):
@@ -137,7 +148,7 @@ def shunt_series_rlc_admittance(r1, l1, c1, f):
 
 def shunt_rl_admittance(r, l, f):
     """Admittance of a grounded series R-L branch: Y = 1/(R + jwL)."""
-    if r < 0 or l <= 0:
+    if not (everywhere(r >= 0) and everywhere(l > 0)):
         raise DomainError("RL branch requires r >= 0 and l > 0")
     f = np.asarray(f, dtype=float)
     if not np.all(f > 0):
@@ -165,19 +176,21 @@ def abcd_tline(
 
     A nonzero loss tangent adds dielectric attenuation via the complex
     propagation factor gamma*l = phi * (tan_delta / 2 + j).
+
+    eps_r and loss_tangent are scalars; length may be a (k, 1) column array.
     """
-    if eps_r <= 0:
+    if not eps_r > 0:
         raise DomainError(f"relative permittivity must be positive, got {eps_r}")
-    if length < 0:
+    if not everywhere(length >= 0):
         raise DomainError(f"line length must be nonnegative, got {length}")
-    if loss_tangent < 0:
+    if not loss_tangent >= 0:
         raise DomainError("loss tangent must be nonnegative")
     f = np.asarray(f, dtype=float)
     if not np.all(f > 0):
         raise DomainError("frequency must be positive")
 
     s2 = math.sin(inc.theta) ** 2
-    if eps_r <= s2:
+    if not eps_r > s2:
         raise EvanescentModeError(
             f"no propagating mode: eps_r = {eps_r} <= sin^2(theta) = {s2:.6f} "
             f"at theta = {inc.theta:.6f} rad"

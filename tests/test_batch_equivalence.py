@@ -1,0 +1,180 @@
+"""The batch axis of the element values against one evaluation per row.
+
+CircuitParams element values may be (k, 1) column arrays, and fit_circuit
+evaluates all 2k central-difference rows of its Jacobian in one model
+call.  These tests check both against scalar evaluations, bit for bit: the
+batched network against k separate networks, and fit_circuit against the
+former per-column fit, which is kept here as the reference.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from fsskit.analysis import FrequencyGrid, network_smatrix, sweep_response
+from fsskit.builder import CircuitParams, build_network, build_second_order
+from fsskit.synthesis import FitProblem, FitResult, fit_circuit
+from fsskit.twoport import NORMAL, IncidenceCondition, Polarization
+
+
+def _bits(x) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def reference_fit(problem: FitProblem) -> FitResult:
+    """fit_circuit as it was with one scalar model call per Jacobian column."""
+    obs = np.abs(problem.observed.s21)
+    scale = np.array([abs(problem.initial[n]) for n in problem.free])
+    lo = np.array([problem.bounds[n][0] for n in problem.free]) / scale
+    hi = np.array([problem.bounds[n][1] for n in problem.free]) / scale
+    u = np.clip(np.ones(len(problem.free)), lo, hi)
+
+    def residual(u_vec):
+        params = replace(problem.base, **dict(zip(problem.free, u_vec * scale)))
+        net = build_network(params, mirrored=problem.mirrored)
+        s21 = network_smatrix(net, problem.observed.freqs, problem.observed.incidence).s21
+        return np.abs(s21) - obs
+
+    def jacobian(u_vec):
+        cols = []
+        for k in range(u_vec.size):
+            step = 1e-6 * max(abs(u_vec[k]), 1e-3)
+            up = u_vec.copy()
+            dn = u_vec.copy()
+            up[k] = min(u_vec[k] + step, hi[k])
+            dn[k] = max(u_vec[k] - step, lo[k])
+            span = up[k] - dn[k]
+            cols.append((residual(up) - residual(dn)) / span)
+        return np.column_stack(cols)
+
+    r = residual(u)
+    cost = float(r @ r)
+    lam = 1e-3
+    iterations = 0
+    message = "iteration cap reached without convergence"
+    converged = False
+    history = [math.sqrt(cost)]
+    for iterations in range(1, problem.max_iterations + 1):
+        jac = jacobian(u)
+        jtj = jac.T @ jac
+        jtr = jac.T @ r
+        diag = np.maximum(np.diag(jtj), 1e-30)
+        accepted = False
+        while lam < 1e14:
+            try:
+                step = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            u_new = np.clip(u + step, lo, hi)
+            r_new = residual(u_new)
+            cost_new = float(r_new @ r_new)
+            if cost_new <= cost:
+                accepted = True
+                break
+            lam *= 10.0
+        if not accepted:
+            message = "damping exhausted without an accepting step"
+            break
+        rel_step = float(np.max(np.abs(u_new - u) / np.maximum(np.abs(u), 1e-30)))
+        improvement = cost - cost_new
+        u, r, cost = u_new, r_new, cost_new
+        history.append(math.sqrt(cost))
+        lam = max(lam / 3.0, 1e-12)
+        if rel_step < problem.step_tol:
+            converged = True
+            message = f"converged: relative step {rel_step:.2e} below tolerance"
+            break
+        if improvement < problem.improvement_tol:
+            converged = True
+            message = f"converged: residual improvement {improvement:.2e} below tolerance"
+            break
+    return FitResult(
+        params=dict(zip(problem.free, (u * scale).tolist())),
+        residual_norm=float(math.sqrt(cost)),
+        iterations=iterations,
+        converged=converged,
+        message=message,
+        residual_history=tuple(history),
+    )
+
+
+def criterion_8_problem() -> FitProblem:
+    truth = CircuitParams(
+        L=2.85e-9, L1=1.61e-9, C1=0.6e-12, R=0.1, R1=0.1,
+        h=0.254e-3, eps_r=2.2, order=2, h1=10e-3,
+    )
+    return FitProblem(
+        observed=sweep_response(build_second_order(truth), FrequencyGrid(1e9, 5e9, 401), NORMAL),
+        base=truth,
+        free=("L", "L1", "C1"),
+        initial={"L": truth.L * 1.3, "L1": truth.L1 * 0.7, "C1": truth.C1 * 1.3},
+        bounds={"L": (0.5e-9, 10e-9), "L1": (0.3e-9, 6e-9), "C1": (0.1e-12, 3e-12)},
+    )
+
+
+def five_parameter_problem() -> FitProblem:
+    truth = CircuitParams(
+        L=2.85e-9, L1=1.61e-9, C1=0.6e-12, R=0.15, R1=0.08,
+        h=0.254e-3, eps_r=2.2, order=2, h1=10e-3,
+    )
+    return FitProblem(
+        observed=sweep_response(build_second_order(truth), FrequencyGrid(1e9, 5e9, 801), NORMAL),
+        base=truth,
+        free=("L", "L1", "C1", "R", "R1"),
+        initial={"L": 3.4e-9, "L1": 1.2e-9, "C1": 0.75e-12, "R": 0.3, "R1": 0.2},
+        bounds={
+            "L": (0.5e-9, 10e-9), "L1": (0.3e-9, 6e-9), "C1": (0.1e-12, 3e-12),
+            "R": (0.0, 2.0), "R1": (0.0, 2.0),
+        },
+    )
+
+
+@pytest.mark.parametrize("make_problem", [criterion_8_problem, five_parameter_problem])
+def test_fit_matches_per_column_reference_bit_for_bit(make_problem):
+    problem = make_problem()
+    got, want = fit_circuit(problem), reference_fit(problem)
+    assert got.iterations == want.iterations
+    assert list(got.params) == list(want.params)
+    assert _hex(got.params.values()) == _hex(want.params.values())
+    assert float(got.residual_norm).hex() == float(want.residual_norm).hex()
+    assert _hex(got.residual_history) == _hex(want.residual_history)
+    assert (got.converged, got.message) == (want.converged, want.message)
+
+
+ROWS = {
+    "L": [2.5e-9, 2.85e-9, 3.4e-9],
+    "L1": [1.2e-9, 1.61e-9, 2.0e-9],
+    "C1": [0.5e-12, 0.6e-12, 0.75e-12],
+    "R": [0.0, 0.1, 0.3],
+    "R1": [0.2, 0.0, 0.08],
+}
+
+
+@pytest.mark.parametrize(
+    "order, mirrored, inc",
+    [
+        (1, True, NORMAL),
+        (2, True, NORMAL),
+        (2, False, NORMAL),
+        (2, True, IncidenceCondition(math.radians(40), Polarization.TE)),
+        (2, True, IncidenceCondition(math.radians(40), Polarization.TM)),
+    ],
+)
+def test_column_params_match_scalar_evaluations(order, mirrored, inc):
+    base = CircuitParams(L=2.85e-9, L1=1.61e-9, C1=0.6e-12, order=order, h1=10e-3)
+    f = np.linspace(1e9, 5e9, 201)
+    batch = replace(base, **{name: np.array(values)[:, None] for name, values in ROWS.items()})
+    s = network_smatrix(build_network(batch, mirrored=mirrored), f, inc)
+    assert s.s21.shape == (3, f.size)
+    for i in range(3):
+        row = replace(base, **{name: values[i] for name, values in ROWS.items()})
+        want = network_smatrix(build_network(row, mirrored=mirrored), f, inc)
+        for name in ("s11", "s21", "s22"):
+            assert np.array_equal(_bits(getattr(s, name)[i]), _bits(getattr(want, name)))

@@ -102,6 +102,21 @@ class TestParamTypes:
         with pytest.raises(DomainError):
             CircuitParams(L=2.85e-9, L1=1.61e-9, C1=0.6e-12, order=3, h1=1e-2)
 
+    @pytest.mark.parametrize("name", ["L", "L1", "C1", "R", "R1", "h", "eps_r", "h1", "loss_tangent"])
+    def test_nan_value_rejected(self, name):
+        values = dict(L=2.85e-9, L1=1.61e-9, C1=0.6e-12, order=2, h1=10e-3)
+        with pytest.raises(DomainError):
+            CircuitParams(**{**values, name: float("nan")})
+
+    def test_column_element_values(self):
+        column = np.array([[2.5e-9], [2.85e-9]])
+        p = CircuitParams(L=column, L1=column, C1=0.6e-12, R=np.zeros((2, 1)))
+        assert p.L is column
+        with pytest.raises(DomainError):
+            CircuitParams(L=np.array([[2.85e-9], [float("nan")]]), L1=1.61e-9, C1=0.6e-12)
+        with pytest.raises(DomainError):
+            CircuitParams(L=2.85e-9, L1=1.61e-9, C1=0.6e-12, R1=np.array([[0.1], [-0.1]]))
+
     def test_zero_spacer_allowed(self):
         p = CircuitParams(L=2.85e-9, L1=1.61e-9, C1=0.6e-12, h=0.0)
         assert p.h == 0.0

@@ -346,6 +346,10 @@ WRONG_TYPES = {
     "fit_bounds_word": lambda s2p: fit_doc(s2p, bounds={"l_nh": [0.5, "x"]}),
     "mirrored_string": lambda s2p: simulate_doc(circuit={**REFERENCE_CIRCUIT, "mirrored": "false"}),
     "mirrored_number": lambda s2p: simulate_doc(circuit={**REFERENCE_CIRCUIT, "mirrored": 0}),
+    "order_fraction": lambda s2p: simulate_doc(circuit={**REFERENCE_CIRCUIT, "order": 1.7}),
+    "n_points_fraction": lambda s2p: simulate_doc(
+        grid={"f_start_ghz": 1.0, "f_stop_ghz": 5.0, "n_points": 2.9}
+    ),
 }
 
 
@@ -377,6 +381,21 @@ class TestMainEntry:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["l_nh", "l1_nh", "c1_pf", "r_ohm", "r1_ohm", "h_mm", "eps_r", "h1_mm"])
+    def test_nan_circuit_value_exits_as_config_error(self, key, tmp_path, capsys):
+        path = self.write_config(tmp_path, simulate_doc(circuit={**REFERENCE_CIRCUIT, key: math.nan}))
+        assert "NaN" in (tmp_path / "run.json").read_text()
+        code = main(["--config", path, "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_integral_float_counts_are_accepted(self):
+        cfg = parse_config(json.dumps(simulate_doc(
+            circuit={**REFERENCE_CIRCUIT, "order": 2.0},
+            grid={"f_start_ghz": 1.0, "f_stop_ghz": 5.0, "n_points": 11.0},
+        )))
+        assert cfg.circuit.order == 2 and cfg.grid.n_points == 11
+
     def test_compute_error_exit(self, tmp_path, capsys):
         doc = {
             "mode": "synthesize",
@@ -391,6 +410,13 @@ class TestMainEntry:
         code = main(["--config", path, "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_COMPUTE
         assert "achievable" in capsys.readouterr().err
+
+    def test_db_overflow_exits_as_input_data_error(self, tmp_path, capsys):
+        s2p = tmp_path / "loud.s2p"
+        s2p.write_text("# GHz S DB R 50\n1.0 7000 0 0 0 0 0 0 0\n")
+        path = self.write_config(tmp_path, {"mode": "analyze", "analyze": {"touchstone": str(s2p)}})
+        assert main(["--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
+        assert "line 2: dB magnitude overflows" in capsys.readouterr().err
 
     def test_missing_config_file_exit(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "nope.json")])

@@ -128,6 +128,7 @@ FAULTS = {
     "columns": "expected 9 columns",
     "order": "strictly increasing",
     "option": "duplicate option line",
+    "nonfinite": "non-finite field",
 }
 
 
@@ -154,6 +155,8 @@ class TestReaderLineNumbers:
                 fields = fields[:data.draw(st.sampled_from([1, 5, 8]))]
             elif kind == "order":
                 fields[0] = f"{i}.0"
+            elif kind == "nonfinite":
+                fields[data.draw(st.integers(0, 8))] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
             else:
                 fields = ["# GHz S RI R 50"]
             lines[record_line[i] - 1] = " ".join(fields)

@@ -1,6 +1,7 @@
 """Touchstone two-port read/write round trips and format handling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,3 +203,57 @@ class TestReaderErrors:
         with pytest.raises(TouchstoneError) as err:
             read_touchstone(path)
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "field, fmt, column",
+        [("nan", "RI", 1), ("inf", "MA", 2), ("-inf", "DB", 4), ("Infinity", "MA", 0)],
+    )
+    def test_non_finite_field_names_its_line(self, tmp_path, field, fmt, column):
+        fields = "1.0 1 0 0 0 0 0 1 0".split()
+        fields[column] = field
+        path = tmp_path / "nonfinite.s2p"
+        path.write_text(
+            f"# GHz S {fmt} R 50\n0.5 1 0 0 0 0 0 1 0\n{' '.join(fields)}\n2.0 1 0 0 0 0 0 1 0\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TouchstoneError, match="non-finite field") as err:
+                read_touchstone(path)
+        assert err.value.line_no == 3
+
+    def test_earliest_of_non_finite_and_order_faults(self, tmp_path):
+        path = tmp_path / "two_faults.s2p"
+        path.write_text(
+            "# GHz S MA R 50\n1.0 1 0 0 0 0 0 1 0\n0.5 1 0 0 0 0 0 1 0\n2.0 1 inf 0 0 0 0 1 0\n"
+        )
+        with pytest.raises(TouchstoneError, match="strictly increasing") as err:
+            read_touchstone(path)
+        assert err.value.line_no == 3
+        path.write_text(
+            "# GHz S MA R 50\n1.0 1 0 0 0 0 0 1 0\n2.0 1 inf 0 0 0 0 1 0\n0.5 1 0 0 0 0 0 1 0\n"
+        )
+        with pytest.raises(TouchstoneError, match="non-finite field") as err:
+            read_touchstone(path)
+        assert err.value.line_no == 3
+
+    def test_db_overflow_names_its_line(self, tmp_path):
+        path = tmp_path / "loud.s2p"
+        path.write_text("# GHz S DB R 50\n0.5 0 0 0 0 0 0 0 0\n1.0 7000 0 0 0 0 0 0 0\n")
+        with pytest.raises(TouchstoneError) as err:
+            read_touchstone(path)
+        assert err.value.line_no == 3
+        assert str(err.value) == "line 3: dB magnitude overflows in '1.0 7000 0 0 0 0 0 0 0'"
+
+    def test_db_overflow_before_a_later_fault(self, tmp_path):
+        path = tmp_path / "loud_then_bad.s2p"
+        path.write_text(
+            "# GHz S DB R 50\n1.0 0 0 6200 0 0 0 0 0\n0.5 0 0 0 0 0 0 0 0\n2.0 0 0 x 0 0 0 0 0\n"
+        )
+        with pytest.raises(TouchstoneError, match="overflows") as err:
+            read_touchstone(path)
+        assert err.value.line_no == 2
+
+    def test_largest_finite_db_magnitude_is_read(self, tmp_path):
+        path = tmp_path / "loudest.s2p"
+        path.write_text("# GHz S DB R 50\n1.0 6165 0 0 0 0 0 0 0\n")
+        assert abs(read_touchstone(path).s11[0]) == 10.0 ** (6165 / 20.0)

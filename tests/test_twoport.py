@@ -124,8 +124,59 @@ class TestSeriesRlcBranch:
         with pytest.raises(DomainError):
             shunt_series_rlc_admittance(0.0, 0.0, 0.6e-12, 1e9)
 
+    @pytest.mark.parametrize("slot", range(3))
+    def test_nan_elements_rejected(self, slot):
+        values = [0.1, 1.61e-9, 0.6e-12]
+        values[slot] = math.nan
+        with pytest.raises(DomainError):
+            shunt_series_rlc_admittance(*values, 1e9)
+        if slot < 2:
+            with pytest.raises(DomainError):
+                shunt_rl_admittance(*values[:2], 1e9)
+
+    def test_column_elements_match_rows(self):
+        f = np.linspace(1e9, 5e9, 7)
+        r1 = np.array([[0.0], [0.1], [2.0]])
+        l1 = np.array([[1.2e-9], [1.61e-9], [3e-9]])
+        c1 = np.array([[0.5e-12], [0.6e-12], [0.9e-12]])
+        rlc = shunt_series_rlc_admittance(r1, l1, c1, f)
+        rl = shunt_rl_admittance(r1, l1, f)
+        assert rlc.shape == rl.shape == (3, 7)
+        for i in range(3):
+            assert np.array_equal(rlc[i], shunt_series_rlc_admittance(r1[i, 0], l1[i, 0], c1[i, 0], f))
+            assert np.array_equal(rl[i], shunt_rl_admittance(r1[i, 0], l1[i, 0], f))
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-9])
+    def test_one_bad_row_rejects_the_batch(self, bad):
+        l1 = np.array([[1.61e-9], [bad]])
+        with pytest.raises(DomainError):
+            shunt_series_rlc_admittance(0.1, l1, 0.6e-12, 1e9)
+        with pytest.raises(DomainError):
+            shunt_rl_admittance(0.1, l1, 1e9)
+
 
 class TestTline:
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((math.nan, 1e-3), {}), ((2.2, math.nan), {}), ((2.2, 1e-3), {"loss_tangent": math.nan})],
+        ids=["eps_r", "length", "loss_tangent"],
+    )
+    def test_nan_inputs_rejected(self, args, kwargs):
+        with pytest.raises(DomainError):
+            abcd_tline(*args, 3e9, NORMAL, **kwargs)
+
+    def test_column_lengths_match_rows(self):
+        f = np.linspace(1e9, 5e9, 7)
+        lengths = np.array([[0.0], [0.254e-3], [10e-3]])
+        m = abcd_tline(2.2, lengths, f, NORMAL, loss_tangent=0.0009)
+        assert m.a.shape == (3, 7)
+        for i in range(3):
+            row = abcd_tline(2.2, lengths[i, 0], f, NORMAL, loss_tangent=0.0009)
+            for name in "abcd":
+                assert np.array_equal(getattr(m, name)[i], getattr(row, name))
+        with pytest.raises(DomainError):
+            abcd_tline(2.2, np.array([[1e-3], [math.nan]]), f, NORMAL)
+
     def test_zero_length_is_identity(self):
         m = abcd_tline(2.2, 0.0, 3.3e9, NORMAL)
         assert m.a == 1.0 and m.d == 1.0
