@@ -55,8 +55,8 @@ class FrequencyGrid:
     n_points: int
 
     def __post_init__(self):
-        if not 0 < self.f_start < self.f_stop:
-            raise DomainError("grid requires 0 < f_start < f_stop")
+        if not 0 < self.f_start < self.f_stop < math.inf:
+            raise DomainError("grid requires 0 < f_start < f_stop < inf")
         if self.n_points < 2:
             raise DomainError("grid requires at least 2 points")
 
@@ -117,13 +117,15 @@ class PassbandMetrics:
     f_zero: float | None = None
 
 
-def network_smatrix(net: LayeredNetwork, f, inc: IncidenceCondition = NORMAL) -> SMatrix:
+def network_smatrix(
+    net: LayeredNetwork, f, inc: IncidenceCondition = NORMAL, reuse: dict | None = None
+) -> SMatrix:
     """Evaluate a ladder at one or more frequencies.
 
     The port reference is the oblique free-space wave impedance for the
-    given incidence, on both sides.
+    given incidence, on both sides.  reuse is passed to LayeredNetwork.abcd.
     """
-    return abcd_to_s(net.abcd(f, inc), wave_impedance(inc.theta, inc.polarization))
+    return abcd_to_s(net.abcd(f, inc, reuse), wave_impedance(inc.theta, inc.polarization))
 
 
 def _per_point(value, f: np.ndarray) -> np.ndarray:
@@ -134,11 +136,18 @@ def _per_point(value, f: np.ndarray) -> np.ndarray:
 
 
 def sweep_response(
-    net: LayeredNetwork, grid: FrequencyGrid, inc: IncidenceCondition = NORMAL
+    net: LayeredNetwork,
+    grid: FrequencyGrid,
+    inc: IncidenceCondition = NORMAL,
+    reuse: dict | None = None,
 ) -> ResponseCurve:
-    """Vectorized frequency sweep of a ladder network."""
+    """Vectorized frequency sweep of a ladder network.
+
+    A loop over ladders on one grid and incidence passes the same reuse
+    mapping to every call (see LayeredNetwork.abcd).
+    """
     f = grid.points
-    s = network_smatrix(net, f, inc)
+    s = network_smatrix(net, f, inc, reuse)
     return ResponseCurve(
         freqs=f,
         s11=_per_point(s.s11, f),
@@ -174,6 +183,24 @@ def _interp_crossing(f_a, f_b, db_a, db_b, thr):
     return f_a + (thr - db_a) * (f_b - f_a) / (db_b - db_a)
 
 
+def _band_edges(f: np.ndarray, db: np.ndarray, i: int, thr: float) -> tuple[float, float]:
+    """Interpolated crossings of thr nearest to sample i on either side.
+
+    The crossing samples j >= i and k <= i are the first below thr when
+    searching outward from i; a side with none raises OneSidedBandError.
+    """
+    below = db < thr
+    j = i + int(np.argmax(below[i:]))
+    if not below[j]:
+        raise OneSidedBandError("upper")
+    k = i - int(np.argmax(below[i::-1]))
+    if not below[k]:
+        raise OneSidedBandError("lower")
+    f_hi = _interp_crossing(f[j - 1], f[j], db[j - 1], db[j], thr)
+    f_lo = _interp_crossing(f[k], f[k + 1], db[k], db[k + 1], thr)
+    return f_lo, f_hi
+
+
 def extract_metrics(curve: ResponseCurve) -> PassbandMetrics:
     """Locate the transmission peak and measure the -3 dB band around it.
 
@@ -194,19 +221,7 @@ def extract_metrics(curve: ResponseCurve) -> PassbandMetrics:
     db = _db(mag)
     thr = 20.0 * math.log10(max(peak, _DB_FLOOR)) - 3.0
 
-    j = i
-    while j < len(f) - 1 and db[j] >= thr:
-        j += 1
-    if db[j] >= thr:
-        raise OneSidedBandError("upper")
-    f_hi = _interp_crossing(f[j - 1], f[j], db[j - 1], db[j], thr)
-
-    k = i
-    while k > 0 and db[k] >= thr:
-        k -= 1
-    if db[k] >= thr:
-        raise OneSidedBandError("lower")
-    f_lo = _interp_crossing(f[k], f[k + 1], db[k], db[k + 1], thr)
+    f_lo, f_hi = _band_edges(f, db, i, thr)
 
     bw = f_hi - f_lo
     fbw = bw / f_c

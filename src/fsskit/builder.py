@@ -196,10 +196,28 @@ class LayeredNetwork:
     elements: tuple[ShuntBranch | LineSegment, ...]
     params: CircuitParams | None = None
 
-    def abcd(self, f, inc: IncidenceCondition = NORMAL) -> TwoPortMatrix:
-        if not self.elements:
-            return IDENTITY
-        return cascade([el.abcd(f, inc) for el in self.elements])
+    def abcd(
+        self,
+        f,
+        inc: IncidenceCondition = NORMAL,
+        reuse: dict[ShuntBranch | LineSegment, TwoPortMatrix] | None = None,
+    ) -> TwoPortMatrix:
+        """Chain matrix of the whole ladder.
+
+        reuse, when given, maps elements to their matrices already evaluated
+        on the same f and inc; an element found there is not evaluated again.
+        Afterwards it holds exactly this ladder's distinct elements, so a loop
+        over ladders that differ in one element evaluates the others once.
+        """
+        if reuse is None:
+            matrices = [el.abcd(f, inc) for el in self.elements]
+        else:
+            held = {el: reuse[el] if el in reuse else el.abcd(f, inc)
+                    for el in dict.fromkeys(self.elements)}
+            reuse.clear()
+            reuse.update(held)
+            matrices = [held[el] for el in self.elements]
+        return cascade(matrices) if matrices else IDENTITY
 
 
 def grid_inductance(w: float, period: float, scale: float) -> float:

@@ -114,7 +114,13 @@ def _block(doc: dict, name: str) -> dict:
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number other than a bool, finite as a float (no Infinity/NaN)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _number(block: dict, key: str, context: str, default=None, *, required_for=None):
@@ -124,7 +130,7 @@ def _number(block: dict, key: str, context: str, default=None, *, required_for=N
         return default
     value = block[key]
     if not _is_number(value):
-        raise ConfigError(f"'{context}.{key}' must be a number")
+        raise ConfigError(f"'{context}.{key}' must be a finite number")
     return float(value)
 
 
@@ -226,7 +232,7 @@ def _parse_incidence(doc: dict) -> tuple[IncidenceCondition, ...]:
     conditions = []
     for theta in thetas:
         if not _is_number(theta):
-            raise ConfigError("'incidence.theta_deg' entries must be numbers")
+            raise ConfigError("'incidence.theta_deg' entries must be finite numbers")
         for pol in pols:
             if pol not in ("TE", "TM"):
                 raise ConfigError(f"'incidence.pol' entries must be 'TE' or 'TM', got {pol!r}")
@@ -243,7 +249,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -295,8 +301,21 @@ def parse_config(text: str) -> RunConfig:
         if not isinstance(widths, list) or not widths:
             raise ConfigError("mode 'sweep-w' requires field 'sweep.w_mm' (non-empty list)")
         if not all(_is_number(w) for w in widths):
-            raise ConfigError("'sweep.w_mm' entries must be numbers")
+            raise ConfigError("'sweep.w_mm' entries must be finite numbers")
         cfg.sweep_widths_mm = tuple(sorted(float(w) for w in widths))
+        ignored = [f"circuit.{key}" for key in _block(doc, "circuit") if key not in ("l1_nh", "c1_pf")]
+        if "strip_width_mm" in _block(doc, "geometry"):
+            ignored.append("geometry.strip_width_mm")
+        if ignored:
+            raise ConfigError(
+                f"mode 'sweep-w' does not use {', '.join(ignored)}: it sweeps a first-order "
+                "layer built from the geometry, circuit.l1_nh/c1_pf and sweep.w_mm"
+            )
+        if len(cfg.incidence) > 1:
+            raise ConfigError(
+                f"mode 'sweep-w' takes one incidence condition, got {len(cfg.incidence)} "
+                "(incidence.theta_deg x incidence.pol)"
+            )
 
     if mode == "synthesize":
         synth = _block(doc, "synthesize")
@@ -350,7 +369,7 @@ def parse_config(text: str) -> RunConfig:
             if name in bounds:
                 pair = bounds[name]
                 if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
-                    raise ConfigError(f"'fit.bounds.{name}' must be a [low, high] pair of numbers")
+                    raise ConfigError(f"'fit.bounds.{name}' must be a [low, high] pair of finite numbers")
                 lo, hi = float(pair[0]) * mult, float(pair[1]) * mult
             else:
                 lo, hi = start_si / 4.0, start_si * 4.0
@@ -461,11 +480,13 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
 
 def _run_sweep_w(cfg: RunConfig, out_dir: Path) -> dict:
     ok_rows, failures = [], []
+    # only the grid branch depends on w: the ring and spacer are evaluated once
+    reuse = {}
     for w_mm in cfg.sweep_widths_mm:
         try:
             geometry = geometry_with_width(cfg.geometry, w_mm * 1e-3)
             params = params_from_geometry(geometry, cfg.calibration, cfg.ring_l1, cfg.ring_c1)
-            curve = sweep_response(build_network(params), cfg.grid, cfg.incidence[0])
+            curve = sweep_response(build_network(params), cfg.grid, cfg.incidence[0], reuse)
             ok_rows.append((w_mm, extract_metrics(curve)))
         except FssError as exc:
             failures.append({"w_mm": w_mm, "error": str(exc)})

@@ -104,9 +104,10 @@ def _fbw_at_width(
     l1: float,
     c1: float,
     grid: FrequencyGrid,
+    reuse: dict | None = None,
 ) -> float:
     params = params_from_geometry(geometry_with_width(geometry, w), cal, l1, c1)
-    curve = sweep_response(build_network(params), grid, NORMAL)
+    curve = sweep_response(build_network(params), grid, NORMAL, reuse)
     return extract_metrics(curve).fbw
 
 
@@ -133,8 +134,10 @@ def width_for_bandwidth(
         raise DomainError("width range must satisfy 0 < w_min <= w_max < period")
     if grid is None:
         grid = _auto_grid(geometry, cal, l1, c1, w_range)
+    # only the grid branch depends on w: the ring and spacer are evaluated once
+    reuse = {}
 
-    fbw_max = _fbw_at_width(w_lo, geometry, cal, l1, c1, grid)
+    fbw_max = _fbw_at_width(w_lo, geometry, cal, l1, c1, grid, reuse)
     if w_lo == w_hi:
         if abs(fbw_max - fbw_target) < fbw_tol:
             return w_lo
@@ -143,7 +146,7 @@ def width_for_bandwidth(
             f"target {fbw_target:.6f}",
             achievable=(fbw_max, fbw_max),
         )
-    fbw_min = _fbw_at_width(w_hi, geometry, cal, l1, c1, grid)
+    fbw_min = _fbw_at_width(w_hi, geometry, cal, l1, c1, grid, reuse)
     if not fbw_min - fbw_tol <= fbw_target <= fbw_max + fbw_tol:
         raise InfeasibleTargetError(
             f"bandwidth target {fbw_target:.6f} outside the achievable range "
@@ -153,7 +156,7 @@ def width_for_bandwidth(
 
     while w_hi - w_lo > w_tol:
         w_mid = 0.5 * (w_lo + w_hi)
-        fbw_mid = _fbw_at_width(w_mid, geometry, cal, l1, c1, grid)
+        fbw_mid = _fbw_at_width(w_mid, geometry, cal, l1, c1, grid, reuse)
         if abs(fbw_mid - fbw_target) < fbw_tol:
             return w_mid
         if fbw_mid > fbw_target:

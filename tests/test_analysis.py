@@ -92,6 +92,13 @@ class TestGridAndCurve:
         with pytest.raises(DomainError):
             FrequencyGrid(1e9, 2e9, 1)
 
+    @pytest.mark.parametrize("start, stop", [
+        (1e9, math.inf), (-math.inf, 1e9), (math.inf, math.inf), (1e9, math.nan), (math.nan, 1e9),
+    ])
+    def test_grid_rejects_non_finite_endpoints(self, start, stop):
+        with pytest.raises(DomainError, match="f_stop < inf"):
+            FrequencyGrid(start, stop, 11)
+
     def test_curve_validation(self):
         f = np.linspace(1e9, 2e9, 8)
         ones = np.ones(8, dtype=complex)

@@ -264,6 +264,55 @@ class TestSweepMode:
         assert summary["failures"][0]["w_mm"] == 2.6
 
 
+SWEEP_W = {"mode": "sweep-w", "sweep": {"w_mm": [1.0, 2.0]}}
+
+
+class TestSweepModeRejectsWhatItCannotHonour:
+    """sweep-w builds a first-order layer from geometry, l1/c1 and each width."""
+
+    @pytest.mark.parametrize("extra, named", [
+        ({"circuit": {"order": 2, "mirrored": False, "l_nh": 9, "h_mm": 5, "eps_r": 9.9}},
+         ["circuit.order", "circuit.mirrored", "circuit.l_nh", "circuit.h_mm", "circuit.eps_r"]),
+        ({"circuit": {"l1_nh": 1.61, "r1_ohm": 0.5, "loss_tangent": 0.0}},
+         ["circuit.r1_ohm", "circuit.loss_tangent"]),
+        ({"circuit": {"order": 1}}, ["circuit.order"]),
+        ({"geometry": {"strip_width_mm": 2.0}}, ["geometry.strip_width_mm"]),
+        ({"circuit": {"mirrored": True}, "geometry": {"strip_width_mm": 2.0}},
+         ["circuit.mirrored", "geometry.strip_width_mm"]),
+    ])
+    def test_ignored_keys_are_named(self, extra, named):
+        with pytest.raises(ConfigError, match="does not use") as info:
+            parse_config(json.dumps({**SWEEP_W, **extra}))
+        for name in named:
+            assert name in str(info.value)
+
+    @pytest.mark.parametrize("incidence", [
+        {"theta_deg": [0, 40], "pol": ["TE", "TM"]},
+        {"theta_deg": [0, 40]},
+        {"pol": ["TE", "TM"]},
+    ])
+    def test_more_than_one_incidence_condition_rejected(self, incidence):
+        with pytest.raises(ConfigError, match="one incidence condition"):
+            parse_config(json.dumps({**SWEEP_W, "incidence": incidence}))
+
+    def test_exit_code_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**SWEEP_W, "circuit": {"order": 2}}))
+        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "circuit.order" in capsys.readouterr().err
+
+    def test_used_settings_still_accepted(self):
+        cfg = parse_config(json.dumps({
+            **SWEEP_W,
+            "circuit": {"l1_nh": 1.5, "c1_pf": 0.7},
+            "geometry": {"period_mm": 10.0, "spacer_mm": 0.3, "eps_r": 3.0},
+            "incidence": {"theta_deg": [40], "pol": ["TM"]},
+        }))
+        assert cfg.ring_l1 == pytest.approx(1.5e-9) and cfg.ring_c1 == pytest.approx(0.7e-12)
+        assert cfg.geometry.spacer == pytest.approx(0.3e-3)
+        assert len(cfg.incidence) == 1 and cfg.incidence[0].polarization is Polarization.TM
+
+
 class TestSynthesizeMode:
     def test_reference_synthesis(self, tmp_path):
         doc = {
@@ -350,6 +399,29 @@ WRONG_TYPES = {
     "n_points_fraction": lambda s2p: simulate_doc(
         grid={"f_start_ghz": 1.0, "f_stop_ghz": 5.0, "n_points": 2.9}
     ),
+    # JSON Infinity, and integers beyond the float range, are not config numbers
+    "l_nh_infinity": lambda s2p: simulate_doc(circuit={**REFERENCE_CIRCUIT, "l_nh": math.inf}),
+    "f_stop_infinity": lambda s2p: simulate_doc(
+        grid={"f_start_ghz": 1.0, "f_stop_ghz": math.inf, "n_points": 2001}
+    ),
+    "n_points_huge_integer": lambda s2p: simulate_doc(
+        grid={"f_start_ghz": 1.0, "f_stop_ghz": 5.0, "n_points": 10**400}
+    ),
+    "n_points_over_4300_digits": lambda s2p: simulate_doc(
+        grid={"f_start_ghz": 1.0, "f_stop_ghz": 5.0, "n_points": "DIGITS"}
+    ),
+    "sweep_w_mm_infinity": lambda s2p: {"mode": "sweep-w", "sweep": {"w_mm": [1.0, math.inf]}},
+    "sweep_w_mm_nan": lambda s2p: {"mode": "sweep-w", "sweep": {"w_mm": [math.nan, 1.0]}},
+    "theta_infinity": lambda s2p: simulate_doc(incidence={"theta_deg": [math.inf], "pol": ["TE"]}),
+    "geometry_infinity": lambda s2p: {
+        "mode": "sweep-w", "geometry": {"period_mm": math.inf}, "sweep": {"w_mm": [1.0]}
+    },
+    "fit_initial_infinity": lambda s2p: fit_doc(s2p, initial={"l_nh": math.inf}),
+    "fit_bounds_infinity": lambda s2p: fit_doc(s2p, bounds={"l_nh": [0.5, math.inf]}),
+    "synthesize_infinity": lambda s2p: {
+        "mode": "synthesize",
+        "synthesize": {"f_p_ghz": 3.0, "f_z_ghz": math.inf, "c1_pf": 0.6},
+    },
 }
 
 
@@ -377,6 +449,8 @@ class TestMainEntry:
         s2p = tmp_path / "obs.s2p"
         s2p.write_text("# GHz S RI R 50\n1.0 0 0 1 0 1 0 0 0\n")
         path = self.write_config(tmp_path, WRONG_TYPES[case](s2p))
+        text = (tmp_path / "run.json").read_text()
+        (tmp_path / "run.json").write_text(text.replace('"DIGITS"', "9" * 4400))
         code = main(["--config", path, "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
