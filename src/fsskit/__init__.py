@@ -2,6 +2,8 @@
 narrowband bandpass frequency selective surfaces built from
 miniaturized-element unit cells."""
 
+__version__ = "0.1.0"
+
 from .analysis import (
     FrequencyGrid,
     PassbandMetrics,
@@ -73,5 +75,3 @@ from .twoport import (
     shunt_series_rlc_admittance,
     wave_impedance,
 )
-
-__version__ = "0.1.0"

@@ -3,9 +3,10 @@
 Usage: fsskit --config run.json [--out-dir DIR]
 
 All physical inputs live in the config file; field names carry their
-units as suffixes (l_nh, h_mm, f_start_ghz, ...).  Outputs are
-deterministic: repeated runs of the same config produce byte-identical
-files.
+units as suffixes (l_nh, h_mm, f_start_ghz, ...).  Every key, its default
+and the modes that read it are declared once, in _SCHEMA; a key the chosen
+mode does not read is rejected by name.  Outputs are deterministic:
+repeated runs of the same config produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .builder import (
 )
 from .errors import ConfigError, FssError, TouchstoneError
 from .synthesis import (
+    FITTABLE,
     DesignSpec,
     FitProblem,
     fit_circuit,
@@ -63,14 +65,83 @@ EXIT_IO = 4
 
 MODES = ("simulate", "sweep-w", "synthesize", "fit", "analyze")
 
-#: config key -> (CircuitParams field, SI multiplier)
-_FIT_KEYS = {
-    "l_nh": ("L", 1e-9),
-    "l1_nh": ("L1", 1e-9),
-    "c1_pf": ("C1", 1e-12),
-    "r_ohm": ("R", 1.0),
-    "r1_ohm": ("R1", 1.0),
+#: default of a key that every mode reading it must give
+_REQUIRED = object()
+
+_SIM_FIT = ("simulate", "fit")
+_SIM_SWEEP = ("simulate", "sweep-w")
+_DESIGN = ("sweep-w", "synthesize")
+
+#: block -> config key -> (target field, SI multiplier or JSON type, default in
+#: config units, modes that read the key).  A multiplier marks a finite number,
+#: ``int`` an integral one, ``Path`` the name of an existing file.  A default goes
+#: through the same check and multiplication as a given value; None leaves the
+#: field unset.
+_SCHEMA: dict[str, dict[str, tuple]] = {
+    "circuit": {
+        "order": ("order", int, 1, _SIM_FIT),
+        "l_nh": ("L", 1e-9, _REQUIRED, _SIM_FIT),
+        "l1_nh": ("L1", 1e-9, 1.61, _SIM_FIT + ("sweep-w",)),
+        "c1_pf": ("C1", 1e-12, 0.6, _SIM_FIT + ("sweep-w",)),
+        "r_ohm": ("R", 1.0, 0.1, _SIM_FIT),
+        "r1_ohm": ("R1", 1.0, 0.1, _SIM_FIT),
+        "h_mm": ("h", 1e-3, 0.254, _SIM_FIT),
+        "eps_r": ("eps_r", 1.0, DEFAULT_EPS_R, _SIM_FIT),
+        "h1_mm": ("h1", 1e-3, 10.0, _SIM_FIT),  # order 2 only
+        "loss_tangent": ("loss_tangent", 1.0, DEFAULT_LOSS_TANGENT, _SIM_FIT),
+        "mirrored": ("mirrored", bool, True, _SIM_FIT),  # order 2 only
+    },
+    "geometry": {
+        "period_mm": ("period", 1e-3, 10.2, _DESIGN),
+        "ring_side_mm": ("ring_side", 1e-3, 9.8, _DESIGN),
+        "arm_width_mm": ("arm_width", 1e-3, 0.4, _DESIGN),
+        # both modes that read the geometry set the strip width themselves
+        "strip_width_mm": ("strip_width", 1e-3, 2.6, ()),
+        "spacer_mm": ("spacer", 1e-3, 0.254, _DESIGN),
+        "eps_r": ("eps_r", 1.0, DEFAULT_EPS_R, _DESIGN),
+    },
+    "calibration": {
+        "k_l_nh": ("l_scale", 1e-9, DEFAULT_CALIBRATION.l_scale * 1e9, _DESIGN),
+        "k_r_ohm_m": ("r_scale", 1.0, DEFAULT_CALIBRATION.r_scale, _DESIGN),
+        "r1_ohm": ("r1_default", 1.0, DEFAULT_CALIBRATION.r1_default, _DESIGN),
+    },
+    "grid": {
+        "f_start_ghz": ("f_start", 1e9, 1.0, _SIM_SWEEP),
+        "f_stop_ghz": ("f_stop", 1e9, 5.0, _SIM_SWEEP),
+        "n_points": ("n_points", int, 1001, _SIM_SWEEP),
+    },
+    "incidence": {
+        "theta_deg": ("thetas", list, [0.0], _SIM_SWEEP),
+        "pol": ("pols", list, ["TE"], _SIM_SWEEP),
+    },
+    "output": {
+        "csv": ("csv_name", str, "response.csv", ("simulate",)),
+        "touchstone": ("touchstone_name", str, None, ("simulate",)),
+        "metrics_csv": ("metrics_csv_name", str, "metrics.csv", ("sweep-w",)),
+    },
+    "sweep": {"w_mm": ("widths", list, _REQUIRED, ("sweep-w",))},
+    "synthesize": {
+        "f_p_ghz": ("f_passband", 1e9, _REQUIRED, ("synthesize",)),
+        "f_z_ghz": ("f_zero", 1e9, _REQUIRED, ("synthesize",)),
+        "c1_pf": ("c1", 1e-12, _REQUIRED, ("synthesize",)),
+        "q_target": ("q_target", 1.0, None, ("synthesize",)),
+        "fbw_target": ("fbw_target", 1.0, None, ("synthesize",)),
+        "w_min_mm": ("w_min", 1e-3, 0.3, ("synthesize",)),
+        "w_max_mm": ("w_max", 1e-3, 3.0, ("synthesize",)),
+    },
+    "fit": {
+        "touchstone": ("fit_touchstone", Path, _REQUIRED, ("fit",)),
+        "free": ("free", list, _REQUIRED, ("fit",)),
+        "initial": ("initial", dict, {}, ("fit",)),
+        "bounds": ("bounds", dict, {}, ("fit",)),
+    },
+    "analyze": {"touchstone": ("analyze_touchstone", Path, _REQUIRED, ("analyze",))},
 }
+
+#: fit parameter key -> (CircuitParams field, SI multiplier)
+_FIT_KEYS = {key: spec[:2] for key, spec in _SCHEMA["circuit"].items() if spec[0] in FITTABLE}
+
+_TYPE_NAMES = {bool: "true or false", str: "a string", list: "a non-empty list", dict: "an object"}
 
 
 @dataclass
@@ -106,286 +177,152 @@ def _check_keys(block: dict, allowed: set[str], context: str) -> None:
         )
 
 
-def _block(doc: dict, name: str) -> dict:
-    value = doc.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{name}' must be an object")
-    return value
+def _reject_unread(mode: str, names: list[str], why: str = "") -> None:
+    if names:
+        raise ConfigError(f"mode '{mode}' does not use {', '.join(names)}{why}")
 
 
-def _is_number(value: Any) -> bool:
-    """A JSON number other than a bool, finite as a float (no Infinity/NaN)."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
+def _value(name: str, value: Any, kind: Any) -> Any:
+    """One value checked against its schema kind; numbers come back scaled to SI."""
+    if kind is Path:
+        if not (isinstance(value, str) and Path(value).is_file()):
+            raise ConfigError(f"'{name}' must name an existing file; {value!r} does not exist")
+        return value
+    if kind in _TYPE_NAMES:
+        if not isinstance(value, kind) or (kind is list and not value):
+            raise ConfigError(f"'{name}' must be {_TYPE_NAMES[kind]}")
+        return value
     try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"'{name}' must be a finite number")
+    if kind is int:
+        if not float(value).is_integer():
+            raise ConfigError(f"'{name}' must be an integer")
+        return int(float(value))
+    return float(value) * kind
 
 
-def _number(block: dict, key: str, context: str, default=None, *, required_for=None):
-    if key not in block:
-        if required_for is not None:
-            raise ConfigError(f"mode '{required_for}' requires field '{context}.{key}'")
-        return default
-    value = block[key]
-    if not _is_number(value):
-        raise ConfigError(f"'{context}.{key}' must be a finite number")
-    return float(value)
+def _read(given: dict, block: str, mode: str) -> dict[str, Any]:
+    """The block's values by target field, checked and scaled, for the keys the mode reads."""
+    values = {}
+    for key, (target, kind, default, modes) in _SCHEMA[block].items():
+        if modes and mode not in modes:  # a key that no mode reads keeps its default
+            continue
+        if key in given:
+            values[target] = _value(f"{block}.{key}", given[key], kind)
+        elif default is _REQUIRED:
+            raise ConfigError(f"mode '{mode}' requires field '{block}.{key}'")
+        else:
+            values[target] = None if default is None else _value(f"{block}.{key}", default, kind)
+    return values
 
 
-def _integer(block: dict, key: str, context: str, default: int) -> int:
-    value = _number(block, key, context, default)
-    if not float(value).is_integer():
-        raise ConfigError(f"'{context}.{key}' must be an integer")
-    return int(value)
-
-
-def _parse_circuit(doc: dict, mode: str, required: bool) -> tuple[CircuitParams | None, bool]:
-    block = _block(doc, "circuit")
-    allowed = {
-        "order", "l_nh", "l1_nh", "c1_pf", "r_ohm", "r1_ohm",
-        "h_mm", "eps_r", "h1_mm", "loss_tangent", "mirrored",
-    }
-    _check_keys(block, allowed, "circuit")
-    mirrored = block.get("mirrored", True)
-    if not isinstance(mirrored, bool):
-        raise ConfigError("'circuit.mirrored' must be true or false")
-    if not block and not required:
-        return None, False
-
-    order = _integer(block, "order", "circuit", 1)
-    l_nh = _number(block, "l_nh", "circuit", required_for=mode if required else None)
-    if l_nh is None:
-        return None, False
-    h1_mm = _number(block, "h1_mm", "circuit", 10.0 if order == 2 else None)
+def _build(cls: type, block: str, values: dict[str, Any]) -> Any:
     try:
-        params = CircuitParams(
-            L=l_nh * 1e-9,
-            L1=_number(block, "l1_nh", "circuit", 1.61) * 1e-9,
-            C1=_number(block, "c1_pf", "circuit", 0.6) * 1e-12,
-            R=_number(block, "r_ohm", "circuit", 0.1),
-            R1=_number(block, "r1_ohm", "circuit", 0.1),
-            h=_number(block, "h_mm", "circuit", 0.254) * 1e-3,
-            eps_r=_number(block, "eps_r", "circuit", DEFAULT_EPS_R),
-            h1=None if h1_mm is None else h1_mm * 1e-3,
-            order=order,
-            loss_tangent=_number(block, "loss_tangent", "circuit", DEFAULT_LOSS_TANGENT),
-        )
+        return cls(**values)
     except FssError as exc:
-        raise ConfigError(f"invalid circuit block: {exc}") from exc
-    return params, mirrored
+        raise ConfigError(f"invalid {block} block: {exc}") from exc
 
 
-def _parse_geometry(doc: dict) -> GeometryParams:
-    block = _block(doc, "geometry")
-    allowed = {"period_mm", "ring_side_mm", "arm_width_mm", "strip_width_mm", "spacer_mm", "eps_r"}
-    _check_keys(block, allowed, "geometry")
-    try:
-        return GeometryParams(
-            period=_number(block, "period_mm", "geometry", 10.2) * 1e-3,
-            ring_side=_number(block, "ring_side_mm", "geometry", 9.8) * 1e-3,
-            arm_width=_number(block, "arm_width_mm", "geometry", 0.4) * 1e-3,
-            strip_width=_number(block, "strip_width_mm", "geometry", 2.6) * 1e-3,
-            spacer=_number(block, "spacer_mm", "geometry", 0.254) * 1e-3,
-            eps_r=_number(block, "eps_r", "geometry", DEFAULT_EPS_R),
-        )
-    except FssError as exc:
-        raise ConfigError(f"invalid geometry block: {exc}") from exc
-
-
-def _parse_calibration(doc: dict) -> CalibrationConstants:
-    block = _block(doc, "calibration")
-    _check_keys(block, {"k_l_nh", "k_r_ohm_m", "r1_ohm"}, "calibration")
-    try:
-        return CalibrationConstants(
-            l_scale=_number(block, "k_l_nh", "calibration", DEFAULT_CALIBRATION.l_scale * 1e9) * 1e-9,
-            r_scale=_number(block, "k_r_ohm_m", "calibration", DEFAULT_CALIBRATION.r_scale),
-            r1_default=_number(block, "r1_ohm", "calibration", DEFAULT_CALIBRATION.r1_default),
-        )
-    except FssError as exc:
-        raise ConfigError(f"invalid calibration block: {exc}") from exc
-
-
-def _parse_grid(doc: dict) -> FrequencyGrid:
-    block = _block(doc, "grid")
-    _check_keys(block, {"f_start_ghz", "f_stop_ghz", "n_points"}, "grid")
-    try:
-        return FrequencyGrid(
-            f_start=_number(block, "f_start_ghz", "grid", 1.0) * 1e9,
-            f_stop=_number(block, "f_stop_ghz", "grid", 5.0) * 1e9,
-            n_points=_integer(block, "n_points", "grid", 1001),
-        )
-    except FssError as exc:
-        raise ConfigError(f"invalid grid block: {exc}") from exc
-
-
-def _parse_incidence(doc: dict) -> tuple[IncidenceCondition, ...]:
-    block = _block(doc, "incidence")
-    _check_keys(block, {"theta_deg", "pol"}, "incidence")
-    thetas = block.get("theta_deg", [0.0])
-    pols = block.get("pol", ["TE"])
-    if not isinstance(thetas, list) or not thetas:
-        raise ConfigError("'incidence.theta_deg' must be a non-empty list of angles")
-    if not isinstance(pols, list) or not pols:
-        raise ConfigError("'incidence.pol' must be a non-empty list of 'TE'/'TM'")
+def _incidence(thetas: list, pols: list) -> tuple[IncidenceCondition, ...]:
+    """Every (theta, pol) pair, theta outermost."""
+    if not all(pol in ("TE", "TM") for pol in pols):
+        raise ConfigError(f"'incidence.pol' entries must be 'TE' or 'TM', got {pols!r}")
     conditions = []
     for theta in thetas:
-        if not _is_number(theta):
-            raise ConfigError("'incidence.theta_deg' entries must be finite numbers")
-        for pol in pols:
-            if pol not in ("TE", "TM"):
-                raise ConfigError(f"'incidence.pol' entries must be 'TE' or 'TM', got {pol!r}")
-            try:
-                conditions.append(
-                    IncidenceCondition(math.radians(float(theta)), Polarization[pol])
-                )
-            except FssError as exc:
-                raise ConfigError(f"invalid incidence angle {theta}: {exc}") from exc
+        radians = math.radians(_value("incidence.theta_deg", theta, 1.0))
+        try:
+            conditions += [IncidenceCondition(radians, Polarization[pol]) for pol in pols]
+        except FssError as exc:
+            raise ConfigError(f"invalid incidence angle {theta}: {exc}") from exc
     return tuple(conditions)
 
 
+def _fit_settings(cfg: RunConfig, free: list, initial: dict, bounds: dict) -> None:
+    """Free parameters with SI starts and boxes; by default the circuit value, /4 to x4."""
+    for name in free:
+        if not (isinstance(name, str) and name in _FIT_KEYS):
+            raise ConfigError(f"unknown fit parameter {name!r}; allowed: {', '.join(_FIT_KEYS)}")
+    for part, given in (("initial", initial), ("bounds", bounds)):
+        _check_keys(given, set(_FIT_KEYS), f"fit.{part}")
+        _reject_unread("fit", [f"fit.{part}.{k}" for k in given if k not in free], " (not in fit.free)")
+    cfg.fit_free = tuple(free)
+    for name in free:
+        circ_field, mult = _FIT_KEYS[name]
+        start = getattr(cfg.circuit, circ_field)
+        if name in initial:
+            start = _value(f"fit.initial.{name}", initial[name], mult)
+        if name in bounds:
+            pair = bounds[name]
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ConfigError(f"'fit.bounds.{name}' must be a [low, high] pair")
+            lo, hi = (_value(f"fit.bounds.{name}", x, mult) for x in pair)
+        else:
+            lo, hi = start / 4.0, start * 4.0
+        cfg.fit_initial[circ_field] = start
+        cfg.fit_bounds[circ_field] = (lo, hi)
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON run configuration."""
+    """Parse and validate a JSON run configuration against _SCHEMA."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(
-        doc,
-        {"mode", "circuit", "geometry", "calibration", "grid", "incidence",
-         "output", "sweep", "synthesize", "fit", "analyze"},
-        "config",
-    )
+    _check_keys(doc, {"mode", *_SCHEMA}, "config")
     mode = doc.get("mode")
     if mode is None:
         raise ConfigError("mode required")
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
-
-    circuit, mirrored = _parse_circuit(doc, mode, required=mode in ("simulate", "fit"))
-    cfg = RunConfig(
-        mode=mode,
-        circuit=circuit,
-        mirrored=mirrored,
-        geometry=_parse_geometry(doc),
-        calibration=_parse_calibration(doc),
-        grid=_parse_grid(doc),
-        incidence=_parse_incidence(doc),
-    )
-    if circuit is not None:
-        cfg.ring_l1 = circuit.L1
-        cfg.ring_c1 = circuit.C1
-    else:
-        block = _block(doc, "circuit")
-        cfg.ring_l1 = _number(block, "l1_nh", "circuit", 1.61) * 1e-9
-        cfg.ring_c1 = _number(block, "c1_pf", "circuit", 0.6) * 1e-12
-
-    output = _block(doc, "output")
-    _check_keys(output, {"csv", "touchstone", "metrics_csv"}, "output")
-    for key in ("csv", "touchstone", "metrics_csv"):
-        if key in output and not isinstance(output[key], str):
-            raise ConfigError(f"'output.{key}' must be a file name string")
-    cfg.csv_name = output.get("csv", "response.csv" if mode == "simulate" else None)
-    cfg.touchstone_name = output.get("touchstone")
-    cfg.metrics_csv_name = output.get(
-        "metrics_csv", "metrics.csv" if mode == "sweep-w" else None
-    )
+    unread = []
+    for block, keys in _SCHEMA.items():
+        given = doc.setdefault(block, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"'{block}' must be an object")
+        _check_keys(given, set(keys), block)
+        unread += [f"{block}.{key}" for key in given if mode not in keys[key][3]]
+    _reject_unread(mode, unread)
+    values = {block: _read(doc[block], block, mode) for block in _SCHEMA}
+    cfg = RunConfig(mode=mode, **values["output"], **values["analyze"])
+    circuit = values["circuit"]
+    if mode in _SIM_FIT:
+        if circuit["order"] != 2:  # one layer: no gap, nothing to mirror
+            one_layer = [f"circuit.{key}" for key in ("h1_mm", "mirrored") if key in doc["circuit"]]
+            _reject_unread(mode, one_layer, f" with circuit.order {circuit['order']}")
+            circuit["h1"] = None
+        cfg.mirrored = circuit.pop("mirrored")
+        cfg.circuit = _build(CircuitParams, "circuit", circuit)
+    if "L1" in circuit:  # simulate, fit and sweep-w
+        cfg.ring_l1, cfg.ring_c1 = circuit["L1"], circuit["C1"]
+    if mode in _SIM_SWEEP:
+        cfg.grid = _build(FrequencyGrid, "grid", values["grid"])
+        cfg.incidence = _incidence(**values["incidence"])
+    if mode in _DESIGN:
+        cfg.geometry = _build(GeometryParams, "geometry", values["geometry"])
+        cfg.calibration = _build(CalibrationConstants, "calibration", values["calibration"])
 
     if mode == "sweep-w":
-        sweep = _block(doc, "sweep")
-        _check_keys(sweep, {"w_mm"}, "sweep")
-        widths = sweep.get("w_mm")
-        if not isinstance(widths, list) or not widths:
-            raise ConfigError("mode 'sweep-w' requires field 'sweep.w_mm' (non-empty list)")
-        if not all(_is_number(w) for w in widths):
-            raise ConfigError("'sweep.w_mm' entries must be finite numbers")
-        cfg.sweep_widths_mm = tuple(sorted(float(w) for w in widths))
-        ignored = [f"circuit.{key}" for key in _block(doc, "circuit") if key not in ("l1_nh", "c1_pf")]
-        if "strip_width_mm" in _block(doc, "geometry"):
-            ignored.append("geometry.strip_width_mm")
-        if ignored:
-            raise ConfigError(
-                f"mode 'sweep-w' does not use {', '.join(ignored)}: it sweeps a first-order "
-                "layer built from the geometry, circuit.l1_nh/c1_pf and sweep.w_mm"
-            )
+        widths = (_value("sweep.w_mm", w, 1.0) for w in values["sweep"]["widths"])
+        cfg.sweep_widths_mm = tuple(sorted(widths))
         if len(cfg.incidence) > 1:
-            raise ConfigError(
-                f"mode 'sweep-w' takes one incidence condition, got {len(cfg.incidence)} "
-                "(incidence.theta_deg x incidence.pol)"
-            )
-
+            raise ConfigError(f"mode 'sweep-w' takes one incidence condition, got {len(cfg.incidence)}")
     if mode == "synthesize":
-        synth = _block(doc, "synthesize")
-        _check_keys(
-            synth,
-            {"f_p_ghz", "f_z_ghz", "c1_pf", "q_target", "fbw_target", "w_min_mm", "w_max_mm"},
-            "synthesize",
-        )
-        try:
-            cfg.design = DesignSpec(
-                f_passband=_number(synth, "f_p_ghz", "synthesize", required_for=mode) * 1e9,
-                f_zero=_number(synth, "f_z_ghz", "synthesize", required_for=mode) * 1e9,
-                c1=_number(synth, "c1_pf", "synthesize", required_for=mode) * 1e-12,
-                q_target=_number(synth, "q_target", "synthesize"),
-                fbw_target=_number(synth, "fbw_target", "synthesize"),
-            )
-        except FssError as exc:
-            raise ConfigError(f"invalid synthesize block: {exc}") from exc
-        cfg.width_range = (
-            _number(synth, "w_min_mm", "synthesize", 0.3) * 1e-3,
-            _number(synth, "w_max_mm", "synthesize", 3.0) * 1e-3,
-        )
-
+        synth, synth_given = values["synthesize"], doc["synthesize"]
+        cfg.width_range = (synth.pop("w_min"), synth.pop("w_max"))
+        cfg.design = _build(DesignSpec, "synthesize", synth)
+        if cfg.design.fbw_target is None:
+            width_keys = [f"{block}.{key}" for block in ("geometry", "calibration") for key in doc[block]]
+            width_keys += [f"synthesize.{key}" for key in ("w_min_mm", "w_max_mm") if key in synth_given]
+            _reject_unread(mode, width_keys, " without synthesize.fbw_target")
     if mode == "fit":
-        fit = _block(doc, "fit")
-        _check_keys(fit, {"touchstone", "free", "initial", "bounds"}, "fit")
-        path = fit.get("touchstone")
-        if not isinstance(path, str):
-            raise ConfigError("mode 'fit' requires field 'fit.touchstone' (input path)")
-        if not Path(path).is_file():
-            raise ConfigError(f"fit input file does not exist: {path}")
-        cfg.fit_touchstone = path
-        free = fit.get("free")
-        if not isinstance(free, list) or not free:
-            raise ConfigError("mode 'fit' requires field 'fit.free' (non-empty list)")
-        for name in free:
-            if name not in _FIT_KEYS:
-                raise ConfigError(
-                    f"unknown fit parameter {name!r}; allowed: {', '.join(_FIT_KEYS)}"
-                )
-        cfg.fit_free = tuple(free)
-        initial = _block(fit, "initial")
-        bounds = _block(fit, "bounds")
-        _check_keys(initial, set(_FIT_KEYS), "fit.initial")
-        _check_keys(bounds, set(_FIT_KEYS), "fit.bounds")
-        base = cfg.circuit
-        for name in free:
-            circ_field, mult = _FIT_KEYS[name]
-            start = _number(initial, name, "fit.initial")
-            start_si = getattr(base, circ_field) if start is None else start * mult
-            if name in bounds:
-                pair = bounds[name]
-                if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
-                    raise ConfigError(f"'fit.bounds.{name}' must be a [low, high] pair of finite numbers")
-                lo, hi = float(pair[0]) * mult, float(pair[1]) * mult
-            else:
-                lo, hi = start_si / 4.0, start_si * 4.0
-            cfg.fit_initial[circ_field] = start_si
-            cfg.fit_bounds[circ_field] = (lo, hi)
-
-    if mode == "analyze":
-        analyze = _block(doc, "analyze")
-        _check_keys(analyze, {"touchstone"}, "analyze")
-        path = analyze.get("touchstone")
-        if not isinstance(path, str):
-            raise ConfigError("mode 'analyze' requires field 'analyze.touchstone'")
-        if not Path(path).is_file():
-            raise ConfigError(f"analyze input file does not exist: {path}")
-        cfg.analyze_touchstone = path
-
+        cfg.fit_touchstone = values["fit"].pop("fit_touchstone")
+        _fit_settings(cfg, **values["fit"])
     return cfg
 
 
@@ -599,13 +536,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_IO
 
     try:
-        cfg = parse_config(text)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        summary = run(cfg, out_dir=out_dir)
+        summary = run(parse_config(text), out_dir=out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

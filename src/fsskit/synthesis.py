@@ -230,7 +230,9 @@ def fit_circuit(problem: FitProblem) -> FitResult:
     the damping grows; accepted steps shrink it.  The Jacobian uses central
     differences with a relative step of 1e-6 in a scaled parameter space;
     all 2k perturbed parameter sets are evaluated as one batch.  A singular
-    normal matrix only increases the damping, never aborts.
+    normal matrix only increases the damping, never aborts.  A step that
+    clipping at the bounds cuts below the step tolerance is a stall, not a
+    minimum: the fit ends unconverged, "stalled at bound <clipped names>".
     """
     obs = np.abs(problem.observed.s21)
     scale = np.array([abs(problem.initial[n]) for n in problem.free])
@@ -293,13 +295,16 @@ def fit_circuit(problem: FitProblem) -> FitResult:
             break
 
         rel_step = float(np.max(np.abs(u_new - u) / np.maximum(np.abs(u), 1e-30)))
+        clipped = [name for name, hit in zip(problem.free, u + step != u_new) if hit]
         improvement = cost - cost_new
         u, r, cost = u_new, r_new, cost_new
         history.append(math.sqrt(cost))
         lam = max(lam / 3.0, 1e-12)
         if rel_step < problem.step_tol:
-            converged = True
+            converged = not clipped
             message = f"converged: relative step {rel_step:.2e} below tolerance"
+            if clipped:
+                message = f"stalled at bound {', '.join(clipped)}"
             break
         if improvement < problem.improvement_tol:
             converged = True

@@ -12,11 +12,10 @@ import os
 
 import numpy as np
 
+from . import __version__
 from .analysis import ResponseCurve
 from .errors import TouchstoneError
 from .twoport import IncidenceCondition, Polarization
-
-TOOL_VERSION = "fsskit 0.1.0"
 
 _UNIT_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
@@ -38,7 +37,7 @@ def write_touchstone(curve: ResponseCurve, path: str | os.PathLike) -> None:
     """
     s22 = curve.s22 if curve.s22 is not None else curve.s11
     header = [
-        f"! {TOOL_VERSION}",
+        f"! fsskit {__version__}",
         f"! incidence theta_deg = {math.degrees(curve.incidence.theta):.12g}",
         f"! polarization = {curve.incidence.polarization.value}",
         "# GHz S RI R 376.73",

@@ -313,6 +313,77 @@ class TestSweepModeRejectsWhatItCannotHonour:
         assert len(cfg.incidence) == 1 and cfg.incidence[0].polarization is Polarization.TM
 
 
+def first_order(**extra):
+    circuit = {key: value for key, value in REFERENCE_CIRCUIT.items() if key != "h1_mm"}
+    return {**circuit, "order": 1, **extra}
+
+
+SYNTH = {"f_p_ghz": 3.0766427982933, "f_z_ghz": 5.1207263563633, "c1_pf": 0.6}
+
+#: configs that carry a key their mode does not read, and the names the error must give
+UNREAD = {
+    "simulate_with_sweep_and_fit": lambda s2p: (
+        {"mode": "simulate", "circuit": {"l_nh": 2.85}, "sweep": {"w_mm": "junk"},
+         "fit": {"free": 1}}, ["sweep.w_mm", "fit.free"]),
+    "sweep_w_with_response_outputs": lambda s2p: (
+        {**SWEEP_W, "output": {"csv": "r.csv", "touchstone": "x.s2p"}},
+        ["output.csv", "output.touchstone"]),
+    "analyze_with_incidence": lambda s2p: (
+        {"mode": "analyze", "analyze": {"touchstone": s2p},
+         "incidence": {"theta_deg": [80], "pol": ["TM"]}},
+        ["incidence.theta_deg", "incidence.pol"]),
+    "fit_start_of_fixed_parameter": lambda s2p: (
+        fit_doc(s2p, initial={"l_nh": 2.9, "c1_pf": 0.5}), ["fit.initial.c1_pf"]),
+    "fit_box_of_fixed_parameter": lambda s2p: (
+        fit_doc(s2p, bounds={"r_ohm": [0.0, 1.0]}), ["fit.bounds.r_ohm"]),
+    "order_1_gap": lambda s2p: (
+        simulate_doc(circuit=first_order(h1_mm=10.0)), ["circuit.h1_mm"]),
+    "order_1_mirrored": lambda s2p: (
+        {**fit_doc(s2p), "circuit": first_order(mirrored=False)}, ["circuit.mirrored"]),
+    "synthesize_geometry_without_fbw": lambda s2p: (
+        {"mode": "synthesize", "synthesize": SYNTH, "geometry": {"period_mm": 10.0}},
+        ["geometry.period_mm"]),
+    "synthesize_calibration_without_fbw": lambda s2p: (
+        {"mode": "synthesize", "synthesize": SYNTH, "calibration": {"k_r_ohm_m": 2.6e-4}},
+        ["calibration.k_r_ohm_m"]),
+    "synthesize_width_range_without_fbw": lambda s2p: (
+        {"mode": "synthesize", "synthesize": {**SYNTH, "w_min_mm": 0.5, "w_max_mm": 2.0}},
+        ["synthesize.w_min_mm", "synthesize.w_max_mm"]),
+}
+
+
+class TestModesRejectKeysTheyDoNotRead:
+    @pytest.fixture(scope="class")
+    def s2p(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sim")
+        run(parse_config(json.dumps(simulate_doc())), out_dir=out)
+        return str(out / "response_te0deg.s2p")
+
+    @pytest.mark.parametrize("case", sorted(UNREAD))
+    def test_exits_as_config_error_naming_the_keys(self, case, s2p, tmp_path, capsys):
+        doc, named = UNREAD[case](s2p)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "does not use" in err
+        for name in named:
+            assert name in err
+
+    def test_keys_read_under_those_conditions_are_accepted(self, s2p):
+        cfg = parse_config(json.dumps(simulate_doc(circuit={**REFERENCE_CIRCUIT, "mirrored": False})))
+        assert cfg.mirrored is False and cfg.circuit.h1 == pytest.approx(10e-3)
+        cfg = parse_config(json.dumps(fit_doc(s2p, free=["l_nh", "c1_pf"], initial={"c1_pf": 0.5})))
+        assert cfg.fit_initial == {"L": pytest.approx(2.85e-9), "C1": pytest.approx(0.5e-12)}
+        cfg = parse_config(json.dumps({
+            "mode": "synthesize", "synthesize": {**SYNTH, "fbw_target": 0.25, "w_min_mm": 0.5},
+            "geometry": {"period_mm": 10.0}, "calibration": {"k_r_ohm_m": 3e-4},
+        }))
+        assert cfg.width_range == (pytest.approx(0.5e-3), pytest.approx(3e-3))
+        assert cfg.geometry.period == pytest.approx(10e-3)
+        assert cfg.calibration.r_scale == 3e-4
+
+
 class TestSynthesizeMode:
     def test_reference_synthesis(self, tmp_path):
         doc = {

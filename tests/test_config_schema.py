@@ -1,0 +1,557 @@
+"""parse_config's schema table against the hand-written parser it replaced.
+
+The former parser is kept below, unchanged, as the reference.  Hypothesis
+drives both with configs shaped like the schema, mostly valid values with
+some of the wrong type, range or finiteness:
+
+- when both accept a config, every RunConfig field its mode reads is equal;
+- when the reference rejects a config, parse_config rejects it too;
+- parse_config may reject a config the reference accepts only when a key is
+  present that the mode does not read: a key outside the mode's blocks, or
+  circuit.h1_mm / circuit.mirrored at order 1, a fit start or box for a fixed
+  parameter, or width-design keys in a synthesize run without fbw_target.
+
+A second property feeds parse_config arbitrary JSON: the result is a
+RunConfig or a ConfigError, never another exception.
+"""
+
+import json
+import math
+from pathlib import Path
+from typing import Any
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fsskit.analysis import FrequencyGrid
+from fsskit.builder import (
+    DEFAULT_CALIBRATION,
+    DEFAULT_EPS_R,
+    DEFAULT_LOSS_TANGENT,
+    CalibrationConstants,
+    CircuitParams,
+    GeometryParams,
+)
+from fsskit.cli import MODES, RunConfig, parse_config
+from fsskit.errors import ConfigError, FssError
+from fsskit.synthesis import DesignSpec
+from fsskit.twoport import IncidenceCondition, Polarization
+
+# ---------------------------------------------------------------------------
+# the reference: parse_config as it was written block by block
+
+#: config key -> (CircuitParams field, SI multiplier)
+_FIT_KEYS = {
+    "l_nh": ("L", 1e-9),
+    "l1_nh": ("L1", 1e-9),
+    "c1_pf": ("C1", 1e-12),
+    "r_ohm": ("R", 1.0),
+    "r1_ohm": ("R1", 1.0),
+}
+
+
+def _check_keys(block: dict, allowed: set[str], context: str) -> None:
+    unknown = sorted(set(block) - allowed)
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) in '{context}': {', '.join(unknown)}; "
+            f"allowed: {', '.join(sorted(allowed))}"
+        )
+
+
+def _block(doc: dict, name: str) -> dict:
+    value = doc.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{name}' must be an object")
+    return value
+
+
+def _is_number(value: Any) -> bool:
+    """A JSON number other than a bool, finite as a float (no Infinity/NaN)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _number(block: dict, key: str, context: str, default=None, *, required_for=None):
+    if key not in block:
+        if required_for is not None:
+            raise ConfigError(f"mode '{required_for}' requires field '{context}.{key}'")
+        return default
+    value = block[key]
+    if not _is_number(value):
+        raise ConfigError(f"'{context}.{key}' must be a finite number")
+    return float(value)
+
+
+def _integer(block: dict, key: str, context: str, default: int) -> int:
+    value = _number(block, key, context, default)
+    if not float(value).is_integer():
+        raise ConfigError(f"'{context}.{key}' must be an integer")
+    return int(value)
+
+
+def _parse_circuit(doc: dict, mode: str, required: bool) -> tuple[CircuitParams | None, bool]:
+    block = _block(doc, "circuit")
+    allowed = {
+        "order", "l_nh", "l1_nh", "c1_pf", "r_ohm", "r1_ohm",
+        "h_mm", "eps_r", "h1_mm", "loss_tangent", "mirrored",
+    }
+    _check_keys(block, allowed, "circuit")
+    mirrored = block.get("mirrored", True)
+    if not isinstance(mirrored, bool):
+        raise ConfigError("'circuit.mirrored' must be true or false")
+    if not block and not required:
+        return None, False
+
+    order = _integer(block, "order", "circuit", 1)
+    l_nh = _number(block, "l_nh", "circuit", required_for=mode if required else None)
+    if l_nh is None:
+        return None, False
+    h1_mm = _number(block, "h1_mm", "circuit", 10.0 if order == 2 else None)
+    try:
+        params = CircuitParams(
+            L=l_nh * 1e-9,
+            L1=_number(block, "l1_nh", "circuit", 1.61) * 1e-9,
+            C1=_number(block, "c1_pf", "circuit", 0.6) * 1e-12,
+            R=_number(block, "r_ohm", "circuit", 0.1),
+            R1=_number(block, "r1_ohm", "circuit", 0.1),
+            h=_number(block, "h_mm", "circuit", 0.254) * 1e-3,
+            eps_r=_number(block, "eps_r", "circuit", DEFAULT_EPS_R),
+            h1=None if h1_mm is None else h1_mm * 1e-3,
+            order=order,
+            loss_tangent=_number(block, "loss_tangent", "circuit", DEFAULT_LOSS_TANGENT),
+        )
+    except FssError as exc:
+        raise ConfigError(f"invalid circuit block: {exc}") from exc
+    return params, mirrored
+
+
+def _parse_geometry(doc: dict) -> GeometryParams:
+    block = _block(doc, "geometry")
+    allowed = {"period_mm", "ring_side_mm", "arm_width_mm", "strip_width_mm", "spacer_mm", "eps_r"}
+    _check_keys(block, allowed, "geometry")
+    try:
+        return GeometryParams(
+            period=_number(block, "period_mm", "geometry", 10.2) * 1e-3,
+            ring_side=_number(block, "ring_side_mm", "geometry", 9.8) * 1e-3,
+            arm_width=_number(block, "arm_width_mm", "geometry", 0.4) * 1e-3,
+            strip_width=_number(block, "strip_width_mm", "geometry", 2.6) * 1e-3,
+            spacer=_number(block, "spacer_mm", "geometry", 0.254) * 1e-3,
+            eps_r=_number(block, "eps_r", "geometry", DEFAULT_EPS_R),
+        )
+    except FssError as exc:
+        raise ConfigError(f"invalid geometry block: {exc}") from exc
+
+
+def _parse_calibration(doc: dict) -> CalibrationConstants:
+    block = _block(doc, "calibration")
+    _check_keys(block, {"k_l_nh", "k_r_ohm_m", "r1_ohm"}, "calibration")
+    try:
+        return CalibrationConstants(
+            l_scale=_number(block, "k_l_nh", "calibration", DEFAULT_CALIBRATION.l_scale * 1e9) * 1e-9,
+            r_scale=_number(block, "k_r_ohm_m", "calibration", DEFAULT_CALIBRATION.r_scale),
+            r1_default=_number(block, "r1_ohm", "calibration", DEFAULT_CALIBRATION.r1_default),
+        )
+    except FssError as exc:
+        raise ConfigError(f"invalid calibration block: {exc}") from exc
+
+
+def _parse_grid(doc: dict) -> FrequencyGrid:
+    block = _block(doc, "grid")
+    _check_keys(block, {"f_start_ghz", "f_stop_ghz", "n_points"}, "grid")
+    try:
+        return FrequencyGrid(
+            f_start=_number(block, "f_start_ghz", "grid", 1.0) * 1e9,
+            f_stop=_number(block, "f_stop_ghz", "grid", 5.0) * 1e9,
+            n_points=_integer(block, "n_points", "grid", 1001),
+        )
+    except FssError as exc:
+        raise ConfigError(f"invalid grid block: {exc}") from exc
+
+
+def _parse_incidence(doc: dict) -> tuple[IncidenceCondition, ...]:
+    block = _block(doc, "incidence")
+    _check_keys(block, {"theta_deg", "pol"}, "incidence")
+    thetas = block.get("theta_deg", [0.0])
+    pols = block.get("pol", ["TE"])
+    if not isinstance(thetas, list) or not thetas:
+        raise ConfigError("'incidence.theta_deg' must be a non-empty list of angles")
+    if not isinstance(pols, list) or not pols:
+        raise ConfigError("'incidence.pol' must be a non-empty list of 'TE'/'TM'")
+    conditions = []
+    for theta in thetas:
+        if not _is_number(theta):
+            raise ConfigError("'incidence.theta_deg' entries must be finite numbers")
+        for pol in pols:
+            if pol not in ("TE", "TM"):
+                raise ConfigError(f"'incidence.pol' entries must be 'TE' or 'TM', got {pol!r}")
+            try:
+                conditions.append(
+                    IncidenceCondition(math.radians(float(theta)), Polarization[pol])
+                )
+            except FssError as exc:
+                raise ConfigError(f"invalid incidence angle {theta}: {exc}") from exc
+    return tuple(conditions)
+
+
+def reference_parse_config(text: str) -> RunConfig:
+    """parse_config before the schema table, unchanged."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config root must be a JSON object")
+    _check_keys(
+        doc,
+        {"mode", "circuit", "geometry", "calibration", "grid", "incidence",
+         "output", "sweep", "synthesize", "fit", "analyze"},
+        "config",
+    )
+    mode = doc.get("mode")
+    if mode is None:
+        raise ConfigError("mode required")
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
+
+    circuit, mirrored = _parse_circuit(doc, mode, required=mode in ("simulate", "fit"))
+    cfg = RunConfig(
+        mode=mode,
+        circuit=circuit,
+        mirrored=mirrored,
+        geometry=_parse_geometry(doc),
+        calibration=_parse_calibration(doc),
+        grid=_parse_grid(doc),
+        incidence=_parse_incidence(doc),
+    )
+    if circuit is not None:
+        cfg.ring_l1 = circuit.L1
+        cfg.ring_c1 = circuit.C1
+    else:
+        block = _block(doc, "circuit")
+        cfg.ring_l1 = _number(block, "l1_nh", "circuit", 1.61) * 1e-9
+        cfg.ring_c1 = _number(block, "c1_pf", "circuit", 0.6) * 1e-12
+
+    output = _block(doc, "output")
+    _check_keys(output, {"csv", "touchstone", "metrics_csv"}, "output")
+    for key in ("csv", "touchstone", "metrics_csv"):
+        if key in output and not isinstance(output[key], str):
+            raise ConfigError(f"'output.{key}' must be a file name string")
+    cfg.csv_name = output.get("csv", "response.csv" if mode == "simulate" else None)
+    cfg.touchstone_name = output.get("touchstone")
+    cfg.metrics_csv_name = output.get(
+        "metrics_csv", "metrics.csv" if mode == "sweep-w" else None
+    )
+
+    if mode == "sweep-w":
+        sweep = _block(doc, "sweep")
+        _check_keys(sweep, {"w_mm"}, "sweep")
+        widths = sweep.get("w_mm")
+        if not isinstance(widths, list) or not widths:
+            raise ConfigError("mode 'sweep-w' requires field 'sweep.w_mm' (non-empty list)")
+        if not all(_is_number(w) for w in widths):
+            raise ConfigError("'sweep.w_mm' entries must be finite numbers")
+        cfg.sweep_widths_mm = tuple(sorted(float(w) for w in widths))
+        ignored = [f"circuit.{key}" for key in _block(doc, "circuit") if key not in ("l1_nh", "c1_pf")]
+        if "strip_width_mm" in _block(doc, "geometry"):
+            ignored.append("geometry.strip_width_mm")
+        if ignored:
+            raise ConfigError(
+                f"mode 'sweep-w' does not use {', '.join(ignored)}: it sweeps a first-order "
+                "layer built from the geometry, circuit.l1_nh/c1_pf and sweep.w_mm"
+            )
+        if len(cfg.incidence) > 1:
+            raise ConfigError(
+                f"mode 'sweep-w' takes one incidence condition, got {len(cfg.incidence)} "
+                "(incidence.theta_deg x incidence.pol)"
+            )
+
+    if mode == "synthesize":
+        synth = _block(doc, "synthesize")
+        _check_keys(
+            synth,
+            {"f_p_ghz", "f_z_ghz", "c1_pf", "q_target", "fbw_target", "w_min_mm", "w_max_mm"},
+            "synthesize",
+        )
+        try:
+            cfg.design = DesignSpec(
+                f_passband=_number(synth, "f_p_ghz", "synthesize", required_for=mode) * 1e9,
+                f_zero=_number(synth, "f_z_ghz", "synthesize", required_for=mode) * 1e9,
+                c1=_number(synth, "c1_pf", "synthesize", required_for=mode) * 1e-12,
+                q_target=_number(synth, "q_target", "synthesize"),
+                fbw_target=_number(synth, "fbw_target", "synthesize"),
+            )
+        except FssError as exc:
+            raise ConfigError(f"invalid synthesize block: {exc}") from exc
+        cfg.width_range = (
+            _number(synth, "w_min_mm", "synthesize", 0.3) * 1e-3,
+            _number(synth, "w_max_mm", "synthesize", 3.0) * 1e-3,
+        )
+
+    if mode == "fit":
+        fit = _block(doc, "fit")
+        _check_keys(fit, {"touchstone", "free", "initial", "bounds"}, "fit")
+        path = fit.get("touchstone")
+        if not isinstance(path, str):
+            raise ConfigError("mode 'fit' requires field 'fit.touchstone' (input path)")
+        if not Path(path).is_file():
+            raise ConfigError(f"fit input file does not exist: {path}")
+        cfg.fit_touchstone = path
+        free = fit.get("free")
+        if not isinstance(free, list) or not free:
+            raise ConfigError("mode 'fit' requires field 'fit.free' (non-empty list)")
+        for name in free:
+            if name not in _FIT_KEYS:
+                raise ConfigError(
+                    f"unknown fit parameter {name!r}; allowed: {', '.join(_FIT_KEYS)}"
+                )
+        cfg.fit_free = tuple(free)
+        initial = _block(fit, "initial")
+        bounds = _block(fit, "bounds")
+        _check_keys(initial, set(_FIT_KEYS), "fit.initial")
+        _check_keys(bounds, set(_FIT_KEYS), "fit.bounds")
+        base = cfg.circuit
+        for name in free:
+            circ_field, mult = _FIT_KEYS[name]
+            start = _number(initial, name, "fit.initial")
+            start_si = getattr(base, circ_field) if start is None else start * mult
+            if name in bounds:
+                pair = bounds[name]
+                if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
+                    raise ConfigError(f"'fit.bounds.{name}' must be a [low, high] pair of finite numbers")
+                lo, hi = float(pair[0]) * mult, float(pair[1]) * mult
+            else:
+                lo, hi = start_si / 4.0, start_si * 4.0
+            cfg.fit_initial[circ_field] = start_si
+            cfg.fit_bounds[circ_field] = (lo, hi)
+
+    if mode == "analyze":
+        analyze = _block(doc, "analyze")
+        _check_keys(analyze, {"touchstone"}, "analyze")
+        path = analyze.get("touchstone")
+        if not isinstance(path, str):
+            raise ConfigError("mode 'analyze' requires field 'analyze.touchstone'")
+        if not Path(path).is_file():
+            raise ConfigError(f"analyze input file does not exist: {path}")
+        cfg.analyze_touchstone = path
+
+    return cfg
+
+
+# ---------------------------------------------------------------------------
+# which keys each mode reads, written out independently of cli._SCHEMA
+
+SIM_FIT = {"simulate", "fit"}
+SIM_SWEEP = {"simulate", "sweep-w"}
+DESIGN = {"sweep-w", "synthesize"}
+CIRCUIT_KEYS = ("order", "l_nh", "l1_nh", "c1_pf", "r_ohm", "r1_ohm", "h_mm", "eps_r",
+                "h1_mm", "loss_tangent", "mirrored")
+READ_BY = {
+    "circuit": {key: SIM_FIT | ({"sweep-w"} if key in ("l1_nh", "c1_pf") else set())
+                for key in CIRCUIT_KEYS},
+    "geometry": {"period_mm": DESIGN, "ring_side_mm": DESIGN, "arm_width_mm": DESIGN,
+                 "strip_width_mm": set(), "spacer_mm": DESIGN, "eps_r": DESIGN},
+    "calibration": {"k_l_nh": DESIGN, "k_r_ohm_m": DESIGN, "r1_ohm": DESIGN},
+    "grid": {"f_start_ghz": SIM_SWEEP, "f_stop_ghz": SIM_SWEEP, "n_points": SIM_SWEEP},
+    "incidence": {"theta_deg": SIM_SWEEP, "pol": SIM_SWEEP},
+    "output": {"csv": {"simulate"}, "touchstone": {"simulate"}, "metrics_csv": {"sweep-w"}},
+    "sweep": {"w_mm": {"sweep-w"}},
+    "synthesize": {key: {"synthesize"} for key in (
+        "f_p_ghz", "f_z_ghz", "c1_pf", "q_target", "fbw_target", "w_min_mm", "w_max_mm")},
+    "fit": {key: {"fit"} for key in ("touchstone", "free", "initial", "bounds")},
+    "analyze": {"touchstone": {"analyze"}},
+}
+
+#: RunConfig fields each mode reads
+READS = {
+    "simulate": ("circuit", "mirrored", "grid", "incidence", "csv_name", "touchstone_name"),
+    "sweep-w": ("geometry", "calibration", "ring_l1", "ring_c1", "grid", "incidence",
+                "metrics_csv_name", "sweep_widths_mm"),
+    "synthesize": ("design", "geometry", "calibration", "width_range"),
+    "fit": ("circuit", "mirrored", "fit_touchstone", "fit_free", "fit_initial", "fit_bounds"),
+    "analyze": ("analyze_touchstone",),
+}
+
+
+def has_unread_key(doc: dict) -> bool:
+    """Whether the config carries a key its mode does not read."""
+    mode = doc["mode"]
+    for block, read_by in READ_BY.items():
+        given = doc.get(block, {})
+        if not isinstance(given, dict):
+            return True  # the reference accepts a non-object only in a block it skips
+        if any(mode not in read_by.get(key, ()) for key in given):
+            return True
+    circuit = doc.get("circuit", {})
+    if mode in SIM_FIT and circuit.get("order", 1) == 1 and {"h1_mm", "mirrored"} & set(circuit):
+        return True
+    fit = doc.get("fit", {})
+    if mode == "fit" and any(
+        key not in fit["free"] for part in ("initial", "bounds") for key in fit.get(part, {})
+    ):
+        return True
+    synth = doc.get("synthesize", {})
+    return mode == "synthesize" and "fbw_target" not in synth and bool(
+        doc.get("geometry") or doc.get("calibration") or {"w_min_mm", "w_max_mm"} & set(synth)
+    )
+
+
+# ---------------------------------------------------------------------------
+# schema-shaped configs
+
+EXISTING_FILE = str(Path(__file__))
+MISSING_FILE = str(Path(__file__).with_name("no_such_input.s2p"))
+#: wrong type, sign or finiteness for a number field
+BAD_NUMBER = st.sampled_from([None, "1.0", True, [], {}, math.inf, -math.inf, math.nan,
+                              10**400, -1.0, 0])
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+def number(lo: float, hi: float) -> st.SearchStrategy:
+    integers = range(math.ceil(lo), math.floor(hi) + 1)
+    return st.floats(lo, hi) | (st.sampled_from(integers) if integers else st.nothing())
+
+
+def items(good, bad) -> tuple[st.SearchStrategy, st.SearchStrategy]:
+    """A non-empty list of good entries, and an empty one or one with a bad entry."""
+    spoiled = st.tuples(st.lists(good, max_size=2), bad).map(lambda t: t[0] + [t[1]])
+    return st.lists(good, min_size=1, max_size=4), st.just([]) | spoiled
+
+
+FIT_NAMES = st.sampled_from(["l_nh", "l1_nh", "c1_pf", "r_ohm", "r1_ohm"])
+NAME = st.sampled_from(["a.csv", "b.s2p"])
+PATH = (st.just(EXISTING_FILE), st.just(MISSING_FILE))
+N = st.nothing()
+
+#: block -> key -> (good values, values wrong for this key in particular);
+#: any key may also get BAD_NUMBER or arbitrary JSON
+KEYS = {
+    "circuit": {
+        "order": (st.sampled_from([1, 2, 2.0]), st.sampled_from([1.5, 3])),
+        "l_nh": (number(0.5, 10), N), "l1_nh": (number(0.5, 5), N),
+        "c1_pf": (number(0.1, 2), N), "r_ohm": (number(0, 1), N), "r1_ohm": (number(0, 1), N),
+        "h_mm": (number(0.05, 1), N), "eps_r": (number(1, 10), st.just(0.5)),
+        "h1_mm": (number(0, 20), N), "loss_tangent": (number(0, 0.01), N),
+        "mirrored": (st.booleans(), N),
+    },
+    "geometry": {
+        "period_mm": (number(8, 15), number(1, 3)), "ring_side_mm": (number(2, 8), number(8, 14)),
+        "arm_width_mm": (number(0.1, 1), number(1, 5)), "strip_width_mm": (number(0.1, 5), N),
+        "spacer_mm": (number(0.05, 1), N), "eps_r": (number(1, 10), N),
+    },
+    "calibration": {
+        "k_l_nh": (number(0.1, 5), N), "k_r_ohm_m": (number(0, 1e-3), N),
+        "r1_ohm": (number(0, 1), N),
+    },
+    "grid": {
+        "f_start_ghz": (number(0.5, 2), number(2, 9)), "f_stop_ghz": (number(2, 8), N),
+        "n_points": (st.integers(2, 50) | st.just(11.0), st.sampled_from([1, 11.5])),
+    },
+    "incidence": {
+        "theta_deg": items(number(0, 89), number(90, 180)),
+        "pol": items(st.sampled_from(["TE", "TM"]), st.just("te")),
+    },
+    "output": {"csv": (NAME, N), "touchstone": (NAME, N), "metrics_csv": (NAME, N)},
+    "sweep": {"w_mm": items(number(0.1, 3), BAD_NUMBER)},
+    "synthesize": {
+        "f_p_ghz": (number(1, 3), N), "f_z_ghz": (number(3, 8), number(0.5, 1)),
+        "c1_pf": (number(0.1, 2), N), "q_target": (number(10, 1000), N),
+        "fbw_target": (number(0.01, 0.5), N), "w_min_mm": (number(0.1, 1), N),
+        "w_max_mm": (number(1, 4), N),
+    },
+    "fit": {
+        "touchstone": PATH,
+        "free": items(FIT_NAMES, st.sampled_from(["h_mm", 5])),
+        "initial": (st.dictionaries(FIT_NAMES, number(0.1, 5), max_size=3),
+                    st.dictionaries(st.just("h_mm") | FIT_NAMES, BAD_NUMBER, min_size=1)),
+        "bounds": (st.dictionaries(FIT_NAMES, st.lists(number(0.01, 20), min_size=2,
+                                                       max_size=2).map(sorted), max_size=3),
+                   st.dictionaries(FIT_NAMES, st.lists(BAD_NUMBER, max_size=3), min_size=1)),
+    },
+    "analyze": {"touchstone": PATH},
+}
+
+
+#: keys whose absence a mode that reads them rejects
+REQUIRED = {"circuit": ("l_nh",), "sweep": ("w_mm",), "synthesize": ("f_p_ghz", "f_z_ghz", "c1_pf"),
+            "fit": ("touchstone", "free"), "analyze": ("touchstone",)}
+
+
+@st.composite
+def configs(draw, bad=BAD_NUMBER) -> dict:
+    """Good values for keys the mode reads, then at most one fault.
+
+    The fault is a bad value, an unknown key, a key the mode does not read,
+    or a block that is not an object; about half of the configs have none.
+    """
+    mode = draw(st.sampled_from(MODES))
+    doc = {"mode": mode}
+    unread = []
+    for block, keys in KEYS.items():
+        read = [key for key in keys if mode in READ_BY[block][key]]
+        unread += [(block, key) for key in keys if key not in read]
+        must = [key for key in REQUIRED.get(block, ()) if key in read]
+        if must or (read and draw(st.integers(0, 9)) < 8):
+            required = [key for key in must if draw(st.integers(0, 19)) != 7]
+            doc[block] = draw(st.fixed_dictionaries(
+                {key: keys[key][0] for key in required},
+                optional={key: keys[key][0] for key in read if key not in required},
+            ))
+    fault = draw(st.integers(0, 7))  # 0, the value hypothesis favours, adds no fault
+    present = [(block, key) for block in doc if block != "mode" for key in doc[block]]
+    if fault in (1, 2, 3) and present:
+        block, key = draw(st.sampled_from(present))
+        doc[block][key] = draw(KEYS[block][key][1] | bad)
+    elif fault == 4:
+        doc.setdefault(draw(st.sampled_from(sorted(KEYS))), {})["bogus"] = 1
+    elif fault == 5:
+        block, key = draw(st.sampled_from(unread))
+        doc.setdefault(block, {})[key] = draw(KEYS[block][key][0])
+    elif fault == 6:
+        doc[draw(st.sampled_from(sorted(KEYS)))] = draw(bad)
+    return doc
+
+
+def outcome(parse, text: str):
+    try:
+        return parse(text)
+    except Exception as exc:  # the reference may also fail with a bare TypeError
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+@example({"mode": "simulate", "circuit": {"l_nh": 2.85, "order": 1.5}})
+@example({"mode": "simulate", "circuit": {"l_nh": 2.85}, "grid": {"n_points": 11.5}})
+@example({"mode": "simulate", "circuit": {"l_nh": 2.85}, "incidence": {"pol": []}})
+@example({"mode": "sweep-w", "sweep": {"w_mm": []}})
+@example({"mode": "sweep-w", "sweep": {"w_mm": [1.0]}, "geometry": {"period_mm": 2.6}})
+def test_schema_parser_matches_reference(doc):
+    text = json.dumps(doc)
+    want, got = outcome(reference_parse_config, text), outcome(parse_config, text)
+    if isinstance(got, Exception):
+        assert isinstance(got, ConfigError), repr(got)
+        if not isinstance(want, Exception):
+            assert has_unread_key(doc), f"newly rejected: {got}"
+    else:
+        assert not isinstance(want, Exception), f"newly accepted; reference said {want!r}"
+        for name in READS[doc["mode"]]:
+            assert getattr(got, name) == getattr(want, name), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(JSON, configs(bad=JSON)))
+def test_any_json_gives_a_config_or_a_config_error(doc):
+    try:
+        assert isinstance(parse_config(json.dumps(doc)), RunConfig)
+    except ConfigError:
+        pass

@@ -193,6 +193,25 @@ class TestFitCircuit:
         assert result.params["L1"] == pytest.approx(truth.L1, rel=1e-2)
         assert result.params["C1"] == pytest.approx(truth.C1, rel=1e-2)
 
+    def test_step_clipped_to_nothing_at_the_bounds_is_a_stall(self):
+        # 30 % low on all three, the model passband misses the observed one and
+        # the steps run L and L1 to their lower bounds and C1 to its upper one
+        truth = reference_truth()
+        problem = FitProblem(
+            observed=observed_curve(truth),
+            base=truth,
+            free=("L", "L1", "C1"),
+            initial={"L": truth.L * 0.7, "L1": truth.L1 * 0.7, "C1": truth.C1 * 0.7},
+            bounds=BOUNDS,
+        )
+        result = fit_circuit(problem)
+        assert not result.converged
+        assert result.message == "stalled at bound L, L1, C1"
+        assert result.residual_norm > 1.0
+        assert result.params["L"] == pytest.approx(BOUNDS["L"][0], rel=1e-12)
+        assert result.params["L1"] == pytest.approx(BOUNDS["L1"][0], rel=1e-12)
+        assert result.params["C1"] == pytest.approx(BOUNDS["C1"][1], rel=1e-12)
+
     def test_five_parameter_fit(self):
         truth = CircuitParams(
             L=2.85e-9, L1=1.61e-9, C1=0.6e-12, R=0.15, R1=0.08,

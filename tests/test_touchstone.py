@@ -2,10 +2,12 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fsskit
 from fsskit.analysis import FrequencyGrid, ResponseCurve, sweep_response
 from fsskit.builder import CircuitParams, build_second_order
 from fsskit.errors import TouchstoneError
@@ -53,6 +55,17 @@ class TestWriter:
         assert any("theta_deg = 30" in line for line in text if line.startswith("!"))
         assert any("polarization = TM" in line for line in text if line.startswith("!"))
         assert text[0].startswith("!")
+
+    def test_header_names_the_package_version(self, tmp_path):
+        path = tmp_path / "ident.s2p"
+        write_touchstone(identity_curve(), path)
+        assert path.read_text().splitlines()[0] == f"! fsskit {fsskit.__version__}"
+
+    def test_package_metadata_takes_the_same_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        meta = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        assert "version" not in meta["project"] and meta["project"]["dynamic"] == ["version"]
+        assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "fsskit.__version__"}
 
     def test_twelve_significant_digits(self, tmp_path):
         path = tmp_path / "digits.s2p"
