@@ -18,7 +18,6 @@ from .analysis import (
 from .builder import (
     DEFAULT_CALIBRATION,
     DEFAULT_GEOMETRY,
-    BranchKind,
     CalibrationConstants,
     CircuitParams,
     GeometryParams,
@@ -61,7 +60,6 @@ from .touchstone import read_touchstone, write_touchstone
 from .twoport import (
     C0,
     ETA0,
-    IDENTITY,
     NORMAL,
     IncidenceCondition,
     Polarization,

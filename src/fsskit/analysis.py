@@ -128,13 +128,6 @@ def network_smatrix(
     return abcd_to_s(net.abcd(f, inc, reuse), wave_impedance(inc.theta, inc.polarization))
 
 
-def _per_point(value, f: np.ndarray) -> np.ndarray:
-    arr = np.asarray(value, dtype=complex)
-    if arr.shape != f.shape:
-        arr = np.broadcast_to(arr, f.shape).copy()
-    return arr
-
-
 def sweep_response(
     net: LayeredNetwork,
     grid: FrequencyGrid,
@@ -148,13 +141,7 @@ def sweep_response(
     """
     f = grid.points
     s = network_smatrix(net, f, inc, reuse)
-    return ResponseCurve(
-        freqs=f,
-        s11=_per_point(s.s11, f),
-        s21=_per_point(s.s21, f),
-        incidence=inc,
-        s22=_per_point(s.s22, f),
-    )
+    return ResponseCurve(freqs=f, s11=s.s11, s21=s.s21, incidence=inc, s22=s.s22)
 
 
 def _parabolic_vertex(x0, x1, x2, y0, y1, y2):

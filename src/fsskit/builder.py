@@ -8,13 +8,11 @@ second-order variant joins two such layers with an air line.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 
 from .errors import DomainError
 from .twoport import (
-    IDENTITY,
     NORMAL,
     IncidenceCondition,
     TwoPortMatrix,
@@ -143,29 +141,24 @@ class CircuitParams:
             raise DomainError("air gap must be nonnegative")
 
 
-class BranchKind(enum.Enum):
-    RING_RESONATOR = "ring-resonator"
-    WIRE_GRID = "wire-grid"
-
-
 @dataclass(frozen=True)
 class ShuntBranch:
-    """Grounded branch: series R-L-C for the ring sheet, series R-L for the grid.
+    """Grounded branch: the ring sheet's series R-L-C when it has a
+    capacitance, the wire grid's series R-L when it has none.
 
     Element values may be (k, 1) column arrays, as in CircuitParams.
     """
 
-    kind: BranchKind
     resistance: float
     inductance: float
     capacitance: float | None = None
 
     def admittance(self, f):
-        if self.kind is BranchKind.RING_RESONATOR:
-            return shunt_series_rlc_admittance(
-                self.resistance, self.inductance, self.capacitance, f
-            )
-        return shunt_rl_admittance(self.resistance, self.inductance, f)
+        if self.capacitance is None:
+            return shunt_rl_admittance(self.resistance, self.inductance, f)
+        return shunt_series_rlc_admittance(
+            self.resistance, self.inductance, self.capacitance, f
+        )
 
     def abcd(self, f, inc: IncidenceCondition = NORMAL) -> TwoPortMatrix:
         return abcd_shunt(self.admittance(f))
@@ -217,7 +210,7 @@ class LayeredNetwork:
             reuse.clear()
             reuse.update(held)
             matrices = [held[el] for el in self.elements]
-        return cascade(matrices) if matrices else IDENTITY
+        return cascade(matrices)
 
 
 def grid_inductance(w: float, period: float, scale: float) -> float:
@@ -291,8 +284,8 @@ def params_from_geometry(
 
 
 def _layer_elements(p: CircuitParams) -> tuple[ShuntBranch, LineSegment, ShuntBranch]:
-    ring = ShuntBranch(BranchKind.RING_RESONATOR, p.R1, p.L1, p.C1)
-    grid = ShuntBranch(BranchKind.WIRE_GRID, p.R, p.L)
+    ring = ShuntBranch(p.R1, p.L1, p.C1)
+    grid = ShuntBranch(p.R, p.L)
     line = LineSegment(p.eps_r, p.h, p.loss_tangent)
     return ring, line, grid
 
@@ -315,8 +308,6 @@ def build_second_order(p: CircuitParams, *, mirrored: bool = True) -> LayeredNet
     """
     if p.order != 2:
         raise DomainError(f"second-order builder requires order = 2, got {p.order}")
-    if p.h1 is None:
-        raise DomainError("second-order build requires the air gap h1")
     first = _layer_elements(p)
     gap = LineSegment(1.0, p.h1, 0.0)
     second = tuple(reversed(first)) if mirrored else first

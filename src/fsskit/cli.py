@@ -153,14 +153,14 @@ class RunConfig:
     calibration: CalibrationConstants = DEFAULT_CALIBRATION
     ring_l1: float = DEFAULT_RING_INDUCTANCE
     ring_c1: float = DEFAULT_RING_CAPACITANCE
-    grid: FrequencyGrid = field(default_factory=lambda: FrequencyGrid(1e9, 5e9, 1001))
+    grid: FrequencyGrid | None = None
     incidence: tuple[IncidenceCondition, ...] = ()
     csv_name: str | None = None
     touchstone_name: str | None = None
     metrics_csv_name: str | None = None
     sweep_widths_mm: tuple[float, ...] = ()
     design: DesignSpec | None = None
-    width_range: tuple[float, float] = (0.3e-3, 3.0e-3)
+    width_range: tuple[float, float] | None = None
     fit_touchstone: str | None = None
     fit_free: tuple[str, ...] = ()
     fit_initial: dict[str, float] = field(default_factory=dict)

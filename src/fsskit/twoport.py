@@ -2,11 +2,12 @@
 
 Every network element is expressed as a 2x2 ABCD chain matrix relating
 port voltages and currents.  Cascading is matrix multiplication with the
-wave-arrival side on the left.  All functions accept either scalar
-frequencies or 1-D numpy arrays and evaluate elementwise, so a full
-frequency sweep is a single vectorized call.  Element values may also be
-column arrays of shape (k, 1); they broadcast against the frequencies, so
-k parameter sets are evaluated at once as a (k, nf) batch.
+wave-arrival side on the left.  A two-port is always four broadcastable
+numpy values a, b, c and d: 0-d for a scalar frequency, (nf,) for a 1-D
+frequency array, so a full sweep is a single vectorized call.  Element
+values may also be column arrays of shape (k, 1); they broadcast against
+the frequencies, so k parameter sets are evaluated at once as a (k, nf)
+batch.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ NORMAL = IncidenceCondition(0.0, Polarization.TE)
 class TwoPortMatrix:
     """ABCD chain matrix.  b carries ohms, c carries siemens.
 
-    Entries may be complex scalars or equally shaped numpy arrays
-    (one entry per frequency).
+    Entries are numpy values (or plain numbers) that broadcast against
+    each other: 0-d, one entry per frequency, or one row per parameter set.
     """
 
     a: complex | np.ndarray
@@ -88,9 +89,6 @@ class TwoPortMatrix:
     def det(self) -> complex | np.ndarray:
         """a*d - b*c; unity for reciprocal networks."""
         return self.a * self.d - self.b * self.c
-
-
-IDENTITY = TwoPortMatrix(1.0 + 0j, 0.0 + 0j, 0.0 + 0j, 1.0 + 0j)
 
 
 @dataclass(frozen=True)
@@ -124,7 +122,6 @@ def abcd_shunt(admittance: complex | np.ndarray) -> TwoPortMatrix:
     y = np.asarray(admittance, dtype=complex)
     if not np.all(np.isfinite(y)):
         raise DomainError("shunt admittance must be finite")
-    y = y if y.ndim else complex(y)
     return TwoPortMatrix(a=1.0, b=0.0, c=y, d=1.0)
 
 
@@ -142,8 +139,7 @@ def shunt_series_rlc_admittance(r1, l1, c1, f):
     w = 2 * np.pi * f
     z = r1 + 1j * w * l1 + 1 / (1j * w * c1)
     shorted = z == 0
-    y = np.where(shorted, SHORT_ADMITTANCE + 0j, 1.0 / np.where(shorted, 1.0, z))
-    return y if y.ndim else complex(y)
+    return np.where(shorted, SHORT_ADMITTANCE + 0j, 1.0 / np.where(shorted, 1.0, z))
 
 
 def shunt_rl_admittance(r, l, f):
@@ -153,8 +149,7 @@ def shunt_rl_admittance(r, l, f):
     f = np.asarray(f, dtype=float)
     if not np.all(f > 0):
         raise DomainError("frequency must be positive")
-    y = 1.0 / (r + 1j * 2 * np.pi * f * l)
-    return y if y.ndim else complex(y)
+    return 1.0 / (r + 1j * 2 * np.pi * f * l)
 
 
 def abcd_tline(
@@ -206,19 +201,11 @@ def abcd_tline(
         gl = phi * (0.5 * loss_tangent + 1j)
         cosh_gl = np.cosh(gl)
         sinh_gl = np.sinh(gl)
-        a = cosh_gl if cosh_gl.ndim else complex(cosh_gl)
-        b = z_eff * sinh_gl
-        c = sinh_gl / z_eff
-        return TwoPortMatrix(a=a, b=b if np.ndim(b) else complex(b),
-                             c=c if np.ndim(c) else complex(c), d=a)
+        return TwoPortMatrix(a=cosh_gl, b=z_eff * sinh_gl, c=sinh_gl / z_eff, d=cosh_gl)
     cos_phi = np.cos(phi)
     sin_phi = np.sin(phi)
-    a = cos_phi if cos_phi.ndim else float(cos_phi)
     return TwoPortMatrix(
-        a=a,
-        b=1j * z_eff * sin_phi if np.ndim(sin_phi) else 1j * z_eff * float(sin_phi),
-        c=1j * sin_phi / z_eff if np.ndim(sin_phi) else 1j * float(sin_phi) / z_eff,
-        d=a,
+        a=cos_phi, b=1j * z_eff * sin_phi, c=1j * sin_phi / z_eff, d=cos_phi
     )
 
 

@@ -25,7 +25,7 @@ from fsskit.builder import (
     params_from_geometry,
 )
 from fsskit.errors import BandNotBracketedError, DomainError, OneSidedBandError
-from fsskit.twoport import NORMAL
+from fsskit.twoport import NORMAL, IncidenceCondition, Polarization
 
 F_P = 3076642798.29332      # 1 / (2 pi sqrt(4.46 nH * 0.6 pF))
 F_Z = 5120726356.363333     # 1 / (2 pi sqrt(1.61 nH * 0.6 pF))
@@ -119,6 +119,9 @@ def reference_params(**overrides) -> CircuitParams:
     return CircuitParams(**kwargs)
 
 
+TM_40 = IncidenceCondition(math.radians(40.0), Polarization.TM)
+
+
 class TestSweepResponse:
     def test_branch_short_at_exact_zero_frequency(self):
         net = build_first_order(reference_params(R=0.0, R1=0.0, loss_tangent=0.0))
@@ -131,15 +134,31 @@ class TestSweepResponse:
         assert abs(s.s21) <= 1e-3
 
     def test_sweep_matches_pointwise_evaluation(self):
-        # scalar and vectorized paths may differ in the last ulp (numpy's
-        # array kernels use fused multiply-adds), so compare at 1e-14
-        net = build_first_order(reference_params())
+        # 0-d and vectorized evaluations may differ in the last ulp (numpy's
+        # array kernels use fused multiply-adds), so compare at 1e-14; the
+        # mirrored ladders put both branch kinds and both line kinds (the
+        # lossy spacer, the lossless gap) through the 0-d path
+        second = dict(order=2, h1=10e-3)
+        lossless = dict(second, R=0.0, R1=0.0, loss_tangent=0.0)
+        cases = [
+            (build_first_order(reference_params()), NORMAL),
+            (build_second_order(reference_params(**second)), TM_40),
+            (build_second_order(reference_params(**lossless)), TM_40),
+        ]
         grid = FrequencyGrid(2e9, 4e9, 21)
-        curve = sweep_response(net, grid, NORMAL)
-        for k in (0, 7, 20):
-            s = network_smatrix(net, grid.points[k], NORMAL)
-            assert curve.s21[k] == pytest.approx(s.s21, rel=1e-14)
-            assert curve.s11[k] == pytest.approx(s.s11, rel=1e-14)
+        for net, inc in cases:
+            curve = sweep_response(net, grid, inc)
+            for k in (0, 7, 20):
+                s = network_smatrix(net, grid.points[k], inc)
+                assert curve.s21[k] == pytest.approx(s.s21, rel=1e-14)
+                assert curve.s11[k] == pytest.approx(s.s11, rel=1e-14)
+
+    def test_batched_ladder_rejected(self):
+        # (k, 1) element values give a (k, nf) response, which is not one curve
+        column = np.array([[2.85e-9], [3.0e-9]])
+        net = build_first_order(reference_params(L=column))
+        with pytest.raises(DomainError, match="s11 sample count does not match the grid"):
+            sweep_response(net, FrequencyGrid(2e9, 4e9, 21), NORMAL)
 
     def test_curve_carries_s22(self):
         net = build_first_order(reference_params())

@@ -9,7 +9,6 @@ from fsskit.analysis import FrequencyGrid, sweep_response, zero_freq
 from fsskit.builder import (
     DEFAULT_CALIBRATION,
     DEFAULT_GEOMETRY,
-    BranchKind,
     CalibrationConstants,
     CircuitParams,
     GeometryParams,
@@ -167,8 +166,8 @@ class TestLadderStructure:
         kinds = [type(el) for el in net.elements]
         assert kinds == [ShuntBranch, LineSegment, ShuntBranch]
         ring, line, grid = net.elements
-        assert ring.kind is BranchKind.RING_RESONATOR
-        assert grid.kind is BranchKind.WIRE_GRID
+        assert ring.capacitance is not None
+        assert grid.capacitance is None
         assert line.length == 0.254e-3 and line.eps_r == 2.2
         assert net.params.order == 1
 
@@ -179,15 +178,15 @@ class TestLadderStructure:
         gap = net.elements[3]
         assert isinstance(gap, LineSegment)
         assert gap.eps_r == 1.0 and gap.length == 10e-3 and gap.loss_tangent == 0.0
-        assert net.elements[2].kind is BranchKind.WIRE_GRID
-        assert net.elements[4].kind is BranchKind.WIRE_GRID
-        assert net.elements[6].kind is BranchKind.RING_RESONATOR
+        assert net.elements[2].capacitance is None
+        assert net.elements[4].capacitance is None
+        assert net.elements[6].capacitance is not None
 
     def test_second_order_identical_layout(self):
         net = build_second_order(reference_second_order(), mirrored=False)
         assert len(net.elements) == 7
-        assert net.elements[4].kind is BranchKind.RING_RESONATOR
-        assert net.elements[6].kind is BranchKind.WIRE_GRID
+        assert net.elements[4].capacitance is not None
+        assert net.elements[6].capacitance is None
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(DomainError):
@@ -230,7 +229,7 @@ class TestBuiltResponses:
         curve = sweep_response(net, grid, NORMAL)
 
         f = grid.points
-        ring = ShuntBranch(BranchKind.RING_RESONATOR, p.R1, p.L1, p.C1)
+        ring = ShuntBranch(p.R1, p.L1, p.C1)
         line = LineSegment(p.eps_r, p.h, p.loss_tangent)
         doubled = abcd_shunt(2 * shunt_rl_admittance(p.R, p.L, f))
         explicit = cascade(
@@ -239,11 +238,10 @@ class TestBuiltResponses:
         s = abcd_to_s(explicit, wave_impedance(0.0, NORMAL.polarization))
         np.testing.assert_allclose(curve.s21, s.s21, rtol=0, atol=1e-12)
 
-    def test_empty_network_is_identity(self):
+    def test_empty_network_rejected(self):
         net = LayeredNetwork(elements=())
-        curve = sweep_response(net, FrequencyGrid(1e9, 2e9, 11), NORMAL)
-        np.testing.assert_array_equal(curve.s21, np.ones(11, dtype=complex))
-        np.testing.assert_array_equal(curve.s11, np.zeros(11, dtype=complex))
+        with pytest.raises(DomainError, match="at least one segment"):
+            sweep_response(net, FrequencyGrid(1e9, 2e9, 11), NORMAL)
 
     def test_network_immutable(self):
         net = build_first_order(reference_first_order())

@@ -9,7 +9,6 @@ from fsskit.errors import DomainError, EvanescentModeError, SingularNetworkError
 from fsskit.twoport import (
     C0,
     ETA0,
-    IDENTITY,
     NORMAL,
     IncidenceCondition,
     Polarization,
@@ -257,6 +256,10 @@ def _random_reciprocal(rng, f, lossless=True):
         else:
             parts.append(abcd_tline(float(rng.uniform(1, 4)), float(rng.uniform(0, 0.03)), f, NORMAL))
     return cascade(parts)
+
+
+#: The through connection [[1, 0], [0, 1]].
+IDENTITY = TwoPortMatrix(1.0 + 0j, 0.0 + 0j, 0.0 + 0j, 1.0 + 0j)
 
 
 class TestCascadeAndConversion:
