@@ -193,24 +193,34 @@ class LayeredNetwork:
         self,
         f,
         inc: IncidenceCondition = NORMAL,
-        reuse: dict[ShuntBranch | LineSegment, TwoPortMatrix] | None = None,
+        reuse: dict[ShuntBranch | LineSegment | tuple, TwoPortMatrix] | None = None,
     ) -> TwoPortMatrix:
         """Chain matrix of the whole ladder.
 
-        reuse, when given, maps elements to their matrices already evaluated
-        on the same f and inc; an element found there is not evaluated again.
-        Afterwards it holds exactly this ladder's distinct elements, so a loop
-        over ladders that differ in one element evaluates the others once.
+        reuse, when given, must come from earlier calls on the same f and
+        inc.  It maps elements to their matrices, and a ladder's head (the
+        tuple of all its elements but the last) to the head's chain product.
+        An element found there is not evaluated again, and a head found
+        there is not multiplied again.  After a successful call it holds
+        exactly this ladder's distinct elements, then the product of its
+        head if the ladder has three or more elements; after a failed call
+        it is unchanged.  A loop over ladders that differ only in their last
+        element, such as first-order ladders of different strip widths,
+        thus evaluates and multiplies the shared head once.
         """
         if reuse is None:
-            matrices = [el.abcd(f, inc) for el in self.elements]
-        else:
-            held = {el: reuse[el] if el in reuse else el.abcd(f, inc)
-                    for el in dict.fromkeys(self.elements)}
-            reuse.clear()
-            reuse.update(held)
-            matrices = [held[el] for el in self.elements]
-        return cascade(matrices)
+            return cascade([el.abcd(f, inc) for el in self.elements])
+        held = {el: reuse[el] if el in reuse else el.abcd(f, inc)
+                for el in dict.fromkeys(self.elements)}
+        matrices = [held[el] for el in self.elements]
+        head = self.elements[:-1]
+        if len(head) > 1:
+            held[head] = reuse[head] if head in reuse else cascade(matrices[:-1])
+            matrices = [held[head], matrices[-1]]
+        out = cascade(matrices)
+        reuse.clear()
+        reuse.update(held)
+        return out
 
 
 def grid_inductance(w: float, period: float, scale: float) -> float:

@@ -387,7 +387,8 @@ def _write_metrics_csv(path: Path, rows: Sequence[tuple[float, PassbandMetrics]]
 
 def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     net = build_network(cfg.circuit, mirrored=cfg.mirrored)
-    pairs = [(inc, sweep_response(net, cfg.grid, inc)) for inc in cfg.incidence]
+    # a mapping per condition: repeated elements of the stack are evaluated once
+    pairs = [(inc, sweep_response(net, cfg.grid, inc, {})) for inc in cfg.incidence]
 
     artifacts: list[str] = []
     if cfg.csv_name:

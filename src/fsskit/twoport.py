@@ -8,6 +8,12 @@ frequency array, so a full sweep is a single vectorized call.  Element
 values may also be column arrays of shape (k, 1); they broadcast against
 the frequencies, so k parameter sets are evaluated at once as a (k, nf)
 batch.
+
+The kernels follow the ladder's shape.  A shunt branch is a ShuntMatrix,
+and a product with one on the right is the two-product update
+(a + b Y, b, c + d Y, d) instead of the general eight-product form;
+abcd_to_s forms b/z and c z once for its three sums.  Both keep the
+final S bit-identical to the general formulas.
 """
 
 from __future__ import annotations
@@ -79,6 +85,9 @@ class TwoPortMatrix:
     d: complex | np.ndarray
 
     def __matmul__(self, other: "TwoPortMatrix") -> "TwoPortMatrix":
+        if other.__class__ is ShuntMatrix:
+            y = other.c
+            return TwoPortMatrix(a=self.a + self.b * y, b=self.b, c=self.c + self.d * y, d=self.d)
         return TwoPortMatrix(
             a=self.a * other.a + self.b * other.c,
             b=self.a * other.b + self.b * other.d,
@@ -89,6 +98,14 @@ class TwoPortMatrix:
     def det(self) -> complex | np.ndarray:
         """a*d - b*c; unity for reciprocal networks."""
         return self.a * self.d - self.b * self.c
+
+
+class ShuntMatrix(TwoPortMatrix):
+    """[[1, 0], [Y, 1]] of a shunt branch; c holds Y.
+
+    Marks the matrix so that a product with it on the right takes the
+    update form in TwoPortMatrix.__matmul__.
+    """
 
 
 @dataclass(frozen=True)
@@ -117,12 +134,12 @@ def wave_impedance(theta: float, pol: Polarization) -> float:
     return ETA0 / c if pol is Polarization.TE else ETA0 * c
 
 
-def abcd_shunt(admittance: complex | np.ndarray) -> TwoPortMatrix:
+def abcd_shunt(admittance: complex | np.ndarray) -> ShuntMatrix:
     """Chain matrix [[1, 0], [Y, 1]] of a shunt branch with admittance Y."""
     y = np.asarray(admittance, dtype=complex)
     if not np.all(np.isfinite(y)):
         raise DomainError("shunt admittance must be finite")
-    return TwoPortMatrix(a=1.0, b=0.0, c=y, d=1.0)
+    return ShuntMatrix(a=1.0, b=0.0, c=y, d=1.0)
 
 
 def shunt_series_rlc_admittance(r1, l1, c1, f):
@@ -229,10 +246,12 @@ def abcd_to_s(m: TwoPortMatrix, z_ref: float) -> SMatrix:
     """
     if not z_ref > 0:
         raise DomainError(f"reference impedance must be positive, got {z_ref}")
-    delta = m.a + m.b / z_ref + m.c * z_ref + m.d
+    bz = m.b / z_ref
+    cz = m.c * z_ref
+    delta = m.a + bz + cz + m.d
     if np.any(delta == 0):
         raise SingularNetworkError("singular network: a + b/z + c z + d = 0")
-    s11 = (m.a + m.b / z_ref - m.c * z_ref - m.d) / delta
+    s11 = (m.a + bz - cz - m.d) / delta
     s21 = 2.0 / delta
-    s22 = (-m.a + m.b / z_ref - m.c * z_ref + m.d) / delta
+    s22 = (-m.a + bz - cz + m.d) / delta
     return SMatrix(s11=s11, s21=s21, s12=s21, s22=s22, z_ref=z_ref)

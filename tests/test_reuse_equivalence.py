@@ -2,9 +2,10 @@
 
 sweep-w and width_for_bandwidth pass one mapping from element to its chain
 matrix to every sweep of their loop, so the ring branch and the spacer,
-which do not depend on the strip width, are evaluated once.  These tests
-check every reused result against a sweep that evaluates each element
-afresh, bit for bit, and check what the mapping holds afterwards.
+which do not depend on the strip width, are evaluated once, and so is
+their chain product.  These tests check every reused result against a
+sweep that evaluates each element afresh, bit for bit, and check what the
+mapping holds afterwards.
 """
 
 import json
@@ -14,11 +15,12 @@ import numpy as np
 import pytest
 
 from fsskit import cli, synthesis
-from fsskit.analysis import FrequencyGrid, extract_metrics, sweep_response
+from fsskit.analysis import FrequencyGrid, extract_metrics, network_smatrix, sweep_response
 from fsskit.builder import (
     DEFAULT_CALIBRATION,
     DEFAULT_GEOMETRY,
     CircuitParams,
+    LayeredNetwork,
     LineSegment,
     build_network,
     geometry_with_width,
@@ -47,8 +49,12 @@ def ladder_at(w_mm, geometry=DEFAULT_GEOMETRY, cal=DEFAULT_CALIBRATION, l1=L1, c
     return build_network(params)
 
 
-def distinct(net) -> list:
-    return list(dict.fromkeys(net.elements))
+def held(net) -> list:
+    """Keys of the mapping after a sweep of net: its distinct elements, then
+    its head (all elements but the last) if that has two or more."""
+    els = net.elements
+    keys = list(dict.fromkeys(els))
+    return keys + [els[:-1]] if len(els) > 2 else keys
 
 
 @pytest.mark.parametrize("inc", [NORMAL, TM40])
@@ -62,14 +68,16 @@ def test_width_loop_matches_plain_evaluation(inc):
             net = ladder_at(w_mm)
         except DomainError:
             assert w_mm in (11.0, -1.0)
-            assert list(reuse) == distinct(last)
+            assert list(reuse) == held(last)
             continue
         assert_same_curve(sweep_response(net, GRID, inc, reuse), sweep_response(net, GRID, inc))
-        assert list(reuse) == distinct(net)
-        first = first or [reuse[el] for el in net.elements[:2]]
+        assert list(reuse) == held(net)
+        head = net.elements[:2]
+        first = first or [reuse[el] for el in head] + [reuse[head]]
         last = net
-    # the first ladder's ring and spacer matrices served the whole loop
-    assert all(reuse[el] is m for el, m in zip(last.elements[:2], first))
+    # the first ladder's ring and spacer matrices, and their product, served the whole loop
+    head = last.elements[:2]
+    assert all(reuse[key] is m for key, m in zip([*head, head], first))
 
 
 def test_repeated_elements_within_a_ladder_are_evaluated_once():
@@ -78,7 +86,7 @@ def test_repeated_elements_within_a_ladder_are_evaluated_once():
     net = build_network(p)
     reuse = {}
     assert_same_curve(sweep_response(net, GRID, TM40, reuse), sweep_response(net, GRID, TM40))
-    assert list(reuse) == distinct(net) and len(reuse) == 4
+    assert list(reuse) == held(net) and len(reuse) == 4 + 1
 
 
 def test_failed_ladder_leaves_the_mapping_as_it_was():
@@ -96,6 +104,16 @@ def test_failed_ladder_leaves_the_mapping_as_it_was():
     assert all(reuse[el] is before[el] for el in before)
     after = ladder_at(2.6)
     assert_same_curve(sweep_response(after, GRID, inc, reuse), sweep_response(after, GRID, inc))
+
+
+def test_empty_ladder_leaves_the_mapping_as_it_was():
+    reuse = {}
+    network_smatrix(ladder_at(1.4), GRID.points, NORMAL, reuse)
+    before = dict(reuse)
+    with pytest.raises(DomainError, match="at least one segment"):
+        network_smatrix(LayeredNetwork(()), GRID.points, NORMAL, reuse)
+    assert list(reuse) == list(before)
+    assert all(reuse[key] is before[key] for key in before)
 
 
 def test_sweep_w_rows_match_plain_evaluation(tmp_path):
@@ -133,8 +151,9 @@ def test_width_for_bandwidth_matches_plain_evaluation(monkeypatch):
     def checked(net, grid, inc, reuse):
         got = real(net, grid, inc, reuse)
         assert_same_curve(got, real(net, grid, inc))
-        assert list(reuse) == distinct(net)
-        shared.append([reuse[el] for el in net.elements[:2]])
+        assert list(reuse) == held(net)
+        head = net.elements[:2]
+        shared.append([reuse[el] for el in head] + [reuse[head]])
         return got
 
     monkeypatch.setattr(synthesis, "sweep_response", checked)
@@ -142,5 +161,5 @@ def test_width_for_bandwidth_matches_plain_evaluation(monkeypatch):
     w = width_for_bandwidth(0.25, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, l1, C1, (0.3e-3, 3.0e-3))
     assert 0.3e-3 < w < 3.0e-3
     assert len(shared) > 2
-    # the first evaluation's ring and spacer matrices served every later one
+    # the first evaluation's ring and spacer matrices, and their product, served every later one
     assert all(m is f for ms in shared for m, f in zip(ms, shared[0]))
