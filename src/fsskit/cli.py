@@ -386,6 +386,16 @@ def _write_metrics_csv(path: Path, rows: Sequence[tuple[float, PassbandMetrics]]
 
 
 def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
+    # a condition's token names its .s2p file and its CSV columns
+    angles: dict[str, float] = {}
+    for inc in cfg.incidence:
+        token = _condition_token(inc)
+        if token in angles:
+            raise ConfigError(
+                f"incidence angles {_fmt_num(angles[token])} and {_fmt_num(math.degrees(inc.theta))} "
+                f"both give condition '{token}', whose outputs would overwrite each other"
+            )
+        angles[token] = math.degrees(inc.theta)
     net = build_network(cfg.circuit, mirrored=cfg.mirrored)
     # a mapping per condition: repeated elements of the stack are evaluated once
     pairs = [(inc, sweep_response(net, cfg.grid, inc, {})) for inc in cfg.incidence]

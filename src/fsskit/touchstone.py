@@ -1,12 +1,16 @@
 """Touchstone v1 two-port reader and writer.
 
-The writer emits RI format in GHz with 12 significant digits and records
-the incidence condition in comment lines so a round trip restores it.
-The reader accepts RI, MA, and dB formats in any standard frequency unit.
+The writer emits RI format in GHz and records the incidence condition in
+comment lines so a round trip restores it.  Each cell is exactly CPython's
+``"%.11e" % cell`` (12 significant digits): a numpy kernel formats the
+cells whose correct rounding it can decide, and ``%`` formats the rest one
+at a time.  The reader accepts RI, MA, and dB formats in any standard
+frequency unit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
@@ -14,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import ResponseCurve
-from .errors import TouchstoneError
+from .errors import DomainError, TouchstoneError
 from .twoport import IncidenceCondition, Polarization
 
 _UNIT_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
@@ -27,6 +31,79 @@ def format_table(table: np.ndarray, spec: str, sep: str) -> str:
     """
     rows, cols = table.shape
     return ((sep.join([spec] * cols) + "\n") * rows) % tuple(table.ravel().tolist())
+
+
+#: 10**k for k in 0..22, each exact in a double (5**22 < 2**53)
+_POW10 = np.array([10**k for k in range(23)], dtype=float)
+
+
+def _words(*columns) -> np.ndarray:
+    """A table of 4-byte words; column j, broadcast, gives byte j of each word."""
+    rows = np.stack(np.broadcast_arrays(*columns), axis=1)
+    return rows.astype(np.uint8).view(np.uint32).ravel()
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The word tables of ``format_e11``, built once, on its first call.
+
+    A cell is five words, and its NUL bytes are dropped from the output:
+    NUL, sign or NUL, digit, "." | 4 digits | 4 digits | 3 digits, "e" |
+    exponent sign, 2 exponent digits, separator.
+    """
+    ascii_digits = np.frombuffer(b"0123456789", np.uint8)
+    four = np.stack(np.meshgrid(*[ascii_digits] * 4, indexing="ij"), axis=-1).reshape(10000, 4)
+    e = np.arange(-11, 34)  # the exponents of the kernel's range
+    return (
+        _words(0, np.repeat([0, ord("-")], 10), np.tile(ascii_digits, 2), ord(".")),  # [d + 10 * (x < 0)]
+        _words(*four.T),  # [q]: the 4 digits of q
+        _words(*four[:1000, 1:].T, ord("e")),  # [q]: the 3 digits of q, "e"
+        _words(np.where(e < 0, ord("-"), ord("+")), *four[abs(e), 2:].T, ord(" ")),  # [11 + e]
+    )
+
+
+def format_e11(table: np.ndarray) -> bytes:
+    """Space-separated lines of a 2-D float table, each cell exactly ``"%.11e" % cell``.
+
+    With ``e = floor(log10|x|)``, one multiply or divide by an exact power
+    of ten scales ``|x|`` to ``m``, the 12-digit mantissa, rounded once.
+    Half is representable in that range and rounding is monotonic, so ``m``
+    lies on the same side of every ``n + 0.5`` as the exact mantissa, and
+    ``rint(m)`` is its correctly rounded digits unless ``m`` is a tie.
+    Cells outside ``|11 - e| <= 22``, ties, and mantissas that fall outside
+    ``[1e11, 1e12 - 1)`` (a wrong ``e`` or a carry to ``10.0``) are formatted
+    one at a time by ``%``, so CPython settles every case the kernel cannot.
+    """
+    cols = table.shape[1]
+    x = table.ravel()
+    m = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = 11.0 - np.floor(np.log10(m))
+    ok = np.abs(k) <= 22.0
+    k[~ok] = 0.0
+    k = k.astype(np.int8)
+    m *= _POW10[np.maximum(k, 0)]
+    m /= _POW10[np.maximum(-k, 0)]
+    ok &= (m >= 1e11) & (m < 1e12 - 1) & (m - np.floor(m) != 0.5)
+    fallback = np.flatnonzero(~ok)
+    m[fallback] = 1e11
+    first, n = np.divmod(np.rint(m, out=m).astype(np.int64), 10**11)
+    first += 10 * np.signbit(x)
+    high, n = np.divmod(n, 10**7)
+    low, n = np.divmod(n, 10**3)
+
+    lead, digits4, tail, exponent = _tables()
+    cells = np.empty((x.size, 5), np.uint32)
+    cells[:, 0] = lead[first]
+    cells[:, 1] = digits4[high]
+    cells[:, 2] = digits4[low]
+    cells[:, 3] = tail[n]
+    cells[:, 4] = exponent[22 - k]
+    text = cells.view(np.uint8)
+    text[cols - 1 :: cols, -1] = ord("\n")
+    for i, value in zip(fallback.tolist(), x[fallback].tolist()):
+        text[i, :-1] = np.frombuffer((b"%.11e" % value).ljust(19, b"\0"), np.uint8)
+    return text.tobytes().translate(None, b"\0")
 
 
 def write_touchstone(curve: ResponseCurve, path: str | os.PathLike) -> None:
@@ -44,8 +121,9 @@ def write_touchstone(curve: ResponseCurve, path: str | os.PathLike) -> None:
     ]
     s = np.column_stack([curve.s11, curve.s21, curve.s21, s22])
     table = np.column_stack([curve.freqs / 1e9, s.view(float)])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(header) + "\n" + format_table(table, "%.11e", " "))
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode())
+        fh.write(format_e11(table))
 
 
 def _parse_option_line(tokens: list[str], line_no: int) -> tuple[float, str, float]:
@@ -162,7 +240,11 @@ def read_touchstone(path: str | os.PathLike) -> ResponseCurve:
                         try:
                             theta_deg = float(body.split("=", 1)[1])
                         except (IndexError, ValueError):
-                            pass
+                            continue
+                        try:
+                            IncidenceCondition(math.radians(theta_deg), pol)
+                        except DomainError as exc:
+                            raise TouchstoneError(f"{exc} in {line!r}", line_no) from None
                     elif body.startswith("polarization"):
                         value = body.split("=", 1)[-1].strip().upper()
                         if value in ("TE", "TM"):

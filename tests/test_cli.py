@@ -563,6 +563,22 @@ class TestMainEntry:
         assert main(["--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
         assert "line 2: dB magnitude overflows" in capsys.readouterr().err
 
+    def test_bad_incidence_annotation_exits_as_input_data_error(self, tmp_path, capsys):
+        s2p = tmp_path / "steep.s2p"
+        s2p.write_text("! incidence theta_deg = 95\n# GHz S RI R 50\n1.0 0 0 1 0 1 0 0 0\n")
+        path = self.write_config(tmp_path, {"mode": "analyze", "analyze": {"touchstone": str(s2p)}})
+        assert main(["--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
+        assert "input data error: line 1: incidence angle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("thetas", [[10.0000001, 10.0000002], [15, 15]])
+    def test_colliding_condition_tokens_exit_as_config_error(self, thetas, tmp_path, capsys):
+        doc = simulate_doc(incidence={"theta_deg": thetas, "pol": ["TE", "TM"]})
+        out = tmp_path / "out"
+        assert main(["--config", self.write_config(tmp_path, doc), "--out-dir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"incidence angles {thetas[0]:.12g} and {thetas[1]:.12g} both give condition 'te" in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_missing_config_file_exit(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "nope.json")])
         assert code == EXIT_IO

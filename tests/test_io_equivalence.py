@@ -1,14 +1,15 @@
 """The array I/O paths against per-value scalar references.
 
-The writers format whole tables with one ``%`` operation and the reader
-parses and converts all records as arrays.  These properties check that
-both give exactly what formatting, parsing and converting one value at a
-time in Python gives, bit for bit, and that a faulty record is still
-reported on its own line.
+The Touchstone writer formats its table with a numpy kernel, the CSV writer
+with one ``%`` operation, and the reader parses and converts all records as
+arrays.  These properties check that each gives exactly what formatting,
+parsing and converting one value at a time in Python gives, bit for bit, and
+that a faulty record is still reported on its own line.
 """
 
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,16 +20,31 @@ from hypothesis.extra.numpy import arrays
 
 from fsskit.analysis import ResponseCurve
 from fsskit.errors import TouchstoneError
-from fsskit.touchstone import format_table, read_touchstone, write_touchstone
+from fsskit.touchstone import format_e11, format_table, read_touchstone, write_touchstone
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 #: zeros of both signs, subnormals down to the smallest, a -200 dB floor
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -200.0, 1.7976931348623157e308]
+#: the double nearest n + 1/2 times 10**-k: its 12-digit rounding is decided
+#: by the last bits, so each shortcut of the %.11e kernel shows here
+NEAR_TIES = st.builds(
+    lambda n, k, sign: sign * float(Fraction(2 * n + 1, 2) / Fraction(10) ** k),
+    st.integers(10**11, 10**12 - 2), st.integers(-22, 22), st.sampled_from([1.0, -1.0]),
+)
+#: one row per case the %.11e kernel leaves to CPython, or must get right
+E11_CASES = {
+    "exact decimal ties": [2.0**-18, 12345678901.25, -98765432109.75],
+    "scaled to a tie, but not one": [82450263137.05, 467625884.8775, 3.572212420795e-11],
+    "exact ties that a rounded 10**-k would miss": [9.464575406435e16, 4.394124284095e16],
+    "below 1e-11 or from 1e34": [9.99999999999e-12, 1e-11, -1e34, 1.23456789012e33],
+    "carry to the next power of ten": [9.9999999999996e5, -9.99999999999999e-7, 99999999999.99998],
+    "three-digit exponents": [1e100, -2.5e-150, 1e-100, 1.7976931348623157e308],
+}
 
 
-def tables(max_cols=17):
+def tables(max_cols=17, extra=st.nothing()):
     shapes = st.tuples(st.integers(1, 12), st.integers(1, max_cols))
-    elements = st.one_of(FINITE, st.sampled_from(EDGE_VALUES))
+    elements = st.one_of(FINITE, st.sampled_from(EDGE_VALUES), extra)
     return arrays(np.float64, shapes, elements=elements)
 
 
@@ -47,11 +63,19 @@ def _read_text(text: str) -> ResponseCurve:
         return read_touchstone(path)
 
 
+def _with_examples(*rows):
+    def decorate(test):
+        for row in rows:
+            test = example(np.array([row]))(test)
+        return test
+    return decorate
+
+
 class TestWriters:
-    @given(tables())
-    @example(np.array([EDGE_VALUES]))
+    @given(tables(extra=NEAR_TIES))
+    @_with_examples(EDGE_VALUES, *E11_CASES.values())
     def test_touchstone_cells_are_per_cell_e11(self, table):
-        assert format_table(table, "%.11e", " ") == _per_cell(table, ".11e", " ")
+        assert format_e11(table) == _per_cell(table, ".11e", " ").encode()
 
     @given(tables())
     @example(np.array([EDGE_VALUES]))
@@ -59,7 +83,8 @@ class TestWriters:
         assert format_table(table, "%.12g", ",") == _per_cell(table, ".12g", ",")
 
     @settings(max_examples=30)
-    @given(arrays(np.float64, (5, 6), elements=st.one_of(FINITE, st.sampled_from(EDGE_VALUES))))
+    @given(arrays(np.float64, (5, 6), elements=st.one_of(FINITE, st.sampled_from(EDGE_VALUES), NEAR_TIES)))
+    @example(np.resize(sum(E11_CASES.values(), EDGE_VALUES), (5, 6)))
     def test_write_touchstone_body_matches_row_loop(self, parts):
         s11, s21, s22 = (parts[:, k] + 1j * parts[:, k + 1] for k in (0, 2, 4))
         curve = ResponseCurve(np.linspace(1e9, 3e9, 5), s11, s21, s22=s22)

@@ -266,6 +266,15 @@ class TestReaderErrors:
             read_touchstone(path)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("angle", ["95", "90", "nan", "inf", "-1"])
+    def test_incidence_annotation_outside_the_domain_names_its_line(self, tmp_path, angle):
+        path = tmp_path / "angle.s2p"
+        path.write_text(f"! fsskit\n! incidence theta_deg = {angle}\n# GHz S RI R 50\n1.0 0 0 1 0 1 0 0 0\n")
+        with pytest.raises(TouchstoneError, match=r"incidence angle must be in \[0, pi/2\)") as err:
+            read_touchstone(path)
+        assert err.value.line_no == 2
+        assert str(err.value).endswith(f"in '! incidence theta_deg = {angle}'")
+
     def test_largest_finite_db_magnitude_is_read(self, tmp_path):
         path = tmp_path / "loudest.s2p"
         path.write_text("# GHz S DB R 50\n1.0 6165 0 0 0 0 0 0 0\n")
