@@ -28,7 +28,6 @@ from .builder import (
     build_network,
     build_second_order,
     calibrate_inductance_scale,
-    geometry_with_width,
     grid_inductance,
     grid_resistance,
     params_from_geometry,

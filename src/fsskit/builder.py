@@ -9,7 +9,7 @@ second-order variant joins two such layers with an air line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .twoport import (
@@ -187,7 +187,6 @@ class LayeredNetwork:
     """
 
     elements: tuple[ShuntBranch | LineSegment, ...]
-    params: CircuitParams | None = None
 
     def abcd(
         self,
@@ -269,15 +268,12 @@ def params_from_geometry(
     cal: CalibrationConstants = DEFAULT_CALIBRATION,
     l1: float = DEFAULT_RING_INDUCTANCE,
     c1: float = DEFAULT_RING_CAPACITANCE,
-    *,
-    h1: float | None = None,
-    order: int = 1,
-    loss_tangent: float = DEFAULT_LOSS_TANGENT,
 ) -> CircuitParams:
-    """Derive circuit values from the cell geometry.
+    """First-order circuit values of the cell geometry.
 
     The grid branch follows the calibrated width laws; the ring branch has
-    no geometric formula here, so l1 and c1 are caller-supplied.
+    no geometric formula here, so l1 and c1 are caller-supplied.  The spacer
+    keeps the default loss tangent.
     """
     return CircuitParams(
         L=grid_inductance(g.strip_width, g.period, cal.l_scale),
@@ -287,9 +283,6 @@ def params_from_geometry(
         R1=cal.r1_default,
         h=g.spacer,
         eps_r=g.eps_r,
-        h1=h1,
-        order=order,
-        loss_tangent=loss_tangent,
     )
 
 
@@ -304,7 +297,7 @@ def build_first_order(p: CircuitParams) -> LayeredNetwork:
     """Single layer: [ring shunt, spacer line, grid shunt], ring facing the wave."""
     if p.order != 1:
         raise DomainError(f"first-order builder requires order = 1, got {p.order}")
-    return LayeredNetwork(_layer_elements(p), params=p)
+    return LayeredNetwork(_layer_elements(p))
 
 
 def build_second_order(p: CircuitParams, *, mirrored: bool = True) -> LayeredNetwork:
@@ -321,7 +314,7 @@ def build_second_order(p: CircuitParams, *, mirrored: bool = True) -> LayeredNet
     first = _layer_elements(p)
     gap = LineSegment(1.0, p.h1, 0.0)
     second = tuple(reversed(first)) if mirrored else first
-    return LayeredNetwork(first + (gap,) + second, params=p)
+    return LayeredNetwork(first + (gap,) + second)
 
 
 def build_network(p: CircuitParams, *, mirrored: bool = True) -> LayeredNetwork:
@@ -329,8 +322,3 @@ def build_network(p: CircuitParams, *, mirrored: bool = True) -> LayeredNetwork:
     if p.order == 1:
         return build_first_order(p)
     return build_second_order(p, mirrored=mirrored)
-
-
-def geometry_with_width(g: GeometryParams, w: float) -> GeometryParams:
-    """Copy of g with a different grid strip width."""
-    return replace(g, strip_width=w)

@@ -26,22 +26,18 @@ from .analysis import (
     FrequencyGrid,
     PassbandMetrics,
     ResponseCurve,
+    _db,
     extract_metrics,
     sweep_response,
 )
 from .builder import (
     DEFAULT_CALIBRATION,
     DEFAULT_EPS_R,
-    DEFAULT_GEOMETRY,
     DEFAULT_LOSS_TANGENT,
-    DEFAULT_RING_CAPACITANCE,
-    DEFAULT_RING_INDUCTANCE,
     CalibrationConstants,
     CircuitParams,
     GeometryParams,
     build_network,
-    geometry_with_width,
-    params_from_geometry,
 )
 from .errors import ConfigError, FssError, TouchstoneError
 from .synthesis import (
@@ -51,6 +47,7 @@ from .synthesis import (
     fit_circuit,
     loss_budget_for_q,
     synthesize_lc,
+    width_evaluator,
     width_for_bandwidth,
 )
 from .touchstone import format_table, read_touchstone, write_touchstone
@@ -96,7 +93,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "ring_side_mm": ("ring_side", 1e-3, 9.8, _DESIGN),
         "arm_width_mm": ("arm_width", 1e-3, 0.4, _DESIGN),
         # both modes that read the geometry set the strip width themselves
-        "strip_width_mm": ("strip_width", 1e-3, 2.6, ()),
+        "strip_width_mm": ("strip_width", 1e-3, None, ()),
         "spacer_mm": ("spacer", 1e-3, 0.254, _DESIGN),
         "eps_r": ("eps_r", 1.0, DEFAULT_EPS_R, _DESIGN),
     },
@@ -148,11 +145,11 @@ _TYPE_NAMES = {bool: "true or false", str: "a string", list: "a non-empty list",
 class RunConfig:
     mode: str
     circuit: CircuitParams | None = None
-    mirrored: bool = True
-    geometry: GeometryParams = DEFAULT_GEOMETRY
-    calibration: CalibrationConstants = DEFAULT_CALIBRATION
-    ring_l1: float = DEFAULT_RING_INDUCTANCE
-    ring_c1: float = DEFAULT_RING_CAPACITANCE
+    mirrored: bool | None = None
+    geometry: GeometryParams | None = None
+    calibration: CalibrationConstants | None = None
+    ring_l1: float | None = None
+    ring_c1: float | None = None
     grid: FrequencyGrid | None = None
     incidence: tuple[IncidenceCondition, ...] = ()
     csv_name: str | None = None
@@ -298,16 +295,18 @@ def parse_config(text: str) -> RunConfig:
             circuit["h1"] = None
         cfg.mirrored = circuit.pop("mirrored")
         cfg.circuit = _build(CircuitParams, "circuit", circuit)
-    if "L1" in circuit:  # simulate, fit and sweep-w
-        cfg.ring_l1, cfg.ring_c1 = circuit["L1"], circuit["C1"]
     if mode in _SIM_SWEEP:
         cfg.grid = _build(FrequencyGrid, "grid", values["grid"])
         cfg.incidence = _incidence(**values["incidence"])
     if mode in _DESIGN:
-        cfg.geometry = _build(GeometryParams, "geometry", values["geometry"])
+        geometry = values["geometry"]
+        # a template: every evaluation replaces the width, so any inside the cell will do
+        geometry["strip_width"] = geometry["period"] / 2
+        cfg.geometry = _build(GeometryParams, "geometry", geometry)
         cfg.calibration = _build(CalibrationConstants, "calibration", values["calibration"])
 
     if mode == "sweep-w":
+        cfg.ring_l1, cfg.ring_c1 = circuit["L1"], circuit["C1"]
         widths = (_value("sweep.w_mm", w, 1.0) for w in values["sweep"]["widths"])
         cfg.sweep_widths_mm = tuple(sorted(widths))
         if len(cfg.incidence) > 1:
@@ -340,17 +339,13 @@ def _condition_token(inc: IncidenceCondition) -> str:
     return f"{inc.polarization.value.lower()}{token}deg"
 
 
-def _db_floor(mag: np.ndarray) -> np.ndarray:
-    return np.maximum(20.0 * np.log10(np.maximum(mag, 1e-300)), -200.0)
-
-
 def _write_response_csv(path: Path, curves: Sequence[tuple[IncidenceCondition, ResponseCurve]]) -> None:
     header = ["f_ghz"]
     columns = [curves[0][1].freqs / 1e9]
     for inc, curve in curves:
         token = _condition_token(inc)
         header += [f"s11_db_{token}", f"s21_db_{token}"]
-        columns += [_db_floor(np.abs(curve.s11)), _db_floor(np.abs(curve.s21))]
+        columns += [np.maximum(_db(np.abs(s)), -200.0) for s in (curve.s11, curve.s21)]
     body = format_table(np.column_stack(columns), "%.12g", ",")
     path.write_text(",".join(header) + "\n" + body, encoding="utf-8")
 
@@ -428,14 +423,12 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
 
 def _run_sweep_w(cfg: RunConfig, out_dir: Path) -> dict:
     ok_rows, failures = [], []
-    # only the grid branch depends on w: the ring and spacer are evaluated once
-    reuse = {}
+    metrics_at = width_evaluator(
+        cfg.geometry, cfg.calibration, cfg.ring_l1, cfg.ring_c1, cfg.grid, cfg.incidence[0]
+    )
     for w_mm in cfg.sweep_widths_mm:
         try:
-            geometry = geometry_with_width(cfg.geometry, w_mm * 1e-3)
-            params = params_from_geometry(geometry, cfg.calibration, cfg.ring_l1, cfg.ring_c1)
-            curve = sweep_response(build_network(params), cfg.grid, cfg.incidence[0], reuse)
-            ok_rows.append((w_mm, extract_metrics(curve)))
+            ok_rows.append((w_mm, metrics_at(w_mm * 1e-3)))
         except FssError as exc:
             failures.append({"w_mm": w_mm, "error": str(exc)})
     artifacts: list[str] = []

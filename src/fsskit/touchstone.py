@@ -81,7 +81,7 @@ def format_e11(table: np.ndarray) -> bytes:
         k = 11.0 - np.floor(np.log10(m))
     ok = np.abs(k) <= 22.0
     k[~ok] = 0.0
-    k = k.astype(np.int8)
+    k = k.astype(np.intp)
     m *= _POW10[np.maximum(k, 0)]
     m /= _POW10[np.maximum(-k, 0)]
     ok &= (m >= 1e11) & (m < 1e12 - 1) & (m - np.floor(m) != 0.5)
@@ -221,7 +221,9 @@ def read_touchstone(path: str | os.PathLike) -> ResponseCurve:
     """Read a two-port .s2p file into a ResponseCurve (Hz, complex RI).
 
     Comment lines are ignored except for the incidence annotations this
-    package writes, which are restored when present.
+    package writes, ``! incidence theta_deg = <degrees>`` and
+    ``! polarization = TE|TM``, which are restored when present.  An
+    annotation whose value is missing or invalid raises TouchstoneError.
     """
     theta_deg = 0.0
     pol = Polarization.TE
@@ -235,20 +237,21 @@ def read_touchstone(path: str | os.PathLike) -> ResponseCurve:
                 if not line:
                     continue
                 if line.startswith("!"):
-                    body = line[1:].strip()
-                    if body.startswith("incidence theta_deg"):
+                    key, _, value = line[1:].partition("=")
+                    key, value = key.strip(), value.strip()
+                    if key == "incidence theta_deg":
                         try:
-                            theta_deg = float(body.split("=", 1)[1])
-                        except (IndexError, ValueError):
-                            continue
+                            theta_deg = float(value)
+                        except ValueError:
+                            raise TouchstoneError(f"bad incidence angle in {line!r}", line_no) from None
                         try:
                             IncidenceCondition(math.radians(theta_deg), pol)
                         except DomainError as exc:
                             raise TouchstoneError(f"{exc} in {line!r}", line_no) from None
-                    elif body.startswith("polarization"):
-                        value = body.split("=", 1)[-1].strip().upper()
-                        if value in ("TE", "TM"):
-                            pol = Polarization[value]
+                    elif key == "polarization":
+                        if value.upper() not in ("TE", "TM"):
+                            raise TouchstoneError(f"polarization must be TE or TM in {line!r}", line_no)
+                        pol = Polarization[value.upper()]
                     continue
                 if line.startswith("#"):
                     if mult is not None:

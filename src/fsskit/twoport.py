@@ -175,15 +175,14 @@ def abcd_tline(
     f,
     inc: IncidenceCondition = NORMAL,
     *,
-    eta: float = ETA0,
     loss_tangent: float = 0.0,
 ) -> TwoPortMatrix:
     """Chain matrix of a dielectric slab crossed at oblique incidence.
 
     The longitudinal phase is phi = (2 pi f / c0) * sqrt(eps_r - sin^2 theta)
-    * length.  The effective impedance is eta / sqrt(eps_r - sin^2 theta)
-    for TE and eta * sqrt(eps_r - sin^2 theta) / eps_r for TM; both reduce
-    to eta / sqrt(eps_r) at normal incidence (the TM branch reuses the TE
+    * length.  The effective impedance is eta0 / sqrt(eps_r - sin^2 theta)
+    for TE and eta0 * sqrt(eps_r - sin^2 theta) / eps_r for TM; both reduce
+    to eta0 / sqrt(eps_r) at normal incidence (the TM branch reuses the TE
     expression at theta = 0 so the two polarizations agree bitwise).
 
     A nonzero loss tangent adds dielectric attenuation via the complex
@@ -209,9 +208,9 @@ def abcd_tline(
         )
     q = math.sqrt(eps_r - s2)
     if inc.polarization is Polarization.TE or s2 == 0.0:
-        z_eff = eta / q
+        z_eff = ETA0 / q
     else:
-        z_eff = eta * q / eps_r
+        z_eff = ETA0 * q / eps_r
 
     phi = (2 * np.pi * f / C0) * q * length
     if loss_tangent > 0.0:

@@ -13,6 +13,7 @@ brings that stack inside criterion 1's bounds.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from fsskit.builder import (
     CircuitParams,
     build_first_order,
     build_second_order,
-    geometry_with_width,
     params_from_geometry,
 )
 from fsskit.cli import parse_config, run
@@ -220,7 +220,7 @@ class TestAcceptance:
         metrics = []
         for w_mm in (0.6, 1.0, 1.4, 1.8, 2.2, 2.6):
             params = params_from_geometry(
-                geometry_with_width(DEFAULT_GEOMETRY, w_mm * 1e-3), DEFAULT_CALIBRATION
+                replace(DEFAULT_GEOMETRY, strip_width=w_mm * 1e-3), DEFAULT_CALIBRATION
             )
             metrics.append(extract_metrics(sweep_response(build_first_order(params), grid, NORMAL)))
         fbws = [m.fbw for m in metrics]

@@ -1,6 +1,7 @@
 """Resonance formulas, sweeps, and passband metric extraction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from fsskit.builder import (
     CircuitParams,
     build_first_order,
     build_second_order,
-    geometry_with_width,
     params_from_geometry,
 )
 from fsskit.errors import BandNotBracketedError, DomainError, OneSidedBandError
@@ -272,7 +272,7 @@ class TestWidthTrends:
         grid = FrequencyGrid(1e9, 5e9, 3001)
         rows = []
         for w_mm in self.WIDTHS_MM:
-            g = geometry_with_width(DEFAULT_GEOMETRY, w_mm * 1e-3)
+            g = replace(DEFAULT_GEOMETRY, strip_width=w_mm * 1e-3)
             params = params_from_geometry(g, DEFAULT_CALIBRATION)
             curve = sweep_response(build_first_order(params), grid, NORMAL)
             rows.append(extract_metrics(curve))

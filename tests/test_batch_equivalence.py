@@ -15,7 +15,14 @@ import pytest
 
 from fsskit.analysis import FrequencyGrid, network_smatrix, sweep_response
 from fsskit.builder import CircuitParams, build_network, build_second_order
-from fsskit.synthesis import FitProblem, FitResult, fit_circuit
+from fsskit.synthesis import (
+    IMPROVEMENT_TOL,
+    MAX_ITERATIONS,
+    STEP_TOL,
+    FitProblem,
+    FitResult,
+    fit_circuit,
+)
 from fsskit.twoport import NORMAL, IncidenceCondition, Polarization
 
 
@@ -60,7 +67,7 @@ def reference_fit(problem: FitProblem) -> FitResult:
     message = "iteration cap reached without convergence"
     converged = False
     history = [math.sqrt(cost)]
-    for iterations in range(1, problem.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         jac = jacobian(u)
         jtj = jac.T @ jac
         jtr = jac.T @ r
@@ -87,11 +94,11 @@ def reference_fit(problem: FitProblem) -> FitResult:
         u, r, cost = u_new, r_new, cost_new
         history.append(math.sqrt(cost))
         lam = max(lam / 3.0, 1e-12)
-        if rel_step < problem.step_tol:
+        if rel_step < STEP_TOL:
             converged = True
             message = f"converged: relative step {rel_step:.2e} below tolerance"
             break
-        if improvement < problem.improvement_tol:
+        if improvement < IMPROVEMENT_TOL:
             converged = True
             message = f"converged: residual improvement {improvement:.2e} below tolerance"
             break

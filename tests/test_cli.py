@@ -313,6 +313,37 @@ class TestSweepModeRejectsWhatItCannotHonour:
         assert len(cfg.incidence) == 1 and cfg.incidence[0].polarization is Polarization.TM
 
 
+SMALL_CELL = {"period_mm": 2.6, "ring_side_mm": 2.4, "arm_width_mm": 0.2}
+SMALL_CELL_SYNTHESIS = {
+    "mode": "synthesize",
+    "geometry": SMALL_CELL,
+    "synthesize": {"f_p_ghz": 3.0766427982933, "f_z_ghz": 5.1207263563633, "c1_pf": 0.6,
+                   "fbw_target": 0.25, "w_max_mm": 2.0},
+}
+
+
+class TestSmallCell:
+    """A cell of period <= 2.6 mm: the design modes set every strip width themselves."""
+
+    def test_sweep_w_evaluates_the_widths_inside_the_cell(self, tmp_path):
+        doc = {**SWEEP_W, "geometry": SMALL_CELL, "sweep": {"w_mm": [0.5, 1.0, 2.6]}}
+        summary = run(parse_config(json.dumps(doc)), out_dir=tmp_path)
+        assert [row["w_mm"] for row in summary["rows"]] == [0.5, 1.0]
+        assert summary["failures"] == [{"w_mm": 2.6, "error": "strip width must satisfy 0 < w < period"}]
+
+    def test_synthesize_finds_a_width_inside_the_cell(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(SMALL_CELL_SYNTHESIS))
+        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        assert 0.3 < json.loads(capsys.readouterr().out)["strip_width_mm"] < 2.0
+
+    @pytest.mark.parametrize("doc", [SWEEP_W, SMALL_CELL_SYNTHESIS], ids=["sweep-w", "synthesize"])
+    def test_a_given_strip_width_is_still_rejected_by_name(self, doc):
+        geometry = {**SMALL_CELL, "strip_width_mm": 1.0}
+        with pytest.raises(ConfigError, match="does not use geometry.strip_width_mm"):
+            parse_config(json.dumps({**doc, "geometry": geometry}))
+
+
 def first_order(**extra):
     circuit = {key: value for key, value in REFERENCE_CIRCUIT.items() if key != "h1_mm"}
     return {**circuit, "order": 1, **extra}
@@ -563,12 +594,17 @@ class TestMainEntry:
         assert main(["--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
         assert "line 2: dB magnitude overflows" in capsys.readouterr().err
 
-    def test_bad_incidence_annotation_exits_as_input_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("annotation, error", [
+        ("! incidence theta_deg = 95", "incidence angle"),
+        ("! incidence theta_deg = forty", "bad incidence angle"),
+        ("! polarization = XM", "polarization must be TE or TM"),
+    ])
+    def test_bad_incidence_annotation_exits_as_input_data_error(self, annotation, error, tmp_path, capsys):
         s2p = tmp_path / "steep.s2p"
-        s2p.write_text("! incidence theta_deg = 95\n# GHz S RI R 50\n1.0 0 0 1 0 1 0 0 0\n")
+        s2p.write_text(f"{annotation}\n# GHz S RI R 50\n1.0 0 0 1 0 1 0 0 0\n")
         path = self.write_config(tmp_path, {"mode": "analyze", "analyze": {"touchstone": str(s2p)}})
         assert main(["--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
-        assert "input data error: line 1: incidence angle" in capsys.readouterr().err
+        assert f"input data error: line 1: {error}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("thetas", [[10.0000001, 10.0000002], [15, 15]])
     def test_colliding_condition_tokens_exit_as_config_error(self, thetas, tmp_path, capsys):

@@ -10,6 +10,7 @@ of a zero that the update form keeps, so lossless ladders (whose lines have
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from fsskit.builder import (
     CalibrationConstants,
     CircuitParams,
     build_network,
-    geometry_with_width,
     params_from_geometry,
 )
 from fsskit.twoport import NORMAL, IncidenceCondition, Polarization, TwoPortMatrix, wave_impedance
@@ -71,8 +71,8 @@ def assert_same_s(s, want):
 
 def ladder(w_mm, order, mirrored, lossy):
     cal = DEFAULT_CALIBRATION if lossy else LOSSLESS
-    p = params_from_geometry(
-        geometry_with_width(DEFAULT_GEOMETRY, w_mm * 1e-3), cal, L1, C1,
+    p = replace(
+        params_from_geometry(replace(DEFAULT_GEOMETRY, strip_width=w_mm * 1e-3), cal, L1, C1),
         h1=10e-3 if order == 2 else None, order=order,
         loss_tangent=0.0009 if lossy else 0.0,
     )

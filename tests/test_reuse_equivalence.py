@@ -1,7 +1,8 @@
 """Element reuse across the ladders of a strip-width loop, against plain evaluation.
 
-sweep-w and width_for_bandwidth pass one mapping from element to its chain
-matrix to every sweep of their loop, so the ring branch and the spacer,
+sweep-w and width_for_bandwidth evaluate widths through
+synthesis.width_evaluator, which passes one mapping from element to its
+chain matrix to every sweep of its loop, so the ring branch and the spacer,
 which do not depend on the strip width, are evaluated once, and so is
 their chain product.  These tests check every reused result against a
 sweep that evaluates each element afresh, bit for bit, and check what the
@@ -10,6 +11,7 @@ mapping holds afterwards.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from fsskit.builder import (
     LayeredNetwork,
     LineSegment,
     build_network,
-    geometry_with_width,
     params_from_geometry,
 )
 from fsskit.errors import DomainError, EvanescentModeError, FssError
@@ -45,7 +46,7 @@ def assert_same_curve(got, want):
 
 
 def ladder_at(w_mm, geometry=DEFAULT_GEOMETRY, cal=DEFAULT_CALIBRATION, l1=L1, c1=C1):
-    params = params_from_geometry(geometry_with_width(geometry, w_mm * 1e-3), cal, l1, c1)
+    params = params_from_geometry(replace(geometry, strip_width=w_mm * 1e-3), cal, l1, c1)
     return build_network(params)
 
 
@@ -116,7 +117,26 @@ def test_empty_ladder_leaves_the_mapping_as_it_was():
     assert all(reuse[key] is before[key] for key in before)
 
 
-def test_sweep_w_rows_match_plain_evaluation(tmp_path):
+@pytest.fixture
+def width_loop_sweeps(monkeypatch):
+    """Check every sweep of synthesis.width_evaluator against plain evaluation,
+    and collect the ring and spacer matrices and their product that each used."""
+    shared = []
+    real = synthesis.sweep_response
+
+    def checked(net, grid, inc, reuse):
+        got = real(net, grid, inc, reuse)
+        assert_same_curve(got, real(net, grid, inc))
+        assert list(reuse) == held(net)
+        head = net.elements[:2]
+        shared.append([reuse[el] for el in head] + [reuse[head]])
+        return got
+
+    monkeypatch.setattr(synthesis, "sweep_response", checked)
+    return shared
+
+
+def test_sweep_w_rows_match_plain_evaluation(tmp_path, width_loop_sweeps):
     widths = [2.2, 0.6, 11.0, 1.4, 0.6, 0.0, 2.6, 1.0]
     doc = {
         "mode": "sweep-w",
@@ -142,21 +162,14 @@ def test_sweep_w_rows_match_plain_evaluation(tmp_path):
 
     assert hexed(summary["rows"]) == hexed(rows) and len(rows) == 6
     assert summary["failures"] == failures and len(failures) == 2
+    # the first width's ring and spacer matrices, and their product, served every later one
+    shared = width_loop_sweeps
+    assert len(shared) == 6
+    assert all(m is f for ms in shared for m, f in zip(ms, shared[0]))
 
 
-def test_width_for_bandwidth_matches_plain_evaluation(monkeypatch):
-    shared = []
-    real = synthesis.sweep_response
-
-    def checked(net, grid, inc, reuse):
-        got = real(net, grid, inc, reuse)
-        assert_same_curve(got, real(net, grid, inc))
-        assert list(reuse) == held(net)
-        head = net.elements[:2]
-        shared.append([reuse[el] for el in head] + [reuse[head]])
-        return got
-
-    monkeypatch.setattr(synthesis, "sweep_response", checked)
+def test_width_for_bandwidth_matches_plain_evaluation(width_loop_sweeps):
+    shared = width_loop_sweeps
     l1 = 1.0 / ((2 * math.pi * 5.1207263563633e9) ** 2 * C1)  # the shipped synthesize target
     w = width_for_bandwidth(0.25, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, l1, C1, (0.3e-3, 3.0e-3))
     assert 0.3e-3 < w < 3.0e-3

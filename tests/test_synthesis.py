@@ -92,10 +92,11 @@ class TestWidthForBandwidth:
     RANGE = (0.3e-3, 3.0e-3)
 
     def test_self_consistency_fixed_point(self):
-        from fsskit.synthesis import _auto_grid, _fbw_at_width
+        from fsskit.synthesis import _auto_grid, width_evaluator
 
         grid = _auto_grid(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, self.RANGE)
-        target = _fbw_at_width(1.4e-3, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, grid)
+        metrics_at = width_evaluator(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, grid, NORMAL)
+        target = metrics_at(1.4e-3).fbw
         w = width_for_bandwidth(
             target, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, self.RANGE
         )
@@ -103,14 +104,15 @@ class TestWidthForBandwidth:
         assert self.RANGE[0] <= w <= self.RANGE[1]
 
     def test_forward_evaluation_meets_tolerance(self):
-        from fsskit.synthesis import _auto_grid, _fbw_at_width
+        from fsskit.synthesis import _auto_grid, width_evaluator
 
         grid = _auto_grid(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, self.RANGE)
         target = 0.30
         w = width_for_bandwidth(
             target, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, self.RANGE
         )
-        achieved = _fbw_at_width(w, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, grid)
+        metrics_at = width_evaluator(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, grid, NORMAL)
+        achieved = metrics_at(w).fbw
         assert abs(achieved - target) < 1e-3
 
     def test_unreachable_target_reports_range(self):
@@ -122,10 +124,11 @@ class TestWidthForBandwidth:
         assert 0 < lo < hi < 0.9
 
     def test_degenerate_bracket(self):
-        from fsskit.synthesis import _auto_grid, _fbw_at_width
+        from fsskit.synthesis import _auto_grid, width_evaluator
 
         grid = _auto_grid(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, self.RANGE)
-        fbw_here = _fbw_at_width(1.0e-3, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, grid)
+        metrics_at = width_evaluator(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, grid, NORMAL)
+        fbw_here = metrics_at(1.0e-3).fbw
         w = width_for_bandwidth(
             fbw_here, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, (1.0e-3, 1.0e-3)
         )

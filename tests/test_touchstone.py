@@ -275,6 +275,33 @@ class TestReaderErrors:
         assert err.value.line_no == 2
         assert str(err.value).endswith(f"in '! incidence theta_deg = {angle}'")
 
+    @pytest.mark.parametrize("annotation, why", [
+        ("! incidence theta_deg = forty", "bad incidence angle"),
+        ("! incidence theta_deg =", "bad incidence angle"),
+        ("! incidence theta_deg", "bad incidence angle"),
+        ("! polarization = XM", "polarization must be TE or TM"),
+        ("! polarization =", "polarization must be TE or TM"),
+        ("!polarization", "polarization must be TE or TM"),
+    ])
+    def test_bad_incidence_annotation_names_its_line(self, tmp_path, annotation, why):
+        path = tmp_path / "annotated.s2p"
+        path.write_text(f"! fsskit\n{annotation}\n# GHz S RI R 50\n1.0 0 0 1 0 1 0 0 0\n")
+        with pytest.raises(TouchstoneError) as err:
+            read_touchstone(path)
+        assert err.value.line_no == 2
+        assert str(err.value) == f"line 2: {why} in {annotation!r}"
+
+    def test_annotations_are_read_by_their_exact_key(self, tmp_path):
+        path = tmp_path / "annotated.s2p"
+        path.write_text(
+            "! incidence theta_deg of the next line = forty\n! incidence theta_deg = 40\n"
+            "! polarization is set below\n!  polarization = tm\n! Polarization = XM\n"
+            "# GHz S RI R 50\n1.0 0 0 1 0 1 0 0 0\n"
+        )
+        inc = read_touchstone(path).incidence
+        assert inc.polarization is Polarization.TM
+        assert inc.theta == math.radians(40.0)
+
     def test_largest_finite_db_magnitude_is_read(self, tmp_path):
         path = tmp_path / "loudest.s2p"
         path.write_text("# GHz S DB R 50\n1.0 6165 0 0 0 0 0 0 0\n")

@@ -300,7 +300,7 @@ class TestCascadeAndConversion:
 
     def test_quarter_wave_matched_line(self):
         f = C0 / (4 * 0.01)
-        s = abcd_to_s(abcd_tline(1.0, 0.01, f, NORMAL, eta=ETA0), ETA0)
+        s = abcd_to_s(abcd_tline(1.0, 0.01, f, NORMAL), ETA0)
         assert abs(s.s11) < 1e-9
         assert s.s21 == pytest.approx(-1j, abs=1e-9)
 
