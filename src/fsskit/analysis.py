@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .builder import LayeredNetwork
 from .errors import BandNotBracketedError, DomainError, OneSidedBandError
-from .twoport import NORMAL, IncidenceCondition, SMatrix, abcd_to_s, wave_impedance
+from .twoport import (
+    NORMAL,
+    FormedOnRead,
+    IncidenceCondition,
+    Reflections,
+    SMatrix,
+    abcd_to_s,
+    wave_impedance,
+)
 
 #: Magnitudes are floored here before taking logs so dB values stay finite.
 _DB_FLOOR = 1e-300
@@ -65,6 +73,11 @@ class FrequencyGrid:
         return np.linspace(self.f_start, self.f_stop, self.n_points)
 
 
+def _check_finite(name: str, v: np.ndarray) -> None:
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"{name} contains non-finite samples")
+
+
 @dataclass(frozen=True)
 class ResponseCurve:
     """Sampled complex reflection/transmission for one incidence condition.
@@ -73,33 +86,39 @@ class ResponseCurve:
     necessarily uniform, so curves loaded from interchange files fit the
     same type).  s22 is kept when the source network provides it; synthetic
     curves may omit it.
+
+    Every array is checked: its shape against freqs at construction, and
+    its samples for finiteness.  s11 and s22 may be given as the unread
+    Reflections of an SMatrix (see sweep_response); their shape is known,
+    and they are formed and checked for finiteness on first read, so a
+    non-finite s11 raises there instead of here.
     """
 
     freqs: np.ndarray
-    s11: np.ndarray
+    s11: np.ndarray = FormedOnRead(check=_check_finite)
     s21: np.ndarray
     incidence: IncidenceCondition = NORMAL
-    s22: np.ndarray | None = field(default=None)
+    s22: np.ndarray | None = FormedOnRead(default=None, check=_check_finite)
 
     def __post_init__(self):
+        stored = vars(self)  # s11 and s22 as given, without forming them
         freqs = np.asarray(self.freqs, dtype=float)
         object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "s11", np.asarray(self.s11, dtype=complex))
-        object.__setattr__(self, "s21", np.asarray(self.s21, dtype=complex))
-        if self.s22 is not None:
-            object.__setattr__(self, "s22", np.asarray(self.s22, dtype=complex))
+        for name in ("s11", "s21", "s22"):
+            if stored[name] is not None and stored[name].__class__ is not Reflections:
+                object.__setattr__(self, name, np.asarray(stored[name], dtype=complex))
         if freqs.ndim != 1 or freqs.size < 1:
             raise DomainError("a response curve needs a 1-D grid of frequencies")
         if np.any(np.diff(freqs) <= 0):
             raise DomainError("curve frequencies must be strictly increasing")
         for name in ("s11", "s21", "s22"):
-            v = getattr(self, name)
+            v = stored[name]
             if v is None:
                 continue
             if v.shape != freqs.shape:
                 raise DomainError(f"{name} sample count does not match the grid")
-            if not np.all(np.isfinite(v)):
-                raise DomainError(f"{name} contains non-finite samples")
+            if v.__class__ is not Reflections:
+                _check_finite(name, v)
 
     def __len__(self) -> int:
         return self.freqs.size
@@ -137,11 +156,13 @@ def sweep_response(
     """Vectorized frequency sweep of a ladder network.
 
     A loop over ladders on one grid and incidence passes the same reuse
-    mapping to every call (see LayeredNetwork.abcd).
+    mapping to every call (see LayeredNetwork.abcd).  The curve takes s11
+    and s22 unread from abcd_to_s, so they are formed, and checked for
+    finiteness, only if they are read.
     """
     f = grid.points
-    s = network_smatrix(net, f, inc, reuse)
-    return ResponseCurve(freqs=f, s11=s.s11, s21=s.s21, incidence=inc, s22=s.s22)
+    s = vars(network_smatrix(net, f, inc, reuse))  # s11 and s22 stay unread
+    return ResponseCurve(freqs=f, s11=s["s11"], s21=s["s21"], incidence=inc, s22=s["s22"])
 
 
 def _parabolic_vertex(x0, x1, x2, y0, y1, y2):

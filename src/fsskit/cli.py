@@ -69,11 +69,15 @@ _SIM_FIT = ("simulate", "fit")
 _SIM_SWEEP = ("simulate", "sweep-w")
 _DESIGN = ("sweep-w", "synthesize")
 
+#: Largest frequency grid a config may ask for; one complex array over it is
+#: 16 MB.  A larger count fails as a config error before anything is allocated.
+MAX_GRID_POINTS = 1_000_000
+
 #: block -> config key -> (target field, SI multiplier or JSON type, default in
 #: config units, modes that read the key).  A multiplier marks a finite number,
-#: ``int`` an integral one, ``Path`` the name of an existing file.  A default goes
-#: through the same check and multiplication as a given value; None leaves the
-#: field unset.
+#: ``int`` an integral one, a ``range`` an integral one inside it, ``Path`` the
+#: name of an existing file.  A default goes through the same check and
+#: multiplication as a given value; None leaves the field unset.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "circuit": {
         "order": ("order", int, 1, _SIM_FIT),
@@ -105,7 +109,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "grid": {
         "f_start_ghz": ("f_start", 1e9, 1.0, _SIM_SWEEP),
         "f_stop_ghz": ("f_stop", 1e9, 5.0, _SIM_SWEEP),
-        "n_points": ("n_points", int, 1001, _SIM_SWEEP),
+        "n_points": ("n_points", range(2, MAX_GRID_POINTS + 1), 1001, _SIM_SWEEP),
     },
     "incidence": {
         "theta_deg": ("thetas", list, [0.0], _SIM_SWEEP),
@@ -195,10 +199,13 @@ def _value(name: str, value: Any, kind: Any) -> Any:
         finite = False
     if not finite:
         raise ConfigError(f"'{name}' must be a finite number")
-    if kind is int:
+    if kind is int or kind.__class__ is range:
         if not float(value).is_integer():
             raise ConfigError(f"'{name}' must be an integer")
-        return int(float(value))
+        value = int(float(value))
+        if kind is not int and value not in kind:
+            raise ConfigError(f"'{name}' must be an integer from {kind.start} to {kind.stop - 1}")
+        return value
     return float(value) * kind
 
 
@@ -392,8 +399,12 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
             )
         angles[token] = math.degrees(inc.theta)
     net = build_network(cfg.circuit, mirrored=cfg.mirrored)
-    # a mapping per condition: repeated elements of the stack are evaluated once
-    pairs = [(inc, sweep_response(net, cfg.grid, inc, {})) for inc in cfg.incidence]
+    pairs = []
+    for inc in cfg.incidence:
+        # a mapping per condition: repeated elements of the stack are evaluated once
+        curve = sweep_response(net, cfg.grid, inc, {})
+        curve.s11, curve.s22  # formed and checked here, before any file is opened
+        pairs.append((inc, curve))
 
     artifacts: list[str] = []
     if cfg.csv_name:

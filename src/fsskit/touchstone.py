@@ -84,6 +84,10 @@ def format_e11(table: np.ndarray) -> bytes:
     k = k.astype(np.intp)
     m *= _POW10[np.maximum(k, 0)]
     m /= _POW10[np.maximum(-k, 0)]
+    lead, digits4, tail, exponent = _tables()
+    cells = np.empty((x.size, 5), np.uint32)
+    cells[:, 4] = exponent[22 - k]
+    del k  # 8 bytes a cell, not needed past the exponent words
     ok &= (m >= 1e11) & (m < 1e12 - 1) & (m - np.floor(m) != 0.5)
     fallback = np.flatnonzero(~ok)
     m[fallback] = 1e11
@@ -92,13 +96,10 @@ def format_e11(table: np.ndarray) -> bytes:
     high, n = np.divmod(n, 10**7)
     low, n = np.divmod(n, 10**3)
 
-    lead, digits4, tail, exponent = _tables()
-    cells = np.empty((x.size, 5), np.uint32)
     cells[:, 0] = lead[first]
     cells[:, 1] = digits4[high]
     cells[:, 2] = digits4[low]
     cells[:, 3] = tail[n]
-    cells[:, 4] = exponent[22 - k]
     text = cells.view(np.uint8)
     text[cols - 1 :: cols, -1] = ord("\n")
     for i, value in zip(fallback.tolist(), x[fallback].tolist()):

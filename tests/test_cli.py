@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from fsskit import cli
 from fsskit.cli import (
     EXIT_COMPUTE,
     EXIT_CONFIG,
@@ -342,6 +343,38 @@ class TestSmallCell:
         geometry = {**SMALL_CELL, "strip_width_mm": 1.0}
         with pytest.raises(ConfigError, match="does not use geometry.strip_width_mm"):
             parse_config(json.dumps({**doc, "geometry": geometry}))
+
+
+class TestGridSizeCap:
+    """grid.n_points above cli.MAX_GRID_POINTS fails as a config error, before any allocation.
+
+    Every size passed to main() here is rejected while the config is parsed.
+    """
+
+    DOCS = {
+        "simulate": {"mode": "simulate", "circuit": {"l_nh": 2.85}},
+        "sweep-w": {"mode": "sweep-w", "sweep": {"w_mm": [1.0]}},
+    }
+
+    @pytest.mark.parametrize("mode", sorted(DOCS))
+    @pytest.mark.parametrize("n", [10**6 + 1, 10**15])
+    def test_parse_rejects_a_grid_above_the_cap(self, mode, n):
+        doc = {**self.DOCS[mode], "grid": {"n_points": n}}
+        with pytest.raises(ConfigError, match="'grid.n_points' must be an integer from 2 to 1000000"):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("mode", sorted(DOCS))
+    def test_parse_accepts_the_cap(self, mode):
+        assert cli.MAX_GRID_POINTS == 10**6
+        doc = {**self.DOCS[mode], "grid": {"n_points": 10**6}}
+        assert parse_config(json.dumps(doc)).grid.n_points == 10**6
+
+    @pytest.mark.parametrize("mode", sorted(DOCS))
+    def test_absurd_grid_exits_as_config_error(self, mode, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**self.DOCS[mode], "grid": {"n_points": 10**15}}))
+        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "config error: 'grid.n_points' must be an integer" in capsys.readouterr().err
 
 
 def first_order(**extra):
