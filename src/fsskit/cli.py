@@ -50,7 +50,7 @@ from .synthesis import (
     width_evaluator,
     width_for_bandwidth,
 )
-from .touchstone import format_table, read_touchstone, write_touchstone
+from .touchstone import format_g12, read_touchstone, write_touchstone
 from .twoport import IncidenceCondition, Polarization
 
 OUT_DIR_ENV = "FSSKIT_OUT_DIR"
@@ -336,10 +336,6 @@ def parse_config(text: str) -> RunConfig:
 # output helpers
 
 
-def _fmt_num(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _condition_token(inc: IncidenceCondition) -> str:
     deg = math.degrees(inc.theta)
     token = f"{deg:g}".replace(".", "p")
@@ -353,8 +349,9 @@ def _write_response_csv(path: Path, curves: Sequence[tuple[IncidenceCondition, R
         token = _condition_token(inc)
         header += [f"s11_db_{token}", f"s21_db_{token}"]
         columns += [np.maximum(_db(np.abs(s)), -200.0) for s in (curve.s11, curve.s21)]
-    body = format_table(np.column_stack(columns), "%.12g", ",")
-    path.write_text(",".join(header) + "\n" + body, encoding="utf-8")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.writelines(format_g12(np.column_stack(columns)))
 
 
 _METRIC_FIELDS = (
@@ -373,14 +370,13 @@ def _metrics_dict(m: PassbandMetrics) -> dict[str, float | None]:
 
 def _write_metrics_csv(path: Path, rows: Sequence[tuple[float, PassbandMetrics]]) -> None:
     header = "w_mm," + ",".join(name for name, _ in _METRIC_FIELDS)
-    lines = [header]
-    for w_mm, m in rows:
-        cells = [_fmt_num(w_mm)]
-        for _, get in _METRIC_FIELDS:
-            v = get(m)
-            cells.append("" if v is None else _fmt_num(v))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    values = [[w_mm] + [get(m) for _, get in _METRIC_FIELDS] for w_mm, m in rows]
+    cols = 1 + len(_METRIC_FIELDS)
+    absent = np.array([[v is None for v in row] for row in values], bool).reshape(-1, cols)
+    table = np.array([[0.0 if v is None else v for v in row] for row in values], float).reshape(-1, cols)
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode())
+        fh.writelines(format_g12(table, blank=absent))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +390,7 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
         token = _condition_token(inc)
         if token in angles:
             raise ConfigError(
-                f"incidence angles {_fmt_num(angles[token])} and {_fmt_num(math.degrees(inc.theta))} "
+                f"incidence angles {angles[token]:.12g} and {math.degrees(inc.theta):.12g} "
                 f"both give condition '{token}', whose outputs would overwrite each other"
             )
         angles[token] = math.degrees(inc.theta)

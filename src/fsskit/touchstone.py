@@ -1,11 +1,18 @@
-"""Touchstone v1 two-port reader and writer.
+"""Touchstone v1 two-port reader and writer, and the decimal text kernel.
 
 The writer emits RI format in GHz and records the incidence condition in
-comment lines so a round trip restores it.  Each cell is exactly CPython's
-``"%.11e" % cell`` (12 significant digits): a numpy kernel formats the
-cells whose correct rounding it can decide, and ``%`` formats the rest one
-at a time.  The reader accepts RI, MA, and dB formats in any standard
-frequency unit.
+comment lines so a round trip restores it.  The reader accepts RI, MA, and
+dB formats in any standard frequency unit.
+
+Both text formats share one numpy kernel.  ``_mantissa`` rounds each cell
+once to its 12 significant digits and marks the cells whose correct
+rounding it cannot decide; ``format_e11`` renders the digits as CPython's
+``"%.11e" % cell`` (each Touchstone number) and ``format_g12`` as
+``"%.12g" % cell`` (each CSV number).  ``%`` formats the marked cells one
+at a time, so every cell is exactly what ``%`` gives.  Both renderers yield
+their text a block of whole rows at a time, about ``BLOCK_CELLS`` cells each,
+and the writers write each block as it comes, so the memory that formatting
+takes does not grow with the table.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -23,18 +31,56 @@ from .twoport import IncidenceCondition, Polarization
 
 _UNIT_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
-
-def format_table(table: np.ndarray, spec: str, sep: str) -> str:
-    """Text lines of a 2-D float table, each cell exactly ``spec % cell``.
-
-    One ``%`` over the row template repeated per row formats the whole table.
-    """
-    rows, cols = table.shape
-    return ((sep.join([spec] * cols) + "\n") * rows) % tuple(table.ravel().tolist())
-
+#: cells formatted at a time, in whole rows.  A block's temporaries, about
+#: 170 bytes a cell, stay small enough that freeing them does not trim the
+#: heap, which the next block would fault in again (measured with ru_minflt)
+BLOCK_CELLS = 2048
 
 #: 10**k for k in 0..22, each exact in a double (5**22 < 2**53)
 _POW10 = np.array([10**k for k in range(23)], dtype=float)
+#: 10**k for k in 0..15 as integers
+_IPOW10 = 10 ** np.arange(16, dtype=np.int64)
+#: a .s2p line: f, s11, s21, s12 (the s21 pair again), s22 of the distinct columns
+_S2P_COLUMNS = np.array([0, 1, 2, 3, 4, 3, 4, 5, 6])
+
+
+def _block_rows(cols: int) -> int:
+    """The rows of a block of a table with ``cols`` columns."""
+    return max(1, BLOCK_CELLS // cols)
+
+
+def _by_blocks(lines, *tables: np.ndarray) -> Iterator[bytes]:
+    """``lines`` of each successive row block of equally shaped 2-D tables."""
+    step = _block_rows(tables[0].shape[1])
+    for i in range(0, len(tables[0]), step):
+        yield lines(*(t[i : i + step] for t in tables))
+
+
+def _mantissa(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rounded 12-digit mantissa ``n``, the scale ``k`` and the decided mask of ``x``.
+
+    With ``e = floor(log10|x|)`` and ``k = 11 - e``, one multiply or divide
+    by an exact power of ten scales ``|x|`` to ``m``, the 12-digit mantissa,
+    rounded once.  Half is representable in that range and rounding is
+    monotonic, so ``m`` lies on the same side of every ``n + 0.5`` as the
+    exact mantissa, and ``n = rint(m)`` is its correctly rounded digits
+    unless ``m`` is a tie.  Cells outside ``|k| <= 22``, ties, and mantissas
+    that fall outside ``[1e11, 1e12 - 1)`` (a wrong ``e`` or a carry to the
+    next power of ten) are not decided; their ``n`` is ``10**11`` and their
+    ``k`` lies in ``[-22, 22]``.  A decided cell is ``n * 10**-k``, exactly
+    to 12 digits, and its decimal exponent is ``11 - k``.
+    """
+    m = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = 11.0 - np.floor(np.log10(m))
+        ok = np.abs(k) <= 22.0
+        k[~ok] = 0.0
+        k = k.astype(np.intp)
+        m *= _POW10[np.maximum(k, 0)]
+        m /= _POW10[np.maximum(-k, 0)]
+        ok &= (m >= 1e11) & (m < 1e12 - 1) & (m - np.floor(m) != 0.5)
+    m[~ok] = 1e11
+    return np.rint(m, out=m).astype(np.int64), k, ok
 
 
 def _words(*columns) -> np.ndarray:
@@ -43,8 +89,15 @@ def _words(*columns) -> np.ndarray:
     return rows.astype(np.uint8).view(np.uint32).ravel()
 
 
+def _digits(width: int) -> np.ndarray:
+    """The ASCII digits of 0 .. 10**width - 1, one row of ``width`` bytes each."""
+    ascii_digits = np.frombuffer(b"0123456789", np.uint8)
+    grid = np.meshgrid(*[ascii_digits] * width, indexing="ij")
+    return np.stack(grid, axis=-1).reshape(10**width, width)
+
+
 @functools.cache
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _e11_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The word tables of ``format_e11``, built once, on its first call.
 
     A cell is five words, and its NUL bytes are dropped from the output:
@@ -52,7 +105,7 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     exponent sign, 2 exponent digits, separator.
     """
     ascii_digits = np.frombuffer(b"0123456789", np.uint8)
-    four = np.stack(np.meshgrid(*[ascii_digits] * 4, indexing="ij"), axis=-1).reshape(10000, 4)
+    four = _digits(4)
     e = np.arange(-11, 34)  # the exponents of the kernel's range
     return (
         _words(0, np.repeat([0, ord("-")], 10), np.tile(ascii_digits, 2), ord(".")),  # [d + 10 * (x < 0)]
@@ -62,56 +115,125 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def format_e11(table: np.ndarray) -> bytes:
-    """Space-separated lines of a 2-D float table, each cell exactly ``"%.11e" % cell``.
-
-    With ``e = floor(log10|x|)``, one multiply or divide by an exact power
-    of ten scales ``|x|`` to ``m``, the 12-digit mantissa, rounded once.
-    Half is representable in that range and rounding is monotonic, so ``m``
-    lies on the same side of every ``n + 0.5`` as the exact mantissa, and
-    ``rint(m)`` is its correctly rounded digits unless ``m`` is a tie.
-    Cells outside ``|11 - e| <= 22``, ties, and mantissas that fall outside
-    ``[1e11, 1e12 - 1)`` (a wrong ``e`` or a carry to ``10.0``) are formatted
-    one at a time by ``%``, so CPython settles every case the kernel cannot.
-    """
-    cols = table.shape[1]
-    x = table.ravel()
-    m = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = 11.0 - np.floor(np.log10(m))
-    ok = np.abs(k) <= 22.0
-    k[~ok] = 0.0
-    k = k.astype(np.intp)
-    m *= _POW10[np.maximum(k, 0)]
-    m /= _POW10[np.maximum(-k, 0)]
-    lead, digits4, tail, exponent = _tables()
+def _e11_lines(block: np.ndarray, columns=slice(None)) -> bytes:
+    """Lines of ``"%.11e"`` cells; output column j is ``block[:, columns[j]]``."""
+    x = block.ravel()
+    n, k, ok = _mantissa(x)
+    lead, digits4, tail, exponent = _e11_tables()
     cells = np.empty((x.size, 5), np.uint32)
     cells[:, 4] = exponent[22 - k]
-    del k  # 8 bytes a cell, not needed past the exponent words
-    ok &= (m >= 1e11) & (m < 1e12 - 1) & (m - np.floor(m) != 0.5)
-    fallback = np.flatnonzero(~ok)
-    m[fallback] = 1e11
-    first, n = np.divmod(np.rint(m, out=m).astype(np.int64), 10**11)
+    first, n = np.divmod(n, 10**11)
     first += 10 * np.signbit(x)
     high, n = np.divmod(n, 10**7)
     low, n = np.divmod(n, 10**3)
-
     cells[:, 0] = lead[first]
     cells[:, 1] = digits4[high]
     cells[:, 2] = digits4[low]
     cells[:, 3] = tail[n]
     text = cells.view(np.uint8)
-    text[cols - 1 :: cols, -1] = ord("\n")
+    fallback = np.flatnonzero(~ok)
     for i, value in zip(fallback.tolist(), x[fallback].tolist()):
         text[i, :-1] = np.frombuffer((b"%.11e" % value).ljust(19, b"\0"), np.uint8)
+    text = cells.reshape(block.shape + (5,))[:, columns].view(np.uint8)
+    text[:, -1, -1] = ord("\n")
     return text.tobytes().translate(None, b"\0")
+
+
+def format_e11(table: np.ndarray) -> Iterator[bytes]:
+    """Space-separated lines of a 2-D float table, each cell exactly ``"%.11e" % cell``.
+
+    The text comes one block of rows at a time, to be written as it comes.
+
+    A cell is its sign, the first digit of ``n``, ".", the other 11 and the
+    exponent ``11 - k`` (see ``_mantissa``); ``%`` formats the undecided cells.
+    """
+    return _by_blocks(_e11_lines, table)
+
+
+@functools.cache
+def _g12_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The word tables of ``format_g12``, built once, on its first call.
+
+    A cell is eight words, and its NUL bytes are dropped from the output:
+    the separator before it, sign or NUL, "0" or NUL, NUL | the integer
+    part's 3 groups of 4 digits | ".", then the fraction's 15 digits in
+    groups of 3, 4, 4, 4.  Tables indexed ``q`` write the group ``q`` with
+    its leading or trailing zeros as NUL; indexed ``q + 10**width`` they
+    write it in full.
+    """
+    four, three = _digits(4), _digits(3)
+    q4, q3 = np.arange(10**4)[:, None], np.arange(10**3)[:, None]
+    nul = np.uint8(0)
+    leading = np.where(q4 < 10 ** np.arange(3, -1, -1), nul, four)
+    trailing = np.where(q4 % 10 ** np.arange(4, 0, -1) == 0, nul, four)
+    point_trailing = np.where(q3 % 10 ** np.arange(3, 0, -1) == 0, nul, three)
+    points = np.full((2000, 1), ord("."))
+    points[0] = 0  # a zero fraction has no point
+    return (
+        # [(x < 0) + 2 * (e < 0)]
+        _words(ord(","), [0, ord("-"), 0, ord("-")], [0, 0, ord("0"), ord("0")], 0),
+        _words(*np.concatenate([leading, four]).T),  # [q + 10**4 * (higher digits)]
+        # [q + 10**3 * (lower nonzero digits)]
+        _words(*np.concatenate([points, np.concatenate([point_trailing, three])], axis=1).T),
+        _words(*np.concatenate([trailing, four]).T),  # [q + 10**4 * (lower nonzero digits)]
+    )
+
+
+def _g12_lines(block: np.ndarray, blank: np.ndarray) -> bytes:
+    """Comma-separated lines of ``"%.12g"`` cells, with the ``blank`` cells empty."""
+    x = block.ravel()
+    n, k, ok = _mantissa(x)
+    ok &= (k >= 0) & (k <= 15)  # fixed notation: -4 <= e < 12
+    k = np.clip(k, 0, 15)
+    head, integer, point, fraction = _g12_tables()
+    cells = np.empty((x.size, 8), np.uint32)
+    cells[:, 0] = head[np.signbit(x) + 2 * (k >= 12)]
+    n, f = np.divmod(n, _IPOW10[k])
+    f *= _IPOW10[15 - k]  # the fraction's digits, left-aligned to 15
+    high, n = np.divmod(n, 10**8)
+    mid, n = np.divmod(n, 10**4)
+    cells[:, 1] = integer[high]
+    cells[:, 2] = integer[mid + 10**4 * (k <= 3)]
+    cells[:, 3] = integer[n + 10**4 * (k <= 7)]
+    q, f = np.divmod(f, 10**12)
+    cells[:, 4] = point[q + 10**3 * (f > 0)]
+    q, f = np.divmod(f, 10**8)
+    cells[:, 5] = fraction[q + 10**4 * (f > 0)]
+    q, f = np.divmod(f, 10**4)
+    cells[:, 6] = fraction[q + 10**4 * (f > 0)]
+    cells[:, 7] = fraction[f]
+    text = cells.view(np.uint8)
+    fallback = np.flatnonzero(~(ok | blank.ravel()))
+    for i, value in zip(fallback.tolist(), x[fallback].tolist()):
+        text[i, 1:] = np.frombuffer((b"%.12g" % value).ljust(31, b"\0"), np.uint8)
+    text[blank.ravel(), 1:] = 0
+    text.reshape(block.shape + (32,))[:, 0, 0] = ord("\n")
+    return text.tobytes().translate(None, b"\0")[1:] + b"\n"
+
+
+def format_g12(table: np.ndarray, blank: np.ndarray | None = None) -> Iterator[bytes]:
+    """Comma-separated lines of a 2-D float table, each cell exactly ``"%.12g" % cell``.
+
+    The text comes one block of rows at a time, to be written as it comes.
+
+    A cell with ``-4 <= e < 12`` (``e = 11 - k``, see ``_mantissa``) is in
+    fixed notation: the integer part ``n // 10**k``, then "." and the
+    fraction ``n % 10**k`` left-aligned to 15 digits, with the integer's
+    leading and the fraction's trailing zeros dropped.  ``%`` formats the
+    cells in exponent notation and the undecided ones.  A cell where
+    ``blank`` is true is written empty, whatever its value.
+    """
+    if blank is None:
+        blank = np.zeros(table.shape, bool)
+    return _by_blocks(_g12_lines, table, blank)
 
 
 def write_touchstone(curve: ResponseCurve, path: str | os.PathLike) -> None:
     """Write a two-port .s2p file: f_GHz then re/im pairs of s11 s21 s12 s22.
 
-    s12 duplicates s21 (reciprocal network); s22 falls back to s11 when the
-    curve does not carry it.
+    s12 duplicates s21 (reciprocal network): the s21 pair is formatted once
+    and its text copied.  s22 falls back to s11 when the curve does not
+    carry it.
     """
     s22 = curve.s22 if curve.s22 is not None else curve.s11
     header = [
@@ -120,11 +242,11 @@ def write_touchstone(curve: ResponseCurve, path: str | os.PathLike) -> None:
         f"! polarization = {curve.incidence.polarization.value}",
         "# GHz S RI R 376.73",
     ]
-    s = np.column_stack([curve.s11, curve.s21, curve.s21, s22])
+    s = np.column_stack([curve.s11, curve.s21, s22])
     table = np.column_stack([curve.freqs / 1e9, s.view(float)])
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode())
-        fh.write(format_e11(table))
+        fh.writelines(_by_blocks(lambda block: _e11_lines(block, _S2P_COLUMNS), table))
 
 
 def _parse_option_line(tokens: list[str], line_no: int) -> tuple[float, str, float]:

@@ -1,12 +1,13 @@
 """The array I/O paths against per-value scalar references.
 
-The Touchstone writer formats its table with a numpy kernel, the CSV writer
-with one ``%`` operation, and the reader parses and converts all records as
-arrays.  These properties check that each gives exactly what formatting,
-parsing and converting one value at a time in Python gives, bit for bit, and
-that a faulty record is still reported on its own line.
+The Touchstone and CSV writers format their tables with one numpy kernel,
+rendered as ``%.11e`` and ``%.12g`` in blocks of rows, and the reader parses
+and converts all records as arrays.  These properties check that each gives
+exactly what formatting, parsing and converting one value at a time in Python
+gives, bit for bit, and that a faulty record is still reported on its own line.
 """
 
+import json
 import math
 import tempfile
 from fractions import Fraction
@@ -18,9 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fsskit.analysis import ResponseCurve
+from fsskit import cli
+from fsskit.analysis import PassbandMetrics, ResponseCurve
 from fsskit.errors import TouchstoneError
-from fsskit.touchstone import format_e11, format_table, read_touchstone, write_touchstone
+from fsskit.touchstone import _block_rows, format_e11, format_g12, read_touchstone, write_touchstone
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 #: zeros of both signs, subnormals down to the smallest, a -200 dB floor
@@ -40,6 +42,23 @@ E11_CASES = {
     "carry to the next power of ten": [9.9999999999996e5, -9.99999999999999e-7, 99999999999.99998],
     "three-digit exponents": [1e100, -2.5e-150, 1e-100, 1.7976931348623157e308],
 }
+#: one row per branch of the %.12g renderer
+G12_CASES = {
+    "fixed from 1e-4, exponent below": [1e-4, -1.00000000001e-4, 9.99999999999e-5, 1.23456789012e-5],
+    "fixed below 1e12, exponent from": [999999999998.0, -123456789012.0, 1e12, 1.00000000001e12],
+    "carry across each switch": [9.99999999999996e11, -9.99999999999996e11, 9.99999999999996e-5],
+    "ties": [-123456789012.5, 12345678901.25, 1001 / 2**13, 11 / 2**16],
+    "zeros, a subnormal, the -200 dB floor": [0.0, -0.0, 5e-324, -200.0],
+    "leading and trailing zeros": [1.0, -10.0, 1e11, 0.5, 0.0001000002, 1.2300000000004, 9000.000001],
+}
+#: a value for every branch of both renderers, repeated to fill larger tables
+MIXED = sum(G12_CASES.values(), sum(E11_CASES.values(), EDGE_VALUES)) + [-3.25, 4.5e6, 0.0625]
+
+
+def _seam_tables(cols):
+    """Tables of 0 rows and of one row either side of the block seams of ``cols`` columns."""
+    block = _block_rows(cols)
+    return [np.resize(MIXED, (rows, cols)) for rows in (0, block - 1, block, block + 1, 2 * block + 1)]
 
 
 def tables(max_cols=17, extra=st.nothing()):
@@ -63,28 +82,51 @@ def _read_text(text: str) -> ResponseCurve:
         return read_touchstone(path)
 
 
-def _with_examples(*rows):
+def _with_examples(*tables):
     def decorate(test):
-        for row in rows:
-            test = example(np.array([row]))(test)
+        for table in tables:
+            test = example(np.array(table, ndmin=2))(test)
         return test
     return decorate
 
 
+#: s11 and s22 parts that the kernel formats, s21 parts that only % formats
+ONLY_S21_FALLS_BACK = np.column_stack(
+    [np.full((5, 2), 0.375), np.resize(E11_CASES["exact decimal ties"] + EDGE_VALUES[:3], (5, 2)),
+     np.full((5, 2), -0.625)]
+)
+
+
 class TestWriters:
     @given(tables(extra=NEAR_TIES))
-    @_with_examples(EDGE_VALUES, *E11_CASES.values())
+    @_with_examples(EDGE_VALUES, *E11_CASES.values(), *_seam_tables(9))
     def test_touchstone_cells_are_per_cell_e11(self, table):
-        assert format_e11(table) == _per_cell(table, ".11e", " ").encode()
+        assert b"".join(format_e11(table)) == _per_cell(table, ".11e", " ").encode()
 
     @given(tables())
     @example(np.array([EDGE_VALUES]))
     def test_csv_cells_are_per_cell_g12(self, table):
-        assert format_table(table, "%.12g", ",") == _per_cell(table, ".12g", ",")
+        assert b"".join(format_g12(table)) == _per_cell(table, ".12g", ",").encode()
+
+    @given(tables(extra=NEAR_TIES))
+    @_with_examples(*G12_CASES.values(), *_seam_tables(17))
+    def test_g12_kernel_branches_are_per_cell(self, table):
+        assert b"".join(format_g12(table)) == _per_cell(table, ".12g", ",").encode()
+
+    @given(tables(extra=NEAR_TIES).flatmap(lambda t: st.tuples(st.just(t), arrays(bool, t.shape))))
+    @example(tuple(np.resize(v, (2 * _block_rows(7) + 1, 7)) for v in (MIXED, [True, False, False])))
+    def test_blank_cells_are_empty(self, case):
+        table, blank = case
+        expected = "".join(
+            ",".join("" if b else format(x, ".12g") for x, b in zip(row, flags)) + "\n"
+            for row, flags in zip(table.tolist(), blank.tolist())
+        )
+        assert b"".join(format_g12(table, blank)) == expected.encode()
 
     @settings(max_examples=30)
     @given(arrays(np.float64, (5, 6), elements=st.one_of(FINITE, st.sampled_from(EDGE_VALUES), NEAR_TIES)))
     @example(np.resize(sum(E11_CASES.values(), EDGE_VALUES), (5, 6)))
+    @example(ONLY_S21_FALLS_BACK)
     def test_write_touchstone_body_matches_row_loop(self, parts):
         s11, s21, s22 = (parts[:, k] + 1j * parts[:, k + 1] for k in (0, 2, 4))
         curve = ResponseCurve(np.linspace(1e9, 3e9, 5), s11, s21, s22=s22)
@@ -100,6 +142,51 @@ class TestWriters:
             for f, a, b, d in zip(curve.freqs, s11, s21, s22)
         ]
         assert body == expected
+
+
+def _metrics_csv_per_cell(rows) -> bytes:
+    """The metrics CSV as the former per-cell loop wrote it, kept as the reference.
+
+    ``rows`` are the summary's rows: ``w_mm``, then each metric or None.
+    """
+    names = ["w_mm"] + [name for name, _ in cli._METRIC_FIELDS]
+    lines = [",".join(names)]
+    for row in rows:
+        lines.append(",".join("" if row[name] is None else f"{row[name]:.12g}" for name in names))
+    return ("\n".join(lines) + "\n").encode()
+
+
+METRIC_VALUES = st.one_of(FINITE, st.sampled_from(EDGE_VALUES), NEAR_TIES)
+PASSBANDS = st.builds(
+    PassbandMetrics, METRIC_VALUES, METRIC_VALUES, METRIC_VALUES, METRIC_VALUES, METRIC_VALUES,
+    st.one_of(st.none(), METRIC_VALUES),
+)
+
+
+class TestMetricsCsv:
+    @given(st.lists(st.tuples(METRIC_VALUES, PASSBANDS), max_size=12))
+    @example([])
+    @example([(0.5, PassbandMetrics(4.1e9, 0.75, 2e8, 0.0487804878049, 20.5))])
+    def test_rows_match_the_per_cell_loop(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "metrics.csv"
+            cli._write_metrics_csv(path, rows)
+            written = path.read_bytes()
+        summary_rows = [dict(w_mm=w_mm, **cli._metrics_dict(m)) for w_mm, m in rows]
+        assert written == _metrics_csv_per_cell(summary_rows)
+
+    @pytest.mark.parametrize("widths, ok_rows", [([5.5, 5.9], 2), ([30.0, 0.001, 40.0], 0)])
+    def test_sweep_w_file_matches_the_per_cell_loop(self, widths, ok_rows, tmp_path, capsys):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(
+            {"mode": "sweep-w", "sweep": {"w_mm": widths}, "output": {"metrics_csv": "m.csv"}}
+        ))
+        assert cli.main(["--config", str(config), "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert len(summary["rows"]) == ok_rows
+        assert len(summary["failures"]) == len(widths) - ok_rows
+        assert all(row["f_zero_ghz"] is None for row in summary["rows"])
+        assert (tmp_path / "m.csv").read_bytes() == _metrics_csv_per_cell(summary["rows"])
 
 
 def _to_complex_scalar(fmt: str, a: float, b: float) -> complex:
