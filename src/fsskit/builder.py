@@ -131,8 +131,8 @@ class CircuitParams:
             raise DomainError("spacer length must be nonnegative")
         if not self.eps_r > 0:
             raise DomainError("spacer permittivity must be positive")
-        if not self.loss_tangent >= 0:
-            raise DomainError("loss tangent must be nonnegative")
+        if not 0 <= self.loss_tangent <= 1:
+            raise DomainError(f"loss tangent must be in [0, 1], got {self.loss_tangent}")
         if self.order not in (1, 2):
             raise DomainError(f"order must be 1 or 2, got {self.order}")
         if self.order == 2 and self.h1 is None:

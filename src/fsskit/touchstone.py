@@ -260,6 +260,8 @@ def _parse_option_line(tokens: list[str], line_no: int) -> tuple[float, str, flo
                 z_ref = float(tok)
             except ValueError as exc:
                 raise TouchstoneError(f"bad reference impedance {tok!r}", line_no) from exc
+            if not 0.0 < z_ref < math.inf:
+                raise TouchstoneError(f"reference impedance must be finite and positive, got {tok!r}", line_no)
             want_r_value = False
         elif t in _UNIT_HZ:
             unit = t
@@ -297,6 +299,13 @@ def _to_complex(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bad_rows(values: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """The rows with a non-finite field or a frequency that does not increase."""
+    bad = ~np.isfinite(values).all(axis=1)
+    bad[1:] |= freqs[1:] <= freqs[:-1]
+    return bad
+
+
 def _parse_records(records: list, mult: float, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies in Hz and the (n, 4) complex values of (line_no, line, tokens) records.
 
@@ -315,8 +324,7 @@ def _parse_records(records: list, mult: float, fmt: str) -> tuple[np.ndarray, np
             _parse_records(records[:bad], mult, fmt)
         raise TouchstoneError(f"non-numeric field in {line!r}", line_no) from None
     freqs = values[:, 0] * mult
-    bad = ~np.isfinite(values).all(axis=1)
-    bad[1:] |= freqs[1:] <= freqs[:-1]
+    bad = _bad_rows(values, freqs)
     if bad.any():
         i = int(np.argmax(bad))
         if i:
@@ -340,6 +348,91 @@ def _parse_records(records: list, mult: float, fmt: str) -> tuple[np.ndarray, np
         raise
 
 
+class _Header:
+    """What a file's blank, comment and option lines set: the incidence
+    annotations, and the option line's unit multiplier and data format."""
+
+    def __init__(self):
+        self.theta_deg = 0.0
+        self.pol = Polarization.TE
+        self.mult = self.fmt = None
+
+    def take(self, line: str, line_no: int) -> bool:
+        """Apply a stripped blank, comment or option line; False for a record."""
+        if not line:
+            return True
+        if line.startswith("!"):
+            key, _, value = line[1:].partition("=")
+            key, value = key.strip(), value.strip()
+            if key == "incidence theta_deg":
+                try:
+                    self.theta_deg = float(value)
+                except ValueError:
+                    raise TouchstoneError(f"bad incidence angle in {line!r}", line_no) from None
+                try:
+                    IncidenceCondition(math.radians(self.theta_deg), self.pol)
+                except DomainError as exc:
+                    raise TouchstoneError(f"{exc} in {line!r}", line_no) from None
+            elif key == "polarization":
+                if value.upper() not in ("TE", "TM"):
+                    raise TouchstoneError(f"polarization must be TE or TM in {line!r}", line_no)
+                self.pol = Polarization[value.upper()]
+            return True
+        if line.startswith("#"):
+            if self.mult is not None:
+                raise TouchstoneError("duplicate option line", line_no)
+            self.mult, self.fmt, _ = _parse_option_line(line[1:].split(), line_no)
+            return True
+        if self.mult is None:
+            raise TouchstoneError("data before the option line", line_no)
+        return False
+
+
+def _parse_at_once(body: list[str], mult: float, fmt: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """What ``_parse_records`` gives for the ``body`` lines, parsed in one call.
+
+    None when a line is not nine numbers that ``np.loadtxt`` reads, or a row
+    fails a check; the line loop then reads the body and names the fault.
+    """
+    try:
+        values = np.loadtxt(body, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    freqs = values[:, 0] * mult
+    if values.shape[1] != 9 or _bad_rows(values, freqs).any():
+        return None
+    try:
+        return freqs, _to_complex(fmt, values[:, 1::2], values[:, 2::2])
+    except OverflowError:
+        return None
+
+
+def _parse_lines(body: list[str], first_no: int, header: _Header) -> tuple[np.ndarray, np.ndarray]:
+    """``_parse_records`` of the records among the ``body`` lines, numbered from ``first_no``.
+
+    The comment and option lines among them go to ``header``.  Raises for
+    the earliest faulty line.
+    """
+    records: list[tuple[int, str, list[str]]] = []
+    try:
+        for line_no, raw in enumerate(body, start=first_no):
+            line = raw.strip()
+            if header.take(line, line_no):
+                continue
+            tokens = line.split("!", 1)[0].split()
+            if len(tokens) != 9:
+                raise TouchstoneError(
+                    f"expected 9 columns for a two-port record, got {len(tokens)}",
+                    line_no,
+                )
+            records.append((line_no, line, tokens))
+    except TouchstoneError:
+        if records:  # a fault in an earlier record is reported first
+            _parse_records(records, header.mult, header.fmt)
+        raise
+    return _parse_records(records, header.mult, header.fmt)
+
+
 def read_touchstone(path: str | os.PathLike) -> ResponseCurve:
     """Read a two-port .s2p file into a ResponseCurve (Hz, complex RI).
 
@@ -347,63 +440,31 @@ def read_touchstone(path: str | os.PathLike) -> ResponseCurve:
     package writes, ``! incidence theta_deg = <degrees>`` and
     ``! polarization = TE|TM``, which are restored when present.  An
     annotation whose value is missing or invalid raises TouchstoneError.
+
+    When no comment or option line follows the first record, every record
+    is parsed in one ``np.loadtxt`` call.  Any other file, and any file that
+    call or a check of its rows rejects, is read line by line from the first
+    record on, which gives the same values and names the earliest faulty line.
     """
-    theta_deg = 0.0
-    pol = Polarization.TE
-    mult = fmt = None
-    records: list[tuple[int, str, list[str]]] = []
-
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("!"):
-                    key, _, value = line[1:].partition("=")
-                    key, value = key.strip(), value.strip()
-                    if key == "incidence theta_deg":
-                        try:
-                            theta_deg = float(value)
-                        except ValueError:
-                            raise TouchstoneError(f"bad incidence angle in {line!r}", line_no) from None
-                        try:
-                            IncidenceCondition(math.radians(theta_deg), pol)
-                        except DomainError as exc:
-                            raise TouchstoneError(f"{exc} in {line!r}", line_no) from None
-                    elif key == "polarization":
-                        if value.upper() not in ("TE", "TM"):
-                            raise TouchstoneError(f"polarization must be TE or TM in {line!r}", line_no)
-                        pol = Polarization[value.upper()]
-                    continue
-                if line.startswith("#"):
-                    if mult is not None:
-                        raise TouchstoneError("duplicate option line", line_no)
-                    mult, fmt, _ = _parse_option_line(line[1:].split(), line_no)
-                    continue
-                if mult is None:
-                    raise TouchstoneError("data before the option line", line_no)
-                tokens = line.split("!", 1)[0].split()
-                if len(tokens) != 9:
-                    raise TouchstoneError(
-                        f"expected 9 columns for a two-port record, got {len(tokens)}",
-                        line_no,
-                    )
-                records.append((line_no, line, tokens))
-        except TouchstoneError:
-            if records:  # a fault in an earlier record is reported first
-                _parse_records(records, mult, fmt)
-            raise
-
-    if mult is None:
+        text = fh.read()
+    # not splitlines(): it also splits at \x1c, \x85 and more, which would shift the line numbers
+    lines = text.split("\n")
+    header = _Header()
+    first = next((i for i, line in enumerate(lines) if not header.take(line.strip(), i + 1)), None)
+    if header.mult is None:
         raise TouchstoneError("file has no option line", line_no=None)
-    if not records:
+    if first is None:
         raise TouchstoneError("file holds no data records", line_no=None)
-    freqs, data = _parse_records(records, mult, fmt)
+    body = lines[first:]
+    start = sum(map(len, lines[:first])) + first  # the offset of the first record in text
+    late_comment = text.find("!", start) >= 0 or text.find("#", start) >= 0
+    parsed = None if late_comment else _parse_at_once(body, header.mult, header.fmt)
+    freqs, data = parsed or _parse_lines(body, first + 1, header)
     return ResponseCurve(
         freqs=freqs,
         s11=data[:, 0],
         s21=data[:, 1],
-        incidence=IncidenceCondition(math.radians(theta_deg), pol),
+        incidence=IncidenceCondition(math.radians(header.theta_deg), header.pol),
         s22=data[:, 3],
     )

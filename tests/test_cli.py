@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -639,7 +640,33 @@ class TestMainEntry:
         assert main(["--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
         assert f"input data error: line 1: {error}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("thetas", [[10.0000001, 10.0000002], [15, 15]])
+    @pytest.mark.parametrize("z_ref", ["nan", "inf", "0", "-5"])
+    def test_bad_reference_impedance_exits_as_input_data_error(self, z_ref, tmp_path, capsys):
+        s2p = tmp_path / "ref.s2p"
+        s2p.write_text(f"! measured\n# GHz S RI R {z_ref}\n1.0 0 0 1 0 1 0 0 0\n")
+        path = self.write_config(tmp_path, {"mode": "analyze", "analyze": {"touchstone": str(s2p)}})
+        assert main(["--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
+        assert (
+            f"input data error: line 2: reference impedance must be finite and positive, got '{z_ref}'"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("loss_tangent", [-1, 1.5, 2e4])
+    def test_loss_tangent_outside_0_to_1_exits_as_config_error(self, loss_tangent, tmp_path, capsys):
+        doc = {
+            "mode": "simulate",
+            "circuit": {"order": 2, "l_nh": 2.85, "loss_tangent": loss_tangent},
+            "grid": {"f_start_ghz": 4.446, "f_stop_ghz": 4.448, "n_points": 11},
+        }
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", self.write_config(tmp_path, doc), "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert "config error: invalid circuit block: loss tangent must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("thetas",[[10.0000001, 10.0000002], [15, 15]])
     def test_colliding_condition_tokens_exit_as_config_error(self, thetas, tmp_path, capsys):
         doc = simulate_doc(incidence={"theta_deg": thetas, "pol": ["TE", "TM"]})
         out = tmp_path / "out"

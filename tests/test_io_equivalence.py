@@ -12,6 +12,7 @@ import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fsskit import cli
-from fsskit.analysis import PassbandMetrics, ResponseCurve
+from fsskit import cli, touchstone
+from fsskit.analysis import FrequencyGrid, PassbandMetrics, ResponseCurve, sweep_response
+from fsskit.builder import CircuitParams, build_network
 from fsskit.errors import TouchstoneError
 from fsskit.touchstone import _block_rows, format_e11, format_g12, read_touchstone, write_touchstone
+from fsskit.twoport import IncidenceCondition, Polarization
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 #: zeros of both signs, subnormals down to the smallest, a -200 dB floor
@@ -295,3 +298,105 @@ class TestReaderLineNumbers:
             read_touchstone(path)
         assert err.value.line_no == 8
         assert str(err.value) == "line 8: non-numeric field in '3.0 0 0 1 0 1 0 x 0'"
+
+
+# ---------------------------------------------------------------------------
+# the one-call parse of the records against the line loop
+
+#: runs of characters that both str.split and np.loadtxt read as whitespace
+SEPARATORS = st.text(st.sampled_from(" \t\x0c\xa0\x85"), min_size=1, max_size=3)
+#: tokens that float() reads and np.loadtxt does not, so only the line loop parses them
+LINE_ONLY_TOKENS = ("1_0", "١", "0.2_5")
+
+
+def _read_bytes(text: str) -> ResponseCurve:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.s2p"
+        path.write_bytes(text.encode())
+        return read_touchstone(path)
+
+
+def _with_late_note(text: str, eol: str) -> str:
+    """``text`` with a ``! note`` line after its first record, which the line loop must read."""
+    lines = text.split(eol)
+    first = next(i for i, line in enumerate(lines) if line.strip() and line.strip()[0] not in "!#")
+    return eol.join(lines[: first + 1] + ["! note"] + lines[first + 1 :])
+
+
+def _assert_same_curve(got: ResponseCurve, expected: ResponseCurve):
+    for name in ("freqs", "s11", "s21", "s22"):
+        assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(expected, name))), name
+    assert _bits(np.array(got.incidence.theta)) == _bits(np.array(expected.incidence.theta))
+    assert got.incidence.polarization is expected.incidence.polarization
+
+
+class TestReaderPaths:
+    """A file whose comments all come first is parsed in one call; the line loop reads any other."""
+
+    @settings(max_examples=100)
+    @given(
+        fmt=st.sampled_from(["ri", "ma", "db"]),
+        unit=st.sampled_from(["hz", "khz", "mhz", "ghz"]),
+        data=st.data(),
+    )
+    def test_both_paths_agree_bit_for_bit(self, fmt, unit, data):
+        header = ["! written by hand", f"# {unit.upper()} S {fmt.upper()} R 50"]
+        if data.draw(st.booleans()):
+            theta = data.draw(st.floats(0.0, 89.0))
+            header += [f"! incidence theta_deg = {theta!r}", f"! polarization = {data.draw(st.sampled_from(['TE', 'TM']))}"]
+        line_only = False
+        body = []
+        for i in range(data.draw(st.integers(1, 6))):
+            body += data.draw(st.lists(st.sampled_from(["", "  ", "\t\xa0", "\x0c"]), max_size=2))
+            fields = [repr(1.5 + i)]
+            for _ in range(4):
+                for kind in (FIRST[fmt], FIRST["ri"] if fmt == "ri" else ANGLES):
+                    token = data.draw(st.one_of(kind.map(repr), st.sampled_from(LINE_ONLY_TOKENS)))
+                    line_only |= token in LINE_ONLY_TOKENS
+                    fields.append(token)
+            lead = data.draw(st.sampled_from(["", " ", "\xa0\t"]))
+            body.append(lead + "".join(token + data.draw(SEPARATORS) for token in fields))
+        eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = eol.join(header + body) + eol
+
+        with mock.patch.object(touchstone, "_parse_lines", wraps=touchstone._parse_lines) as loop:
+            curve = _read_bytes(text)
+        assert loop.called == line_only
+        _assert_same_curve(curve, _read_bytes(_with_late_note(text, eol)))
+
+    def _second_order_curve(self, n):
+        params = CircuitParams(L=2.85e-9, L1=1.61e-9, C1=0.6e-12, R=0.1, R1=0.1, h=0.254e-3,
+                               eps_r=2.2, order=2, h1=10e-3)
+        inc = IncidenceCondition(math.radians(30.0), Polarization.TM)
+        return sweep_response(build_network(params), FrequencyGrid(1e9, 5e9, n), inc)
+
+    @pytest.mark.parametrize("shape", ["write_touchstone, 2001 points", "dB/MHz, 401 points"])
+    def test_written_files_take_the_one_call_parse(self, shape, tmp_path, monkeypatch):
+        path = tmp_path / "written.s2p"
+        if shape.startswith("write_touchstone"):
+            curve = self._second_order_curve(2001)
+            write_touchstone(curve, path)
+            rel = 1e-11
+        else:  # shaped like a measured file: MHz, dB and degrees, 12 significant digits
+            curve = self._second_order_curve(401)
+            s = np.column_stack([curve.s11, curve.s21, curve.s21, curve.s11])
+            table = np.column_stack([curve.freqs / 1e6, *(
+                part for k in range(4) for part in (20 * np.log10(abs(s[:, k])), np.angle(s[:, k], deg=True))
+            )])
+            head = "! measured-style reference curve\n# MHz S DB R 376.73\n"
+            path.write_text(head + _per_cell(table, ".12g", " "))
+            rel = 1e-10
+        text = path.read_text()
+        late = tmp_path / "late.s2p"
+        late.write_text(_with_late_note(text, "\n"))
+        expected = read_touchstone(late)
+
+        def refuse(*args):
+            raise AssertionError("the line loop read a file that np.loadtxt parses")
+
+        monkeypatch.setattr(touchstone, "_parse_lines", refuse)
+        got = read_touchstone(path)
+        _assert_same_curve(got, expected)
+        assert len(got) == len(curve)
+        for name in ("freqs", "s11", "s21"):
+            np.testing.assert_allclose(getattr(got, name), getattr(curve, name), rtol=rel, atol=1e-12)

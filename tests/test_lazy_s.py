@@ -198,10 +198,12 @@ def test_fit_circuit_forms_no_reflections(smatrices):
 # ---------------------------------------------------------------------------
 # the finiteness contract holds on read
 
-#: A second-order ladder whose lines overflow near 4.447 GHz: Delta's real
-#: part is inf there, so s21 = 2/Delta is 0 while s11 and s22 are not finite.
-OVERFLOWING = CircuitParams(L=2.85e-9, L1=L1, C1=C1, R=0.1, R1=0.1, h=0.254e-3, eps_r=2.2,
-                            order=2, h1=10e-3, loss_tangent=2e4)
+#: A second-order ladder whose 5.08 m lossy spacers overflow near 4.447 GHz:
+#: Delta's real part is inf there, so s21 = 2/Delta is 0 while s11 and s22
+#: are not finite.  At 30 degrees the spacers are electrically shorter and
+#: every sample is finite.
+OVERFLOWING = CircuitParams(L=2.85e-9, L1=L1, C1=C1, R=0.1, R1=0.1, h=5.08, eps_r=2.2,
+                            order=2, h1=10e-3, loss_tangent=1.0)
 OVERFLOW_GRID = FrequencyGrid(4.446e9, 4.448e9, 11)
 
 
@@ -230,7 +232,7 @@ def test_simulate_with_non_finite_s11_writes_nothing(csv, tmp_path, capsys):
     # the first condition is finite throughout; the second has s11 = nan
     doc = {
         "mode": "simulate",
-        "circuit": {"order": 2, "l_nh": 2.85, "loss_tangent": 2e4},
+        "circuit": {"order": 2, "l_nh": 2.85, "h_mm": 5080, "loss_tangent": 1},
         "grid": {"f_start_ghz": 4.446, "f_stop_ghz": 4.448, "n_points": 11},
         "incidence": {"theta_deg": [30.0, 0.0], "pol": ["TE"]},
         "output": {"csv": csv, "touchstone": "response.s2p"},

@@ -185,6 +185,14 @@ class TestReaderErrors:
             read_touchstone(path)
         assert err.value.line_no == 1
 
+    @pytest.mark.parametrize("z_ref", ["nan", "inf", "-inf", "0", "-0.0", "-5"])
+    def test_reference_impedance_must_be_finite_and_positive(self, tmp_path, z_ref):
+        path = tmp_path / "ref.s2p"
+        path.write_text(f"! measured\n# GHz S RI R {z_ref}\n1.0 0 0 1 0 1 0 0 0\n")
+        with pytest.raises(TouchstoneError) as err:
+            read_touchstone(path)
+        assert str(err.value) == f"line 2: reference impedance must be finite and positive, got '{z_ref}'"
+
     def test_unsupported_parameter_type(self, tmp_path):
         path = tmp_path / "ytype.s2p"
         path.write_text("# GHz Y RI R 50\n1.0 0 0 1 0 1 0 0 0\n")
