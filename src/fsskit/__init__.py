@@ -30,6 +30,7 @@ from .builder import (
     calibrate_inductance_scale,
     grid_inductance,
     grid_resistance,
+    grid_width,
     params_from_geometry,
 )
 from .errors import (

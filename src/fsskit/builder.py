@@ -233,6 +233,16 @@ def grid_inductance(w: float, period: float, scale: float) -> float:
     return scale * math.log(1.0 / math.sin(math.pi * w / (2.0 * period)))
 
 
+def grid_width(l: float, period: float, scale: float) -> float:
+    """Strip width with grid inductance l: (2 period / pi) asin(exp(-l / scale)).
+
+    The exact inverse of grid_inductance for l > 0 and scale > 0.
+    """
+    if not (l > 0 and scale > 0):
+        raise DomainError(f"grid inductance and its scale must be positive, got {l}, {scale}")
+    return 2.0 * period / math.pi * math.asin(math.exp(-l / scale))
+
+
 def grid_resistance(w: float, scale: float) -> float:
     """Wire-grid sheet loss: scale / w."""
     if not w > 0:

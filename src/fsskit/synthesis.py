@@ -24,6 +24,7 @@ from .builder import (
     GeometryParams,
     build_network,
     grid_inductance,
+    grid_width,
     params_from_geometry,
 )
 from .errors import DomainError, InfeasibleSpecError, InfeasibleTargetError
@@ -143,13 +144,17 @@ def width_for_bandwidth(
     c1: float,
     w_range: tuple[float, float],
 ) -> float:
-    """Bisect the grid strip width until the simulated FBW meets the target.
+    """Find the grid strip width whose simulated FBW meets the target.
 
-    Each width is evaluated at normal incidence on a 2001-point grid that
-    brackets the passband over the whole width range.  Relies on the
-    fractional bandwidth being strictly decreasing in w.  Raises
-    InfeasibleTargetError (reporting the achievable range) when the target
-    lies outside [fbw(w_max), fbw(w_min)].
+    Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971) on
+    x = ln L(w), the log grid inductance, and g = ln fbw - ln fbw_target,
+    which is smooth and monotone in x.  Each trial x is mapped back to a
+    width with grid_width and clamped into the bracket.  Each width is
+    evaluated at normal incidence on a 2001-point grid that brackets the
+    passband over the whole width range.  Relies on the fractional
+    bandwidth being strictly decreasing in w.  Raises InfeasibleTargetError
+    (reporting the achievable range) when the target lies outside
+    [fbw(w_max), fbw(w_min)].
     """
     w_lo, w_hi = w_range
     if not 0 < w_lo <= w_hi < geometry.period:
@@ -173,16 +178,41 @@ def width_for_bandwidth(
             f"[{fbw_min:.6f}, {fbw_max:.6f}] for widths [{w_lo}, {w_hi}]",
             achievable=(fbw_min, fbw_max),
         )
+    if abs(fbw_max - fbw_target) < FBW_TOL:
+        return w_lo
+    if abs(fbw_min - fbw_target) < FBW_TOL:
+        return w_hi
 
+    # a target <= 0 gets here only as fbw_min - FBW_TOL exactly; every g is
+    # then +inf, so each step takes the midpoint and moves w_lo up
+    ln_target = math.log(fbw_target) if fbw_target > 0 else -math.inf
+
+    def ln_l(w: float) -> float:
+        return math.log(grid_inductance(w, geometry.period, cal.l_scale))
+
+    x_lo, g_lo = ln_l(w_lo), math.log(fbw_max) - ln_target
+    x_hi, g_hi = ln_l(w_hi), math.log(fbw_min) - ln_target
+    side = 0  # +1 after w_lo moved, -1 after w_hi moved
     while w_hi - w_lo > WIDTH_TOL:
-        w_mid = 0.5 * (w_lo + w_hi)
-        fbw_mid = metrics_at(w_mid).fbw
-        if abs(fbw_mid - fbw_target) < FBW_TOL:
-            return w_mid
-        if fbw_mid > fbw_target:
-            w_lo = w_mid
+        if g_lo == g_hi:
+            w = 0.5 * (w_lo + w_hi)
         else:
-            w_hi = w_mid
+            x = x_hi - g_hi * (x_lo - x_hi) / (g_lo - g_hi)
+            w = min(max(grid_width(math.exp(x), geometry.period, cal.l_scale), w_lo), w_hi)
+        fbw = metrics_at(w).fbw
+        if abs(fbw - fbw_target) < FBW_TOL:
+            return w
+        g = math.log(fbw) - ln_target
+        if fbw > fbw_target:
+            w_lo, x_lo, g_lo = w, ln_l(w), g
+            if side > 0:
+                g_hi *= 0.5
+            side = 1
+        else:
+            w_hi, x_hi, g_hi = w, ln_l(w), g
+            if side < 0:
+                g_lo *= 0.5
+            side = -1
     return 0.5 * (w_lo + w_hi)
 
 

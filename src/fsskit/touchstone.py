@@ -433,6 +433,20 @@ def _parse_lines(body: list[str], first_no: int, header: _Header) -> tuple[np.nd
     return _parse_records(records, header.mult, header.fmt)
 
 
+def _not_utf8(path: str | os.PathLike) -> TouchstoneError:
+    """The error for a file that is not UTF-8, at the line of its first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # line breaks as the text-mode read counts them: \r\n, \r and \n
+        head = data[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return TouchstoneError(f"file is not valid UTF-8 (byte 0x{data[exc.start]:02x})",
+                               head.count("\n") + 1)
+    return TouchstoneError("file is not valid UTF-8")
+
+
 def read_touchstone(path: str | os.PathLike) -> ResponseCurve:
     """Read a two-port .s2p file into a ResponseCurve (Hz, complex RI).
 
@@ -440,14 +454,19 @@ def read_touchstone(path: str | os.PathLike) -> ResponseCurve:
     package writes, ``! incidence theta_deg = <degrees>`` and
     ``! polarization = TE|TM``, which are restored when present.  An
     annotation whose value is missing or invalid raises TouchstoneError.
+    The file must be UTF-8; one byte-order mark at its start is dropped.
 
     When no comment or option line follows the first record, every record
     is parsed in one ``np.loadtxt`` call.  Any other file, and any file that
     call or a check of its rows rejects, is read line by line from the first
     record on, which gives the same values and names the earliest faulty line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    text = text.removeprefix("\ufeff")  # one byte-order mark, at the very start only
     # not splitlines(): it also splits at \x1c, \x85 and more, which would shift the line numbers
     lines = text.split("\n")
     header = _Header()

@@ -1,5 +1,6 @@
 """Geometry-to-circuit mapping and ladder assembly."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from fsskit.builder import (
     calibrate_inductance_scale,
     grid_inductance,
     grid_resistance,
+    grid_width,
     params_from_geometry,
 )
 from fsskit.errors import DomainError
@@ -56,6 +58,19 @@ class TestGridLaws:
         assert calibrate_inductance_scale(5.1e-3, 10.2e-3, 1e-9) == pytest.approx(
             2.8853900817779268e-9, rel=1e-12
         )
+
+    @pytest.mark.parametrize("period, scale", [(10.2e-3, K_L), (3.0e-3, 1e-9), (25e-3, 7.5e-9)])
+    def test_grid_width_inverts_grid_inductance(self, period, scale):
+        # above 0.999 period, L ~ (period - w)^2 and one ulp of w moves L by more than 1e-12
+        for w in np.random.default_rng(5).uniform(0.0, 0.999, 500) * period:
+            l = grid_inductance(w, period, scale)
+            assert grid_inductance(grid_width(l, period, scale), period, scale) == pytest.approx(l, rel=1e-12)
+            assert grid_width(l, period, scale) == pytest.approx(w, rel=1e-12)
+
+    @pytest.mark.parametrize("l, scale", [(0.0, K_L), (-1e-9, K_L), (math.nan, K_L), (1e-9, 0.0)])
+    def test_grid_width_domain(self, l, scale):
+        with pytest.raises(DomainError):
+            grid_width(l, 10.2e-3, scale)
 
     def test_resistance_values(self):
         assert grid_resistance(2.6e-3, 2.6e-4) == pytest.approx(0.1, rel=1e-12)

@@ -628,6 +628,13 @@ class TestMainEntry:
         assert main(["--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
         assert "line 2: dB magnitude overflows" in capsys.readouterr().err
 
+    def test_invalid_utf8_exits_as_input_data_error(self, tmp_path, capsys):
+        s2p = tmp_path / "latin.s2p"
+        s2p.write_bytes(b"# GHz S RI R 50\n1.0 0 0 1 0 1 0 0 0\xff\n")
+        path = self.write_config(tmp_path, {"mode": "analyze", "analyze": {"touchstone": str(s2p)}})
+        assert main(["--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
+        assert "input data error: line 2: file is not valid UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("annotation, error", [
         ("! incidence theta_deg = 95", "incidence angle"),
         ("! incidence theta_deg = forty", "bad incidence angle"),

@@ -39,7 +39,9 @@ GOLDEN = {
         "<stdout>": "164bbcc6bf517b960817868fe968ad8bc3b9e1416f50735b4df678dc03125e4c",
     },
     "synthesize.json": {
-        "<stdout>": "a2da9feab698d61a2f226f93877041f1fe22dfc13e56940d0b5e25f4608bb10d",
+        # strip_width_mm 1.8281638562180402 from the regula falsi width search
+        # (bisection gave 1.83984375); both meet fbw_target within FBW_TOL
+        "<stdout>": "fad3e9f8b03e355d160c27acea55dc6f5acfa65153a365a0e7e93565fae90924",
     },
     "width_sweep.json": {
         "width_metrics.csv": "8932d1513f5ffe40038f428d1d354bc93dd8006c0149bbf6fe67326056e6114f",

@@ -1,9 +1,14 @@
 """Element synthesis, width search, and least-squares parameter recovery."""
 
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fsskit import synthesis
 from fsskit.analysis import FrequencyGrid, ResponseCurve, passband_freq, sweep_response, unloaded_q, zero_freq
 from fsskit.builder import (
     DEFAULT_CALIBRATION,
@@ -13,6 +18,7 @@ from fsskit.builder import (
 )
 from fsskit.errors import DomainError, InfeasibleSpecError, InfeasibleTargetError
 from fsskit.synthesis import (
+    FBW_TOL,
     DesignSpec,
     FitProblem,
     SynthesizedLC,
@@ -148,6 +154,77 @@ class TestWidthForBandwidth:
             width_for_bandwidth(
                 0.3, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, (0.0, 3e-3)
             )
+
+
+#: (l1, c1) of two rings: the shipped synthesize.json block and a second one
+RINGS = (
+    (synthesize_lc(DesignSpec(F_P, F_Z, 0.6e-12)).l1, 0.6e-12),
+    (2.4e-9, 0.45e-12),
+)
+WIDTHS = (0.3e-3, 3.0e-3)
+
+
+def ring_evaluator(ring):
+    l1, c1 = ring
+    grid = synthesis._auto_grid(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, l1, c1, WIDTHS)
+    return synthesis.width_evaluator(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, l1, c1, grid, NORMAL)
+
+
+@functools.cache
+def achievable(ring) -> tuple[float, float]:
+    """(fbw(w_max), fbw(w_min)), the range InfeasibleTargetError reports."""
+    metrics_at = ring_evaluator(ring)
+    return metrics_at(WIDTHS[1]).fbw, metrics_at(WIDTHS[0]).fbw
+
+
+@st.composite
+def ring_targets(draw):
+    ring = draw(st.sampled_from(RINGS))
+    lo, hi = achievable(ring)
+    return ring, draw(st.floats(lo - 0.05, hi + 0.05))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_targets())
+def test_width_meets_the_target_or_the_target_is_infeasible(case):
+    ring, target = case
+    lo, hi = achievable(ring)
+    try:
+        w = width_for_bandwidth(target, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, *ring, WIDTHS)
+    except InfeasibleTargetError as err:
+        assert err.achievable == (lo, hi)
+        assert not lo - FBW_TOL <= target <= hi + FBW_TOL
+        return
+    assert WIDTHS[0] <= w <= WIDTHS[1]
+    assert abs(ring_evaluator(ring)(w).fbw - target) < FBW_TOL
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_a_bracket_end_that_meets_the_target_is_returned(end):
+    target = achievable(RINGS[0])[1 - end] + (0.5 - end) * FBW_TOL
+    w = width_for_bandwidth(target, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, *RINGS[0], WIDTHS)
+    assert w == WIDTHS[end]
+
+
+def test_bench_targets_take_at_most_six_evaluations(monkeypatch):
+    """Both bracket ends included; bisection on w takes up to 11 on these targets."""
+    calls = []
+    evaluator = synthesis.width_evaluator
+
+    def counting(*args):
+        metrics_at = evaluator(*args)
+
+        def counted(w):
+            calls[-1] += 1
+            return metrics_at(w)
+
+        return counted
+
+    monkeypatch.setattr(synthesis, "width_evaluator", counting)
+    for target in np.linspace(0.18, 0.48, 61):
+        calls.append(0)
+        width_for_bandwidth(float(target), DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, *RINGS[0], WIDTHS)
+    assert max(calls) <= 6
 
 
 def reference_truth() -> CircuitParams:

@@ -158,6 +158,38 @@ class TestReaderFormats:
         assert len(curve) == 2
 
 
+class TestReaderEncoding:
+    RECORD = "1.0 0 0 1 0 1 0 0 0\n"
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.s2p"
+        path.write_text("\ufeff! exported\n# GHz S RI R 50\n" + self.RECORD, encoding="utf-8")
+        curve = read_touchstone(path)
+        assert curve.freqs.tolist() == [1e9]
+        assert curve.s21.tolist() == [1 + 0j]
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("\ufeff\ufeff! exported\n# GHz S RI R 50\n" + RECORD, 1),
+        ("! exported\n\ufeff# GHz S RI R 50\n" + RECORD, 2),
+        ("# GHz S RI R 50\n\ufeff" + RECORD, 2),
+    ])
+    def test_byte_order_mark_anywhere_else_is_rejected(self, tmp_path, text, line_no):
+        path = tmp_path / "bom.s2p"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(TouchstoneError) as err:
+            read_touchstone(path)
+        assert err.value.line_no == line_no
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_invalid_utf8_names_the_line_of_the_bad_byte(self, tmp_path, newline):
+        path = tmp_path / "latin.s2p"
+        head = newline.join(["! exported", "# GHz S RI R 50", "1.0 0 0 1 0 1 0 0 0", "2.0 0 0 1 0 1 0 0 "])
+        path.write_bytes(head.encode() + b"\xff" + newline.encode())
+        with pytest.raises(TouchstoneError) as err:
+            read_touchstone(path)
+        assert str(err.value) == "line 4: file is not valid UTF-8 (byte 0xff)"
+
+
 class TestReaderErrors:
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "cols.s2p"
