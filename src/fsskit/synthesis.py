@@ -27,8 +27,14 @@ from .builder import (
     grid_width,
     params_from_geometry,
 )
-from .errors import DomainError, InfeasibleSpecError, InfeasibleTargetError
-from .twoport import NORMAL, IncidenceCondition
+from .errors import (
+    BandNotBracketedError,
+    DomainError,
+    InfeasibleSpecError,
+    InfeasibleTargetError,
+    OneSidedBandError,
+)
+from .twoport import NORMAL, IncidenceCondition, SMatrix
 
 
 @dataclass(frozen=True)
@@ -153,8 +159,8 @@ def width_for_bandwidth(
     evaluated at normal incidence on a 2001-point grid that brackets the
     passband over the whole width range.  Relies on the fractional
     bandwidth being strictly decreasing in w.  Raises InfeasibleTargetError
-    (reporting the achievable range) when the target lies outside
-    [fbw(w_max), fbw(w_min)].
+    (reporting the achievable range) when the target is not within
+    FBW_TOL of [fbw(w_max), fbw(w_min)].
     """
     w_lo, w_hi = w_range
     if not 0 < w_lo <= w_hi < geometry.period:
@@ -172,7 +178,8 @@ def width_for_bandwidth(
             achievable=(fbw_max, fbw_max),
         )
     fbw_min = metrics_at(w_hi).fbw
-    if not fbw_min - FBW_TOL <= fbw_target <= fbw_max + FBW_TOL:
+    # strict: at either edge no width can come within FBW_TOL of the target
+    if not fbw_min - FBW_TOL < fbw_target < fbw_max + FBW_TOL:
         raise InfeasibleTargetError(
             f"bandwidth target {fbw_target:.6f} outside the achievable range "
             f"[{fbw_min:.6f}, {fbw_max:.6f}] for widths [{w_lo}, {w_hi}]",
@@ -183,8 +190,8 @@ def width_for_bandwidth(
     if abs(fbw_min - fbw_target) < FBW_TOL:
         return w_hi
 
-    # a target <= 0 gets here only as fbw_min - FBW_TOL exactly; every g is
-    # then +inf, so each step takes the midpoint and moves w_lo up
+    # a target <= 0 gets here only by rounding, within an ulp of fbw_min - FBW_TOL;
+    # every g is then +inf, so each step takes the midpoint and moves w_lo up
     ln_target = math.log(fbw_target) if fbw_target > 0 else -math.inf
 
     def ln_l(w: float) -> float:
@@ -271,45 +278,80 @@ class FitResult:
     residual_history: tuple[float, ...] = ()
 
 
+def _model_smatrix(problem: FitProblem, values: Mapping[str, object]) -> SMatrix:
+    """The model at the given element values, on the observed frequencies and incidence."""
+    net = build_network(replace(problem.base, **values), mirrored=problem.mirrored)
+    return network_smatrix(net, problem.observed.freqs, problem.observed.incidence)
+
+
+def aligned_start(problem: FitProblem) -> dict[str, float]:
+    """The start of problem with its model passband moved onto the observed one.
+
+    The circuit's passband lies near 1/(2 pi sqrt((L + L1) C1)), so with
+    r = (f_c,model / f_c,observed)^2 the free ones of L and L1 are scaled
+    by r, which keeps C1 and the ratio L1/L; if neither is free, a free C1
+    is scaled instead.  Each value is clipped into its bounds.  Costs one
+    model call at the start, which reads s21 alone.  The start is returned
+    unchanged when none of L, L1 and C1 is free, or when either passband
+    cannot be extracted (not bracketed by the grid, or one-sided).
+    """
+    start = {name: problem.initial[name] for name in problem.free}
+    scaled = [name for name in ("L", "L1") if name in start] or [n for n in ("C1",) if n in start]
+    if not scaled:
+        return start
+    observed = problem.observed
+    s = vars(_model_smatrix(problem, start))  # s11 and s22 stay unread
+    model = ResponseCurve(freqs=observed.freqs, s11=s["s11"], s21=s["s21"],
+                          incidence=observed.incidence)
+    try:
+        ratio = (extract_metrics(model).f_c / extract_metrics(observed).f_c) ** 2
+    except (BandNotBracketedError, OneSidedBandError):
+        return start
+    for name in scaled:
+        lo, hi = problem.bounds[name]
+        start[name] = min(max(start[name] * ratio, lo), hi)
+    return start
+
+
 def fit_circuit(problem: FitProblem) -> FitResult:
     """Damped least squares on |s21| residuals with a finite-difference Jacobian.
 
-    Levenberg damping: steps that increase the residual are rejected and
-    the damping grows; accepted steps shrink it.  The Jacobian uses central
-    differences with a relative step of 1e-6 in a scaled parameter space;
-    all 2k perturbed parameter sets are evaluated as one batch.  A singular
-    normal matrix only increases the damping, never aborts.  A step that
-    clipping at the bounds cuts below the step tolerance is a stall, not a
-    minimum: the fit ends unconverged, "stalled at bound <clipped names>".
+    The fit starts from aligned_start(problem), not from problem.initial,
+    so a start whose passband misses the observed one still converges;
+    the parameters are scaled by that aligned start.  Levenberg damping:
+    steps that increase the residual are rejected and the damping grows;
+    accepted steps shrink it.  The Jacobian uses central differences with
+    a relative step of 1e-6 in the scaled parameter space.  Every point,
+    the start and each trial step, is evaluated with its 2k perturbed
+    parameter sets as one batch of 1 + 2k rows, so a fit makes one model
+    call per trial step, and an accepted step already has its Jacobian.
+    A singular normal matrix only increases the damping, never aborts.  A
+    step that clipping at the bounds cuts below the step tolerance is a
+    stall, not a minimum: the fit ends unconverged, "stalled at bound
+    <clipped names>".
     """
+    problem = replace(problem, initial=aligned_start(problem))
     obs = np.abs(problem.observed.s21)
     scale = np.array([abs(problem.initial[n]) for n in problem.free])
     lo = np.array([problem.bounds[n][0] for n in problem.free]) / scale
     hi = np.array([problem.bounds[n][1] for n in problem.free]) / scale
     u = np.clip(np.ones(len(problem.free)), lo, hi)
+    k = u.size
+    eye = np.eye(k, dtype=bool)
 
-    def residuals(rows: np.ndarray) -> np.ndarray:
-        """(m, nf) residuals of the m scaled parameter sets in the rows."""
+    def evaluate(u_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals at u_vec and their (nf, k) Jacobian, from one model call."""
+        h = 1e-6 * np.maximum(np.abs(u_vec), 1e-3)
+        up = np.minimum(u_vec + h, hi)
+        dn = np.maximum(u_vec - h, lo)
+        rows = np.concatenate([u_vec[None, :], np.where(eye, up, u_vec), np.where(eye, dn, u_vec)])
         values = rows * scale
-        batch = {name: values[:, i:i + 1] for i, name in enumerate(problem.free)}
-        net = build_network(replace(problem.base, **batch), mirrored=problem.mirrored)
-        s = network_smatrix(net, problem.observed.freqs, problem.observed.incidence)
-        return np.abs(s.s21) - obs
-
-    def residual(u_vec: np.ndarray) -> np.ndarray:
-        return residuals(u_vec[None, :])[0]
-
-    def jacobian(u_vec: np.ndarray) -> np.ndarray:
-        k = u_vec.size
-        step = 1e-6 * np.maximum(np.abs(u_vec), 1e-3)
-        up = np.minimum(u_vec + step, hi)
-        dn = np.maximum(u_vec - step, lo)
-        eye = np.eye(k, dtype=bool)
-        res = residuals(np.concatenate([np.where(eye, up, u_vec), np.where(eye, dn, u_vec)]))
+        s = _model_smatrix(problem, {name: values[:, i:i + 1] for i, name in enumerate(problem.free)})
+        res = np.abs(s.s21) - obs
         # BLAS rounds jac.T @ jac differently for an F-ordered jac, so keep C order
-        return np.ascontiguousarray(((res[:k] - res[k:]) / (up - dn)[:, None]).T)
+        return res[0], np.ascontiguousarray(((res[1:k + 1] - res[k + 1:]) / (up - dn)[:, None]).T)
 
-    r = residual(u)
+    r, jac = evaluate(u)
     cost = float(r @ r)
     lam = 1e-3
     iterations = 0
@@ -318,7 +360,6 @@ def fit_circuit(problem: FitProblem) -> FitResult:
     history = [math.sqrt(cost)]
 
     for iterations in range(1, MAX_ITERATIONS + 1):
-        jac = jacobian(u)
         jtj = jac.T @ jac
         jtr = jac.T @ r
         diag = np.maximum(np.diag(jtj), 1e-30)
@@ -330,7 +371,7 @@ def fit_circuit(problem: FitProblem) -> FitResult:
                 lam *= 10.0
                 continue
             u_new = np.clip(u + step, lo, hi)
-            r_new = residual(u_new)
+            r_new, jac_new = evaluate(u_new)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:
                 accepted = True
@@ -343,7 +384,7 @@ def fit_circuit(problem: FitProblem) -> FitResult:
         rel_step = float(np.max(np.abs(u_new - u) / np.maximum(np.abs(u), 1e-30)))
         clipped = [name for name, hit in zip(problem.free, u + step != u_new) if hit]
         improvement = cost - cost_new
-        u, r, cost = u_new, r_new, cost_new
+        u, r, jac, cost = u_new, r_new, jac_new, cost_new
         history.append(math.sqrt(cost))
         lam = max(lam / 3.0, 1e-12)
         if rel_step < STEP_TOL:

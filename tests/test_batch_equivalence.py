@@ -1,10 +1,11 @@
 """The batch axis of the element values against one evaluation per row.
 
 CircuitParams element values may be (k, 1) column arrays, and fit_circuit
-evaluates all 2k central-difference rows of its Jacobian in one model
-call.  These tests check both against scalar evaluations, bit for bit: the
-batched network against k separate networks, and fit_circuit against the
-former per-column fit, which is kept here as the reference.
+evaluates each point with the 2k central-difference rows of its Jacobian
+in one model call.  These tests check both against scalar evaluations,
+bit for bit: the batched network against k separate networks, and
+fit_circuit against the former per-column fit, which is kept here as the
+reference and run from the same aligned start.
 """
 
 import math
@@ -13,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fsskit import synthesis
 from fsskit.analysis import FrequencyGrid, network_smatrix, sweep_response
 from fsskit.builder import CircuitParams, build_network, build_second_order
 from fsskit.synthesis import (
@@ -21,6 +23,7 @@ from fsskit.synthesis import (
     STEP_TOL,
     FitProblem,
     FitResult,
+    aligned_start,
     fit_circuit,
 )
 from fsskit.twoport import NORMAL, IncidenceCondition, Polarization
@@ -146,13 +149,40 @@ def five_parameter_problem() -> FitProblem:
 @pytest.mark.parametrize("make_problem", [criterion_8_problem, five_parameter_problem])
 def test_fit_matches_per_column_reference_bit_for_bit(make_problem):
     problem = make_problem()
-    got, want = fit_circuit(problem), reference_fit(problem)
+    got, want = fit_circuit(problem), reference_fit(replace(problem, initial=aligned_start(problem)))
     assert got.iterations == want.iterations
     assert list(got.params) == list(want.params)
     assert _hex(got.params.values()) == _hex(want.params.values())
     assert float(got.residual_norm).hex() == float(want.residual_norm).hex()
     assert _hex(got.residual_history) == _hex(want.residual_history)
     assert (got.converged, got.message) == (want.converged, want.message)
+
+
+def test_fit_makes_one_model_call_per_trial_step(monkeypatch):
+    """1 call aligns the start, 1 evaluates it, and each trial step takes 1 for its
+    residual and Jacobian together: no separate Jacobian call remains."""
+    rows = []
+    solves = []
+    smatrix, solve = synthesis.network_smatrix, np.linalg.solve
+
+    def counting_smatrix(*args, **kwargs):
+        s = smatrix(*args, **kwargs)
+        rows.append(s.s21.shape[:-1])
+        return s
+
+    def counting_solve(*args):
+        x = solve(*args)  # a singular matrix raises before it is counted
+        solves.append(x)
+        return x
+
+    monkeypatch.setattr(synthesis, "network_smatrix", counting_smatrix)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    result = fit_circuit(criterion_8_problem())
+    assert result.converged
+    assert len(solves) >= result.iterations
+    assert len(rows) == 1 + 1 + len(solves)
+    assert rows[0] == ()  # the alignment call, at the user's start alone
+    assert set(rows[1:]) == {(1 + 2 * 3,)}
 
 
 ROWS = {

@@ -488,6 +488,25 @@ class TestFitMode:
         assert summary["residual_norm"] < 1e-6
 
 
+    def test_fit_from_a_start_whose_passband_misses_the_observed_one(self, tmp_path, capsys):
+        # 30 % low on all three, in the default start/4 to start x4 box
+        run(parse_config(json.dumps(simulate_doc())), out_dir=tmp_path)
+        doc = {
+            "mode": "fit",
+            "circuit": {**REFERENCE_CIRCUIT, "l_nh": 2.85 * 0.7, "l1_nh": 1.61 * 0.7, "c1_pf": 0.6 * 0.7},
+            "fit": {"touchstone": str(tmp_path / "response_te0deg.s2p"), "free": ["l_nh", "l1_nh", "c1_pf"]},
+        }
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["converged"] is True
+        assert summary["fitted"]["l_nh"] == pytest.approx(2.85, rel=1e-2)
+        assert summary["fitted"]["l1_nh"] == pytest.approx(1.61, rel=1e-2)
+        assert summary["fitted"]["c1_pf"] == pytest.approx(0.6, rel=1e-2)
+
+
 class TestShippedConfigs:
     def configs_dir(self):
         from pathlib import Path

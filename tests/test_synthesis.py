@@ -2,6 +2,8 @@
 
 
 import functools
+import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsskit import synthesis
-from fsskit.analysis import FrequencyGrid, ResponseCurve, passband_freq, sweep_response, unloaded_q, zero_freq
+from fsskit.analysis import (
+    FrequencyGrid,
+    ResponseCurve,
+    extract_metrics,
+    passband_freq,
+    sweep_response,
+    unloaded_q,
+    zero_freq,
+)
 from fsskit.builder import (
     DEFAULT_CALIBRATION,
     DEFAULT_GEOMETRY,
@@ -22,6 +32,7 @@ from fsskit.synthesis import (
     DesignSpec,
     FitProblem,
     SynthesizedLC,
+    aligned_start,
     fit_circuit,
     loss_budget_for_q,
     synthesize_lc,
@@ -149,6 +160,19 @@ class TestWidthForBandwidth:
                 (1.0e-3, 1.0e-3),
             )
 
+    @pytest.mark.parametrize("edge", ["lower", "upper"])
+    def test_a_target_at_the_edge_of_the_range_is_infeasible(self, edge):
+        # no width comes within FBW_TOL of a target exactly FBW_TOL past an end
+        from fsskit.synthesis import _auto_grid, width_evaluator
+
+        grid = _auto_grid(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, self.RANGE)
+        metrics_at = width_evaluator(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, grid, NORMAL)
+        fbw_min, fbw_max = metrics_at(self.RANGE[1]).fbw, metrics_at(self.RANGE[0]).fbw
+        target = fbw_min - FBW_TOL if edge == "lower" else fbw_max + FBW_TOL
+        with pytest.raises(InfeasibleTargetError) as err:
+            width_for_bandwidth(target, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, self.RANGE)
+        assert err.value.achievable == (fbw_min, fbw_max)
+
     def test_bad_range_rejected(self):
         with pytest.raises(DomainError):
             width_for_bandwidth(
@@ -274,23 +298,25 @@ class TestFitCircuit:
         assert result.params["C1"] == pytest.approx(truth.C1, rel=1e-2)
 
     def test_step_clipped_to_nothing_at_the_bounds_is_a_stall(self):
-        # 30 % low on all three, the model passband misses the observed one and
-        # the steps run L and L1 to their lower bounds and C1 to its upper one
+        # the box excludes the truth: (L + L1) C1 is at most 60 % of the truth's,
+        # so every model passband in it lies above the observed one; the steps
+        # run L and L1 to their upper bounds and C1 to its lower one
         truth = reference_truth()
+        bounds = {"L": (0.5e-9, 2.0e-9), "L1": (0.3e-9, 1.2e-9), "C1": (0.1e-12, 0.5e-12)}
         problem = FitProblem(
             observed=observed_curve(truth),
             base=truth,
             free=("L", "L1", "C1"),
-            initial={"L": truth.L * 0.7, "L1": truth.L1 * 0.7, "C1": truth.C1 * 0.7},
-            bounds=BOUNDS,
+            initial={"L": 1.9e-9, "L1": 1.0e-9, "C1": 0.45e-12},
+            bounds=bounds,
         )
         result = fit_circuit(problem)
         assert not result.converged
         assert result.message == "stalled at bound L, L1, C1"
         assert result.residual_norm > 1.0
-        assert result.params["L"] == pytest.approx(BOUNDS["L"][0], rel=1e-12)
-        assert result.params["L1"] == pytest.approx(BOUNDS["L1"][0], rel=1e-12)
-        assert result.params["C1"] == pytest.approx(BOUNDS["C1"][1], rel=1e-12)
+        assert result.params["L"] == pytest.approx(bounds["L"][1], rel=1e-12)
+        assert result.params["L1"] == pytest.approx(bounds["L1"][1], rel=1e-12)
+        assert result.params["C1"] == pytest.approx(bounds["C1"][0], rel=1e-12)
 
     def test_five_parameter_fit(self):
         truth = CircuitParams(
@@ -383,6 +409,80 @@ class TestFitCircuit:
                 observed=curve, base=truth, free=("C1",),
                 initial={"C1": 1e-12}, bounds={"C1": (-1e-12, 2e-12)},  # reactive <= 0
             )
+
+
+#: each of L, L1 and C1 lowered by 10, 20 or 30 %: 27 starts, some of whose
+#: passbands miss the observed one
+LOW_STARTS = list(itertools.product((0.9, 0.8, 0.7), repeat=3))
+#: the start box: criterion 8's, or the CLI's default of start/4 to start x4
+START_BOXES = {
+    "criterion-8": lambda start: BOUNDS,
+    "cli-default": lambda start: {name: (v / 4.0, v * 4.0) for name, v in start.items()},
+}
+
+
+@pytest.mark.parametrize("box", START_BOXES.values(), ids=START_BOXES)
+@pytest.mark.parametrize("factors", LOW_STARTS, ids=lambda f: "/".join(map(str, f)))
+def test_every_low_start_recovers_the_truth(factors, box):
+    truth = reference_truth()
+    start = {name: getattr(truth, name) * x for name, x in zip(("L", "L1", "C1"), factors)}
+    problem = FitProblem(observed=observed_curve(truth), base=truth, free=tuple(start),
+                         initial=start, bounds=box(start))
+    result = fit_circuit(problem)
+    assert result.converged, result.message
+    assert result.residual_norm < 1e-6
+    for name in start:
+        assert result.params[name] == pytest.approx(getattr(truth, name), rel=1e-2)
+
+
+def test_aligned_start_moves_the_model_passband_onto_the_observed_one():
+    truth = reference_truth()
+    observed = observed_curve(truth)
+    start = {"L": truth.L * 0.7, "L1": truth.L1 * 0.7, "C1": truth.C1 * 0.7}
+    problem = FitProblem(observed=observed, base=truth, free=tuple(start), initial=start, bounds=BOUNDS)
+    aligned = aligned_start(problem)
+    assert aligned["C1"] == start["C1"]
+    assert aligned["L1"] / aligned["L"] == pytest.approx(start["L1"] / start["L"], rel=1e-12)
+    model = observed_curve(replace(truth, **aligned))
+    assert extract_metrics(model).f_c == pytest.approx(extract_metrics(observed).f_c, rel=1e-2)
+
+
+def test_aligned_start_scales_c1_when_neither_inductance_is_free():
+    truth = reference_truth()
+    problem = FitProblem(observed=observed_curve(truth), base=truth, free=("C1", "R"),
+                         initial={"C1": truth.C1 * 0.7, "R": 0.1},
+                         bounds={"C1": BOUNDS["C1"], "R": (0.0, 2.0)})
+    aligned = aligned_start(problem)
+    assert aligned["R"] == 0.1
+    assert aligned["C1"] == pytest.approx(truth.C1, rel=1e-2)
+
+
+@pytest.mark.parametrize(
+    "free, grid",
+    [
+        (("R", "R1"), FrequencyGrid(1e9, 5e9, 401)),  # nothing to scale
+        (("L", "L1", "C1"), FrequencyGrid(1e9, 2.5e9, 401)),  # observed peak at the grid's end
+    ],
+    ids=["resistances", "unbracketed"],
+)
+def test_aligned_start_keeps_the_start_it_cannot_align(free, grid):
+    truth = reference_truth()
+    start = {"L": truth.L * 0.7, "L1": truth.L1 * 0.7, "C1": truth.C1 * 0.7, "R": 0.3, "R1": 0.2}
+    start = {name: start[name] for name in free}
+    bounds = {**BOUNDS, "R": (0.0, 2.0), "R1": (0.0, 2.0)}
+    problem = FitProblem(observed=sweep_response(build_second_order(truth), grid, NORMAL),
+                         base=truth, free=free, initial=start,
+                         bounds={name: bounds[name] for name in free})
+    assert aligned_start(problem) == start
+
+
+def test_aligned_start_is_clipped_into_the_bounds():
+    truth = reference_truth()
+    start = {"L": truth.L * 0.7, "L1": truth.L1 * 0.7}
+    bounds = {"L": (0.5e-9, truth.L * 0.8), "L1": (0.3e-9, truth.L1 * 0.8)}
+    problem = FitProblem(observed=observed_curve(truth), base=truth, free=tuple(start),
+                         initial=start, bounds=bounds)
+    assert aligned_start(problem) == {"L": bounds["L"][1], "L1": bounds["L1"][1]}
 
 
 class TestSynthesizedType:
