@@ -9,15 +9,7 @@ import numpy as np
 
 from .builder import LayeredNetwork
 from .errors import BandNotBracketedError, DomainError, OneSidedBandError
-from .twoport import (
-    NORMAL,
-    FormedOnRead,
-    IncidenceCondition,
-    Reflections,
-    SMatrix,
-    abcd_to_s,
-    wave_impedance,
-)
+from .twoport import NORMAL, IncidenceCondition, SMatrix, abcd_to_s, wave_impedance
 
 #: Magnitudes are floored here before taking logs so dB values stay finite.
 _DB_FLOOR = 1e-300
@@ -73,52 +65,45 @@ class FrequencyGrid:
         return np.linspace(self.f_start, self.f_stop, self.n_points)
 
 
-def _check_finite(name: str, v: np.ndarray) -> None:
-    if not np.all(np.isfinite(v)):
-        raise DomainError(f"{name} contains non-finite samples")
-
-
 @dataclass(frozen=True)
 class ResponseCurve:
     """Sampled complex reflection/transmission for one incidence condition.
 
     freqs holds the sample frequencies in Hz (strictly increasing, not
     necessarily uniform, so curves loaded from interchange files fit the
-    same type).  s22 is kept when the source network provides it; synthetic
-    curves may omit it.
+    same type).  s11 and s22 are None when the curve was swept for s21
+    alone (see sweep_response); synthetic curves may omit s22.
 
-    Every array is checked: its shape against freqs at construction, and
-    its samples for finiteness.  s11 and s22 may be given as the unread
-    Reflections of an SMatrix (see sweep_response); their shape is known,
-    and they are formed and checked for finiteness on first read, so a
-    non-finite s11 raises there instead of here.
+    Every array held is checked at construction: freqs for a finite 1-D
+    grid, and each S-parameter for its shape against freqs and for finite
+    samples.
     """
 
     freqs: np.ndarray
-    s11: np.ndarray = FormedOnRead(check=_check_finite)
+    s11: np.ndarray | None
     s21: np.ndarray
     incidence: IncidenceCondition = NORMAL
-    s22: np.ndarray | None = FormedOnRead(default=None, check=_check_finite)
+    s22: np.ndarray | None = None
 
     def __post_init__(self):
-        stored = vars(self)  # s11 and s22 as given, without forming them
         freqs = np.asarray(self.freqs, dtype=float)
         object.__setattr__(self, "freqs", freqs)
-        for name in ("s11", "s21", "s22"):
-            if stored[name] is not None and stored[name].__class__ is not Reflections:
-                object.__setattr__(self, name, np.asarray(stored[name], dtype=complex))
         if freqs.ndim != 1 or freqs.size < 1:
             raise DomainError("a response curve needs a 1-D grid of frequencies")
+        if not np.all(np.isfinite(freqs)):
+            raise DomainError("freqs contains non-finite samples")
         if np.any(np.diff(freqs) <= 0):
             raise DomainError("curve frequencies must be strictly increasing")
         for name in ("s11", "s21", "s22"):
-            v = stored[name]
+            v = getattr(self, name)
             if v is None:
                 continue
+            v = np.asarray(v, dtype=complex)
+            object.__setattr__(self, name, v)
             if v.shape != freqs.shape:
                 raise DomainError(f"{name} sample count does not match the grid")
-            if v.__class__ is not Reflections:
-                _check_finite(name, v)
+            if not np.all(np.isfinite(v)):
+                raise DomainError(f"{name} contains non-finite samples")
 
     def __len__(self) -> int:
         return self.freqs.size
@@ -137,14 +122,20 @@ class PassbandMetrics:
 
 
 def network_smatrix(
-    net: LayeredNetwork, f, inc: IncidenceCondition = NORMAL, reuse: dict | None = None
+    net: LayeredNetwork,
+    f,
+    inc: IncidenceCondition = NORMAL,
+    reuse: dict | None = None,
+    reflections: bool = True,
 ) -> SMatrix:
     """Evaluate a ladder at one or more frequencies.
 
     The port reference is the oblique free-space wave impedance for the
-    given incidence, on both sides.  reuse is passed to LayeredNetwork.abcd.
+    given incidence, on both sides.  reuse is passed to LayeredNetwork.abcd,
+    reflections to abcd_to_s.
     """
-    return abcd_to_s(net.abcd(f, inc, reuse), wave_impedance(inc.theta, inc.polarization))
+    z_ref = wave_impedance(inc.theta, inc.polarization)
+    return abcd_to_s(net.abcd(f, inc, reuse), z_ref, reflections)
 
 
 def sweep_response(
@@ -152,17 +143,17 @@ def sweep_response(
     grid: FrequencyGrid,
     inc: IncidenceCondition = NORMAL,
     reuse: dict | None = None,
+    reflections: bool = True,
 ) -> ResponseCurve:
     """Vectorized frequency sweep of a ladder network.
 
     A loop over ladders on one grid and incidence passes the same reuse
-    mapping to every call (see LayeredNetwork.abcd).  The curve takes s11
-    and s22 unread from abcd_to_s, so they are formed, and checked for
-    finiteness, only if they are read.
+    mapping to every call (see LayeredNetwork.abcd).  With
+    reflections=False the curve holds s21 alone: s11 and s22 are None.
     """
     f = grid.points
-    s = vars(network_smatrix(net, f, inc, reuse))  # s11 and s22 stay unread
-    return ResponseCurve(freqs=f, s11=s["s11"], s21=s["s21"], incidence=inc, s22=s["s22"])
+    s = network_smatrix(net, f, inc, reuse, reflections)
+    return ResponseCurve(freqs=f, s11=s.s11, s21=s.s21, incidence=inc, s22=s.s22)
 
 
 def _parabolic_vertex(x0, x1, x2, y0, y1, y2):

@@ -250,6 +250,8 @@ def _fit_settings(cfg: RunConfig, free: list, initial: dict, bounds: dict) -> No
     for name in free:
         if not (isinstance(name, str) and name in _FIT_KEYS):
             raise ConfigError(f"unknown fit parameter {name!r}; allowed: {', '.join(_FIT_KEYS)}")
+    if len(set(free)) < len(free):
+        raise ConfigError(f"'fit.free' names a parameter twice: {free!r}")
     for part, given in (("initial", initial), ("bounds", bounds)):
         _check_keys(given, set(_FIT_KEYS), f"fit.{part}")
         _reject_unread("fit", [f"fit.{part}.{k}" for k in given if k not in free], " (not in fit.free)")
@@ -395,12 +397,8 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
             )
         angles[token] = math.degrees(inc.theta)
     net = build_network(cfg.circuit, mirrored=cfg.mirrored)
-    pairs = []
-    for inc in cfg.incidence:
-        # a mapping per condition: repeated elements of the stack are evaluated once
-        curve = sweep_response(net, cfg.grid, inc, {})
-        curve.s11, curve.s22  # formed and checked here, before any file is opened
-        pairs.append((inc, curve))
+    # a mapping per condition: repeated elements of the stack are evaluated once
+    pairs = [(inc, sweep_response(net, cfg.grid, inc, {})) for inc in cfg.incidence]
 
     artifacts: list[str] = []
     if cfg.csv_name:

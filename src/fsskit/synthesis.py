@@ -130,7 +130,7 @@ def width_evaluator(
         # the pages in again (+23% time on 16 widths of 20001 points)
         nonlocal curve
         params = params_from_geometry(replace(geometry, strip_width=w), cal, l1, c1)
-        curve = sweep_response(build_network(params), grid, inc, reuse)
+        curve = sweep_response(build_network(params), grid, inc, reuse, reflections=False)
         return extract_metrics(curve)
 
     return metrics_at
@@ -251,6 +251,8 @@ class FitProblem:
     def __post_init__(self):
         if not self.free:
             raise DomainError("fit requires at least one free parameter")
+        if len(set(self.free)) < len(self.free):
+            raise DomainError(f"fit parameters must be distinct, got {self.free}")
         for name in self.free:
             if name not in FITTABLE:
                 raise DomainError(f"unknown fit parameter {name!r}; choose from {FITTABLE}")
@@ -281,7 +283,8 @@ class FitResult:
 def _model_smatrix(problem: FitProblem, values: Mapping[str, object]) -> SMatrix:
     """The model at the given element values, on the observed frequencies and incidence."""
     net = build_network(replace(problem.base, **values), mirrored=problem.mirrored)
-    return network_smatrix(net, problem.observed.freqs, problem.observed.incidence)
+    observed = problem.observed
+    return network_smatrix(net, observed.freqs, observed.incidence, reflections=False)
 
 
 def aligned_start(problem: FitProblem) -> dict[str, float]:
@@ -300,9 +303,8 @@ def aligned_start(problem: FitProblem) -> dict[str, float]:
     if not scaled:
         return start
     observed = problem.observed
-    s = vars(_model_smatrix(problem, start))  # s11 and s22 stay unread
-    model = ResponseCurve(freqs=observed.freqs, s11=s["s11"], s21=s["s21"],
-                          incidence=observed.incidence)
+    s21 = _model_smatrix(problem, start).s21
+    model = ResponseCurve(freqs=observed.freqs, s11=None, s21=s21, incidence=observed.incidence)
     try:
         ratio = (extract_metrics(model).f_c / extract_metrics(observed).f_c) ** 2
     except (BandNotBracketedError, OneSidedBandError):
@@ -318,7 +320,8 @@ def fit_circuit(problem: FitProblem) -> FitResult:
 
     The fit starts from aligned_start(problem), not from problem.initial,
     so a start whose passband misses the observed one still converges;
-    the parameters are scaled by that aligned start.  Levenberg damping:
+    the parameters are scaled by that aligned start (a start of 0 by the
+    larger magnitude of its bounds).  Levenberg damping:
     steps that increase the residual are rejected and the damping grows;
     accepted steps shrink it.  The Jacobian uses central differences with
     a relative step of 1e-6 in the scaled parameter space.  Every point,
@@ -332,10 +335,11 @@ def fit_circuit(problem: FitProblem) -> FitResult:
     """
     problem = replace(problem, initial=aligned_start(problem))
     obs = np.abs(problem.observed.s21)
-    scale = np.array([abs(problem.initial[n]) for n in problem.free])
-    lo = np.array([problem.bounds[n][0] for n in problem.free]) / scale
-    hi = np.array([problem.bounds[n][1] for n in problem.free]) / scale
-    u = np.clip(np.ones(len(problem.free)), lo, hi)
+    start = np.array([problem.initial[n] for n in problem.free])
+    lo, hi = np.array([problem.bounds[n] for n in problem.free]).T
+    scale = np.where(start == 0, np.maximum(abs(lo), abs(hi)), abs(start))
+    lo, hi = lo / scale, hi / scale
+    u = start / scale
     k = u.size
     eye = np.eye(k, dtype=bool)
 

@@ -233,8 +233,10 @@ def write_touchstone(curve: ResponseCurve, path: str | os.PathLike) -> None:
 
     s12 duplicates s21 (reciprocal network): the s21 pair is formatted once
     and its text copied.  s22 falls back to s11 when the curve does not
-    carry it.
+    carry it.  A curve without s11 (swept for s21 alone) raises DomainError.
     """
+    if curve.s11 is None:
+        raise DomainError("a Touchstone file needs s11; the curve holds s21 alone")
     s22 = curve.s22 if curve.s22 is not None else curve.s11
     header = [
         f"! fsskit {__version__}",
@@ -300,8 +302,8 @@ def _to_complex(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _bad_rows(values: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """The rows with a non-finite field or a frequency that does not increase."""
-    bad = ~np.isfinite(values).all(axis=1)
+    """The rows with a non-finite field, a negative frequency or one that does not increase."""
+    bad = ~np.isfinite(values).all(axis=1) | (freqs < 0)
     bad[1:] |= freqs[1:] <= freqs[:-1]
     return bad
 
@@ -310,7 +312,8 @@ def _parse_records(records: list, mult: float, fmt: str) -> tuple[np.ndarray, np
     """Frequencies in Hz and the (n, 4) complex values of (line_no, line, tokens) records.
 
     Raises for the earliest record with a non-numeric or non-finite field,
-    a frequency that does not increase, or a dB magnitude that overflows.
+    a negative frequency, a frequency that does not increase, or a dB
+    magnitude that overflows.
     """
     try:
         values = np.array([tokens for _, _, tokens in records], dtype=float)
@@ -332,6 +335,8 @@ def _parse_records(records: list, mult: float, fmt: str) -> tuple[np.ndarray, np
         line_no, line, _ = records[i]
         if not np.isfinite(values[i]).all():
             raise TouchstoneError(f"non-finite field in {line!r}", line_no)
+        if freqs[i] < 0:
+            raise TouchstoneError(f"negative frequency in {line!r}", line_no)
         raise TouchstoneError(
             f"frequencies must be strictly increasing; "
             f"{float(freqs[i])} follows {float(freqs[i - 1])}",

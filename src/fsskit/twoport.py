@@ -13,22 +13,17 @@ The kernels follow the ladder's shape.  A shunt branch is a ShuntMatrix,
 and a product with one on the right is the two-product update
 (a + b Y, b, c + d Y, d) instead of the general eight-product form;
 abcd_to_s forms b/z and c z once for its three sums.  Both keep the
-final S bit-identical to the general formulas.
-
-abcd_to_s forms Delta and s21 at once and defers s11 and s22: both
-arrive as one Reflections, which forms them with the same expressions on
-the first read of either and then drops the terms it held.  SMatrix and
-ResponseCurve declare s11 and s22 as FormedOnRead fields, which take a
-Reflections or an array; code that reads only s21, such as the strip-width
-search and the |s21| fit, never forms the other two.
+final S bit-identical to the general formulas.  A caller that reads
+only s21, such as the strip-width search and the |s21| fit, asks
+abcd_to_s for it alone with reflections=False.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import MISSING, dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -115,78 +110,18 @@ class ShuntMatrix(TwoPortMatrix):
     """
 
 
-class Reflections:
-    """s11 and s22 of a chain matrix, not yet formed.
-
-    Holds the terms abcd_to_s shares with s21: a, b/z, c z, d and Delta.
-    form() computes both arrays once, with abcd_to_s's expressions, keeps
-    them, and drops the terms.  shape is the shape of s21, which s11 and
-    s22 share.
-    """
-
-    __slots__ = ("shape", "_terms", "_pair")
-
-    def __init__(self, a, bz, cz, d, delta):
-        self.shape = np.shape(delta)
-        self._terms = (a, bz, cz, d, delta)
-        self._pair = None
-
-    def form(self) -> tuple[np.ndarray, np.ndarray]:
-        """(s11, s22), formed on the first call."""
-        if self._pair is None:
-            a, bz, cz, d, delta = self._terms
-            self._pair = ((a + bz - cz - d) / delta, (-a + bz - cz + d) / delta)
-            self._terms = None
-        return self._pair
-
-
-class FormedOnRead:
-    """Dataclass field descriptor for s11 or s22: a Reflections is formed on first read.
-
-    The value given to the constructor is stored in the instance's
-    __dict__ under the field's name, so vars(obj) hands it on unread.  The
-    first read of a stored Reflections forms the array, passes it to check
-    (which may raise, leaving the Reflections stored), and stores it in
-    place of the Reflections; later reads return it as stored.
-    """
-
-    def __init__(self, default=MISSING, check: Callable[[str, np.ndarray], None] | None = None):
-        self.default = default
-        self.check = check
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-        self.index = ("s11", "s22").index(name)
-
-    def __get__(self, obj, owner=None):
-        if obj is None:  # the dataclass asks for the default; none is AttributeError
-            if self.default is MISSING:
-                raise AttributeError(self.name)
-            return self.default
-        value = obj.__dict__[self.name]
-        if value.__class__ is Reflections:
-            value = value.form()[self.index]
-            if self.check is not None:
-                self.check(self.name, value)
-            obj.__dict__[self.name] = value
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
-
 @dataclass(frozen=True)
 class SMatrix:
     """Scattering parameters referenced to the same real impedance at both ports.
 
     Reciprocity is built in: s12 is constructed equal to s21.  s11 and s22
-    may be given as one Reflections, formed on the first read of either.
+    are None when abcd_to_s was asked for s21 alone.
     """
 
-    s11: complex | np.ndarray = FormedOnRead()
+    s11: complex | np.ndarray | None
     s21: complex | np.ndarray
     s12: complex | np.ndarray
-    s22: complex | np.ndarray = FormedOnRead()
+    s22: complex | np.ndarray | None
     z_ref: float
 
 
@@ -304,15 +239,14 @@ def cascade(segments: Sequence[TwoPortMatrix] | Iterable[TwoPortMatrix]) -> TwoP
     return out
 
 
-def abcd_to_s(m: TwoPortMatrix, z_ref: float) -> SMatrix:
+def abcd_to_s(m: TwoPortMatrix, z_ref: float, reflections: bool = True) -> SMatrix:
     """Convert a chain matrix to scattering parameters.
 
     Both ports share the real reference impedance z_ref.  The conversion
     assumes a reciprocal network (everything this package builds) and
-    constructs s12 = s21 = 2/Delta with Delta = a + b/z + c*z + d.  s21 is
-    formed at once; s11 = (a + b/z - c z - d)/Delta and
-    s22 = (-a + b/z - c z + d)/Delta are deferred as one Reflections and
-    formed, with the same bits, on the first read of either.
+    constructs s12 = s21 = 2/Delta with Delta = a + b/z + c*z + d,
+    s11 = (a + b/z - c z - d)/Delta and s22 = (-a + b/z - c z + d)/Delta.
+    With reflections=False, s11 and s22 are not formed and come back None.
     """
     if not z_ref > 0:
         raise DomainError(f"reference impedance must be positive, got {z_ref}")
@@ -322,5 +256,6 @@ def abcd_to_s(m: TwoPortMatrix, z_ref: float) -> SMatrix:
     if np.any(delta == 0):
         raise SingularNetworkError("singular network: a + b/z + c z + d = 0")
     s21 = 2.0 / delta
-    reflections = Reflections(m.a, bz, cz, m.d, delta)
-    return SMatrix(s11=reflections, s21=s21, s12=s21, s22=reflections, z_ref=z_ref)
+    s11 = (m.a + bz - cz - m.d) / delta if reflections else None
+    s22 = (-m.a + bz - cz + m.d) / delta if reflections else None
+    return SMatrix(s11=s11, s21=s21, s12=s21, s22=s22, z_ref=z_ref)

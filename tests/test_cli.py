@@ -488,6 +488,36 @@ class TestFitMode:
         assert summary["residual_norm"] < 1e-6
 
 
+    def test_duplicate_free_parameter_exits_as_config_error(self, tmp_path, capsys):
+        run(parse_config(json.dumps(simulate_doc())), out_dir=tmp_path)
+        doc = fit_doc(tmp_path / "response_te0deg.s2p", free=["l_nh", "l_nh"])
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "'fit.free' names a parameter twice" in capsys.readouterr().err
+
+    def test_free_resistance_that_starts_at_zero(self, tmp_path, capsys):
+        run(parse_config(json.dumps(simulate_doc())), out_dir=tmp_path)
+        doc = fit_doc(tmp_path / "response_te0deg.s2p", free=["l_nh", "r_ohm"],
+                      initial={"l_nh": 2.5, "r_ohm": 0}, bounds={"l_nh": [1, 5], "r_ohm": [0, 1]})
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        fitted = json.loads(out)["fitted"]
+        assert fitted["l_nh"] == pytest.approx(2.85, rel=1e-3)
+        assert fitted["r_ohm"] == pytest.approx(0.1, abs=1e-2)
+
+    def test_negative_frequency_file_exits_as_input_data_error(self, tmp_path, capsys):
+        s2p = tmp_path / "negative.s2p"
+        s2p.write_text("# GHz S RI R 376.73\n-1.0 0 0 1 0 1 0 0 0\n2.0 0 0 1 0 1 0 0 0\n")
+        path = tmp_path / "analyze.json"
+        path.write_text(json.dumps({"mode": "analyze", "analyze": {"touchstone": str(s2p)}}))
+        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
+        assert "input data error: line 2: negative frequency" in capsys.readouterr().err
+
     def test_fit_from_a_start_whose_passband_misses_the_observed_one(self, tmp_path, capsys):
         # 30 % low on all three, in the default start/4 to start x4 box
         run(parse_config(json.dumps(simulate_doc())), out_dir=tmp_path)

@@ -1,13 +1,13 @@
-"""Deferred s11 and s22: the same bits when read, never formed when unread.
+"""s11 and s22 are formed by the caller's choice, with the same bits.
 
-abcd_to_s forms Delta and s21 at once and hands s11 and s22 on as one
-Reflections, formed on the first read of either.  The reference below is
-the eager conversion as it was written before, with b/z and c z shared by
-the three sums; every s11 and s22 read later must match it bit for bit.
-The solvers read only s21, so every S matrix they make must leave its
-Reflections unformed.  A curve whose s21 is finite but whose s11 is not
-must still fail: on the first read of s11, and in simulate before any file
-is opened.
+abcd_to_s forms all three arrays, or s21 alone when asked with
+reflections=False.  The reference below is the eager conversion as it was
+written before, with b/z and c z shared by the three sums; every array
+formed must match it bit for bit.  The solvers read only s21, so every S
+matrix they make must come without s11 and s22.  Every array a curve holds
+is checked at construction: a curve whose s21 is finite but whose s11 is not
+fails there, and simulate fails before any file is opened.  A curve swept
+for s21 alone cannot be written as a Touchstone file.
 """
 
 import json
@@ -30,7 +30,8 @@ from fsskit.builder import (
 from fsskit.cli import EXIT_COMPUTE, main, parse_config, run
 from fsskit.errors import DomainError
 from fsskit.synthesis import FitProblem, fit_circuit, width_for_bandwidth
-from fsskit.twoport import NORMAL, IncidenceCondition, Polarization, Reflections, wave_impedance
+from fsskit.touchstone import write_touchstone
+from fsskit.twoport import NORMAL, IncidenceCondition, Polarization, wave_impedance
 
 L1, C1 = 1.61e-9, 0.6e-12
 INCIDENCES = {
@@ -72,39 +73,42 @@ def ladder(order, mirrored, lossy, w_mm=1.4):
     return build_network(p, mirrored=mirrored)
 
 
-def assert_deferred(obj):
-    stored = vars(obj)
-    assert stored["s11"].__class__ is Reflections
-    assert stored["s22"] is stored["s11"]
+def assert_s21_alone(obj):
+    assert obj.s11 is None and obj.s22 is None
 
 
 @pytest.mark.parametrize("n", [2001, 20001])
 @pytest.mark.parametrize("inc", INCIDENCES.values(), ids=INCIDENCES)
 @pytest.mark.parametrize("lossy", [True, False], ids=["lossy", "lossless"])
 @pytest.mark.parametrize("shape", LADDERS.values(), ids=LADDERS)
-def test_read_later_matches_eager_formulas(shape, lossy, inc, n):
+def test_formed_arrays_match_eager_formulas(shape, lossy, inc, n):
     net = ladder(*shape, lossy)
     grid = FrequencyGrid(1e9, 5e9, n)
     want11, want21, want22 = reference(net, grid.points, inc)
 
     s = network_smatrix(net, grid.points, inc, {})
-    assert_deferred(s)
+    assert _bits(s.s11) == _bits(want11)
     assert _bits(s.s21) == _bits(want21)
     assert s.s12 is s.s21
-    assert _bits(s.s22) == _bits(want22)  # s22 read first here
-    assert _bits(s.s11) == _bits(want11)
+    assert _bits(s.s22) == _bits(want22)
+
+    alone = network_smatrix(net, grid.points, inc, {}, reflections=False)
+    assert_s21_alone(alone)
+    assert _bits(alone.s21) == _bits(want21)
+    assert alone.s12 is alone.s21
 
     curve = sweep_response(net, grid, inc, {})
-    assert_deferred(curve)
-    assert _bits(curve.s21) == _bits(want21)
     assert _bits(curve.s11) == _bits(want11)
+    assert _bits(curve.s21) == _bits(want21)
     assert _bits(curve.s22) == _bits(want22)
-    # formed once: the stored arrays are what later reads return
-    assert vars(curve)["s11"] is curve.s11 and vars(curve)["s22"] is curve.s22
+
+    curve = sweep_response(net, grid, inc, {}, reflections=False)
+    assert_s21_alone(curve)
+    assert _bits(curve.s21) == _bits(want21)
 
 
 @pytest.mark.parametrize("lossy", [True, False], ids=["lossy", "lossless"])
-def test_batch_read_later_matches_eager_formulas(lossy):
+def test_batch_matches_eager_formulas(lossy):
     f = FrequencyGrid(1e9, 5e9, 2001).points
     inc = INCIDENCES["TE40"]
     col = np.array([[0.8], [1.0], [1.25]])
@@ -113,14 +117,16 @@ def test_batch_read_later_matches_eager_formulas(lossy):
                       order=2, h1=10e-3, loss_tangent=0.0009 if lossy else 0.0)
     net = build_network(p)
     s = network_smatrix(net, f, inc)
-    assert_deferred(s)
-    assert vars(s)["s11"].shape == (3, f.size)
-    for got, want in zip((s.s11, s.s21, s.s22), reference(net, f, inc)):
+    want11, want21, want22 = reference(net, f, inc)
+    for got, want in zip((s.s11, s.s21, s.s22), (want11, want21, want22)):
         assert got.shape == (3, f.size)
         assert _bits(got) == _bits(want)
+    alone = network_smatrix(net, f, inc, reflections=False)
+    assert_s21_alone(alone)
+    assert _bits(alone.s21) == _bits(want21)
 
 
-def test_scalar_frequency_reads_match_eager_formulas():
+def test_scalar_frequency_matches_eager_formulas():
     net = ladder(2, True, True)
     inc = INCIDENCES["TM57"]
     s = network_smatrix(net, 2.7e9, inc)
@@ -129,42 +135,35 @@ def test_scalar_frequency_reads_match_eager_formulas():
 
 
 # ---------------------------------------------------------------------------
-# the solvers read s21 alone
+# the solvers ask for s21 alone
 
 
 @pytest.fixture
 def smatrices(monkeypatch):
-    """Every S matrix network_smatrix makes, and every Reflections formed."""
+    """Every S matrix that network_smatrix makes, with the reflections flag it asked for."""
     made = []
-    formed = []
     convert = analysis.abcd_to_s
-    form = Reflections.form
 
-    def recording_abcd_to_s(m, z_ref):
-        s = convert(m, z_ref)
-        made.append(s)
+    def recording_abcd_to_s(m, z_ref, reflections=True):
+        s = convert(m, z_ref, reflections)
+        made.append((reflections, s))
         return s
 
-    def counting_form(self):
-        formed.append(self)
-        return form(self)
-
     monkeypatch.setattr(analysis, "abcd_to_s", recording_abcd_to_s)
-    monkeypatch.setattr(Reflections, "form", counting_form)
-    return made, formed
+    return made
 
 
-def assert_none_formed(made, formed):
+def assert_none_formed(made):
     assert made
-    for s in made:
-        assert_deferred(s)
-    assert formed == []
+    for reflections, s in made:
+        assert reflections is False
+        assert_s21_alone(s)
 
 
 def test_width_for_bandwidth_forms_no_reflections(smatrices):
     w = width_for_bandwidth(0.25, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, L1, C1, (0.3e-3, 3e-3))
     assert 0.3e-3 < w < 3e-3
-    assert_none_formed(*smatrices)
+    assert_none_formed(smatrices)
 
 
 def test_sweep_w_run_forms_no_reflections(smatrices, tmp_path):
@@ -175,28 +174,40 @@ def test_sweep_w_run_forms_no_reflections(smatrices, tmp_path):
     }))
     summary = run(cfg, tmp_path)
     assert len(summary["rows"]) == 3
-    made, formed = smatrices
-    assert len(made) == 3
-    assert_none_formed(made, formed)
+    assert len(smatrices) == 3
+    assert_none_formed(smatrices)
 
 
 def test_fit_circuit_forms_no_reflections(smatrices):
     truth = CircuitParams(L=2.85e-9, L1=L1, C1=C1, R=0.1, R1=0.1, h=0.254e-3, eps_r=2.2,
                           order=2, h1=10e-3)
     observed = sweep_response(build_network(truth), FrequencyGrid(1e9, 5e9, 401))
-    made, formed = smatrices
-    made.clear()
+    assert observed.s11 is not None
+    smatrices.clear()
     start = {"L": 2.5e-9, "C1": 0.65e-12}
     problem = FitProblem(observed=observed, base=truth, free=tuple(start), initial=start,
                          bounds={k: (v / 4, v * 4) for k, v in start.items()})
     result = fit_circuit(problem)
     assert result.converged
-    assert len(made) > 2
-    assert_none_formed(made, formed)
+    assert len(smatrices) > 2
+    assert_none_formed(smatrices)
+
+
+def test_simulate_forms_every_s_parameter(smatrices, tmp_path):
+    cfg = parse_config(json.dumps({
+        "mode": "simulate",
+        "circuit": {"order": 2, "l_nh": 2.85},
+        "grid": {"n_points": 101},
+        "incidence": {"theta_deg": [0, 30], "pol": ["TE", "TM"]},
+    }))
+    run(cfg, tmp_path)
+    assert len(smatrices) == 4
+    assert all(reflections is True and s.s11 is not None and s.s22 is not None
+               for reflections, s in smatrices)
 
 
 # ---------------------------------------------------------------------------
-# the finiteness contract holds on read
+# every array is checked at construction
 
 #: A second-order ladder whose 5.08 m lossy spacers overflow near 4.447 GHz:
 #: Delta's real part is inf there, so s21 = 2/Delta is 0 while s11 and s22
@@ -208,22 +219,31 @@ OVERFLOW_GRID = FrequencyGrid(4.446e9, 4.448e9, 11)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_first_read_of_non_finite_s11_raises():
-    curve = sweep_response(build_network(OVERFLOWING), OVERFLOW_GRID)
-    assert np.all(np.isfinite(curve.s21))
-    for _ in range(2):  # every read checks until a finite array is stored
-        with pytest.raises(DomainError, match="^s11 contains non-finite samples$"):
-            curve.s11
+def test_non_finite_s11_raises_at_construction():
+    net = build_network(OVERFLOWING)
+    with pytest.raises(DomainError, match="^s11 contains non-finite samples$"):
+        sweep_response(net, OVERFLOW_GRID)
+    s = network_smatrix(net, OVERFLOW_GRID.points)
+    assert np.all(np.isfinite(s.s21)) and not np.all(np.isfinite(s.s11))
     with pytest.raises(DomainError, match="^s22 contains non-finite samples$"):
-        curve.s22
-    assert vars(curve)["s11"].__class__ is Reflections
+        ResponseCurve(OVERFLOW_GRID.points, np.zeros(11, complex), s.s21, s22=s.s22)
+    # swept for s21 alone, the same ladder gives a finite curve
+    curve = sweep_response(net, OVERFLOW_GRID, reflections=False)
+    assert_s21_alone(curve)
+    assert _bits(curve.s21) == _bits(s.s21)
 
 
-@pytest.mark.parametrize("name", ["s11", "s22"])
-def test_arrays_given_to_the_constructor_are_still_checked_there(name):
+@pytest.mark.parametrize("name", ["s11", "s21", "s22"])
+def test_arrays_given_to_the_constructor_are_checked_there(name):
     arrays = {"s11": np.zeros(3, complex), "s21": np.zeros(3, complex), name: np.array([0, np.inf, 0])}
     with pytest.raises(DomainError, match=f"^{name} contains non-finite samples$"):
         ResponseCurve(np.linspace(1e9, 2e9, 3), **arrays)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_frequency_raises_at_construction(bad):
+    with pytest.raises(DomainError, match="^freqs contains non-finite samples$"):
+        ResponseCurve(np.array([1e9, 2e9, bad]), None, np.zeros(3, complex))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -243,3 +263,11 @@ def test_simulate_with_non_finite_s11_writes_nothing(csv, tmp_path, capsys):
     assert main(["--config", str(config), "--out-dir", str(out)]) == EXIT_COMPUTE
     assert "s11 contains non-finite samples" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_touchstone_writer_rejects_a_curve_of_s21_alone(tmp_path):
+    curve = sweep_response(ladder(2, True, True), FrequencyGrid(1e9, 5e9, 11), reflections=False)
+    path = tmp_path / "alone.s2p"
+    with pytest.raises(DomainError, match="holds s21 alone"):
+        write_touchstone(curve, path)
+    assert not path.exists()

@@ -3,6 +3,7 @@
 
 import functools
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -409,6 +410,32 @@ class TestFitCircuit:
                 observed=curve, base=truth, free=("C1",),
                 initial={"C1": 1e-12}, bounds={"C1": (-1e-12, 2e-12)},  # reactive <= 0
             )
+
+    def test_duplicate_free_parameter_is_rejected(self):
+        truth = reference_truth()
+        with pytest.raises(DomainError, match="must be distinct"):
+            FitProblem(
+                observed=observed_curve(truth, n_points=51), base=truth, free=("L", "L"),
+                initial={"L": 2e-9}, bounds={"L": (1e-9, 8e-9)},
+            )
+
+    @pytest.mark.parametrize("name", ["R", "R1"])
+    def test_free_loss_that_starts_at_zero(self, name):
+        # a start of 0 has no magnitude to scale by; the bound's 1 ohm is used
+        truth = reference_truth()
+        problem = FitProblem(
+            observed=observed_curve(truth),
+            base=truth,
+            free=("L", name),
+            initial={"L": 2.5e-9, name: 0.0},
+            bounds={"L": (1e-9, 5e-9), name: (0.0, 1.0)},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit_circuit(problem)
+        assert result.converged
+        assert result.params["L"] == pytest.approx(truth.L, rel=1e-3)
+        assert result.params[name] == pytest.approx(0.1, abs=1e-2)
 
 
 #: each of L, L1 and C1 lowered by 10, 20 or 30 %: 27 starts, some of whose

@@ -274,6 +274,23 @@ class TestReaderErrors:
                 read_touchstone(path)
         assert err.value.line_no == 3
 
+    #: a comment after the first record sends the file through the line loop
+    PATHS = {"at-once": "", "line-loop": "! late comment\n"}
+
+    @pytest.mark.parametrize("late", PATHS.values(), ids=PATHS)
+    def test_negative_frequency_names_its_line(self, tmp_path, late):
+        path = tmp_path / "negative.s2p"
+        path.write_text(f"# GHz S RI R 50\n-1.0 0 0 1 0 1 0 0 0\n{late}2.0 0 0 1 0 1 0 0 0\n")
+        with pytest.raises(TouchstoneError) as err:
+            read_touchstone(path)
+        assert str(err.value) == "line 2: negative frequency in '-1.0 0 0 1 0 1 0 0 0'"
+
+    @pytest.mark.parametrize("late", PATHS.values(), ids=PATHS)
+    def test_zero_frequency_is_read(self, tmp_path, late):
+        path = tmp_path / "dc.s2p"
+        path.write_text(f"# GHz S RI R 50\n0 0 0 1 0 1 0 0 0\n{late}2.0 0 0 1 0 1 0 0 0\n")
+        assert read_touchstone(path).freqs.tolist() == [0.0, 2e9]
+
     def test_earliest_of_non_finite_and_order_faults(self, tmp_path):
         path = tmp_path / "two_faults.s2p"
         path.write_text(
