@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .synthesis import (
     FITTABLE,
     DesignSpec,
     FitProblem,
+    check_fit_settings,
     fit_circuit,
     loss_budget_for_q,
     synthesize_lc,
@@ -224,7 +225,7 @@ def _read(given: dict, block: str, mode: str) -> dict[str, Any]:
     return values
 
 
-def _build(cls: type, block: str, values: dict[str, Any]) -> Any:
+def _build(cls: Callable, block: str, values: dict[str, Any]) -> Any:
     try:
         return cls(**values)
     except FssError as exc:
@@ -246,12 +247,10 @@ def _incidence(thetas: list, pols: list) -> tuple[IncidenceCondition, ...]:
 
 
 def _fit_settings(cfg: RunConfig, free: list, initial: dict, bounds: dict) -> None:
-    """Free parameters with SI starts and boxes; by default the circuit value, /4 to x4."""
+    """Checked free parameters with SI starts and boxes; by default the circuit value, /4 to x4."""
     for name in free:
         if not (isinstance(name, str) and name in _FIT_KEYS):
             raise ConfigError(f"unknown fit parameter {name!r}; allowed: {', '.join(_FIT_KEYS)}")
-    if len(set(free)) < len(free):
-        raise ConfigError(f"'fit.free' names a parameter twice: {free!r}")
     for part, given in (("initial", initial), ("bounds", bounds)):
         _check_keys(given, set(_FIT_KEYS), f"fit.{part}")
         _reject_unread("fit", [f"fit.{part}.{k}" for k in given if k not in free], " (not in fit.free)")
@@ -270,6 +269,8 @@ def _fit_settings(cfg: RunConfig, free: list, initial: dict, bounds: dict) -> No
             lo, hi = start / 4.0, start * 4.0
         cfg.fit_initial[circ_field] = start
         cfg.fit_bounds[circ_field] = (lo, hi)
+    fields = tuple(_FIT_KEYS[name][0] for name in free)
+    _build(check_fit_settings, "fit", dict(free=fields, initial=cfg.fit_initial, bounds=cfg.fit_bounds))
 
 
 def parse_config(text: str) -> RunConfig:

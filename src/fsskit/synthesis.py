@@ -239,6 +239,7 @@ class FitProblem:
 
     base supplies the fixed parameters and the network order; free names
     the CircuitParams fields to adjust.  Bounds are hard box constraints.
+    The observed curve must start above 0 Hz: the series capacitor blocks DC.
     """
 
     observed: ResponseCurve
@@ -249,24 +250,34 @@ class FitProblem:
     mirrored: bool = True
 
     def __post_init__(self):
-        if not self.free:
-            raise DomainError("fit requires at least one free parameter")
-        if len(set(self.free)) < len(self.free):
-            raise DomainError(f"fit parameters must be distinct, got {self.free}")
-        for name in self.free:
-            if name not in FITTABLE:
-                raise DomainError(f"unknown fit parameter {name!r}; choose from {FITTABLE}")
-            if name not in self.initial:
-                raise DomainError(f"missing initial guess for {name!r}")
-            if name not in self.bounds:
-                raise DomainError(f"missing bounds for {name!r}")
-            lo, hi = self.bounds[name]
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise DomainError(f"bounds for {name!r} must be finite with lo < hi")
-            if name in ("L", "L1", "C1") and lo <= 0:
-                raise DomainError(f"reactive element {name!r} needs positive bounds")
-            if not lo <= self.initial[name] <= hi:
-                raise DomainError(f"initial guess for {name!r} lies outside its bounds")
+        check_fit_settings(self.free, self.initial, self.bounds)
+        if not self.observed.freqs[0] > 0:
+            raise DomainError(f"a fit needs f > 0; the observed curve starts at {self.observed.freqs[0]} Hz")
+
+
+def check_fit_settings(
+    free: tuple[str, ...], initial: Mapping[str, float], bounds: Mapping[str, tuple[float, float]]
+) -> None:
+    """Raise DomainError unless free names distinct FITTABLE fields, each with
+    a start inside a finite box lo < hi (lo > 0 for L, L1 and C1)."""
+    if not free:
+        raise DomainError("fit requires at least one free parameter")
+    if len(set(free)) < len(free):
+        raise DomainError(f"fit parameters must be distinct, got {free}")
+    for name in free:
+        if name not in FITTABLE:
+            raise DomainError(f"unknown fit parameter {name!r}; choose from {FITTABLE}")
+        if name not in initial:
+            raise DomainError(f"missing initial guess for {name!r}")
+        if name not in bounds:
+            raise DomainError(f"missing bounds for {name!r}")
+        lo, hi = bounds[name]
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise DomainError(f"bounds for {name!r} must be finite with lo < hi, got {(lo, hi)}")
+        if name in ("L", "L1", "C1") and lo <= 0:
+            raise DomainError(f"reactive element {name!r} needs positive bounds")
+        if not lo <= initial[name] <= hi:
+            raise DomainError(f"initial guess for {name!r} lies outside its bounds")
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,13 @@ dB formats in any standard frequency unit.
 
 Both text formats share one numpy kernel.  ``_mantissa`` rounds each cell
 once to its 12 significant digits and marks the cells whose correct
-rounding it cannot decide; ``format_e11`` renders the digits as CPython's
+rounding it cannot decide; ``_e11_lines`` renders the digits as CPython's
 ``"%.11e" % cell`` (each Touchstone number) and ``format_g12`` as
 ``"%.12g" % cell`` (each CSV number).  ``%`` formats the marked cells one
-at a time, so every cell is exactly what ``%`` gives.  Both renderers yield
-their text a block of whole rows at a time, about ``BLOCK_CELLS`` cells each,
-and the writers write each block as it comes, so the memory that formatting
-takes does not grow with the table.
+at a time, so every cell is exactly what ``%`` gives.  Both renderers format
+a block of whole rows at a time, about ``BLOCK_CELLS`` cells each, and the
+writers write each block as it comes, so the memory that formatting takes
+does not grow with the table.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def _digits(width: int) -> np.ndarray:
 
 @functools.cache
 def _e11_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The word tables of ``format_e11``, built once, on its first call.
+    """The word tables of ``_e11_lines``, built once, on its first call.
 
     A cell is five words, and its NUL bytes are dropped from the output:
     NUL, sign or NUL, digit, "." | 4 digits | 4 digits | 3 digits, "e" |
@@ -116,7 +116,11 @@ def _e11_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _e11_lines(block: np.ndarray, columns=slice(None)) -> bytes:
-    """Lines of ``"%.11e"`` cells; output column j is ``block[:, columns[j]]``."""
+    """Lines of ``"%.11e"`` cells; output column j is ``block[:, columns[j]]``.
+
+    A cell is its sign, the first digit of ``n``, ".", the other 11 and the
+    exponent ``11 - k`` (see ``_mantissa``); ``%`` formats the undecided cells.
+    """
     x = block.ravel()
     n, k, ok = _mantissa(x)
     lead, digits4, tail, exponent = _e11_tables()
@@ -137,17 +141,6 @@ def _e11_lines(block: np.ndarray, columns=slice(None)) -> bytes:
     text = cells.reshape(block.shape + (5,))[:, columns].view(np.uint8)
     text[:, -1, -1] = ord("\n")
     return text.tobytes().translate(None, b"\0")
-
-
-def format_e11(table: np.ndarray) -> Iterator[bytes]:
-    """Space-separated lines of a 2-D float table, each cell exactly ``"%.11e" % cell``.
-
-    The text comes one block of rows at a time, to be written as it comes.
-
-    A cell is its sign, the first digit of ``n``, ".", the other 11 and the
-    exponent ``11 - k`` (see ``_mantissa``); ``%`` formats the undecided cells.
-    """
-    return _by_blocks(_e11_lines, table)
 
 
 @functools.cache
@@ -301,58 +294,6 @@ def _to_complex(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bad_rows(values: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """The rows with a non-finite field, a negative frequency or one that does not increase."""
-    bad = ~np.isfinite(values).all(axis=1) | (freqs < 0)
-    bad[1:] |= freqs[1:] <= freqs[:-1]
-    return bad
-
-
-def _parse_records(records: list, mult: float, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies in Hz and the (n, 4) complex values of (line_no, line, tokens) records.
-
-    Raises for the earliest record with a non-numeric or non-finite field,
-    a negative frequency, a frequency that does not increase, or a dB
-    magnitude that overflows.
-    """
-    try:
-        values = np.array([tokens for _, _, tokens in records], dtype=float)
-    except ValueError:
-        for bad, (line_no, line, tokens) in enumerate(records):
-            try:
-                list(map(float, tokens))
-            except ValueError:
-                break
-        if bad:
-            _parse_records(records[:bad], mult, fmt)
-        raise TouchstoneError(f"non-numeric field in {line!r}", line_no) from None
-    freqs = values[:, 0] * mult
-    bad = _bad_rows(values, freqs)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if i:
-            _parse_records(records[:i], mult, fmt)
-        line_no, line, _ = records[i]
-        if not np.isfinite(values[i]).all():
-            raise TouchstoneError(f"non-finite field in {line!r}", line_no)
-        if freqs[i] < 0:
-            raise TouchstoneError(f"negative frequency in {line!r}", line_no)
-        raise TouchstoneError(
-            f"frequencies must be strictly increasing; "
-            f"{float(freqs[i])} follows {float(freqs[i - 1])}",
-            line_no,
-        )
-    try:
-        return freqs, _to_complex(fmt, values[:, 1::2], values[:, 2::2])
-    except OverflowError:
-        for (line_no, line, _), row in zip(records, values):
-            try:
-                _to_complex(fmt, row[1::2], row[2::2])
-            except OverflowError:
-                raise TouchstoneError(f"dB magnitude overflows in {line!r}", line_no) from None
-        raise
-
-
 class _Header:
     """What a file's blank, comment and option lines set: the incidence
     annotations, and the option line's unit multiplier and data format."""
@@ -393,49 +334,58 @@ class _Header:
         return False
 
 
-def _parse_at_once(body: list[str], mult: float, fmt: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """What ``_parse_records`` gives for the ``body`` lines, parsed in one call.
+def _parse_at_once(body: list[str], mult: float) -> np.ndarray | None:
+    """The (n, 9) fields of the records among the ``body`` lines, parsed in one call.
 
-    None when a line is not nine numbers that ``np.loadtxt`` reads, or a row
-    fails a check; the line loop then reads the body and names the fault.
+    None when a line is not nine numbers that ``np.loadtxt`` reads (with
+    ``comments=None`` a comment or option line is not), or a row fails a check
+    of ``_parse_lines``; the line loop then reads the body and names the fault.
     """
     try:
-        values = np.loadtxt(body, ndmin=2, comments=None)
+        fields = np.loadtxt(body, ndmin=2, comments=None)
     except ValueError:
         return None
-    freqs = values[:, 0] * mult
-    if values.shape[1] != 9 or _bad_rows(values, freqs).any():
-        return None
-    try:
-        return freqs, _to_complex(fmt, values[:, 1::2], values[:, 2::2])
-    except OverflowError:
-        return None
+    freqs = fields[:, 0] * mult
+    ok = fields.shape[1] == 9 and np.isfinite(fields).all() and (freqs >= 0).all()
+    return fields if ok and (freqs[1:] > freqs[:-1]).all() else None
 
 
-def _parse_lines(body: list[str], first_no: int, header: _Header) -> tuple[np.ndarray, np.ndarray]:
-    """``_parse_records`` of the records among the ``body`` lines, numbered from ``first_no``.
+def _parse_lines(body: list[str], first_no: int, header: _Header) -> np.ndarray:
+    """The (n, 9) fields of the records among the ``body`` lines, numbered from ``first_no``.
 
-    The comment and option lines among them go to ``header``.  Raises for
-    the earliest faulty line.
+    The comment and option lines among them go to ``header``.  The lines are
+    read in order, and the first fault raises: a record that is not nine
+    numbers, a non-finite field, a negative frequency, a frequency that does
+    not increase, or a dB magnitude that overflows.
     """
-    records: list[tuple[int, str, list[str]]] = []
-    try:
-        for line_no, raw in enumerate(body, start=first_no):
-            line = raw.strip()
-            if header.take(line, line_no):
-                continue
-            tokens = line.split("!", 1)[0].split()
-            if len(tokens) != 9:
-                raise TouchstoneError(
-                    f"expected 9 columns for a two-port record, got {len(tokens)}",
-                    line_no,
-                )
-            records.append((line_no, line, tokens))
-    except TouchstoneError:
-        if records:  # a fault in an earlier record is reported first
-            _parse_records(records, header.mult, header.fmt)
-        raise
-    return _parse_records(records, header.mult, header.fmt)
+    rows, last = [], -math.inf
+    for line_no, raw in enumerate(body, start=first_no):
+        line = raw.strip()
+        if header.take(line, line_no):
+            continue
+        tokens = line.split("!", 1)[0].split()
+        if len(tokens) != 9:
+            raise TouchstoneError(f"expected 9 columns for a two-port record, got {len(tokens)}", line_no)
+        try:
+            row = list(map(float, tokens))
+        except ValueError:
+            raise TouchstoneError(f"non-numeric field in {line!r}", line_no) from None
+        if not all(map(math.isfinite, row)):
+            raise TouchstoneError(f"non-finite field in {line!r}", line_no)
+        f = row[0] * header.mult
+        if f < 0:
+            raise TouchstoneError(f"negative frequency in {line!r}", line_no)
+        if f <= last:
+            raise TouchstoneError(f"frequencies must be strictly increasing; {f} follows {last}", line_no)
+        if header.fmt == "db":
+            try:
+                for mag in row[1::2]:
+                    10.0 ** (mag / 20.0)
+            except OverflowError:
+                raise TouchstoneError(f"dB magnitude overflows in {line!r}", line_no) from None
+        rows.append(row)
+        last = f
+    return np.array(rows)
 
 
 def _not_utf8(path: str | os.PathLike) -> TouchstoneError:
@@ -461,10 +411,10 @@ def read_touchstone(path: str | os.PathLike) -> ResponseCurve:
     annotation whose value is missing or invalid raises TouchstoneError.
     The file must be UTF-8; one byte-order mark at its start is dropped.
 
-    When no comment or option line follows the first record, every record
-    is parsed in one ``np.loadtxt`` call.  Any other file, and any file that
-    call or a check of its rows rejects, is read line by line from the first
-    record on, which gives the same values and names the earliest faulty line.
+    The records go to one ``np.loadtxt`` call first.  A file that call
+    rejects, such as one with a comment or option line after its first
+    record, or whose rows fail a check, is read line by line, which gives the
+    same values and names the earliest faulty line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -481,12 +431,16 @@ def read_touchstone(path: str | os.PathLike) -> ResponseCurve:
     if first is None:
         raise TouchstoneError("file holds no data records", line_no=None)
     body = lines[first:]
-    start = sum(map(len, lines[:first])) + first  # the offset of the first record in text
-    late_comment = text.find("!", start) >= 0 or text.find("#", start) >= 0
-    parsed = None if late_comment else _parse_at_once(body, header.mult, header.fmt)
-    freqs, data = parsed or _parse_lines(body, first + 1, header)
+    fields = _parse_at_once(body, header.mult)
+    if fields is None:
+        fields = _parse_lines(body, first + 1, header)
+    try:
+        data = _to_complex(header.fmt, fields[:, 1::2], fields[:, 2::2])
+    except OverflowError:
+        _parse_lines(body, first + 1, header)  # names the line whose dB magnitude overflows
+        raise
     return ResponseCurve(
-        freqs=freqs,
+        freqs=fields[:, 0] * header.mult,
         s11=data[:, 0],
         s21=data[:, 1],
         incidence=IncidenceCondition(math.radians(header.theta_deg), header.pol),

@@ -494,7 +494,7 @@ class TestFitMode:
         path = tmp_path / "fit.json"
         path.write_text(json.dumps(doc))
         assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert "'fit.free' names a parameter twice" in capsys.readouterr().err
+        assert "fit parameters must be distinct" in capsys.readouterr().err
 
     def test_free_resistance_that_starts_at_zero(self, tmp_path, capsys):
         run(parse_config(json.dumps(simulate_doc())), out_dir=tmp_path)
@@ -517,6 +517,16 @@ class TestFitMode:
         path.write_text(json.dumps({"mode": "analyze", "analyze": {"touchstone": str(s2p)}}))
         assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
         assert "input data error: line 2: negative frequency" in capsys.readouterr().err
+
+    def test_file_with_a_0_hz_record_names_the_fit_fault(self, tmp_path, capsys):
+        run(parse_config(json.dumps(simulate_doc())), out_dir=tmp_path)
+        s2p = tmp_path / "response_te0deg.s2p"
+        lines = s2p.read_text().split("\n")
+        s2p.write_text("\n".join(lines[:4] + ["0.0 0 0 1 0 1 0 0 0"] + lines[4:]))
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(fit_doc(s2p)))
+        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
+        assert "computation error: a fit needs f > 0" in capsys.readouterr().err
 
     def test_fit_from_a_start_whose_passband_misses_the_observed_one(self, tmp_path, capsys):
         # 30 % low on all three, in the default start/4 to start x4 box

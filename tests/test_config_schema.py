@@ -12,7 +12,9 @@ some of the wrong type, range or finiteness:
 - parse_config may reject a config the reference accepts only when a key is
   present that the mode does not read: a key outside the mode's blocks, or
   circuit.h1_mm / circuit.mirrored at order 1, a fit start or box for a fixed
-  parameter, or width-design keys in a synthesize run without fbw_target.
+  parameter, or width-design keys in a synthesize run without fbw_target;
+  or when fit.free names a parameter twice, or a fit start or box is one the
+  fit rejects.
 
 A second property feeds parse_config arbitrary JSON: the result is a
 RunConfig or a ConfigError, never another exception.
@@ -532,6 +534,17 @@ def names_a_fit_parameter_twice(doc: dict) -> bool:
     return isinstance(free, list) and len(set(map(repr, free))) < len(free)
 
 
+def has_an_invalid_fit_box(want: RunConfig) -> bool:
+    """Whether the reference's fit starts and boxes hold one that the fit
+    rejects: a box that is not lo < hi, a reactive box from 0 or below, or a
+    start outside its box.  The reference accepted these and left them to
+    the fit."""
+    return any(
+        not (lo < hi and lo <= want.fit_initial[name] <= hi) or (name in ("L", "L1", "C1") and lo <= 0)
+        for name, (lo, hi) in want.fit_bounds.items()
+    )
+
+
 def rejects_only_for_its_default_width(doc: dict, want: Exception) -> bool:
     """Whether the reference rejected a design cell only because its default
     2.6 mm strip width does not fit inside the period."""
@@ -568,7 +581,8 @@ def test_schema_parser_matches_reference(doc):
     if isinstance(got, Exception):
         assert isinstance(got, ConfigError), repr(got)
         if not isinstance(want, Exception):
-            assert has_unread_key(doc) or names_a_fit_parameter_twice(doc), f"newly rejected: {got}"
+            allowed = has_unread_key(doc) or names_a_fit_parameter_twice(doc) or has_an_invalid_fit_box(want)
+            assert allowed, f"newly rejected: {got}"
     elif isinstance(want, Exception):
         assert rejects_only_for_its_default_width(doc, want), f"newly accepted; reference said {want!r}"
     else:

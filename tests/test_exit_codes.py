@@ -1,0 +1,154 @@
+"""Every config drawn from the CLI schema ends in a documented exit code.
+
+Configs are drawn from ``cli._SCHEMA``: good values near each key's default
+for some of the keys a mode reads, then up to two faults, each a reversed,
+duplicated, out-of-range or mistyped value.  ``main()`` must return 0, 2, 3
+or 4 and never write a traceback; a config with a mistyped value exits 2.
+Grids stay at or below 2001 points, and ``fit`` and ``analyze`` read a real
+.s2p file, so each run is short.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fsskit import cli
+
+#: a value for each key that the schema requires or leaves unset by default
+GIVEN = {
+    ("circuit", "l_nh"): 2.85,
+    ("output", "touchstone"): "r.s2p",
+    ("sweep", "w_mm"): [0.6, 1.4],
+    ("synthesize", "f_p_ghz"): 2.7,
+    ("synthesize", "f_z_ghz"): 5.0,
+    ("synthesize", "c1_pf"): 0.6,
+    ("synthesize", "q_target"): 50.0,
+    ("synthesize", "fbw_target"): 0.1,
+    ("fit", "touchstone"): "S2P",
+    ("fit", "free"): ["l_nh"],
+    ("analyze", "touchstone"): "S2P",
+}
+#: keys whose two values are a range, so swapping them reverses it
+PAIRS = [("grid", "f_start_ghz", "f_stop_ghz"), ("synthesize", "w_min_mm", "w_max_mm"),
+         ("synthesize", "f_p_ghz", "f_z_ghz")]
+#: one JSON value of each type, and the types each schema kind accepts
+JSON_VALUES = {"number": 1.5, "string": "x", "bool": True, "null": None, "list": [1.0], "object": {"a": 1}}
+ACCEPTS = {list: "list", dict: "object", bool: "bool", str: "string", Path: "string"}
+FIT_BOXES = {  # each exits 2: the box or start is invalid before the file is read
+    "reversed": {"bounds": {"l_nh": [5, 1]}},
+    "start outside": {"initial": {"l_nh": 9}, "bounds": {"l_nh": [1, 5]}},
+    "reactive box from 0": {"bounds": {"l_nh": [0, 5]}},
+    "zero start, default box": {"free": ["r_ohm"], "initial": {"r_ohm": 0}},
+}
+
+
+def fit_box(case):
+    fit = {"touchstone": "S2P", "free": ["l_nh"], **FIT_BOXES[case]}
+    return {"mode": "fit", "circuit": {"l_nh": 2.85}, "fit": fit}, True
+
+
+def good(draw, block, key, doc, scale):
+    """A valid value for the key: its default times the block's ``scale``, or one near it."""
+    _, kind, default, _ = cli._SCHEMA[block][key]
+    if block == "fit" and key in ("initial", "bounds"):  # around the circuit value, as the default box
+        circuit = {k: doc.get("circuit", {}).get(k, spec[2]) for k, spec in cli._SCHEMA["circuit"].items()}
+        values = {name: circuit[name] for name in doc["fit"]["free"]}
+        if key == "initial":
+            return {name: v * scale for name, v in values.items()}
+        return {name: [v / 4, v * 4] for name, v in values.items()}
+    if (block, key) == ("fit", "free"):
+        return draw(st.lists(st.sampled_from(sorted(cli._FIT_KEYS)), min_size=1, max_size=3, unique=True))
+    if (block, key) == ("grid", "n_points"):
+        return draw(st.integers(2, 2001))
+    if (block, key) == ("incidence", "theta_deg"):
+        return draw(st.lists(st.floats(0.0, 80.0), min_size=1, max_size=3))
+    if (block, key) == ("incidence", "pol"):
+        return draw(st.lists(st.sampled_from(["TE", "TM"]), min_size=1, max_size=2, unique=True))
+    if (block, key) in GIVEN:
+        return GIVEN[block, key]
+    if kind is int:
+        return draw(st.sampled_from([1, 2]))
+    if isinstance(default, (int, float)) and not isinstance(default, bool) and default:
+        return default * scale
+    return default
+
+
+def spoil(draw, kind, value, fault):
+    """``value`` with one fault of the given kind."""
+    if fault == "mistyped":
+        accepted = ACCEPTS.get(kind, "number")
+        return draw(st.sampled_from([v for t, v in JSON_VALUES.items() if t != accepted]))
+    if fault == "out_of_range":
+        bad = draw(st.sampled_from([0.0, -1.0, 1e6, cli.MAX_GRID_POINTS + 1]))
+        if isinstance(value, dict):
+            return {k: [bad, v[1]] if isinstance(v, list) else bad for k, v in value.items()}
+        return [bad] if isinstance(value, list) else bad
+    if isinstance(value, list):  # reversed or duplicated
+        return value[::-1] if fault == "reversed" else value + value[:1]
+    if isinstance(value, dict):
+        return {k: v[::-1] if isinstance(v, list) else -v for k, v in value.items()}
+    return -value if isinstance(value, (int, float)) and not isinstance(value, bool) else value
+
+
+@st.composite
+def configs(draw):
+    """A config and whether it must exit 2."""
+    mode = draw(st.sampled_from(cli.MODES))
+    doc = {"mode": mode}
+    for block, keys in cli._SCHEMA.items():
+        # a block's optional keys come all or none, scaled alike, so a cell stays consistent
+        optional, scale = draw(st.booleans()), draw(st.floats(0.8, 1.25))
+        for key, (_, _, default, modes) in keys.items():
+            if key in ("h1_mm", "mirrored") and doc.get("circuit", {}).get("order") != 2:
+                continue  # read at order 2 only
+            if mode in modes and (default is cli._REQUIRED or optional):
+                doc.setdefault(block, {})[key] = good(draw, block, key, doc, scale)
+    present = [(block, key) for block in cli._SCHEMA for key in doc.get(block, {})]
+    mistyped = False
+    for fault in draw(st.lists(st.sampled_from(["reversed", "duplicated", "out_of_range", "mistyped",
+                                                "swapped"]), max_size=2)):
+        if fault == "swapped":
+            block, a, b = draw(st.sampled_from(PAIRS))
+            given = doc.get(block, {})
+            if a in given and b in given:
+                given[a], given[b] = given[b], given[a]
+            continue
+        block, key = draw(st.sampled_from(present))
+        kind = cli._SCHEMA[block][key][1]
+        doc[block][key] = spoil(draw, kind, doc[block][key], fault)
+        mistyped |= fault == "mistyped"
+    return doc, mistyped
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("exit_codes")
+    doc = {"mode": "simulate", "circuit": {"order": 2, "l_nh": 2.85},
+           "grid": {"n_points": 201}, "output": {"csv": "", "touchstone": "obs.s2p"}}
+    cli.run(cli.parse_config(json.dumps(doc)), out_dir=out)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(configs())
+@example(fit_box("reversed"))
+@example(fit_box("start outside"))
+@example(fit_box("reactive box from 0"))
+@example(fit_box("zero start, default box"))
+def test_every_config_exits_with_a_documented_code(workdir, case):
+    doc, must_be_config_error = case
+    text = json.dumps(doc).replace('"S2P"', json.dumps(str(workdir / "obs_te0deg.s2p")))
+    config = workdir / "run.json"
+    config.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--config", str(config), "--out-dir", str(workdir / "out")])
+    assert "Traceback" not in err.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_COMPUTE, cli.EXIT_IO), err.getvalue()
+    if must_be_config_error:
+        assert code == cli.EXIT_CONFIG, err.getvalue()

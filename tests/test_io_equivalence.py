@@ -24,7 +24,7 @@ from fsskit import cli, touchstone
 from fsskit.analysis import FrequencyGrid, PassbandMetrics, ResponseCurve, sweep_response
 from fsskit.builder import CircuitParams, build_network
 from fsskit.errors import TouchstoneError
-from fsskit.touchstone import _block_rows, format_e11, format_g12, read_touchstone, write_touchstone
+from fsskit.touchstone import _block_rows, _by_blocks, _e11_lines, format_g12, read_touchstone, write_touchstone
 from fsskit.twoport import IncidenceCondition, Polarization
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -104,7 +104,7 @@ class TestWriters:
     @given(tables(extra=NEAR_TIES))
     @_with_examples(EDGE_VALUES, *E11_CASES.values(), *_seam_tables(9))
     def test_touchstone_cells_are_per_cell_e11(self, table):
-        assert b"".join(format_e11(table)) == _per_cell(table, ".11e", " ").encode()
+        assert b"".join(_by_blocks(_e11_lines, table)) == _per_cell(table, ".11e", " ").encode()
 
     @given(tables())
     @example(np.array([EDGE_VALUES]))
