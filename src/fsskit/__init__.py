@@ -12,7 +12,6 @@ from .analysis import (
     network_smatrix,
     passband_freq,
     sweep_response,
-    unloaded_q,
     zero_freq,
 )
 from .builder import (

@@ -33,19 +33,6 @@ def zero_freq(l1: float, c1: float) -> float:
     return 1.0 / (2.0 * math.pi * math.sqrt(l1 * c1))
 
 
-def unloaded_q(r: float, r1: float, l: float, l1: float, c1: float) -> float:
-    """Resonator quality factor: sqrt((l + l1) / c1) / (r + r1).
-
-    Returns math.inf for the lossless case r + r1 = 0.
-    """
-    if r < 0 or r1 < 0 or l < 0 or l1 <= 0 or c1 <= 0:
-        raise DomainError("unloaded_q requires nonnegative losses and positive l1, c1")
-    loss = r + r1
-    if loss == 0.0:
-        return math.inf
-    return math.sqrt((l + l1) / c1) / loss
-
-
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Linear frequency grid, endpoints inclusive."""

@@ -258,7 +258,7 @@ def calibrate_inductance_scale(w_ref: float, period: float, l_ref: float) -> flo
         raise DomainError(f"reference width must lie in (0, {period}), got {w_ref}")
     if not l_ref > 0:
         raise DomainError("reference inductance must be positive")
-    log_term = math.log(1.0 / math.sin(math.pi * w_ref / (2.0 * period)))
+    log_term = grid_inductance(w_ref, period, 1.0)
     if log_term == 0.0:
         raise DomainError("degenerate calibration: w_ref equals the period")
     return l_ref / log_term

@@ -38,6 +38,7 @@ from .builder import (
     CircuitParams,
     GeometryParams,
     build_network,
+    params_from_geometry,
 )
 from .errors import ConfigError, FssError, TouchstoneError
 from .synthesis import (
@@ -45,6 +46,7 @@ from .synthesis import (
     DesignSpec,
     FitProblem,
     check_fit_settings,
+    check_width_range,
     fit_circuit,
     loss_budget_for_q,
     synthesize_lc,
@@ -60,8 +62,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 EXIT_IO = 4
-
-MODES = ("simulate", "sweep-w", "synthesize", "fit", "analyze")
 
 #: default of a key that every mode reading it must give
 _REQUIRED = object()
@@ -317,6 +317,8 @@ def parse_config(text: str) -> RunConfig:
 
     if mode == "sweep-w":
         cfg.ring_l1, cfg.ring_c1 = circuit["L1"], circuit["C1"]
+        _build(params_from_geometry, "circuit",  # its CircuitParams checks the ring values
+               dict(g=cfg.geometry, cal=cfg.calibration, l1=cfg.ring_l1, c1=cfg.ring_c1))
         widths = (_value("sweep.w_mm", w, 1.0) for w in values["sweep"]["widths"])
         cfg.sweep_widths_mm = tuple(sorted(widths))
         if len(cfg.incidence) > 1:
@@ -329,6 +331,7 @@ def parse_config(text: str) -> RunConfig:
             width_keys = [f"{block}.{key}" for block in ("geometry", "calibration") for key in doc[block]]
             width_keys += [f"synthesize.{key}" for key in ("w_min_mm", "w_max_mm") if key in synth_given]
             _reject_unread(mode, width_keys, " without synthesize.fbw_target")
+        _build(check_width_range, "synthesize", dict(w_range=cfg.width_range, period=cfg.geometry.period))
     if mode == "fit":
         cfg.fit_touchstone = values["fit"].pop("fit_touchstone")
         _fit_settings(cfg, **values["fit"])
@@ -514,6 +517,7 @@ _RUNNERS = {
     "fit": _run_fit,
     "analyze": _run_analyze,
 }
+MODES = tuple(_RUNNERS)
 
 
 def run(cfg: RunConfig, out_dir: str | os.PathLike = "out") -> dict:

@@ -56,6 +56,10 @@ class DesignSpec:
             raise DomainError("passband target must be positive")
         if not self.c1 > 0:
             raise DomainError("pinned capacitance must be positive")
+        if self.q_target is not None and not self.q_target > 0:
+            raise DomainError("quality-factor target must be positive")
+        if self.fbw_target is not None and not self.fbw_target > 0:
+            raise DomainError("bandwidth target must be positive")
         if not self.f_passband < self.f_zero:
             raise InfeasibleSpecError(
                 f"passband target {self.f_passband} must lie below the "
@@ -83,7 +87,7 @@ def synthesize_lc(spec: DesignSpec) -> SynthesizedLC:
 
 
 def loss_budget_for_q(q_target: float, l: float, l1: float, c1: float) -> float:
-    """Total series loss R + R1 that yields the requested quality factor."""
+    """Total series loss R + R1 that gives the quality factor sqrt((l + l1) / c1) / (R + R1)."""
     if not q_target > 0:
         raise DomainError("quality-factor target must be positive")
     if l < 0 or l1 <= 0 or c1 <= 0:
@@ -136,6 +140,12 @@ def width_evaluator(
     return metrics_at
 
 
+def check_width_range(w_range: tuple[float, float], period: float) -> None:
+    """Raise DomainError unless the width search range lies inside the cell."""
+    if not 0 < w_range[0] <= w_range[1] < period:
+        raise DomainError("width range must satisfy 0 < w_min <= w_max < period")
+
+
 #: width_for_bandwidth stops once the FBW is within FBW_TOL of its target or
 #: the width bracket is narrower than WIDTH_TOL (m)
 FBW_TOL = 1e-3
@@ -162,9 +172,8 @@ def width_for_bandwidth(
     (reporting the achievable range) when the target is not within
     FBW_TOL of [fbw(w_max), fbw(w_min)].
     """
+    check_width_range(w_range, geometry.period)
     w_lo, w_hi = w_range
-    if not 0 < w_lo <= w_hi < geometry.period:
-        raise DomainError("width range must satisfy 0 < w_min <= w_max < period")
     grid = _auto_grid(geometry, cal, l1, c1, w_range)
     metrics_at = width_evaluator(geometry, cal, l1, c1, grid, NORMAL)
 

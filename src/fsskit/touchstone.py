@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .analysis import ResponseCurve
 from .errors import DomainError, TouchstoneError
-from .twoport import IncidenceCondition, Polarization
+from .twoport import ETA0, IncidenceCondition, Polarization
 
 _UNIT_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
@@ -235,7 +235,7 @@ def write_touchstone(curve: ResponseCurve, path: str | os.PathLike) -> None:
         f"! fsskit {__version__}",
         f"! incidence theta_deg = {math.degrees(curve.incidence.theta):.12g}",
         f"! polarization = {curve.incidence.polarization.value}",
-        "# GHz S RI R 376.73",
+        f"# GHz S RI R {ETA0:g}",
     ]
     s = np.column_stack([curve.s11, curve.s21, s22])
     table = np.column_stack([curve.freqs / 1e9, s.view(float)])
@@ -388,18 +388,11 @@ def _parse_lines(body: list[str], first_no: int, header: _Header) -> np.ndarray:
     return np.array(rows)
 
 
-def _not_utf8(path: str | os.PathLike) -> TouchstoneError:
-    """The error for a file that is not UTF-8, at the line of its first bad byte."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # line breaks as the text-mode read counts them: \r\n, \r and \n
-        head = data[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        return TouchstoneError(f"file is not valid UTF-8 (byte 0x{data[exc.start]:02x})",
-                               head.count("\n") + 1)
-    return TouchstoneError("file is not valid UTF-8")
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, split at \\r\\n, \\r and \\n only (splitlines() splits at \\x85 and more)."""
+    if "\r" in text:  # most files have none, and each replace copies the text
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def read_touchstone(path: str | os.PathLike) -> ResponseCurve:
@@ -416,14 +409,15 @@ def read_touchstone(path: str | os.PathLike) -> ResponseCurve:
     record, or whose rows fail a check, is read line by line, which gives the
     same values and names the earliest faulty line.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    text = text.removeprefix("\ufeff")  # one byte-order mark, at the very start only
-    # not splitlines(): it also splits at \x1c, \x85 and more, which would shift the line numbers
-    lines = text.split("\n")
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TouchstoneError(f"file is not valid UTF-8 (byte 0x{data[exc.start]:02x})",
+                              len(_lines(data[:exc.start].decode("utf-8")))) from None
+    data = None  # freed, so a large file is not held twice through the parse
+    lines = _lines(text.removeprefix("\ufeff"))  # one byte-order mark, at the very start only
     header = _Header()
     first = next((i for i, line in enumerate(lines) if not header.take(line.strip(), i + 1)), None)
     if header.mult is None:

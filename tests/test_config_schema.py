@@ -13,8 +13,9 @@ some of the wrong type, range or finiteness:
   present that the mode does not read: a key outside the mode's blocks, or
   circuit.h1_mm / circuit.mirrored at order 1, a fit start or box for a fixed
   parameter, or width-design keys in a synthesize run without fbw_target;
-  or when fit.free names a parameter twice, or a fit start or box is one the
-  fit rejects.
+  or when fit.free names a parameter twice, a fit start or box is one the
+  fit rejects, a sweep-w ring value is not positive, or a synthesize width
+  range does not lie inside the cell.
 
 A second property feeds parse_config arbitrary JSON: the result is a
 RunConfig or a ConfigError, never another exception.
@@ -545,6 +546,21 @@ def has_an_invalid_fit_box(want: RunConfig) -> bool:
     )
 
 
+def has_a_nonpositive_ring(want: RunConfig) -> bool:
+    """Whether a sweep-w config's ring L1 or C1 is not positive, which the
+    reference accepted although every width then failed."""
+    return want.mode == "sweep-w" and not (want.ring_l1 > 0 and want.ring_c1 > 0)
+
+
+def has_a_width_range_outside_the_cell(want: RunConfig) -> bool:
+    """Whether a synthesize config's width range is not 0 < w_min <= w_max <
+    period, which the reference accepted and left to the width search."""
+    if want.mode != "synthesize":
+        return False
+    lo, hi = want.width_range
+    return not 0 < lo <= hi < want.geometry.period
+
+
 def rejects_only_for_its_default_width(doc: dict, want: Exception) -> bool:
     """Whether the reference rejected a design cell only because its default
     2.6 mm strip width does not fit inside the period."""
@@ -575,13 +591,17 @@ def outcome(parse, text: str):
 @example({"mode": "sweep-w", "sweep": {"w_mm": [1.0]}, "geometry": {"period_mm": 2.6}})
 @example({"mode": "sweep-w", "sweep": {"w_mm": [1.0]},
           "geometry": {"period_mm": 2.6, "ring_side_mm": 2.4, "arm_width_mm": 0.2}})
+@example({"mode": "sweep-w", "sweep": {"w_mm": [1.0]}, "circuit": {"l1_nh": -1.0}})
+@example({"mode": "synthesize", "synthesize": {"f_p_ghz": 2.7, "f_z_ghz": 5.0, "c1_pf": 0.6,
+                                               "fbw_target": 0.1, "w_min_mm": 0}})
 def test_schema_parser_matches_reference(doc):
     text = json.dumps(doc)
     want, got = outcome(reference_parse_config, text), outcome(parse_config, text)
     if isinstance(got, Exception):
         assert isinstance(got, ConfigError), repr(got)
         if not isinstance(want, Exception):
-            allowed = has_unread_key(doc) or names_a_fit_parameter_twice(doc) or has_an_invalid_fit_box(want)
+            allowed = (has_unread_key(doc) or names_a_fit_parameter_twice(doc) or has_an_invalid_fit_box(want)
+                       or has_a_nonpositive_ring(want) or has_a_width_range_outside_the_cell(want))
             assert allowed, f"newly rejected: {got}"
     elif isinstance(want, Exception):
         assert rejects_only_for_its_default_width(doc, want), f"newly accepted; reference said {want!r}"

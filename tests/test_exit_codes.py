@@ -3,7 +3,8 @@
 Configs are drawn from ``cli._SCHEMA``: good values near each key's default
 for some of the keys a mode reads, then up to two faults, each a reversed,
 duplicated, out-of-range or mistyped value.  ``main()`` must return 0, 2, 3
-or 4 and never write a traceback; a config with a mistyped value exits 2.
+or 4 and never write a traceback; a config that still holds a mistyped value
+(a later fault on the same key may replace it) exits 2.
 Grids stay at or below 2001 points, and ``fit`` and ``analyze`` read a real
 .s2p file, so each run is short.
 """
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsskit import cli
+from fsskit.errors import ConfigError
 
 #: a value for each key that the schema requires or leaves unset by default
 GIVEN = {
@@ -46,10 +48,32 @@ FIT_BOXES = {  # each exits 2: the box or start is invalid before the file is re
     "zero start, default box": {"free": ["r_ohm"], "initial": {"r_ohm": 0}},
 }
 
+SYNTH = {"f_p_ghz": 2.7, "f_z_ghz": 5.0, "c1_pf": 0.6}
+RING = "invalid circuit block: L, L1 and C1 must be positive"
+WIDTHS = "invalid synthesize block: width range must satisfy 0 < w_min <= w_max < period"
+AT_PARSE = {  # each exits 2 with its error: parse rejects a value the run cannot use
+    "negative ring L1": ({"mode": "sweep-w", "circuit": {"l1_nh": -1.0}, "sweep": {"w_mm": [1.0, 2.0]}}, RING),
+    "zero ring C1": ({"mode": "sweep-w", "circuit": {"c1_pf": 0}, "sweep": {"w_mm": [1.0, 2.0]}}, RING),
+    "negative Q target": ({"mode": "synthesize", "synthesize": {**SYNTH, "q_target": -1}},
+                          "invalid synthesize block: quality-factor target must be positive"),
+    "zero Q target": ({"mode": "synthesize", "synthesize": {**SYNTH, "q_target": 0}},
+                      "invalid synthesize block: quality-factor target must be positive"),
+    "negative FBW target": ({"mode": "synthesize", "synthesize": {**SYNTH, "fbw_target": -0.2}},
+                            "invalid synthesize block: bandwidth target must be positive"),
+    "reversed width range": ({"mode": "synthesize", "synthesize": {
+        **SYNTH, "fbw_target": 0.1, "w_min_mm": 3.0, "w_max_mm": 0.3}}, WIDTHS),
+    "width range beyond the cell": ({"mode": "synthesize", "synthesize": {
+        **SYNTH, "fbw_target": 0.1, "w_max_mm": 20}}, WIDTHS),
+}
+
 
 def fit_box(case):
     fit = {"touchstone": "S2P", "free": ["l_nh"], **FIT_BOXES[case]}
     return {"mode": "fit", "circuit": {"l_nh": 2.85}, "fit": fit}, True
+
+
+def at_parse(case):
+    return AT_PARSE[case][0], True
 
 
 def good(draw, block, key, doc, scale):
@@ -109,7 +133,7 @@ def configs(draw):
             if mode in modes and (default is cli._REQUIRED or optional):
                 doc.setdefault(block, {})[key] = good(draw, block, key, doc, scale)
     present = [(block, key) for block in cli._SCHEMA for key in doc.get(block, {})]
-    mistyped = False
+    mistyped = {}  # (block, key) -> whether the last fault on the key left it mistyped
     for fault in draw(st.lists(st.sampled_from(["reversed", "duplicated", "out_of_range", "mistyped",
                                                 "swapped"]), max_size=2)):
         if fault == "swapped":
@@ -117,12 +141,13 @@ def configs(draw):
             given = doc.get(block, {})
             if a in given and b in given:
                 given[a], given[b] = given[b], given[a]
+                mistyped[block, a], mistyped[block, b] = mistyped.get((block, b)), mistyped.get((block, a))
             continue
         block, key = draw(st.sampled_from(present))
         kind = cli._SCHEMA[block][key][1]
         doc[block][key] = spoil(draw, kind, doc[block][key], fault)
-        mistyped |= fault == "mistyped"
-    return doc, mistyped
+        mistyped[block, key] = fault == "mistyped"
+    return doc, any(mistyped.values())
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +165,13 @@ def workdir(tmp_path_factory):
 @example(fit_box("start outside"))
 @example(fit_box("reactive box from 0"))
 @example(fit_box("zero start, default box"))
+@example(at_parse("negative ring L1"))
+@example(at_parse("zero ring C1"))
+@example(at_parse("negative Q target"))
+@example(at_parse("zero Q target"))
+@example(at_parse("negative FBW target"))
+@example(at_parse("reversed width range"))
+@example(at_parse("width range beyond the cell"))
 def test_every_config_exits_with_a_documented_code(workdir, case):
     doc, must_be_config_error = case
     text = json.dumps(doc).replace('"S2P"', json.dumps(str(workdir / "obs_te0deg.s2p")))
@@ -152,3 +184,11 @@ def test_every_config_exits_with_a_documented_code(workdir, case):
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_COMPUTE, cli.EXIT_IO), err.getvalue()
     if must_be_config_error:
         assert code == cli.EXIT_CONFIG, err.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(AT_PARSE))
+def test_values_the_run_cannot_use_fail_at_parse(case):
+    doc, error = AT_PARSE[case]
+    with pytest.raises(ConfigError) as info:
+        cli.parse_config(json.dumps(doc))
+    assert str(info.value) == error
