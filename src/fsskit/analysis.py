@@ -35,7 +35,7 @@ def zero_freq(l1: float, c1: float) -> float:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Linear frequency grid, endpoints inclusive."""
+    """Linear frequency grid, endpoints inclusive; n_points is an int (not a bool)."""
 
     f_start: float
     f_stop: float
@@ -44,6 +44,8 @@ class FrequencyGrid:
     def __post_init__(self):
         if not 0 < self.f_start < self.f_stop < math.inf:
             raise DomainError("grid requires 0 < f_start < f_stop < inf")
+        if not isinstance(self.n_points, (int, np.integer)) or isinstance(self.n_points, bool):
+            raise DomainError(f"grid point count must be an integer, got {self.n_points!r}")
         if self.n_points < 2:
             raise DomainError("grid requires at least 2 points")
 
@@ -216,9 +218,9 @@ def extract_metrics(curve: ResponseCurve) -> PassbandMetrics:
     # transmission zero: the deepest interior dip above the peak.  A
     # monotone tail that merely falls under the threshold does not count.
     f_zero = None
-    above = np.nonzero(f > f_c)[0]
-    if above.size:
-        m = int(above[np.argmin(mag[above])])
+    first = int(np.searchsorted(f, f_c, side="right"))  # the first f > f_c
+    if first < len(f):
+        m = first + int(np.argmin(mag[first:]))
         is_dip = 0 < m < len(f) - 1 and mag[m] <= mag[m - 1] and mag[m] <= mag[m + 1]
         if is_dip and mag[m] < 0.1:
             f_zero, _ = _parabolic_vertex(

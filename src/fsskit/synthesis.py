@@ -15,7 +15,6 @@ from .analysis import (
     extract_metrics,
     network_smatrix,
     passband_freq,
-    sweep_response,
     zero_freq,
 )
 from .builder import (
@@ -34,7 +33,7 @@ from .errors import (
     InfeasibleTargetError,
     OneSidedBandError,
 )
-from .twoport import NORMAL, IncidenceCondition, SMatrix
+from .twoport import NORMAL, IncidenceCondition, ShuntRLTail, SMatrix, wave_impedance
 
 
 @dataclass(frozen=True)
@@ -118,24 +117,29 @@ def width_evaluator(
 ) -> Callable[[float], PassbandMetrics]:
     """Passband metrics of the first-order cell as a function of its strip width.
 
-    The returned function builds the ladder at width w (m) from geometry,
-    with every other dimension, the calibration, l1 and c1 fixed, and
-    sweeps it on grid at inc.  Only the grid branch depends on w, so the
-    function holds one reuse mapping: the ring and spacer, and their
-    product, are evaluated once for all its calls.  A width outside
-    (0, period) raises the DomainError of GeometryParams.
+    The returned function takes the circuit values at width w (m) from
+    geometry, with every other dimension, the calibration, l1 and c1 fixed,
+    and sweeps s21 on grid at inc.  Only the grid branch depends on w.  At
+    the first width whose values pass their checks, the function evaluates
+    the ring and the spacer and keeps their product in a ShuntRLTail, with
+    its b/z, jw and buffers; each width then writes its s21 there.  The
+    curve is bit-identical to sweep_response(build_network(params), grid,
+    inc, reflections=False).  A width outside (0, period) raises the
+    DomainError of GeometryParams; a width that fails leaves what is held
+    untouched.
     """
-    reuse = {}
-    curve = None
+    f = grid.points
+    tail = None
 
     def metrics_at(w: float) -> PassbandMetrics:
-        # the last curve lives until the next is made: freed between widths, its
-        # arrays would let the allocator trim the heap, and each sweep would fault
-        # the pages in again (+23% time on 16 widths of 20001 points)
-        nonlocal curve
+        nonlocal tail
         params = params_from_geometry(replace(geometry, strip_width=w), cal, l1, c1)
-        curve = sweep_response(build_network(params), grid, inc, reuse, reflections=False)
-        return extract_metrics(curve)
+        if tail is None:
+            ring, line, _ = build_network(params).elements
+            head = ring.abcd(f, inc) @ line.abcd(f, inc)
+            tail = ShuntRLTail(head, f, wave_impedance(inc.theta, inc.polarization))
+        s21 = tail.s21(params.R, params.L)
+        return extract_metrics(ResponseCurve(freqs=f, s11=None, s21=s21, incidence=inc))
 
     return metrics_at
 

@@ -10,12 +10,14 @@ the frequencies, so k parameter sets are evaluated at once as a (k, nf)
 batch.
 
 The kernels follow the ladder's shape.  A shunt branch is a ShuntMatrix,
-and a product with one on the right is the two-product update
-(a + b Y, b, c + d Y, d) instead of the general eight-product form;
-abcd_to_s forms b/z and c z once for its three sums.  Both keep the
-final S bit-identical to the general formulas.  A caller that reads
-only s21, such as the strip-width search and the |s21| fit, asks
-abcd_to_s for it alone with reflections=False.
+and a product with one on either side is a two-product update instead of
+the general eight-product form: (a + b Y, b, c + d Y, d) with the shunt
+on the right, (a, b, c + Y a, d + Y b) with it on the left.  abcd_to_s
+forms b/z and c z once for its three sums.  All keep the final S
+bit-identical to the general formulas.  A caller that reads only s21,
+such as the |s21| fit, asks abcd_to_s for it alone with
+reflections=False; the strip-width loop uses ShuntRLTail, which holds
+everything that does not depend on the width.
 """
 
 from __future__ import annotations
@@ -90,6 +92,9 @@ class TwoPortMatrix:
         if other.__class__ is ShuntMatrix:
             y = other.c
             return TwoPortMatrix(a=self.a + self.b * y, b=self.b, c=self.c + self.d * y, d=self.d)
+        if self.__class__ is ShuntMatrix:
+            y = self.c
+            return TwoPortMatrix(a=other.a, b=other.b, c=other.c + y * other.a, d=other.d + y * other.b)
         return TwoPortMatrix(
             a=self.a * other.a + self.b * other.c,
             b=self.a * other.b + self.b * other.d,
@@ -105,7 +110,7 @@ class TwoPortMatrix:
 class ShuntMatrix(TwoPortMatrix):
     """[[1, 0], [Y, 1]] of a shunt branch; c holds Y.
 
-    Marks the matrix so that a product with it on the right takes the
+    Marks the matrix so that a product with it on either side takes an
     update form in TwoPortMatrix.__matmul__.
     """
 
@@ -259,3 +264,47 @@ def abcd_to_s(m: TwoPortMatrix, z_ref: float, reflections: bool = True) -> SMatr
     s11 = (m.a + bz - cz - m.d) / delta if reflections else None
     s22 = (-m.a + bz - cz + m.d) / delta if reflections else None
     return SMatrix(s11=s11, s21=s21, s12=s21, s22=s22, z_ref=z_ref)
+
+
+class ShuntRLTail:
+    """s21 of a held chain product, the head, closed by a grounded R-L branch.
+
+    A loop in which only that branch changes, such as the strip-width loop
+    over first-order ladders, makes one tail per frequency array and port
+    impedance.  It keeps the head, the head's b/z, jw = 2 pi j f and two
+    complex buffers.  s21(r, l) writes y = 1/(r + jw l) and then c + d y
+    into one, and a + b y, Delta = a + b/z + c z + d and then s21 = 2/Delta
+    into the other.  Each step keeps the operand order of
+    shunt_rl_admittance, the ShuntMatrix update and abcd_to_s, so s21(r, l)
+    is bit-identical to
+    abcd_to_s(head @ abcd_shunt(shunt_rl_admittance(r, l, f)), z_ref).s21.
+    r and l are scalars.  The array returned is overwritten by the next call.
+    """
+
+    def __init__(self, head: TwoPortMatrix, f, z_ref: float):
+        f = np.asarray(f, dtype=float)
+        if not np.all(f > 0):
+            raise DomainError("frequency must be positive")
+        if not z_ref > 0:
+            raise DomainError(f"reference impedance must be positive, got {z_ref}")
+        self.head = head
+        self.z_ref = z_ref
+        self.bz = head.b / z_ref
+        self.jw = 1j * 2 * np.pi * f
+        self._y, self._a = np.empty_like(self.jw), np.empty_like(self.jw)
+
+    def s21(self, r: float, l: float) -> np.ndarray:
+        if not (r >= 0 and l > 0):
+            raise DomainError("RL branch requires r >= 0 and l > 0")
+        h, y, a = self.head, self._y, self._a
+        np.divide(1.0, np.add(r, np.multiply(self.jw, l, out=y), out=y), out=y)
+        if not np.all(np.isfinite(y)):
+            raise DomainError("shunt admittance must be finite")
+        np.add(h.a, np.multiply(h.b, y, out=a), out=a)
+        c = np.add(h.c, np.multiply(h.d, y, out=y), out=y)
+        # Delta, formed in a
+        np.add(np.add(a, self.bz, out=a), np.multiply(c, self.z_ref, out=c), out=a)
+        np.add(a, h.d, out=a)
+        if np.any(a == 0):
+            raise SingularNetworkError("singular network: a + b/z + c z + d = 0")
+        return np.divide(2.0, a, out=a)

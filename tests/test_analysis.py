@@ -9,6 +9,7 @@ import pytest
 from fsskit.analysis import (
     FrequencyGrid,
     ResponseCurve,
+    _parabolic_vertex,
     extract_metrics,
     network_smatrix,
     passband_freq,
@@ -76,6 +77,14 @@ class TestGridAndCurve:
             FrequencyGrid(2e9, 1e9, 11)
         with pytest.raises(DomainError):
             FrequencyGrid(1e9, 2e9, 1)
+
+    @pytest.mark.parametrize("n", [2001.0, 2.5, np.float64(3.0), "10", None, True, False, np.bool_(True)])
+    def test_grid_rejects_a_count_that_is_not_an_integer(self, n):
+        with pytest.raises(DomainError, match="^grid point count must be an integer"):
+            FrequencyGrid(1e9, 5e9, n)
+
+    def test_grid_accepts_a_numpy_integer_count(self):
+        assert FrequencyGrid(1e9, 5e9, np.int64(5)).points.size == 5
 
     @pytest.mark.parametrize("start, stop", [
         (1e9, math.inf), (-math.inf, 1e9), (math.inf, math.inf), (1e9, math.nan), (math.nan, 1e9),
@@ -207,6 +216,25 @@ class TestExtractMetrics:
         assert m.f_zero is not None
         assert m.f_zero == pytest.approx(F_Z, rel=5e-3)
         assert m.f_c < m.f_zero
+
+    @pytest.mark.parametrize("peak_at", [0.2, 0.2003])
+    def test_tied_tail_minima_pick_the_first_dip(self, peak_at):
+        # a symmetric peak puts f_c on a grid point (0.2), which is not above it;
+        # the tail holds two dips of exactly the same depth
+        f = np.linspace(1e9, 5e9, 1001)
+        x = (f - 1e9) / 4e9
+        mag = 0.5 / np.sqrt(1.0 + ((x - peak_at) / 0.01) ** 2)
+        dips = [600, 601, 602, 800, 801, 802]
+        mag[dips] = [0.003, 0.001, 0.003, 0.003, 0.001, 0.003]
+        curve = ResponseCurve(freqs=f, s11=None, s21=mag.astype(complex))
+        m = extract_metrics(curve)
+        # the tail view's first minimum is the masked search's
+        above = np.nonzero(f > m.f_c)[0]
+        masked = int(above[np.argmin(mag[above])])
+        first = int(np.searchsorted(f, m.f_c, side="right"))
+        assert first + int(np.argmin(mag[first:])) == masked == 601
+        want, _ = _parabolic_vertex(f[600], f[601], f[602], mag[600], mag[601], mag[602])
+        assert m.f_zero == want
 
     def test_second_order_reference_response(self):
         # Characterization of the full ladder with the reference element

@@ -1,12 +1,11 @@
 """Ladder-shaped kernels against the general formulas, bit for bit.
 
-A product with a shunt on the right takes the update form, a strip-width
-loop resumes its cascade from a held product, and abcd_to_s forms b/z and
-c z once.  The reference below is the general eight-product chain multiply
-and the three-sum conversion written out in full; every final S bit must
-match it.  The general product computes a*0.0 + b, which may flip the sign
-of a zero that the update form keeps, so lossless ladders (whose lines have
-±0 real parts) are part of the grid.
+A product with a shunt on either side takes an update form, and abcd_to_s
+forms b/z and c z once.  The reference below is the general eight-product
+chain multiply and the three-sum conversion written out in full; every
+final S bit must match it.  The general product computes a*0.0 + b, which
+may flip the sign of a zero that the update form keeps, so lossless ladders
+(whose lines have ±0 real parts) are part of the grid.
 """
 
 import math
@@ -21,6 +20,9 @@ from fsskit.builder import (
     DEFAULT_GEOMETRY,
     CalibrationConstants,
     CircuitParams,
+    LayeredNetwork,
+    LineSegment,
+    ShuntBranch,
     build_network,
     params_from_geometry,
 )
@@ -116,3 +118,27 @@ def test_batch_matches_general_formulas(lossy):
     s = network_smatrix(net, f, inc)
     assert s.s21.shape == (3, f.size)
     assert_same_s(s, reference_s(net, f, inc))
+
+
+@pytest.mark.parametrize("rows", [False, True], ids=["1-D", "k-rows"])
+@pytest.mark.parametrize("lossy", [True, False], ids=["lossy", "lossless"])
+def test_shunt_on_the_left_matches_general_formulas(lossy, rows):
+    # every ladder starts with a shunt on the left: the ring @ spacer head of
+    # the width loop and of simulate, and the first product of a fit model call
+    f = FrequencyGrid(1e9, 5e9, 2001).points
+    inc = INCIDENCES["TM40"]
+    col = np.array([[0.8], [1.0], [1.25]]) if rows else 1.0
+    r = 0.1 if lossy else 0.0
+    ring = ShuntBranch(r, L1 * col, C1 / col)
+    spacer = LineSegment(2.2, 0.254e-3, 0.0009 if lossy else 0.0)
+    grid = ShuntBranch(r * col, 2.85e-9 * col)
+    gap = LineSegment(1.0, 10e-3)
+    line = spacer.abcd(f, inc)
+    head = ring.abcd(f, inc) @ line
+    assert head.a is line.a and head.b is line.b  # the update form was taken
+    for elements in [(ring, spacer), (ring, spacer, grid),
+                     (ring, spacer, grid, gap, grid, spacer, ring)]:
+        net = LayeredNetwork(elements)
+        s = network_smatrix(net, f, inc)
+        assert s.s21.shape == ((3, f.size) if rows else (f.size,))
+        assert_same_s(s, reference_s(net, f, inc))

@@ -4,10 +4,10 @@ abcd_to_s forms all three arrays, or s21 alone when asked with
 reflections=False.  The reference below is the eager conversion as it was
 written before, with b/z and c z shared by the three sums; every array
 formed must match it bit for bit.  The solvers read only s21, so every S
-matrix they make must come without s11 and s22.  Every array a curve holds
-is checked at construction: a curve whose s21 is finite but whose s11 is not
-fails there, and simulate fails before any file is opened.  A curve swept
-for s21 alone cannot be written as a Touchstone file.
+matrix and every curve they make must come without s11 and s22.  Every
+array a curve holds is checked at construction: a curve whose s21 is finite
+but whose s11 is not fails there, and simulate fails before any file is
+opened.  A curve swept for s21 alone cannot be written as a Touchstone file.
 """
 
 import json
@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fsskit import analysis
+from fsskit import analysis, synthesis
 from fsskit.analysis import FrequencyGrid, ResponseCurve, network_smatrix, sweep_response
 from fsskit.builder import (
     DEFAULT_CALIBRATION,
@@ -160,13 +160,29 @@ def assert_none_formed(made):
         assert_s21_alone(s)
 
 
-def test_width_for_bandwidth_forms_no_reflections(smatrices):
+@pytest.fixture
+def width_curves(monkeypatch):
+    """Every curve that the strip-width loop hands to extract_metrics."""
+    read = []
+    real = synthesis.extract_metrics
+
+    def recording(curve):
+        read.append(curve)
+        return real(curve)
+
+    monkeypatch.setattr(synthesis, "extract_metrics", recording)
+    return read
+
+
+def test_width_for_bandwidth_forms_no_reflections(width_curves):
     w = width_for_bandwidth(0.25, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, L1, C1, (0.3e-3, 3e-3))
     assert 0.3e-3 < w < 3e-3
-    assert_none_formed(smatrices)
+    assert width_curves
+    for curve in width_curves:
+        assert_s21_alone(curve)
 
 
-def test_sweep_w_run_forms_no_reflections(smatrices, tmp_path):
+def test_sweep_w_run_forms_no_reflections(width_curves, tmp_path):
     cfg = parse_config(json.dumps({
         "mode": "sweep-w",
         "grid": {"f_start_ghz": 1.0, "f_stop_ghz": 5.0, "n_points": 2001},
@@ -174,8 +190,9 @@ def test_sweep_w_run_forms_no_reflections(smatrices, tmp_path):
     }))
     summary = run(cfg, tmp_path)
     assert len(summary["rows"]) == 3
-    assert len(smatrices) == 3
-    assert_none_formed(smatrices)
+    assert len(width_curves) == 3
+    for curve in width_curves:
+        assert_s21_alone(curve)
 
 
 def test_fit_circuit_forms_no_reflections(smatrices):

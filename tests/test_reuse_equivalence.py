@@ -1,39 +1,46 @@
-"""Element reuse across the ladders of a strip-width loop, against plain evaluation.
+"""Results held across the ladders of a loop, against plain evaluation.
 
-sweep-w and width_for_bandwidth evaluate widths through
-synthesis.width_evaluator, which passes one mapping from element to its
-chain matrix to every sweep of its loop, so the ring branch and the spacer,
-which do not depend on the strip width, are evaluated once, and so is
-their chain product.  These tests check every reused result against a
-sweep that evaluates each element afresh, bit for bit, and check what the
-mapping holds afterwards.
+A loop over ladders on one grid and incidence may pass one mapping from
+element to its chain matrix to every sweep, so an element shared by the
+ladders is evaluated once.  The strip-width loop of sweep-w and
+width_for_bandwidth, synthesis.width_evaluator, holds more: the ring and
+spacer product, its b/z, jw and the buffers of a ShuntRLTail, evaluated
+once per evaluator.  These tests check every held result against a sweep
+that evaluates each element afresh, bit for bit, and check what is held
+afterwards.
 """
 
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsskit import cli, synthesis
 from fsskit.analysis import FrequencyGrid, extract_metrics, network_smatrix, sweep_response
 from fsskit.builder import (
     DEFAULT_CALIBRATION,
     DEFAULT_GEOMETRY,
+    CalibrationConstants,
     CircuitParams,
     LayeredNetwork,
     LineSegment,
+    ShuntBranch,
     build_network,
     params_from_geometry,
 )
-from fsskit.errors import DomainError, EvanescentModeError, FssError
-from fsskit.synthesis import width_for_bandwidth
-from fsskit.twoport import NORMAL, IncidenceCondition, Polarization
+from fsskit.errors import DomainError, EvanescentModeError, FssError, OneSidedBandError
+from fsskit.synthesis import width_evaluator, width_for_bandwidth
+from fsskit.twoport import NORMAL, IncidenceCondition, Polarization, ShuntRLTail, wave_impedance
 
 L1, C1 = 1.61e-9, 0.6e-12
 GRID = FrequencyGrid(1e9, 5e9, 2001)
 TM40 = IncidenceCondition(math.radians(40.0), Polarization.TM)
+LOSSLESS = CalibrationConstants(DEFAULT_CALIBRATION.l_scale, 0.0, 0.0)
 
 
 def _bits(x) -> bytes:
@@ -52,11 +59,8 @@ def ladder_at(w_mm, geometry=DEFAULT_GEOMETRY, cal=DEFAULT_CALIBRATION, l1=L1, c
 
 
 def held(net) -> list:
-    """Keys of the mapping after a sweep of net: its distinct elements, then
-    its head (all elements but the last) if that has two or more."""
-    els = net.elements
-    keys = list(dict.fromkeys(els))
-    return keys + [els[:-1]] if len(els) > 2 else keys
+    """Keys of the mapping after a sweep of net: its distinct elements."""
+    return list(dict.fromkeys(net.elements))
 
 
 @pytest.mark.parametrize("inc", [NORMAL, TM40])
@@ -75,11 +79,11 @@ def test_width_loop_matches_plain_evaluation(inc):
         assert_same_curve(sweep_response(net, GRID, inc, reuse), sweep_response(net, GRID, inc))
         assert list(reuse) == held(net)
         head = net.elements[:2]
-        first = first or [reuse[el] for el in head] + [reuse[head]]
+        first = first or [reuse[el] for el in head]
         last = net
-    # the first ladder's ring and spacer matrices, and their product, served the whole loop
+    # the first ladder's ring and spacer matrices served the whole loop
     head = last.elements[:2]
-    assert all(reuse[key] is m for key, m in zip([*head, head], first))
+    assert all(reuse[key] is m for key, m in zip(head, first))
 
 
 def test_repeated_elements_within_a_ladder_are_evaluated_once():
@@ -88,7 +92,7 @@ def test_repeated_elements_within_a_ladder_are_evaluated_once():
     net = build_network(p)
     reuse = {}
     assert_same_curve(sweep_response(net, GRID, TM40, reuse), sweep_response(net, GRID, TM40))
-    assert list(reuse) == held(net) and len(reuse) == 4 + 1
+    assert list(reuse) == held(net) and len(reuse) == 4
 
 
 def test_failed_ladder_leaves_the_mapping_as_it_was():
@@ -119,25 +123,23 @@ def test_empty_ladder_leaves_the_mapping_as_it_was():
 
 
 @pytest.fixture
-def width_loop_sweeps(monkeypatch):
-    """Check every sweep of synthesis.width_evaluator against plain evaluation,
-    and collect the ring and spacer matrices and their product that each used."""
-    shared = []
-    real = synthesis.sweep_response
-
-    def checked(net, grid, inc, reuse, reflections=True):
-        got = real(net, grid, inc, reuse, reflections=reflections)
-        assert_same_curve(got, real(net, grid, inc, reflections=reflections))
-        assert list(reuse) == held(net)
-        head = net.elements[:2]
-        shared.append([reuse[el] for el in head] + [reuse[head]])
-        return got
-
-    monkeypatch.setattr(synthesis, "sweep_response", checked)
-    return shared
+def element_evaluations(monkeypatch):
+    """The element of every ShuntBranch.abcd and LineSegment.abcd call, in order."""
+    calls = []
+    for cls in (ShuntBranch, LineSegment):
+        def recording(self, f, inc=NORMAL, _real=cls.abcd):
+            calls.append(self)
+            return _real(self, f, inc)
+        monkeypatch.setattr(cls, "abcd", recording)
+    return calls
 
 
-def test_sweep_w_rows_match_plain_evaluation(tmp_path, width_loop_sweeps):
+def assert_ring_and_spacer_once(calls, params):
+    ring, line, _ = build_network(params).elements
+    assert calls == [ring, line]
+
+
+def test_sweep_w_rows_match_plain_evaluation(tmp_path, element_evaluations):
     widths = [2.2, 0.6, 11.0, 1.4, 0.6, 0.0, 2.6, 1.0]
     doc = {
         "mode": "sweep-w",
@@ -148,6 +150,10 @@ def test_sweep_w_rows_match_plain_evaluation(tmp_path, width_loop_sweeps):
     }
     cfg = cli.parse_config(json.dumps(doc))
     summary = cli.run(cfg, out_dir=tmp_path)
+
+    # the ring and the spacer, evaluated once for the first width that builds
+    assert_ring_and_spacer_once(element_evaluations, params_from_geometry(
+        replace(cfg.geometry, strip_width=0.6e-3), cfg.calibration, cfg.ring_l1, cfg.ring_c1))
 
     rows, failures = [], []
     for w_mm in sorted(widths):
@@ -163,17 +169,138 @@ def test_sweep_w_rows_match_plain_evaluation(tmp_path, width_loop_sweeps):
 
     assert hexed(summary["rows"]) == hexed(rows) and len(rows) == 6
     assert summary["failures"] == failures and len(failures) == 2
-    # the first width's ring and spacer matrices, and their product, served every later one
-    shared = width_loop_sweeps
-    assert len(shared) == 6
-    assert all(m is f for ms in shared for m, f in zip(ms, shared[0]))
 
 
-def test_width_for_bandwidth_matches_plain_evaluation(width_loop_sweeps):
-    shared = width_loop_sweeps
+def test_width_for_bandwidth_matches_plain_evaluation(element_evaluations):
     l1 = 1.0 / ((2 * math.pi * 5.1207263563633e9) ** 2 * C1)  # the shipped synthesize target
     w = width_for_bandwidth(0.25, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, l1, C1, (0.3e-3, 3.0e-3))
     assert 0.3e-3 < w < 3.0e-3
-    assert len(shared) > 2
-    # the first evaluation's ring and spacer matrices, and their product, served every later one
-    assert all(m is f for ms in shared for m, f in zip(ms, shared[0]))
+    # the ring and the spacer, evaluated once for the first width, w_min
+    assert_ring_and_spacer_once(element_evaluations, params_from_geometry(
+        replace(DEFAULT_GEOMETRY, strip_width=0.3e-3), DEFAULT_CALIBRATION, l1, C1))
+
+
+# ---------------------------------------------------------------------------
+# the width evaluator's held kernel
+
+
+def evaluated_s21(metrics_at, w):
+    """The metrics of metrics_at(w), or the FssError it raised, and a copy of the
+    s21 it handed to extract_metrics (None if it raised before that)."""
+    seen = []
+
+    def recording(curve):
+        seen.append(curve.s21.copy())
+        return extract_metrics(curve)
+
+    with mock.patch.object(synthesis, "extract_metrics", recording):
+        try:
+            result = metrics_at(w)
+        except FssError as exc:
+            result = exc
+    return result, seen[0] if seen else None
+
+
+def outcome(make_s21):
+    """The bits of make_s21(), or the type and message of the FssError it raised."""
+    try:
+        return _bits(make_s21())
+    except FssError as exc:
+        return type(exc), str(exc)
+
+
+def plain_s21(params, grid, inc):
+    return sweep_response(build_network(params), grid, inc, reflections=False).s21
+
+
+def evaluator(cal=DEFAULT_CALIBRATION, grid=GRID, inc=NORMAL):
+    return width_evaluator(DEFAULT_GEOMETRY, cal, L1, C1, grid, inc)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    w=st.floats(0.0, DEFAULT_GEOMETRY.period, exclude_min=True, exclude_max=True),
+    theta_deg=st.floats(0.0, 60.0),
+    pol=st.sampled_from(Polarization),
+    lossy=st.booleans(),
+    n=st.sampled_from([2001, 20001]),
+)
+def test_held_kernel_matches_sweep_response(w, theta_deg, pol, lossy, n):
+    inc = IncidenceCondition(math.radians(theta_deg), pol)
+    grid = FrequencyGrid(1e9, 5e9, n)
+    cal = DEFAULT_CALIBRATION if lossy else LOSSLESS
+    # a first width, so that w is evaluated from what is held
+    metrics_at = evaluator(cal, grid, inc)
+    evaluated_s21(metrics_at, 1.4e-3)
+    result, got = evaluated_s21(metrics_at, w)
+    try:
+        params = params_from_geometry(replace(DEFAULT_GEOMETRY, strip_width=w), cal, L1, C1)
+    except DomainError as exc:
+        assert got is None and str(result) == str(exc)
+        return
+    want = outcome(lambda: plain_s21(params, grid, inc))
+    assert (_bits(got) if got is not None else (type(result), str(result))) == want
+    # the evaluator's spacer has the default loss tangent; a tail also holds a lossless one
+    for loss_tangent in (0.0009, 0.0):
+        p = replace(params, loss_tangent=loss_tangent)
+        ring, line, _ = build_network(p).elements
+        tail = ShuntRLTail(ring.abcd(grid.points, inc) @ line.abcd(grid.points, inc),
+                           grid.points, wave_impedance(inc.theta, inc.polarization))
+        assert outcome(lambda: tail.s21(p.R, p.L)) == outcome(lambda: plain_s21(p, grid, inc))
+
+
+@pytest.mark.parametrize("inc", [NORMAL, TM40])
+def test_evaluation_order_does_not_change_a_result(inc):
+    w1, w2 = 2.2e-3, 0.6e-3
+    metrics_at = evaluator(inc=inc)
+    got = [evaluated_s21(metrics_at, w) for w in (w1, w2, w1)]
+    fresh = [evaluated_s21(evaluator(inc=inc), w) for w in (w1, w2, w1)]
+    for (m, s21), (m_fresh, s21_fresh) in zip(got, fresh):
+        assert m == m_fresh and _bits(s21) == _bits(s21_fresh)
+    assert got[0][0] == got[2][0] != got[1][0]
+
+
+@pytest.mark.parametrize("bad_mm, error", [(11.0, DomainError), (0.01, OneSidedBandError)])
+def test_a_width_that_raises_leaves_the_next_result_as_fresh(bad_mm, error):
+    for first in ([], [1.4]):  # the failure before and after anything is held
+        metrics_at = evaluator()
+        for w_mm in first:
+            metrics_at(w_mm * 1e-3)
+        with pytest.raises(error):
+            metrics_at(bad_mm * 1e-3)
+        got = evaluated_s21(metrics_at, 2.6e-3)
+        want = evaluated_s21(evaluator(), 2.6e-3)
+        assert got[0] == want[0] and _bits(got[1]) == _bits(want[1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failed_tail_call_leaves_what_is_held():
+    ring, line, _ = ladder_at(1.4).elements
+    f = GRID.points
+    tail = ShuntRLTail(ring.abcd(f) @ line.abcd(f), f, wave_impedance(0.0, Polarization.TE))
+    def held_bits():
+        h = tail.head
+        return [_bits(x) for x in (h.a, h.b, h.c, h.d, tail.bz, tail.jw)]
+
+    held_before = held_bits()
+    good = ladder_at(2.6).elements[2]
+    want = tail.s21(good.resistance, good.inductance).copy()
+    # with R = 0, jw L underflows to a subnormal, and 1/(jw L) overflows
+    with pytest.raises(DomainError, match="^shunt admittance must be finite$"):
+        tail.s21(0.0, 1e-320)
+    with pytest.raises(DomainError, match="RL branch requires"):
+        tail.s21(0.1, 0.0)
+    assert held_bits() == held_before
+    assert _bits(tail.s21(good.resistance, good.inductance)) == _bits(want)
+
+
+def test_ring_and_spacer_are_evaluated_once_per_evaluator(element_evaluations):
+    metrics_at = evaluator()
+    for w_mm in (11.0, 2.2, 0.6, 0.01, 1.4):
+        try:
+            metrics_at(w_mm * 1e-3)
+        except FssError:
+            pass
+    assert_ring_and_spacer_once(
+        element_evaluations, params_from_geometry(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, L1, C1))
