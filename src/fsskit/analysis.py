@@ -9,7 +9,7 @@ import numpy as np
 
 from .builder import LayeredNetwork
 from .errors import BandNotBracketedError, DomainError, OneSidedBandError
-from .twoport import NORMAL, IncidenceCondition, SMatrix, abcd_to_s, wave_impedance
+from .twoport import NORMAL, IncidenceCondition, SMatrix, abcd_to_s, cascade, wave_impedance
 
 #: Magnitudes are floored here before taking logs so dB values stay finite.
 _DB_FLOOR = 1e-300
@@ -60,8 +60,8 @@ class ResponseCurve:
 
     freqs holds the sample frequencies in Hz (strictly increasing, not
     necessarily uniform, so curves loaded from interchange files fit the
-    same type).  s11 and s22 are None when the curve was swept for s21
-    alone (see sweep_response); synthetic curves may omit s22.
+    same type).  s11 and s22 are None in the curves that the solvers form
+    from s21 alone; synthetic curves may omit s22.
 
     Every array held is checked at construction: freqs for a finite 1-D
     grid, and each S-parameter for its shape against freqs and for finite
@@ -111,37 +111,30 @@ class PassbandMetrics:
 
 
 def network_smatrix(
-    net: LayeredNetwork,
-    f,
-    inc: IncidenceCondition = NORMAL,
-    reuse: dict | None = None,
-    reflections: bool = True,
+    net: LayeredNetwork, f, inc: IncidenceCondition = NORMAL, reflections: bool = True
 ) -> SMatrix:
     """Evaluate a ladder at one or more frequencies.
 
     The port reference is the oblique free-space wave impedance for the
-    given incidence, on both sides.  reuse is passed to LayeredNetwork.abcd,
-    reflections to abcd_to_s.
+    given incidence, on both sides.  reflections is passed to abcd_to_s.
     """
     z_ref = wave_impedance(inc.theta, inc.polarization)
-    return abcd_to_s(net.abcd(f, inc, reuse), z_ref, reflections)
+    return abcd_to_s(net.abcd(f, inc), z_ref, reflections)
 
 
 def sweep_response(
-    net: LayeredNetwork,
-    grid: FrequencyGrid,
-    inc: IncidenceCondition = NORMAL,
-    reuse: dict | None = None,
-    reflections: bool = True,
+    net: LayeredNetwork, grid: FrequencyGrid, inc: IncidenceCondition = NORMAL
 ) -> ResponseCurve:
-    """Vectorized frequency sweep of a ladder network.
+    """Vectorized frequency sweep of a ladder network: s11, s21 and s22.
 
-    A loop over ladders on one grid and incidence passes the same reuse
-    mapping to every call (see LayeredNetwork.abcd).  With
-    reflections=False the curve holds s21 alone: s11 and s22 are None.
+    An element object that the ladder holds more than once, as a
+    second-order stack holds its layer's, is evaluated once.
     """
     f = grid.points
-    s = network_smatrix(net, f, inc, reuse, reflections)
+    distinct = {id(el): el for el in net.elements}
+    held = {key: el.abcd(f, inc) for key, el in distinct.items()}
+    m = cascade([held[id(el)] for el in net.elements])
+    s = abcd_to_s(m, wave_impedance(inc.theta, inc.polarization))
     return ResponseCurve(freqs=f, s11=s.s11, s21=s.s21, incidence=inc, s22=s.s22)
 
 

@@ -182,33 +182,14 @@ class LineSegment:
 class LayeredNetwork:
     """Ordered ladder of shunt branches and line sections.
 
-    The first element faces the incoming wave.  Immutable; safe to share
-    across concurrent sweeps.
+    The first element faces the incoming wave.  Immutable.
     """
 
     elements: tuple[ShuntBranch | LineSegment, ...]
 
-    def abcd(
-        self,
-        f,
-        inc: IncidenceCondition = NORMAL,
-        reuse: dict[ShuntBranch | LineSegment, TwoPortMatrix] | None = None,
-    ) -> TwoPortMatrix:
-        """Chain matrix of the whole ladder.
-
-        reuse, when given, must come from earlier calls on the same f and
-        inc.  It maps elements to their matrices; an element found there is
-        not evaluated again.  After a successful call it holds exactly this
-        ladder's distinct elements; after a failed call it is unchanged.
-        """
-        if reuse is None:
-            return cascade([el.abcd(f, inc) for el in self.elements])
-        held = {el: reuse[el] if el in reuse else el.abcd(f, inc)
-                for el in dict.fromkeys(self.elements)}
-        out = cascade([held[el] for el in self.elements])
-        reuse.clear()
-        reuse.update(held)
-        return out
+    def abcd(self, f, inc: IncidenceCondition = NORMAL) -> TwoPortMatrix:
+        """Chain matrix of the whole ladder, every element evaluated."""
+        return cascade([el.abcd(f, inc) for el in self.elements])
 
 
 def grid_inductance(w: float, period: float, scale: float) -> float:

@@ -77,7 +77,8 @@ MAX_GRID_POINTS = 1_000_000
 #: block -> config key -> (target field, SI multiplier or JSON type, default in
 #: config units, modes that read the key).  A multiplier marks a finite number,
 #: ``int`` an integral one, a ``range`` an integral one inside it, ``Path`` the
-#: name of an existing file.  A default goes through the same check and
+#: name of an existing file, ``str`` the bare name of an output file inside the
+#: output directory ("" for none).  A default goes through the same check and
 #: multiplication as a given value; None leaves the field unset.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "circuit": {
@@ -193,6 +194,8 @@ def _value(name: str, value: Any, kind: Any) -> Any:
     if kind in _TYPE_NAMES:
         if not isinstance(value, kind) or (kind is list and not value):
             raise ConfigError(f"'{name}' must be {_TYPE_NAMES[kind]}")
+        if kind is str and value and (Path(value).name != value or value == ".." or "\0" in value):
+            raise ConfigError(f"'{name}' must be a bare file name inside the output directory, got {value!r}")
         return value
     try:
         finite = not isinstance(value, bool) and math.isfinite(value)
@@ -279,6 +282,8 @@ def parse_config(text: str) -> RunConfig:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config is nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(doc, {"mode", *_SCHEMA}, "config")
@@ -401,8 +406,7 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
             )
         angles[token] = math.degrees(inc.theta)
     net = build_network(cfg.circuit, mirrored=cfg.mirrored)
-    # a mapping per condition: repeated elements of the stack are evaluated once
-    pairs = [(inc, sweep_response(net, cfg.grid, inc, {})) for inc in cfg.incidence]
+    pairs = [(inc, sweep_response(net, cfg.grid, inc)) for inc in cfg.incidence]
 
     artifacts: list[str] = []
     if cfg.csv_name:
@@ -544,10 +548,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "out"
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_bytes().decode("utf-8")
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"config error: config is not UTF-8: {exc.reason} at byte offset {exc.start}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         summary = run(parse_config(text), out_dir=out_dir)

@@ -123,10 +123,10 @@ def width_evaluator(
     the first width whose values pass their checks, the function evaluates
     the ring and the spacer and keeps their product in a ShuntRLTail, with
     its b/z, jw and buffers; each width then writes its s21 there.  The
-    curve is bit-identical to sweep_response(build_network(params), grid,
-    inc, reflections=False).  A width outside (0, period) raises the
-    DomainError of GeometryParams; a width that fails leaves what is held
-    untouched.
+    s21 is bit-identical to network_smatrix(build_network(params),
+    grid.points, inc, reflections=False).s21.  A width outside (0, period)
+    raises the DomainError of GeometryParams; a width that fails leaves
+    what is held untouched.
     """
     f = grid.points
     tail = None

@@ -14,8 +14,9 @@ some of the wrong type, range or finiteness:
   circuit.h1_mm / circuit.mirrored at order 1, a fit start or box for a fixed
   parameter, or width-design keys in a synthesize run without fbw_target;
   or when fit.free names a parameter twice, a fit start or box is one the
-  fit rejects, a sweep-w ring value is not positive, or a synthesize width
-  range does not lie inside the cell.
+  fit rejects, a sweep-w ring value is not positive, a synthesize width
+  range does not lie inside the cell, or an output name is not a bare file
+  name (the reference took any string).
 
 A second property feeds parse_config arbitrary JSON: the result is a
 RunConfig or a ConfigError, never another exception.
@@ -435,6 +436,7 @@ def items(good, bad) -> tuple[st.SearchStrategy, st.SearchStrategy]:
 
 FIT_NAMES = st.sampled_from(["l_nh", "l1_nh", "c1_pf", "r_ohm", "r1_ohm"])
 NAME = st.sampled_from(["a.csv", "b.s2p"])
+NOT_A_BARE_NAME = st.sampled_from(["sub/a.csv", "/tmp/b.s2p", "..", "."])
 PATH = (st.just(EXISTING_FILE), st.just(MISSING_FILE))
 N = st.nothing()
 
@@ -466,7 +468,8 @@ KEYS = {
         "theta_deg": items(number(0, 89), number(90, 180)),
         "pol": items(st.sampled_from(["TE", "TM"]), st.just("te")),
     },
-    "output": {"csv": (NAME, N), "touchstone": (NAME, N), "metrics_csv": (NAME, N)},
+    "output": {"csv": (NAME, NOT_A_BARE_NAME), "touchstone": (NAME, NOT_A_BARE_NAME),
+               "metrics_csv": (NAME, NOT_A_BARE_NAME)},
     "sweep": {"w_mm": items(number(0.1, 3), BAD_NUMBER)},
     "synthesize": {
         "f_p_ghz": (number(1, 3), N), "f_z_ghz": (number(3, 8), number(0.5, 1)),
@@ -561,6 +564,13 @@ def has_a_width_range_outside_the_cell(want: RunConfig) -> bool:
     return not 0 < lo <= hi < want.geometry.period
 
 
+def has_an_output_path(want: RunConfig) -> bool:
+    """Whether an output name the reference accepted has a directory part or
+    is . or .., which the reference wrote wherever it pointed."""
+    names = (want.csv_name, want.touchstone_name, want.metrics_csv_name)
+    return any(name and (Path(name).name != name or name == "..") for name in names)
+
+
 def rejects_only_for_its_default_width(doc: dict, want: Exception) -> bool:
     """Whether the reference rejected a design cell only because its default
     2.6 mm strip width does not fit inside the period."""
@@ -601,7 +611,8 @@ def test_schema_parser_matches_reference(doc):
         assert isinstance(got, ConfigError), repr(got)
         if not isinstance(want, Exception):
             allowed = (has_unread_key(doc) or names_a_fit_parameter_twice(doc) or has_an_invalid_fit_box(want)
-                       or has_a_nonpositive_ring(want) or has_a_width_range_outside_the_cell(want))
+                       or has_a_nonpositive_ring(want) or has_a_width_range_outside_the_cell(want)
+                       or has_an_output_path(want))
             assert allowed, f"newly rejected: {got}"
     elif isinstance(want, Exception):
         assert rejects_only_for_its_default_width(doc, want), f"newly accepted; reference said {want!r}"

@@ -7,8 +7,14 @@ or 4 and never write a traceback; a config that still holds a mistyped value
 (a later fault on the same key may replace it) exits 2.
 Grids stay at or below 2001 points, and ``fit`` and ``analyze`` read a real
 .s2p file, so each run is short.
+
+A second property draws the config file as bytes: a valid config with bytes
+flipped, truncated, BOM-prefixed, or nested deeper than the JSON decoder
+allows.  The same holds.  Output names are bare file names, resolved inside
+--out-dir; any other name is a config error before anything is written.
 """
 
+import codecs
 import contextlib
 import io
 import json
@@ -150,6 +156,19 @@ def configs(draw):
     return doc, any(mistyped.values())
 
 
+def run_main(workdir, raw: bytes) -> tuple[int, str]:
+    """main()'s exit code and stderr on a config file of the given bytes; "S2P"
+    names a real .s2p file.  The code is a documented one, with no traceback."""
+    config = workdir / "run.json"
+    config.write_bytes(raw.replace(b'"S2P"', json.dumps(str(workdir / "obs_te0deg.s2p")).encode()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--config", str(config), "--out-dir", str(workdir / "out")])
+    assert "Traceback" not in err.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_COMPUTE, cli.EXIT_IO), err.getvalue()
+    return code, err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     out = tmp_path_factory.mktemp("exit_codes")
@@ -174,16 +193,9 @@ def workdir(tmp_path_factory):
 @example(at_parse("width range beyond the cell"))
 def test_every_config_exits_with_a_documented_code(workdir, case):
     doc, must_be_config_error = case
-    text = json.dumps(doc).replace('"S2P"', json.dumps(str(workdir / "obs_te0deg.s2p")))
-    config = workdir / "run.json"
-    config.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["--config", str(config), "--out-dir", str(workdir / "out")])
-    assert "Traceback" not in err.getvalue()
-    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_COMPUTE, cli.EXIT_IO), err.getvalue()
+    code, err = run_main(workdir, json.dumps(doc).encode())
     if must_be_config_error:
-        assert code == cli.EXIT_CONFIG, err.getvalue()
+        assert code == cli.EXIT_CONFIG, err
 
 
 @pytest.mark.parametrize("case", sorted(AT_PARSE))
@@ -192,3 +204,99 @@ def test_values_the_run_cannot_use_fail_at_parse(case):
     with pytest.raises(ConfigError) as info:
         cli.parse_config(json.dumps(doc))
     assert str(info.value) == error
+
+
+# ---------------------------------------------------------------------------
+# config files drawn as bytes
+
+#: one valid config per mode, each with "mode" as its first key
+VALID = [json.dumps(doc).encode() for doc in (
+    {"mode": "simulate", "circuit": {"order": 2, "l_nh": 2.85}, "grid": {"n_points": 101},
+     "output": {"csv": "r.csv", "touchstone": "r.s2p"}},
+    {"mode": "sweep-w", "grid": {"n_points": 201}, "sweep": {"w_mm": [0.6, 1.4]},
+     "output": {"metrics_csv": "m.csv"}},
+    {"mode": "synthesize", "synthesize": {**SYNTH, "q_target": 50.0}},
+    {"mode": "fit", "circuit": {"order": 2, "l_nh": 2.85}, "fit": {"touchstone": "S2P", "free": ["l_nh"]}},
+    {"mode": "analyze", "analyze": {"touchstone": "S2P"}},
+)]
+#: deeper than the JSON decoder's recursion allows, and just inside it
+DEPTHS = [2, 900, 990, 5000, 100_000]
+
+
+@st.composite
+def config_bytes(draw):
+    """A valid config with bytes flipped, truncated, BOM-prefixed or deeply nested."""
+    raw = draw(st.sampled_from(VALID))
+    how = draw(st.sampled_from(["flipped", "truncated", "bom", "nested"]))
+    if how == "flipped":  # anywhere, or in a number, where the config may still parse
+        in_numbers = [i for i, b in enumerate(raw) if b in b"0123456789."]
+        where = st.integers(0, len(raw) - 1) | st.sampled_from(in_numbers)
+        for i in draw(st.lists(where, min_size=1, max_size=3)):
+            byte = draw(st.integers(0, 255) | st.sampled_from(b"0123456789.-e/"))
+            raw = raw[:i] + bytes([byte]) + raw[i + 1:]
+    elif how == "truncated":
+        raw = raw[:draw(st.integers(0, len(raw) - 1))]
+    elif how == "bom":
+        raw = codecs.BOM_UTF8 + raw
+    else:
+        depth = draw(st.sampled_from(DEPTHS))
+        deep = b"[" * depth + b"]" * depth
+        where = draw(st.sampled_from(["root", "unknown key", "mode"]))
+        if where == "root":
+            raw = b"[" * depth + raw + b"]" * depth
+        elif where == "unknown key":
+            raw = b'{"deep": ' + deep + b", " + raw[1:]
+        else:  # the value of "mode", which an error message quotes
+            raw = b'{"mode": ' + deep + raw[raw.index(b","):]
+    return raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(config_bytes())
+@example(b'{"mode": "synthesize", \xff}')
+@example(codecs.BOM_UTF8 + VALID[0])
+@example(b"[" * 100_000 + b"]" * 100_000)
+def test_every_config_file_exits_with_a_documented_code(workdir, raw):
+    run_main(workdir, raw)
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(workdir):
+    code, err = run_main(workdir, b'{"mode": "synthesize", "synthesize": {"c1_pf": 0.6\xe9}}')
+    assert code == cli.EXIT_CONFIG
+    assert err == "config error: config is not UTF-8: invalid continuation byte at byte offset 50\n"
+
+
+@pytest.mark.parametrize("depth", [5000, 100_000])
+def test_a_config_nested_too_deeply_is_a_config_error(workdir, depth):
+    code, err = run_main(workdir, b'{"mode": "analyze", "x": ' + b"[" * depth + b"]" * depth + b"}")
+    assert (code, err) == (cli.EXIT_CONFIG, "config error: config is nested too deeply to parse\n")
+
+
+# ---------------------------------------------------------------------------
+# output names: a bare file name, resolved inside --out-dir
+
+OUTPUTS = {
+    "csv": {"mode": "simulate", "circuit": {"l_nh": 2.85}, "grid": {"n_points": 11}},
+    "touchstone": {"mode": "simulate", "circuit": {"l_nh": 2.85}, "grid": {"n_points": 11}},
+    "metrics_csv": {"mode": "sweep-w", "grid": {"n_points": 201}, "sweep": {"w_mm": [1.4]}},
+}
+
+
+@pytest.mark.parametrize("name", ["sub/dir/t.s2p", "../up.txt", "..", ".", "sub/", "ABSOLUTE", "a\0b"])
+@pytest.mark.parametrize("key", sorted(OUTPUTS))
+def test_an_output_name_that_is_not_a_bare_file_name_is_a_config_error(key, name, tmp_path):
+    if name == "ABSOLUTE":
+        name = str(tmp_path / "outside.txt")
+    code, err = run_main(tmp_path, json.dumps({**OUTPUTS[key], "output": {key: name}}).encode())
+    assert code == cli.EXIT_CONFIG
+    assert err == (f"config error: 'output.{key}' must be a bare file name inside the output "
+                   f"directory, got {name!r}\n")
+    assert [p.name for p in tmp_path.rglob("*")] == ["run.json"]
+
+
+@pytest.mark.parametrize("key", sorted(OUTPUTS))
+def test_a_bare_output_name_is_written_inside_the_out_dir(key, tmp_path):
+    code, _ = run_main(tmp_path, json.dumps({**OUTPUTS[key], "output": {key: "x.txt"}}).encode())
+    assert code == cli.EXIT_OK
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert written == (["response.csv", "x_te0deg.txt"] if key == "touchstone" else ["x.txt"])

@@ -5,7 +5,9 @@ forms b/z and c z once.  The reference below is the general eight-product
 chain multiply and the three-sum conversion written out in full; every
 final S bit must match it.  The general product computes a*0.0 + b, which
 may flip the sign of a zero that the update form keeps, so lossless ladders
-(whose lines have ±0 real parts) are part of the grid.
+(whose lines have ±0 real parts) are part of the grid.  network_smatrix,
+which evaluates every element, and sweep_response, which evaluates each
+distinct element once, are both checked.
 """
 
 import math
@@ -14,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fsskit.analysis import FrequencyGrid, network_smatrix
+from fsskit.analysis import FrequencyGrid, network_smatrix, sweep_response
 from fsskit.builder import (
     DEFAULT_CALIBRATION,
     DEFAULT_GEOMETRY,
@@ -71,6 +73,11 @@ def assert_same_s(s, want):
     assert s.s12 is s.s21
 
 
+def assert_same_curve(curve, want):
+    for name, w in zip(("s11", "s21", "s22"), want):
+        assert _bits(getattr(curve, name)) == _bits(w), name
+
+
 def ladder(w_mm, order, mirrored, lossy):
     cal = DEFAULT_CALIBRATION if lossy else LOSSLESS
     p = replace(
@@ -85,25 +92,25 @@ def ladder(w_mm, order, mirrored, lossy):
 @pytest.mark.parametrize("lossy", [True, False], ids=["lossy", "lossless"])
 @pytest.mark.parametrize("shape", LADDERS.values(), ids=LADDERS)
 def test_width_loop_matches_general_formulas(shape, lossy, inc):
-    f = FrequencyGrid(1e9, 5e9, 2001).points
-    reuse = {}
+    grid = FrequencyGrid(1e9, 5e9, 2001)
     for w_mm in (2.6, 0.6, 1.4, 0.6):
         net = ladder(w_mm, *shape, lossy)
-        want = reference_s(net, f, inc)
-        assert_same_s(network_smatrix(net, f, inc), want)
-        assert_same_s(network_smatrix(net, f, inc, reuse), want)
+        want = reference_s(net, grid.points, inc)
+        assert_same_s(network_smatrix(net, grid.points, inc), want)
+        assert_same_curve(sweep_response(net, grid, inc), want)
 
 
 @pytest.mark.parametrize("lossy", [True, False], ids=["lossy", "lossless"])
 def test_dense_grid_and_scalar_frequency(lossy):
     inc = INCIDENCES["TM40"]
-    f = FrequencyGrid(1e9, 5e9, 20001).points
-    reuse = {}
+    grid = FrequencyGrid(1e9, 5e9, 20001)
     for w_mm in (1.0, 2.2):
         net = ladder(w_mm, 2, True, lossy)
-        assert_same_s(network_smatrix(net, f, inc, reuse), reference_s(net, f, inc))
+        want = reference_s(net, grid.points, inc)
+        assert_same_s(network_smatrix(net, grid.points, inc), want)
+        assert_same_curve(sweep_response(net, grid, inc), want)
     for fk in (1.3e9, 2.7e9):
-        assert_same_s(network_smatrix(net, fk, inc, {}), reference_s(net, fk, inc))
+        assert_same_s(network_smatrix(net, fk, inc), reference_s(net, fk, inc))
 
 
 @pytest.mark.parametrize("lossy", [True, False], ids=["lossy", "lossless"])

@@ -1,13 +1,12 @@
-"""Results held across the ladders of a loop, against plain evaluation.
+"""Results held within a sweep or across a width loop, against plain evaluation.
 
-A loop over ladders on one grid and incidence may pass one mapping from
-element to its chain matrix to every sweep, so an element shared by the
-ladders is evaluated once.  The strip-width loop of sweep-w and
-width_for_bandwidth, synthesis.width_evaluator, holds more: the ring and
-spacer product, its b/z, jw and the buffers of a ShuntRLTail, evaluated
-once per evaluator.  These tests check every held result against a sweep
-that evaluates each element afresh, bit for bit, and check what is held
-afterwards.
+sweep_response evaluates an element object that its ladder holds more than
+once, as the mirrored second-order stack does, only once.  The strip-width
+loop of sweep-w and width_for_bandwidth, synthesis.width_evaluator, holds
+more: the ring and spacer product, its b/z, jw and the buffers of a
+ShuntRLTail, evaluated once per evaluator.  These tests check every held
+result against network_smatrix, which evaluates each element afresh, bit
+for bit, and count the element evaluations.
 """
 
 import json
@@ -27,13 +26,12 @@ from fsskit.builder import (
     DEFAULT_GEOMETRY,
     CalibrationConstants,
     CircuitParams,
-    LayeredNetwork,
     LineSegment,
     ShuntBranch,
     build_network,
     params_from_geometry,
 )
-from fsskit.errors import DomainError, EvanescentModeError, FssError, OneSidedBandError
+from fsskit.errors import DomainError, FssError, OneSidedBandError
 from fsskit.synthesis import width_evaluator, width_for_bandwidth
 from fsskit.twoport import NORMAL, IncidenceCondition, Polarization, ShuntRLTail, wave_impedance
 
@@ -47,79 +45,9 @@ def _bits(x) -> bytes:
     return np.ascontiguousarray(x, dtype=complex).tobytes()
 
 
-def assert_same_curve(got, want):
-    for name in ("freqs", "s11", "s21", "s22"):
-        g, w = getattr(got, name), getattr(want, name)
-        assert g is w is None or _bits(g) == _bits(w), name
-
-
 def ladder_at(w_mm, geometry=DEFAULT_GEOMETRY, cal=DEFAULT_CALIBRATION, l1=L1, c1=C1):
     params = params_from_geometry(replace(geometry, strip_width=w_mm * 1e-3), cal, l1, c1)
     return build_network(params)
-
-
-def held(net) -> list:
-    """Keys of the mapping after a sweep of net: its distinct elements."""
-    return list(dict.fromkeys(net.elements))
-
-
-@pytest.mark.parametrize("inc", [NORMAL, TM40])
-def test_width_loop_matches_plain_evaluation(inc):
-    # unsorted, repeated, and an out-of-range width between valid ones
-    widths = [2.2, 0.6, 1.4, 11.0, 0.6, 2.6, -1.0, 1.0]
-    reuse = {}
-    last = first = None
-    for w_mm in widths:
-        try:
-            net = ladder_at(w_mm)
-        except DomainError:
-            assert w_mm in (11.0, -1.0)
-            assert list(reuse) == held(last)
-            continue
-        assert_same_curve(sweep_response(net, GRID, inc, reuse), sweep_response(net, GRID, inc))
-        assert list(reuse) == held(net)
-        head = net.elements[:2]
-        first = first or [reuse[el] for el in head]
-        last = net
-    # the first ladder's ring and spacer matrices served the whole loop
-    head = last.elements[:2]
-    assert all(reuse[key] is m for key, m in zip(head, first))
-
-
-def test_repeated_elements_within_a_ladder_are_evaluated_once():
-    # the mirrored second-order stack holds 7 elements, 4 of them distinct
-    p = CircuitParams(L=2.85e-9, L1=L1, C1=C1, order=2, h1=10e-3)
-    net = build_network(p)
-    reuse = {}
-    assert_same_curve(sweep_response(net, GRID, TM40, reuse), sweep_response(net, GRID, TM40))
-    assert list(reuse) == held(net) and len(reuse) == 4
-
-
-def test_failed_ladder_leaves_the_mapping_as_it_was():
-    inc = IncidenceCondition(math.radians(60.0), Polarization.TE)
-    good = ladder_at(1.4)
-    reuse = {}
-    sweep_response(good, GRID, inc, reuse)
-    before = dict(reuse)
-    ring, _, grid = good.elements
-    # eps_r = 0.5 < sin^2(60 deg): the spacer has no propagating mode
-    bad = type(good)((ring, LineSegment(0.5, 1e-3), grid))
-    with pytest.raises(EvanescentModeError):
-        sweep_response(bad, GRID, inc, reuse)
-    assert reuse.keys() == before.keys()
-    assert all(reuse[el] is before[el] for el in before)
-    after = ladder_at(2.6)
-    assert_same_curve(sweep_response(after, GRID, inc, reuse), sweep_response(after, GRID, inc))
-
-
-def test_empty_ladder_leaves_the_mapping_as_it_was():
-    reuse = {}
-    network_smatrix(ladder_at(1.4), GRID.points, NORMAL, reuse)
-    before = dict(reuse)
-    with pytest.raises(DomainError, match="at least one segment"):
-        network_smatrix(LayeredNetwork(()), GRID.points, NORMAL, reuse)
-    assert list(reuse) == list(before)
-    assert all(reuse[key] is before[key] for key in before)
 
 
 @pytest.fixture
@@ -132,6 +60,26 @@ def element_evaluations(monkeypatch):
             return _real(self, f, inc)
         monkeypatch.setattr(cls, "abcd", recording)
     return calls
+
+
+#: (order, mirrored)
+LADDERS = {"first": (1, True), "second-mirrored": (2, True), "second": (2, False)}
+
+
+@pytest.mark.parametrize("inc", [NORMAL, TM40])
+@pytest.mark.parametrize("shape", LADDERS.values(), ids=LADDERS)
+def test_sweep_evaluates_each_distinct_element_once(shape, inc, element_evaluations):
+    order, mirrored = shape
+    p = CircuitParams(L=2.85e-9, L1=L1, C1=C1, order=order, h1=10e-3 if order == 2 else None)
+    net = build_network(p, mirrored=mirrored)
+    curve = sweep_response(net, GRID, inc)
+    # each element object once, in ladder order; a second-order stack holds
+    # 7 elements, 4 of them distinct
+    assert list(map(id, element_evaluations)) == list(dict.fromkeys(map(id, net.elements)))
+    assert len(element_evaluations) == (3 if order == 1 else 4)
+    want = network_smatrix(net, GRID.points, inc)
+    for name in ("s11", "s21", "s22"):
+        assert _bits(getattr(curve, name)) == _bits(getattr(want, name)), name
 
 
 def assert_ring_and_spacer_once(calls, params):
@@ -210,7 +158,7 @@ def outcome(make_s21):
 
 
 def plain_s21(params, grid, inc):
-    return sweep_response(build_network(params), grid, inc, reflections=False).s21
+    return network_smatrix(build_network(params), grid.points, inc, reflections=False).s21
 
 
 def evaluator(cal=DEFAULT_CALIBRATION, grid=GRID, inc=NORMAL):
@@ -226,7 +174,7 @@ def evaluator(cal=DEFAULT_CALIBRATION, grid=GRID, inc=NORMAL):
     lossy=st.booleans(),
     n=st.sampled_from([2001, 20001]),
 )
-def test_held_kernel_matches_sweep_response(w, theta_deg, pol, lossy, n):
+def test_held_kernel_matches_network_smatrix(w, theta_deg, pol, lossy, n):
     inc = IncidenceCondition(math.radians(theta_deg), pol)
     grid = FrequencyGrid(1e9, 5e9, n)
     cal = DEFAULT_CALIBRATION if lossy else LOSSLESS
