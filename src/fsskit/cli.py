@@ -12,6 +12,7 @@ repeated runs of the same config produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -53,7 +54,7 @@ from .synthesis import (
     width_evaluator,
     width_for_bandwidth,
 )
-from .touchstone import format_g12, read_touchstone, write_touchstone
+from .touchstone import create, format_g12, read_touchstone, write_touchstone
 from .twoport import IncidenceCondition, Polarization
 
 OUT_DIR_ENV = "FSSKIT_OUT_DIR"
@@ -72,6 +73,8 @@ _DESIGN = ("sweep-w", "synthesize")
 
 #: Largest frequency grid a config may ask for; one complex array over it is
 #: 16 MB.  A larger count fails as a config error before anything is allocated.
+#: ``simulate`` holds every condition's curves, so it also caps conditions x
+#: points at this count.
 MAX_GRID_POINTS = 1_000_000
 
 #: block -> config key -> (target field, SI multiplier or JSON type, default in
@@ -313,6 +316,12 @@ def parse_config(text: str) -> RunConfig:
     if mode in _SIM_SWEEP:
         cfg.grid = _build(FrequencyGrid, "grid", values["grid"])
         cfg.incidence = _incidence(**values["incidence"])
+        held = len(cfg.incidence) * cfg.grid.n_points
+        if mode == "simulate" and held > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"{len(cfg.incidence)} incidence conditions x grid.n_points {cfg.grid.n_points} = {held} "
+                f"points, above the {MAX_GRID_POINTS} that mode 'simulate' holds"
+            )
     if mode in _DESIGN:
         geometry = values["geometry"]
         # a template: every evaluation replaces the width, so any inside the cell will do
@@ -360,7 +369,7 @@ def _write_response_csv(path: Path, curves: Sequence[tuple[IncidenceCondition, R
         token = _condition_token(inc)
         header += [f"s11_db_{token}", f"s21_db_{token}"]
         columns += [np.maximum(_db(np.abs(s)), -200.0) for s in (curve.s11, curve.s21)]
-    with open(path, "wb") as fh:
+    with create(path) as fh:
         fh.write((",".join(header) + "\n").encode())
         fh.writelines(format_g12(np.column_stack(columns)))
 
@@ -385,7 +394,7 @@ def _write_metrics_csv(path: Path, rows: Sequence[tuple[float, PassbandMetrics]]
     cols = 1 + len(_METRIC_FIELDS)
     absent = np.array([[v is None for v in row] for row in values], bool).reshape(-1, cols)
     table = np.array([[0.0 if v is None else v for v in row] for row in values], float).reshape(-1, cols)
-    with open(path, "wb") as fh:
+    with create(path) as fh:
         fh.write((header + "\n").encode())
         fh.writelines(format_g12(table, blank=absent))
 
@@ -405,6 +414,15 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
                 f"both give condition '{token}', whose outputs would overwrite each other"
             )
         angles[token] = math.degrees(inc.theta)
+    s2p_names = []
+    if cfg.touchstone_name:
+        stem = Path(cfg.touchstone_name)
+        s2p_names = [f"{stem.stem}_{token}{stem.suffix or '.s2p'}" for token in angles]
+    if cfg.csv_name in s2p_names:
+        raise ConfigError(
+            f"output.csv {cfg.csv_name!r} is also the Touchstone file of a condition; "
+            f"the two outputs would overwrite each other"
+        )
     net = build_network(cfg.circuit, mirrored=cfg.mirrored)
     pairs = [(inc, sweep_response(net, cfg.grid, inc)) for inc in cfg.incidence]
 
@@ -413,12 +431,10 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
         csv_path = out_dir / cfg.csv_name
         _write_response_csv(csv_path, pairs)
         artifacts.append(str(csv_path))
-    if cfg.touchstone_name:
-        stem = Path(cfg.touchstone_name)
-        for inc, curve in pairs:
-            ts_path = out_dir / f"{stem.stem}_{_condition_token(inc)}{stem.suffix or '.s2p'}"
-            write_touchstone(curve, ts_path)
-            artifacts.append(str(ts_path))
+    for name, (_, curve) in zip(s2p_names, pairs):
+        ts_path = out_dir / name
+        write_touchstone(curve, ts_path)
+        artifacts.append(str(ts_path))
 
     conditions = []
     for inc, curve in pairs:
@@ -531,7 +547,9 @@ def run(cfg: RunConfig, out_dir: str | os.PathLike = "out") -> dict:
     return _RUNNERS[cfg.mode](cfg, out_path)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call in a process."""
     parser = argparse.ArgumentParser(
         prog="fsskit",
         description="Transfer-matrix simulator and design tool for narrowband "
@@ -543,12 +561,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         help=f"output directory (default ./out, or ${OUT_DIR_ENV} when set)",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "out"
 
     try:
-        text = Path(args.config).read_bytes().decode("utf-8")
+        # one byte-order mark at the very start is dropped (RFC 8259, section 8.1)
+        text = Path(args.config).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -370,6 +370,25 @@ class TestGridSizeCap:
         doc = {**self.DOCS[mode], "grid": {"n_points": 10**6}}
         assert parse_config(json.dumps(doc)).grid.n_points == 10**6
 
+    #: 4 angles x 2 polarizations
+    OBLIQUE = {"theta_deg": [0, 15, 30, 45], "pol": ["TE", "TM"]}
+
+    def test_simulate_accepts_conditions_times_points_at_the_cap(self):
+        doc = {**self.DOCS["simulate"], "grid": {"n_points": 125_000}, "incidence": self.OBLIQUE}
+        cfg = parse_config(json.dumps(doc))
+        assert len(cfg.incidence) * cfg.grid.n_points == cli.MAX_GRID_POINTS
+
+    def test_simulate_rejects_conditions_times_points_above_the_cap(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        doc = {**self.DOCS["simulate"], "grid": {"n_points": 125_001}, "incidence": self.OBLIQUE}
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: 8 incidence conditions x grid.n_points 125001 = 1000008 points, "
+            "above the 1000000 that mode 'simulate' holds\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mode", sorted(DOCS))
     def test_absurd_grid_exits_as_config_error(self, mode, tmp_path, capsys):
         path = tmp_path / "run.json"
@@ -740,6 +759,28 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert f"incidence angles {thetas[0]:.12g} and {thetas[1]:.12g} both give condition 'te" in err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_csv_named_as_a_touchstone_file_exits_as_config_error(self, tmp_path, capsys):
+        doc = simulate_doc(incidence={"theta_deg": [0, 30], "pol": ["TE"]},
+                           output={"csv": "r_te30deg.s2p", "touchstone": "r.s2p"})
+        out = tmp_path / "out"
+        assert main(["--config", self.write_config(tmp_path, doc), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: output.csv 'r_te30deg.s2p' is also the Touchstone file of a condition; "
+            "the two outputs would overwrite each other\n"
+        )
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (["--help"], 0, "out", "usage: fsskit [-h] --config CONFIG [--out-dir OUT_DIR]\n"),
+        (["--out-dir", "x"], 2, "err", "fsskit: error: the following arguments are required: --config\n"),
+    ])
+    def test_help_and_usage_error_on_every_call(self, argv, code, stream, text, capsys):
+        for _ in range(2):  # the parser is built once per process
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+            assert text in getattr(capsys.readouterr(), stream)
 
     def test_missing_config_file_exit(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "nope.json")])

@@ -18,6 +18,7 @@ import codecs
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -255,6 +256,7 @@ def config_bytes(draw):
 @given(config_bytes())
 @example(b'{"mode": "synthesize", \xff}')
 @example(codecs.BOM_UTF8 + VALID[0])
+@example(codecs.BOM_UTF8 + b'{"mode": "synthesize", \xff}')
 @example(b"[" * 100_000 + b"]" * 100_000)
 def test_every_config_file_exits_with_a_documented_code(workdir, raw):
     run_main(workdir, raw)
@@ -264,6 +266,15 @@ def test_a_config_that_is_not_utf8_is_a_config_error(workdir):
     code, err = run_main(workdir, b'{"mode": "synthesize", "synthesize": {"c1_pf": 0.6\xe9}}')
     assert code == cli.EXIT_CONFIG
     assert err == "config error: config is not UTF-8: invalid continuation byte at byte offset 50\n"
+
+
+def test_a_config_with_a_byte_order_mark_is_read(workdir):
+    assert run_main(workdir, codecs.BOM_UTF8 + VALID[2]) == (cli.EXIT_OK, "")
+    raw = b'{"mode": "synthesize", "synthesize": {"c1_pf": 0.6\xe9}}'
+    code, err = run_main(workdir, codecs.BOM_UTF8 + raw)
+    assert code == cli.EXIT_CONFIG
+    # the offset counts from the start of the file, the mark's 3 bytes included
+    assert err == "config error: config is not UTF-8: invalid continuation byte at byte offset 53\n"
 
 
 @pytest.mark.parametrize("depth", [5000, 100_000])
@@ -300,3 +311,46 @@ def test_a_bare_output_name_is_written_inside_the_out_dir(key, tmp_path):
     assert code == cli.EXIT_OK
     written = sorted(p.name for p in (tmp_path / "out").iterdir())
     assert written == (["response.csv", "x_te0deg.txt"] if key == "touchstone" else ["x.txt"])
+
+
+@pytest.mark.parametrize("held", ["hard link", "read-only file"])
+def test_an_artifact_is_a_new_file_whatever_held_its_name(held, tmp_path):
+    out, other = tmp_path / "out", tmp_path / "other.txt"
+    out.mkdir()
+    other.write_bytes(b"old\n")
+    if held == "hard link":
+        os.link(other, out / "x.txt")
+    else:
+        other.rename(out / "x.txt")
+        (out / "x.txt").chmod(0o444)
+    code, _ = run_main(tmp_path, json.dumps({**OUTPUTS["csv"], "output": {"csv": "x.txt"}}).encode())
+    assert code == cli.EXIT_OK
+    stat = (out / "x.txt").stat()
+    umask = os.umask(0)
+    os.umask(umask)
+    assert (stat.st_nlink, stat.st_mode & 0o777) == (1, 0o666 & ~umask)
+    assert (out / "x.txt").read_bytes().startswith(b"f_ghz,s11_db_te0deg,")
+    assert held == "read-only file" or other.read_bytes() == b"old\n"
+
+
+def test_a_directory_at_an_artifact_name_is_an_io_error(tmp_path):
+    (tmp_path / "out" / "x.txt").mkdir(parents=True)
+    code, err = run_main(tmp_path, json.dumps({**OUTPUTS["csv"], "output": {"csv": "x.txt"}}).encode())
+    assert code == cli.EXIT_IO
+    assert err.startswith("io error: ")
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root writes into a read-only directory")
+def test_a_file_in_a_read_only_out_dir_is_an_io_error(tmp_path):
+    # truncating the file in place would succeed; replacing it needs the directory
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "x.txt").write_bytes(b"old\n")
+    out.chmod(0o555)
+    try:
+        code, err = run_main(tmp_path, json.dumps({**OUTPUTS["csv"], "output": {"csv": "x.txt"}}).encode())
+    finally:
+        out.chmod(0o755)
+    assert code == cli.EXIT_IO
+    assert err.startswith("io error: ")
+    assert (out / "x.txt").read_bytes() == b"old\n"

@@ -77,3 +77,15 @@ def test_every_shipped_config_is_covered():
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_output_bytes_match_golden(case, tmp_path, capsys):
     assert _run_case(case, tmp_path, capsys) == GOLDEN[case]
+
+
+def test_a_symlinked_artifact_name_is_replaced_not_written_through(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    outside = tmp_path / "outside.csv"
+    outside.write_bytes(b"kept\n")
+    (out / "response.csv").symlink_to(outside)
+    hashes = _run_case("second_order.json", tmp_path, capsys)
+    assert outside.read_bytes() == b"kept\n"
+    assert not (out / "response.csv").is_symlink()
+    assert hashes == GOLDEN["second_order.json"]

@@ -6,12 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import fsskit
 from fsskit.analysis import FrequencyGrid, ResponseCurve, sweep_response
 from fsskit.builder import CircuitParams, build_second_order
 from fsskit.errors import TouchstoneError
-from fsskit.touchstone import read_touchstone, write_touchstone
+from fsskit.touchstone import _divmod, read_touchstone, write_touchstone
 from fsskit.twoport import IncidenceCondition, Polarization
 
 
@@ -363,3 +366,12 @@ class TestReaderErrors:
         path = tmp_path / "loudest.s2p"
         path.write_text("# GHz S DB R 50\n1.0 6165 0 0 0 0 0 0 0\n")
         assert abs(read_touchstone(path).s11[0]) == 10.0 ** (6165 / 20.0)
+
+
+@given(arrays(np.int64, st.integers(1, 64), elements=st.integers(0, 10**15)), st.data())
+def test_divmod_matches_numpy_on_the_kernel_ranges(a, data):
+    """Dividends 0 to 10**15; the divisor one integer from 1 to 10**15, or a power of ten per cell."""
+    powers = arrays(np.int64, a.shape, elements=st.sampled_from([10**k for k in range(16)]))
+    b = data.draw(st.integers(1, 10**15) | powers)
+    for got, want in zip(_divmod(a, b), np.divmod(a, b)):
+        np.testing.assert_array_equal(got, want)
