@@ -33,8 +33,9 @@ from .analysis import (
 )
 from .builder import (
     DEFAULT_CALIBRATION,
-    DEFAULT_EPS_R,
-    DEFAULT_LOSS_TANGENT,
+    DEFAULT_GEOMETRY,
+    DEFAULT_RING_CAPACITANCE,
+    DEFAULT_RING_INDUCTANCE,
     CalibrationConstants,
     CircuitParams,
     GeometryParams,
@@ -78,42 +79,42 @@ _DESIGN = ("sweep-w", "synthesize")
 MAX_GRID_POINTS = 1_000_000
 
 #: block -> config key -> (target field, SI multiplier or JSON type, default in
-#: config units, modes that read the key).  A multiplier marks a finite number,
-#: ``int`` an integral one, a ``range`` an integral one inside it, ``Path`` the
-#: name of an existing file, ``str`` the bare name of an output file inside the
-#: output directory ("" for none).  A default goes through the same check and
-#: multiplication as a given value; None leaves the field unset.
+#: SI, modes that read the key).  A multiplier marks a finite number, ``int`` an
+#: integral one, a ``range`` an integral one inside it, ``Path`` the name of an
+#: existing file, ``str`` the bare name of an output file inside the output
+#: directory ("" for none).  An omitted key's field takes the default as is, a
+#: value ``builder`` owns from its owner; None leaves the field unset.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "circuit": {
-        "order": ("order", int, 1, _SIM_FIT),
+        "order": ("order", int, CircuitParams.order, _SIM_FIT),
         "l_nh": ("L", 1e-9, _REQUIRED, _SIM_FIT),
-        "l1_nh": ("L1", 1e-9, 1.61, _SIM_FIT + ("sweep-w",)),
-        "c1_pf": ("C1", 1e-12, 0.6, _SIM_FIT + ("sweep-w",)),
-        "r_ohm": ("R", 1.0, 0.1, _SIM_FIT),
-        "r1_ohm": ("R1", 1.0, 0.1, _SIM_FIT),
-        "h_mm": ("h", 1e-3, 0.254, _SIM_FIT),
-        "eps_r": ("eps_r", 1.0, DEFAULT_EPS_R, _SIM_FIT),
-        "h1_mm": ("h1", 1e-3, 10.0, _SIM_FIT),  # order 2 only
-        "loss_tangent": ("loss_tangent", 1.0, DEFAULT_LOSS_TANGENT, _SIM_FIT),
-        "mirrored": ("mirrored", bool, True, _SIM_FIT),  # order 2 only
+        "l1_nh": ("L1", 1e-9, DEFAULT_RING_INDUCTANCE, _SIM_FIT + ("sweep-w",)),
+        "c1_pf": ("C1", 1e-12, DEFAULT_RING_CAPACITANCE, _SIM_FIT + ("sweep-w",)),
+        "r_ohm": ("R", 1.0, CircuitParams.R, _SIM_FIT),
+        "r1_ohm": ("R1", 1.0, CircuitParams.R1, _SIM_FIT),
+        "h_mm": ("h", 1e-3, CircuitParams.h, _SIM_FIT),
+        "eps_r": ("eps_r", 1.0, CircuitParams.eps_r, _SIM_FIT),
+        "h1_mm": ("h1", 1e-3, 10e-3, _SIM_FIT),  # order 2 only
+        "loss_tangent": ("loss_tangent", 1.0, CircuitParams.loss_tangent, _SIM_FIT),
+        "mirrored": ("mirrored", bool, build_network.__kwdefaults__["mirrored"], _SIM_FIT),  # order 2 only
     },
     "geometry": {
-        "period_mm": ("period", 1e-3, 10.2, _DESIGN),
-        "ring_side_mm": ("ring_side", 1e-3, 9.8, _DESIGN),
-        "arm_width_mm": ("arm_width", 1e-3, 0.4, _DESIGN),
+        "period_mm": ("period", 1e-3, DEFAULT_GEOMETRY.period, _DESIGN),
+        "ring_side_mm": ("ring_side", 1e-3, DEFAULT_GEOMETRY.ring_side, _DESIGN),
+        "arm_width_mm": ("arm_width", 1e-3, DEFAULT_GEOMETRY.arm_width, _DESIGN),
         # both modes that read the geometry set the strip width themselves
         "strip_width_mm": ("strip_width", 1e-3, None, ()),
-        "spacer_mm": ("spacer", 1e-3, 0.254, _DESIGN),
-        "eps_r": ("eps_r", 1.0, DEFAULT_EPS_R, _DESIGN),
+        "spacer_mm": ("spacer", 1e-3, DEFAULT_GEOMETRY.spacer, _DESIGN),
+        "eps_r": ("eps_r", 1.0, DEFAULT_GEOMETRY.eps_r, _DESIGN),
     },
     "calibration": {
-        "k_l_nh": ("l_scale", 1e-9, DEFAULT_CALIBRATION.l_scale * 1e9, _DESIGN),
+        "k_l_nh": ("l_scale", 1e-9, DEFAULT_CALIBRATION.l_scale, _DESIGN),
         "k_r_ohm_m": ("r_scale", 1.0, DEFAULT_CALIBRATION.r_scale, _DESIGN),
         "r1_ohm": ("r1_default", 1.0, DEFAULT_CALIBRATION.r1_default, _DESIGN),
     },
     "grid": {
-        "f_start_ghz": ("f_start", 1e9, 1.0, _SIM_SWEEP),
-        "f_stop_ghz": ("f_stop", 1e9, 5.0, _SIM_SWEEP),
+        "f_start_ghz": ("f_start", 1e9, 1e9, _SIM_SWEEP),
+        "f_stop_ghz": ("f_stop", 1e9, 5e9, _SIM_SWEEP),
         "n_points": ("n_points", range(2, MAX_GRID_POINTS + 1), 1001, _SIM_SWEEP),
     },
     "incidence": {
@@ -132,8 +133,8 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "c1_pf": ("c1", 1e-12, _REQUIRED, ("synthesize",)),
         "q_target": ("q_target", 1.0, None, ("synthesize",)),
         "fbw_target": ("fbw_target", 1.0, None, ("synthesize",)),
-        "w_min_mm": ("w_min", 1e-3, 0.3, ("synthesize",)),
-        "w_max_mm": ("w_max", 1e-3, 3.0, ("synthesize",)),
+        "w_min_mm": ("w_min", 1e-3, 0.3e-3, ("synthesize",)),
+        "w_max_mm": ("w_max", 1e-3, 3e-3, ("synthesize",)),
     },
     "fit": {
         "touchstone": ("fit_touchstone", Path, _REQUIRED, ("fit",)),
@@ -162,7 +163,7 @@ class RunConfig:
     grid: FrequencyGrid | None = None
     incidence: tuple[IncidenceCondition, ...] = ()
     csv_name: str | None = None
-    touchstone_name: str | None = None
+    s2p_names: tuple[str, ...] = ()  # one per incidence condition, in its order
     metrics_csv_name: str | None = None
     sweep_widths_mm: tuple[float, ...] = ()
     design: DesignSpec | None = None
@@ -217,17 +218,15 @@ def _value(name: str, value: Any, kind: Any) -> Any:
 
 
 def _read(given: dict, block: str, mode: str) -> dict[str, Any]:
-    """The block's values by target field, checked and scaled, for the keys the mode reads."""
+    """The block's values by target field for the keys the mode reads, given ones checked and scaled."""
     values = {}
     for key, (target, kind, default, modes) in _SCHEMA[block].items():
-        if modes and mode not in modes:  # a key that no mode reads keeps its default
+        if mode not in modes:
             continue
-        if key in given:
-            values[target] = _value(f"{block}.{key}", given[key], kind)
-        elif default is _REQUIRED:
+        value = _value(f"{block}.{key}", given[key], kind) if key in given else default
+        if value is _REQUIRED:
             raise ConfigError(f"mode '{mode}' requires field '{block}.{key}'")
-        else:
-            values[target] = None if default is None else _value(f"{block}.{key}", default, kind)
+        values[target] = value
     return values
 
 
@@ -250,6 +249,12 @@ def _incidence(thetas: list, pols: list) -> tuple[IncidenceCondition, ...]:
         except FssError as exc:
             raise ConfigError(f"invalid incidence angle {theta}: {exc}") from exc
     return tuple(conditions)
+
+
+def _condition_token(inc: IncidenceCondition) -> str:
+    deg = math.degrees(inc.theta)
+    token = f"{deg:g}".replace(".", "p")
+    return f"{inc.polarization.value.lower()}{token}deg"
 
 
 def _fit_settings(cfg: RunConfig, free: list, initial: dict, bounds: dict) -> None:
@@ -304,6 +309,7 @@ def parse_config(text: str) -> RunConfig:
         unread += [f"{block}.{key}" for key in given if mode not in keys[key][3]]
     _reject_unread(mode, unread)
     values = {block: _read(doc[block], block, mode) for block in _SCHEMA}
+    touchstone = values["output"].pop("touchstone_name", None)
     cfg = RunConfig(mode=mode, **values["output"], **values["analyze"])
     circuit = values["circuit"]
     if mode in _SIM_FIT:
@@ -316,11 +322,30 @@ def parse_config(text: str) -> RunConfig:
     if mode in _SIM_SWEEP:
         cfg.grid = _build(FrequencyGrid, "grid", values["grid"])
         cfg.incidence = _incidence(**values["incidence"])
+    if mode == "simulate":
         held = len(cfg.incidence) * cfg.grid.n_points
-        if mode == "simulate" and held > MAX_GRID_POINTS:
+        if held > MAX_GRID_POINTS:
             raise ConfigError(
                 f"{len(cfg.incidence)} incidence conditions x grid.n_points {cfg.grid.n_points} = {held} "
                 f"points, above the {MAX_GRID_POINTS} that mode 'simulate' holds"
+            )
+        # a condition's token names its .s2p file and its CSV columns
+        angles: dict[str, float] = {}
+        for inc in cfg.incidence:
+            token = _condition_token(inc)
+            if token in angles:
+                raise ConfigError(
+                    f"incidence angles {angles[token]:.12g} and {math.degrees(inc.theta):.12g} "
+                    f"both give condition '{token}', whose outputs would overwrite each other"
+                )
+            angles[token] = math.degrees(inc.theta)
+        if touchstone:
+            stem = Path(touchstone)
+            cfg.s2p_names = tuple(f"{stem.stem}_{token}{stem.suffix or '.s2p'}" for token in angles)
+        if cfg.csv_name in cfg.s2p_names:
+            raise ConfigError(
+                f"output.csv {cfg.csv_name!r} is also the Touchstone file of a condition; "
+                f"the two outputs would overwrite each other"
             )
     if mode in _DESIGN:
         geometry = values["geometry"]
@@ -354,12 +379,6 @@ def parse_config(text: str) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # output helpers
-
-
-def _condition_token(inc: IncidenceCondition) -> str:
-    deg = math.degrees(inc.theta)
-    token = f"{deg:g}".replace(".", "p")
-    return f"{inc.polarization.value.lower()}{token}deg"
 
 
 def _write_response_csv(path: Path, curves: Sequence[tuple[IncidenceCondition, ResponseCurve]]) -> None:
@@ -404,25 +423,6 @@ def _write_metrics_csv(path: Path, rows: Sequence[tuple[float, PassbandMetrics]]
 
 
 def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
-    # a condition's token names its .s2p file and its CSV columns
-    angles: dict[str, float] = {}
-    for inc in cfg.incidence:
-        token = _condition_token(inc)
-        if token in angles:
-            raise ConfigError(
-                f"incidence angles {angles[token]:.12g} and {math.degrees(inc.theta):.12g} "
-                f"both give condition '{token}', whose outputs would overwrite each other"
-            )
-        angles[token] = math.degrees(inc.theta)
-    s2p_names = []
-    if cfg.touchstone_name:
-        stem = Path(cfg.touchstone_name)
-        s2p_names = [f"{stem.stem}_{token}{stem.suffix or '.s2p'}" for token in angles]
-    if cfg.csv_name in s2p_names:
-        raise ConfigError(
-            f"output.csv {cfg.csv_name!r} is also the Touchstone file of a condition; "
-            f"the two outputs would overwrite each other"
-        )
     net = build_network(cfg.circuit, mirrored=cfg.mirrored)
     pairs = [(inc, sweep_response(net, cfg.grid, inc)) for inc in cfg.incidence]
 
@@ -431,7 +431,7 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
         csv_path = out_dir / cfg.csv_name
         _write_response_csv(csv_path, pairs)
         artifacts.append(str(csv_path))
-    for name, (_, curve) in zip(s2p_names, pairs):
+    for name, (_, curve) in zip(cfg.s2p_names, pairs):
         ts_path = out_dir / name
         write_touchstone(curve, ts_path)
         artifacts.append(str(ts_path))

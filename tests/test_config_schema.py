@@ -5,7 +5,12 @@ drives both with configs shaped like the schema, mostly valid values with
 some of the wrong type, range or finiteness:
 
 - when both accept a config, every RunConfig field its mode reads is equal
-  (the geometry's strip width is not read: the design modes replace it);
+  (the geometry's strip width is not read: the design modes replace it),
+  except where a library-owned key is omitted: parse_config takes its
+  owner's value in SI (DEFAULT_GEOMETRY.period), the reference its
+  config-unit literal times the multiplier (10.2 * 1e-3), which can differ
+  by an ulp; simulate's .s2p names are compared with those the reference's
+  run formed from output.touchstone;
 - when the reference rejects a config, parse_config rejects it too, except a
   cell of period <= 2.6 mm in sweep-w or synthesize: the reference rejects
   it only for its 2.6 mm default strip width, which neither mode reads;
@@ -15,18 +20,23 @@ some of the wrong type, range or finiteness:
   parameter, or width-design keys in a synthesize run without fbw_target;
   or when fit.free names a parameter twice, a fit start or box is one the
   fit rejects, a sweep-w ring value is not positive, a synthesize width
-  range does not lie inside the cell, or an output name is not a bare file
-  name (the reference took any string).
+  range does not lie inside the cell, an output name is not a bare file
+  name (the reference took any string), or two simulate conditions share an
+  output token or output.csv is one of their .s2p names (the reference left
+  both to the run).
 
 A second property feeds parse_config arbitrary JSON: the result is a
 RunConfig or a ConfigError, never another exception.
 """
 
+import dataclasses
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +44,10 @@ from fsskit.analysis import FrequencyGrid
 from fsskit.builder import (
     DEFAULT_CALIBRATION,
     DEFAULT_EPS_R,
+    DEFAULT_GEOMETRY,
     DEFAULT_LOSS_TANGENT,
+    DEFAULT_RING_CAPACITANCE,
+    DEFAULT_RING_INDUCTANCE,
     CalibrationConstants,
     CircuitParams,
     GeometryParams,
@@ -375,12 +388,39 @@ READ_BY = {
 
 #: RunConfig fields each mode reads
 READS = {
-    "simulate": ("circuit", "mirrored", "grid", "incidence", "csv_name", "touchstone_name"),
+    "simulate": ("circuit", "mirrored", "grid", "incidence", "csv_name", "s2p_names"),
     "sweep-w": ("geometry", "calibration", "ring_l1", "ring_c1", "grid", "incidence",
                 "metrics_csv_name", "sweep_widths_mm"),
     "synthesize": ("design", "geometry", "calibration", "width_range"),
     "fit": ("circuit", "mirrored", "fit_touchstone", "fit_free", "fit_initial", "fit_bounds"),
     "analyze": ("analyze_touchstone",),
+}
+
+
+#: block -> library-owned key -> (attribute it sets, its owner in builder)
+OWNERS = {
+    "circuit": {
+        "order": ("order", CircuitParams.order),
+        "l1_nh": ("L1", DEFAULT_RING_INDUCTANCE),
+        "c1_pf": ("C1", DEFAULT_RING_CAPACITANCE),
+        "r_ohm": ("R", CircuitParams.R),
+        "r1_ohm": ("R1", CircuitParams.R1),
+        "h_mm": ("h", CircuitParams.h),
+        "eps_r": ("eps_r", CircuitParams.eps_r),
+        "loss_tangent": ("loss_tangent", CircuitParams.loss_tangent),
+    },
+    "geometry": {
+        "period_mm": ("period", DEFAULT_GEOMETRY.period),
+        "ring_side_mm": ("ring_side", DEFAULT_GEOMETRY.ring_side),
+        "arm_width_mm": ("arm_width", DEFAULT_GEOMETRY.arm_width),
+        "spacer_mm": ("spacer", DEFAULT_GEOMETRY.spacer),
+        "eps_r": ("eps_r", DEFAULT_GEOMETRY.eps_r),
+    },
+    "calibration": {
+        "k_l_nh": ("l_scale", DEFAULT_CALIBRATION.l_scale),
+        "k_r_ohm_m": ("r_scale", DEFAULT_CALIBRATION.r_scale),
+        "r1_ohm": ("r1_default", DEFAULT_CALIBRATION.r1_default),
+    },
 }
 
 
@@ -564,6 +604,28 @@ def has_a_width_range_outside_the_cell(want: RunConfig) -> bool:
     return not 0 < lo <= hi < want.geometry.period
 
 
+def condition_tokens(want: RunConfig) -> list[str]:
+    """Each incidence condition's token, which names its .s2p file and its CSV columns."""
+    return [f"{inc.polarization.value.lower()}{math.degrees(inc.theta):g}deg".replace(".", "p")
+            for inc in want.incidence]
+
+
+def s2p_names_at_run(want: RunConfig) -> tuple[str, ...]:
+    """The .s2p names that simulate's run formed from the reference's output.touchstone."""
+    if not want.touchstone_name:
+        return ()
+    stem = Path(want.touchstone_name)
+    return tuple(f"{stem.stem}_{token}{stem.suffix or '.s2p'}" for token in condition_tokens(want))
+
+
+def has_colliding_outputs(want: RunConfig) -> bool:
+    """Whether two simulate conditions share a token, or output.csv is one of
+    their .s2p names, which the reference accepted and the run rejected."""
+    tokens = condition_tokens(want)
+    shared = len(set(tokens)) < len(tokens)
+    return want.mode == "simulate" and (shared or want.csv_name in s2p_names_at_run(want))
+
+
 def has_an_output_path(want: RunConfig) -> bool:
     """Whether an output name the reference accepted has a directory part or
     is . or .., which the reference wrote wherever it pointed."""
@@ -576,6 +638,34 @@ def rejects_only_for_its_default_width(doc: dict, want: Exception) -> bool:
     2.6 mm strip width does not fit inside the period."""
     period = doc.get("geometry", {}).get("period_mm", 10.2)
     return doc["mode"] in DESIGN and period <= 2.6 and "strip width must satisfy" in str(want)
+
+
+def with_owner_defaults(doc: dict, want: RunConfig) -> RunConfig:
+    """The reference's RunConfig with each omitted library-owned key at its
+    owner's value, and the fit starts and boxes that follow from the circuit."""
+    fixed = dataclasses.replace(want, fit_initial=dict(want.fit_initial), fit_bounds=dict(want.fit_bounds))
+    for block, owned in OWNERS.items():
+        omitted = {attr: owner for key, (attr, owner) in owned.items() if key not in doc.get(block, {})}
+        if getattr(want, block) is not None:
+            setattr(fixed, block, dataclasses.replace(getattr(want, block), **omitted))
+    circuit = doc.get("circuit", {})
+    fixed.ring_l1 = want.ring_l1 if "l1_nh" in circuit else DEFAULT_RING_INDUCTANCE
+    fixed.ring_c1 = want.ring_c1 if "c1_pf" in circuit else DEFAULT_RING_CAPACITANCE
+    fit = doc.get("fit", {})
+    for name in want.fit_free:
+        circ_field = _FIT_KEYS[name][0]
+        if name not in fit.get("initial", {}):
+            fixed.fit_initial[circ_field] = start = getattr(fixed.circuit, circ_field)
+            if name not in fit.get("bounds", {}):
+                fixed.fit_bounds[circ_field] = (start / 4.0, start * 4.0)
+    return fixed
+
+
+def takes_owner_defaults(doc: dict, name: str, want: RunConfig, got: RunConfig) -> bool:
+    """Whether parse_config's field is the reference's with each omitted
+    library-owned key at its owner's value in SI, where the reference's
+    config-unit literal times the multiplier can miss it by an ulp."""
+    return as_read(getattr(got, name)) == as_read(getattr(with_owner_defaults(doc, want), name))
 
 
 def as_read(value: Any) -> Any:
@@ -612,13 +702,41 @@ def test_schema_parser_matches_reference(doc):
         if not isinstance(want, Exception):
             allowed = (has_unread_key(doc) or names_a_fit_parameter_twice(doc) or has_an_invalid_fit_box(want)
                        or has_a_nonpositive_ring(want) or has_a_width_range_outside_the_cell(want)
-                       or has_an_output_path(want))
+                       or has_an_output_path(want) or has_colliding_outputs(want))
             assert allowed, f"newly rejected: {got}"
     elif isinstance(want, Exception):
         assert rejects_only_for_its_default_width(doc, want), f"newly accepted; reference said {want!r}"
     else:
+        want.s2p_names = s2p_names_at_run(want)
         for name in READS[doc["mode"]]:
-            assert as_read(getattr(got, name)) == as_read(getattr(want, name)), name
+            assert takes_owner_defaults(doc, name, want, got), name
+
+
+#: the smallest config of each mode that reads library-owned keys, and how many it reads
+MINIMAL = {
+    "simulate": ({"mode": "simulate", "circuit": {"l_nh": 2.85}}, 8),
+    "fit": ({"mode": "fit", "circuit": {"l_nh": 2.85},
+             "fit": {"touchstone": EXISTING_FILE, "free": ["l_nh"]}}, 8),
+    "sweep-w": ({"mode": "sweep-w", "sweep": {"w_mm": [1.0]}}, 10),
+    "synthesize": ({"mode": "synthesize", "synthesize": {"f_p_ghz": 2.7, "f_z_ghz": 5.0, "c1_pf": 0.6,
+                                                         "fbw_target": 0.1}}, 8),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MINIMAL))
+def test_an_omitted_library_owned_key_parses_bit_equal_to_its_owner(mode):
+    doc, count = MINIMAL[mode]
+    cfg = parse_config(json.dumps(doc))
+    parsed = {"circuit": cfg.circuit, "geometry": cfg.geometry, "calibration": cfg.calibration}
+    if mode == "sweep-w":  # of the circuit block it reads only the ring values
+        parsed["circuit"] = SimpleNamespace(L1=cfg.ring_l1, C1=cfg.ring_c1)
+    got, owners = {}, {}
+    for block, owned in OWNERS.items():
+        for key, (attr, owner) in owned.items():
+            if hasattr(parsed[block], attr):
+                got[f"{block}.{key}"] = float(getattr(parsed[block], attr)).hex()
+                owners[f"{block}.{key}"] = float(owner).hex()
+    assert len(got) == count and got == owners
 
 
 @settings(max_examples=100, deadline=None)

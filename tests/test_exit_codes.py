@@ -83,11 +83,19 @@ def at_parse(case):
     return AT_PARSE[case][0], True
 
 
+def config_default(spec: tuple):
+    """A schema row's default in config units: an SI number divided by its multiplier."""
+    _, kind, default, _ = spec
+    return default / kind if isinstance(kind, float) and isinstance(default, (int, float)) else default
+
+
 def good(draw, block, key, doc, scale):
-    """A valid value for the key: its default times the block's ``scale``, or one near it."""
-    _, kind, default, _ = cli._SCHEMA[block][key]
+    """A valid value for the key: its default in config units times the block's
+    ``scale``, or one near it."""
+    kind, default = cli._SCHEMA[block][key][1], config_default(cli._SCHEMA[block][key])
     if block == "fit" and key in ("initial", "bounds"):  # around the circuit value, as the default box
-        circuit = {k: doc.get("circuit", {}).get(k, spec[2]) for k, spec in cli._SCHEMA["circuit"].items()}
+        given = doc.get("circuit", {})
+        circuit = {k: given.get(k, config_default(spec)) for k, spec in cli._SCHEMA["circuit"].items()}
         values = {name: circuit[name] for name in doc["fit"]["free"]}
         if key == "initial":
             return {name: v * scale for name, v in values.items()}
