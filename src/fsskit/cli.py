@@ -179,7 +179,7 @@ def _check_keys(block: dict, allowed: set[str], context: str) -> None:
     unknown = sorted(set(block) - allowed)
     if unknown:
         raise ConfigError(
-            f"unknown key(s) in '{context}': {', '.join(unknown)}; "
+            f"unknown key(s) in '{context}': {', '.join(map(repr, unknown))}; "
             f"allowed: {', '.join(sorted(allowed))}"
         )
 
@@ -381,11 +381,11 @@ def parse_config(text: str) -> RunConfig:
 # output helpers
 
 
-def _write_response_csv(path: Path, curves: Sequence[tuple[IncidenceCondition, ResponseCurve]]) -> None:
+def _write_response_csv(path: Path, curves: Sequence[ResponseCurve]) -> None:
     header = ["f_ghz"]
-    columns = [curves[0][1].freqs / 1e9]
-    for inc, curve in curves:
-        token = _condition_token(inc)
+    columns = [curves[0].freqs / 1e9]
+    for curve in curves:
+        token = _condition_token(curve.incidence)
         header += [f"s11_db_{token}", f"s21_db_{token}"]
         columns += [np.maximum(_db(np.abs(s)), -200.0) for s in (curve.s11, curve.s21)]
     with create(path) as fh:
@@ -407,41 +407,40 @@ def _metrics_dict(m: PassbandMetrics) -> dict[str, float | None]:
     return {name: get(m) for name, get in _METRIC_FIELDS}
 
 
-def _write_metrics_csv(path: Path, rows: Sequence[tuple[float, PassbandMetrics]]) -> None:
+def _write_metrics_csv(path: Path, rows: Sequence[dict[str, float | None]]) -> None:
     header = "w_mm," + ",".join(name for name, _ in _METRIC_FIELDS)
-    values = [[w_mm] + [get(m) for _, get in _METRIC_FIELDS] for w_mm, m in rows]
-    cols = 1 + len(_METRIC_FIELDS)
-    absent = np.array([[v is None for v in row] for row in values], bool).reshape(-1, cols)
-    table = np.array([[0.0 if v is None else v for v in row] for row in values], float).reshape(-1, cols)
+    table = np.array([list(row.values()) for row in rows], float).reshape(-1, 1 + len(_METRIC_FIELDS))
     with create(path) as fh:
         fh.write((header + "\n").encode())
-        fh.writelines(format_g12(table, blank=absent))
+        fh.writelines(format_g12(table))
 
 
 # ---------------------------------------------------------------------------
 # modes
 
 
+def _condition(curve: ResponseCurve) -> dict[str, Any]:
+    inc = curve.incidence
+    return {"theta_deg": math.degrees(inc.theta), "polarization": inc.polarization.value}
+
+
 def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     net = build_network(cfg.circuit, mirrored=cfg.mirrored)
-    pairs = [(inc, sweep_response(net, cfg.grid, inc)) for inc in cfg.incidence]
+    curves = [sweep_response(net, cfg.grid, inc) for inc in cfg.incidence]
 
     artifacts: list[str] = []
     if cfg.csv_name:
         csv_path = out_dir / cfg.csv_name
-        _write_response_csv(csv_path, pairs)
+        _write_response_csv(csv_path, curves)
         artifacts.append(str(csv_path))
-    for name, (_, curve) in zip(cfg.s2p_names, pairs):
+    for name, curve in zip(cfg.s2p_names, curves):
         ts_path = out_dir / name
         write_touchstone(curve, ts_path)
         artifacts.append(str(ts_path))
 
     conditions = []
-    for inc, curve in pairs:
-        entry: dict[str, Any] = {
-            "theta_deg": math.degrees(inc.theta),
-            "polarization": inc.polarization.value,
-        }
+    for curve in curves:
+        entry = _condition(curve)
         try:
             entry["metrics"] = _metrics_dict(extract_metrics(curve))
         except FssError as exc:
@@ -451,21 +450,20 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
 
 
 def _run_sweep_w(cfg: RunConfig, out_dir: Path) -> dict:
-    ok_rows, failures = [], []
+    rows, failures = [], []
     metrics_at = width_evaluator(
         cfg.geometry, cfg.calibration, cfg.ring_l1, cfg.ring_c1, cfg.grid, cfg.incidence[0]
     )
     for w_mm in cfg.sweep_widths_mm:
         try:
-            ok_rows.append((w_mm, metrics_at(w_mm * 1e-3)))
+            rows.append(dict(w_mm=w_mm, **_metrics_dict(metrics_at(w_mm * 1e-3))))
         except FssError as exc:
             failures.append({"w_mm": w_mm, "error": str(exc)})
     artifacts: list[str] = []
     if cfg.metrics_csv_name:
         path = out_dir / cfg.metrics_csv_name
-        _write_metrics_csv(path, ok_rows)
+        _write_metrics_csv(path, rows)
         artifacts.append(str(path))
-    rows = [dict(w_mm=w_mm, **_metrics_dict(m)) for w_mm, m in ok_rows]
     return {"mode": "sweep-w", "rows": rows, "failures": failures, "artifacts": artifacts}
 
 
@@ -522,11 +520,7 @@ def _run_fit(cfg: RunConfig, out_dir: Path) -> dict:
 
 def _run_analyze(cfg: RunConfig, out_dir: Path) -> dict:
     curve = read_touchstone(cfg.analyze_touchstone)
-    entry = {
-        "theta_deg": math.degrees(curve.incidence.theta),
-        "polarization": curve.incidence.polarization.value,
-        "metrics": _metrics_dict(extract_metrics(curve)),
-    }
+    entry = {**_condition(curve), "metrics": _metrics_dict(extract_metrics(curve))}
     return {"mode": "analyze", "conditions": [entry], "artifacts": []}
 
 
@@ -540,7 +534,7 @@ _RUNNERS = {
 MODES = tuple(_RUNNERS)
 
 
-def run(cfg: RunConfig, out_dir: str | os.PathLike = "out") -> dict:
+def run(cfg: RunConfig, out_dir: str | os.PathLike) -> dict:
     """Execute one mode, writing artifacts under out_dir; returns the summary."""
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -581,7 +575,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        summary = run(parse_config(text), out_dir=out_dir)
+        with np.errstate(all="ignore"):  # every array reported is checked: an overflow is one typed error
+            summary = run(parse_config(text), out_dir=out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

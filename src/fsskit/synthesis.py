@@ -64,6 +64,7 @@ class DesignSpec:
                 f"passband target {self.f_passband} must lie below the "
                 f"transmission-zero target {self.f_zero}"
             )
+        synthesize_lc(self)
 
 
 class SynthesizedLC(NamedTuple):
@@ -76,12 +77,19 @@ def synthesize_lc(spec: DesignSpec) -> SynthesizedLC:
     """Invert the resonance formulas for (L, L1) given targets and C1.
 
     l1 = 1 / ((2 pi f_zero)^2 c1);  l = 1 / ((2 pi f_passband)^2 c1) - l1.
-    f_passband < f_zero guarantees l > 0.
+    f_passband < f_zero guarantees l > 0.  Values outside the float range
+    (l1 not finite and positive, l not finite) raise InfeasibleSpecError.
     """
     w_z = 2.0 * math.pi * spec.f_zero
     w_p = 2.0 * math.pi * spec.f_passband
-    l1 = 1.0 / (w_z * w_z * spec.c1)
-    l = 1.0 / (w_p * w_p * spec.c1) - l1
+    try:
+        l1 = 1.0 / (w_z * w_z * spec.c1)
+        l = 1.0 / (w_p * w_p * spec.c1) - l1
+    except ZeroDivisionError:  # (2 pi f)^2 c1 underflowed to 0
+        l1 = l = math.inf
+    if not (0.0 < l1 < math.inf and math.isfinite(l)):
+        raise InfeasibleSpecError(f"f_p = {spec.f_passband:g} Hz, f_z = {spec.f_zero:g} Hz and "
+                                  f"C1 = {spec.c1:g} F put L or L1 outside the float range")
     return SynthesizedLC(l=l, l1=l1, c1=spec.c1)
 
 
@@ -119,25 +127,20 @@ def width_evaluator(
 
     The returned function takes the circuit values at width w (m) from
     geometry, with every other dimension, the calibration, l1 and c1 fixed,
-    and sweeps s21 on grid at inc.  Only the grid branch depends on w.  At
-    the first width whose values pass their checks, the function evaluates
-    the ring and the spacer and keeps their product in a ShuntRLTail, with
-    its b/z, jw and buffers; each width then writes its s21 there.  The
-    s21 is bit-identical to network_smatrix(build_network(params),
-    grid.points, inc, reflections=False).s21.  A width outside (0, period)
-    raises the DomainError of GeometryParams; a width that fails leaves
-    what is held untouched.
+    and sweeps s21 on grid at inc.  Only the grid branch depends on w, so
+    the ring and the spacer are evaluated here, at geometry's own width,
+    and their product is kept in a ShuntRLTail, with its b/z, jw and
+    buffers; each width then writes its s21 there.  The s21 is
+    bit-identical to network_smatrix(build_network(params), grid.points,
+    inc, reflections=False).s21.  A width outside (0, period) raises the
+    DomainError of GeometryParams.
     """
     f = grid.points
-    tail = None
+    ring, line, _ = build_network(params_from_geometry(geometry, cal, l1, c1)).elements
+    tail = ShuntRLTail(ring.abcd(f, inc) @ line.abcd(f, inc), f, wave_impedance(inc.theta, inc.polarization))
 
     def metrics_at(w: float) -> PassbandMetrics:
-        nonlocal tail
         params = params_from_geometry(replace(geometry, strip_width=w), cal, l1, c1)
-        if tail is None:
-            ring, line, _ = build_network(params).elements
-            head = ring.abcd(f, inc) @ line.abcd(f, inc)
-            tail = ShuntRLTail(head, f, wave_impedance(inc.theta, inc.polarization))
         s21 = tail.s21(params.R, params.L)
         return extract_metrics(ResponseCurve(freqs=f, s11=None, s21=s21, incidence=inc))
 
@@ -380,6 +383,8 @@ def fit_circuit(problem: FitProblem) -> FitResult:
         return res[0], np.ascontiguousarray(((res[1:k + 1] - res[k + 1:]) / (up - dn)[:, None]).T)
 
     r, jac = evaluate(u)
+    if not (np.isfinite(r).all() and np.isfinite(jac).all()):
+        raise DomainError("the model's |s21| is not finite at the fit's start")
     cost = float(r @ r)
     lam = 1e-3
     iterations = 0

@@ -75,11 +75,11 @@ def _block_rows(cols: int) -> int:
     return max(1, BLOCK_CELLS // cols)
 
 
-def _by_blocks(lines, *tables: np.ndarray) -> Iterator[bytes]:
-    """``lines`` of each successive row block of equally shaped 2-D tables."""
-    step = _block_rows(tables[0].shape[1])
-    for i in range(0, len(tables[0]), step):
-        yield lines(*(t[i : i + step] for t in tables))
+def _by_blocks(lines, table: np.ndarray) -> Iterator[bytes]:
+    """``lines`` of each successive row block of a 2-D table."""
+    step = _block_rows(table.shape[1])
+    for i in range(0, len(table), step):
+        yield lines(table[i : i + step])
 
 
 def _mantissa(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,7 +141,7 @@ def _e11_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _e11_lines(block: np.ndarray, columns=slice(None)) -> bytes:
+def _e11_lines(block: np.ndarray, columns: np.ndarray) -> bytes:
     """Lines of ``"%.11e"`` cells; output column j is ``block[:, columns[j]]``.
 
     A cell is its sign, the first digit of ``n``, ".", the other 11 and the
@@ -165,8 +165,7 @@ def _e11_lines(block: np.ndarray, columns=slice(None)) -> bytes:
     for i, value in zip(fallback.tolist(), x[fallback].tolist()):
         text[i, :-1] = np.frombuffer((b"%.11e" % value).ljust(19, b"\0"), np.uint8)
     cells = cells.reshape(block.shape + (5,))
-    # np.take copies the columns faster than indexing does; arange turns a slice into indices
-    text = np.take(cells, np.arange(block.shape[1])[columns], axis=1).view(np.uint8)
+    text = np.take(cells, columns, axis=1).view(np.uint8)  # faster than indexing
     text[:, -1, -1] = ord("\n")
     return text.tobytes().translate(None, b"\0")
 
@@ -200,8 +199,8 @@ def _g12_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _g12_lines(block: np.ndarray, blank: np.ndarray) -> bytes:
-    """Comma-separated lines of ``"%.12g"`` cells, with the ``blank`` cells empty."""
+def _g12_lines(block: np.ndarray) -> bytes:
+    """Comma-separated lines of ``"%.12g"`` cells, with the NaN cells empty."""
     x = block.ravel()
     n, k, ok = _mantissa(x)
     ok &= (k >= 0) & (k <= 15)  # fixed notation: -4 <= e < 12
@@ -224,15 +223,15 @@ def _g12_lines(block: np.ndarray, blank: np.ndarray) -> bytes:
     cells[:, 6] = fraction[q + 10**4 * (f > 0)]
     cells[:, 7] = fraction[f]
     text = cells.view(np.uint8)
-    fallback = np.flatnonzero(~(ok | blank.ravel()))
+    fallback = np.flatnonzero(~ok)
     for i, value in zip(fallback.tolist(), x[fallback].tolist()):
         text[i, 1:] = np.frombuffer((b"%.12g" % value).ljust(31, b"\0"), np.uint8)
-    text[blank.ravel(), 1:] = 0
+    text[np.isnan(x), 1:] = 0
     text.reshape(block.shape + (32,))[:, 0, 0] = ord("\n")
     return text.tobytes().translate(None, b"\0")[1:] + b"\n"
 
 
-def format_g12(table: np.ndarray, blank: np.ndarray | None = None) -> Iterator[bytes]:
+def format_g12(table: np.ndarray) -> Iterator[bytes]:
     """Comma-separated lines of a 2-D float table, each cell exactly ``"%.12g" % cell``.
 
     The text comes one block of rows at a time, to be written as it comes.
@@ -241,31 +240,29 @@ def format_g12(table: np.ndarray, blank: np.ndarray | None = None) -> Iterator[b
     fixed notation: the integer part ``n // 10**k``, then "." and the
     fraction ``n % 10**k`` left-aligned to 15 digits, with the integer's
     leading and the fraction's trailing zeros dropped.  ``%`` formats the
-    cells in exponent notation and the undecided ones.  A cell where
-    ``blank`` is true is written empty, whatever its value.
+    cells in exponent notation and the undecided ones.  A NaN cell, an
+    absent value, is written empty.
     """
-    if blank is None:
-        blank = np.zeros(table.shape, bool)
-    return _by_blocks(_g12_lines, table, blank)
+    return _by_blocks(_g12_lines, table)
 
 
 def write_touchstone(curve: ResponseCurve, path: str | os.PathLike) -> None:
     """Write a two-port .s2p file: f_GHz then re/im pairs of s11 s21 s12 s22.
 
     s12 duplicates s21 (reciprocal network): the s21 pair is formatted once
-    and its text copied.  s22 falls back to s11 when the curve does not
-    carry it.  A curve without s11 (swept for s21 alone) raises DomainError.
+    and its text copied.  A curve without s11 (swept for s21 alone) or
+    without s22 raises DomainError.
     """
-    if curve.s11 is None:
-        raise DomainError("a Touchstone file needs s11; the curve holds s21 alone")
-    s22 = curve.s22 if curve.s22 is not None else curve.s11
+    if curve.s11 is None or curve.s22 is None:
+        held = "s21 alone" if curve.s11 is None else "no s22"
+        raise DomainError(f"a Touchstone file needs s11 and s22; the curve holds {held}")
     header = [
         f"! fsskit {__version__}",
         f"! incidence theta_deg = {math.degrees(curve.incidence.theta):.12g}",
         f"! polarization = {curve.incidence.polarization.value}",
         f"# GHz S RI R {ETA0:g}",
     ]
-    s = np.column_stack([curve.s11, curve.s21, s22])
+    s = np.column_stack([curve.s11, curve.s21, curve.s22])
     table = np.column_stack([curve.freqs / 1e9, s.view(float)])
     with create(path) as fh:
         fh.write(("\n".join(header) + "\n").encode())

@@ -529,6 +529,19 @@ class TestFitMode:
         assert fitted["l_nh"] == pytest.approx(2.85, rel=1e-3)
         assert fitted["r_ohm"] == pytest.approx(0.1, abs=1e-2)
 
+    def test_model_that_is_not_finite_at_the_start_is_named(self, tmp_path, capsys):
+        doc = {"mode": "simulate", "circuit": {"order": 2, "l_nh": 2.85, "h1_mm": 10},
+               "output": {"touchstone": "obs.s2p"}}
+        run(parse_config(json.dumps(doc)), out_dir=tmp_path)
+        # a spacer so thick and lossy that the model overflows on every row of the first call
+        doc = {"mode": "fit", "circuit": {**doc["circuit"], "h_mm": 5080, "loss_tangent": 1.0},
+               "fit": {"touchstone": str(tmp_path / "obs_te0deg.s2p"), "free": ["r_ohm"]}}
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
+        assert capsys.readouterr().err == "computation error: the model's |s21| is not finite at the fit's start\n"
+
     def test_negative_frequency_file_exits_as_input_data_error(self, tmp_path, capsys):
         s2p = tmp_path / "negative.s2p"
         s2p.write_text("# GHz S RI R 376.73\n-1.0 0 0 1 0 1 0 0 0\n2.0 0 0 1 0 1 0 0 0\n")
@@ -636,6 +649,13 @@ WRONG_TYPES = {
         "mode": "synthesize",
         "synthesize": {"f_p_ghz": 3.0, "f_z_ghz": math.inf, "c1_pf": 0.6},
     },
+}
+
+
+#: values that no single key bounds, whose spacer line overflows: a grid and a spacer
+OVERFLOWS = {
+    "grid": {"grid": {"f_start_ghz": 1e9, "f_stop_ghz": 5e9, "n_points": 2}},
+    "spacer": {"circuit": {"l_nh": 2.85, "h_mm": 1e9}},
 }
 
 
@@ -750,6 +770,24 @@ class TestMainEntry:
         assert code == EXIT_CONFIG
         assert "config error: invalid circuit block: loss tangent must be in [0, 1]" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("overflow", sorted(OVERFLOWS))
+    def test_an_overflow_prints_one_line(self, overflow, tmp_path, capsys):
+        doc = {"mode": "simulate", "circuit": {"l_nh": 2.85}, **OVERFLOWS[overflow]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", self.write_config(tmp_path, doc), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_COMPUTE
+        assert capsys.readouterr().err == "computation error: s11 contains non-finite samples\n"
+
+    def test_an_overflow_in_a_width_sweep_prints_nothing(self, tmp_path, capsys):
+        doc = {"mode": "sweep-w", "sweep": {"w_mm": [0.6, 1.4]}, **OVERFLOWS["grid"]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", self.write_config(tmp_path, doc), "--out-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_OK, "")
+        assert [row["error"] for row in json.loads(out)["failures"]] == ["s21 contains non-finite samples"] * 2
 
     @pytest.mark.parametrize("thetas",[[10.0000001, 10.0000002], [15, 15]])
     def test_colliding_condition_tokens_exit_as_config_error(self, thetas, tmp_path, capsys):

@@ -71,6 +71,19 @@ AT_PARSE = {  # each exits 2 with its error: parse rejects a value the run canno
         **SYNTH, "fbw_target": 0.1, "w_min_mm": 3.0, "w_max_mm": 0.3}}, WIDTHS),
     "width range beyond the cell": ({"mode": "synthesize", "synthesize": {
         **SYNTH, "fbw_target": 0.1, "w_max_mm": 20}}, WIDTHS),
+    "targets whose L and L1 overflow": (
+        {"mode": "synthesize", "synthesize": {"f_p_ghz": 1e-300, "f_z_ghz": 2e-300, "c1_pf": 0.6}},
+        "invalid synthesize block: f_p = 1e-291 Hz, f_z = 2e-291 Hz and C1 = 6e-13 F put L or L1 outside "
+        "the float range"),
+    "targets whose L1 underflows": (
+        {"mode": "synthesize", "synthesize": {"f_p_ghz": 1e200, "f_z_ghz": 2e200, "c1_pf": 1e-300,
+                                              "q_target": 1e-300}},
+        "invalid synthesize block: f_p = 1e+209 Hz, f_z = 2e+209 Hz and C1 = 1e-312 F put L or L1 outside "
+        "the float range"),
+    "grid points that collapse": (
+        {"mode": "simulate", "circuit": {"l_nh": 2.85},
+         "grid": {"f_start_ghz": 1.0, "f_stop_ghz": 1.0000000000000002, "n_points": 1000}},
+        "invalid grid block: grid points must strictly increase; 1000 are too many for the span"),
 }
 
 
@@ -200,6 +213,9 @@ def workdir(tmp_path_factory):
 @example(at_parse("negative FBW target"))
 @example(at_parse("reversed width range"))
 @example(at_parse("width range beyond the cell"))
+@example(at_parse("targets whose L and L1 overflow"))
+@example(at_parse("targets whose L1 underflows"))
+@example(at_parse("grid points that collapse"))
 def test_every_config_exits_with_a_documented_code(workdir, case):
     doc, must_be_config_error = case
     code, err = run_main(workdir, json.dumps(doc).encode())
@@ -266,8 +282,11 @@ def config_bytes(draw):
 @example(codecs.BOM_UTF8 + VALID[0])
 @example(codecs.BOM_UTF8 + b'{"mode": "synthesize", \xff}')
 @example(b"[" * 100_000 + b"]" * 100_000)
+@example(VALID[4].replace(b"touchstone", b"touchst\\ne"))  # a key that decodes with a line break
 def test_every_config_file_exits_with_a_documented_code(workdir, raw):
-    run_main(workdir, raw)
+    code, err = run_main(workdir, raw)
+    if code != cli.EXIT_OK:
+        assert err.endswith("\n") and err.count("\n") == 1, err
 
 
 def test_a_config_that_is_not_utf8_is_a_config_error(workdir):

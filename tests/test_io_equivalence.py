@@ -104,7 +104,8 @@ class TestWriters:
     @given(tables(extra=NEAR_TIES))
     @_with_examples(EDGE_VALUES, *E11_CASES.values(), *_seam_tables(9))
     def test_touchstone_cells_are_per_cell_e11(self, table):
-        assert b"".join(_by_blocks(_e11_lines, table)) == _per_cell(table, ".11e", " ").encode()
+        lines = b"".join(_by_blocks(lambda block: _e11_lines(block, np.arange(block.shape[1])), table))
+        assert lines == _per_cell(table, ".11e", " ").encode()
 
     @given(tables())
     @example(np.array([EDGE_VALUES]))
@@ -124,7 +125,7 @@ class TestWriters:
             ",".join("" if b else format(x, ".12g") for x, b in zip(row, flags)) + "\n"
             for row, flags in zip(table.tolist(), blank.tolist())
         )
-        assert b"".join(format_g12(table, blank)) == expected.encode()
+        assert b"".join(format_g12(np.where(blank, np.nan, table))) == expected.encode()
 
     @settings(max_examples=30)
     @given(arrays(np.float64, (5, 6), elements=st.one_of(FINITE, st.sampled_from(EDGE_VALUES), NEAR_TIES)))
@@ -173,9 +174,9 @@ class TestMetricsCsv:
     def test_rows_match_the_per_cell_loop(self, rows):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "metrics.csv"
-            cli._write_metrics_csv(path, rows)
+            summary_rows = [dict(w_mm=w_mm, **cli._metrics_dict(m)) for w_mm, m in rows]
+            cli._write_metrics_csv(path, summary_rows)
             written = path.read_bytes()
-        summary_rows = [dict(w_mm=w_mm, **cli._metrics_dict(m)) for w_mm, m in rows]
         assert written == _metrics_csv_per_cell(summary_rows)
 
     @pytest.mark.parametrize("widths, ok_rows", [([5.5, 5.9], 2), ([30.0, 0.001, 40.0], 0)])

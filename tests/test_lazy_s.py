@@ -286,3 +286,14 @@ def test_touchstone_writer_rejects_a_curve_of_s21_alone(tmp_path):
     with pytest.raises(DomainError, match="holds s21 alone"):
         write_touchstone(curve, path)
     assert not path.exists()
+
+
+def test_touchstone_writer_rejects_a_curve_without_s22(tmp_path):
+    # an asymmetric ladder: s11 does not stand in for s22
+    s = sweep_response(ladder(2, False, True), FrequencyGrid(1e9, 5e9, 11), NORMAL)
+    assert not np.array_equal(s.s11, s.s22)
+    curve = ResponseCurve(s.freqs, s.s11, s.s21)
+    path = tmp_path / "no_s22.s2p"
+    with pytest.raises(DomainError, match="^a Touchstone file needs s11 and s22; the curve holds no s22$"):
+        write_touchstone(curve, path)
+    assert not path.exists()

@@ -243,6 +243,12 @@ def test_a_failed_tail_call_leaves_what_is_held():
     assert _bits(tail.s21(good.resistance, good.inductance)) == _bits(want)
 
 
+def test_ring_and_spacer_are_evaluated_when_the_evaluator_is_made(element_evaluations):
+    evaluator()
+    assert_ring_and_spacer_once(
+        element_evaluations, params_from_geometry(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, L1, C1))
+
+
 def test_ring_and_spacer_are_evaluated_once_per_evaluator(element_evaluations):
     metrics_at = evaluator()
     for w_mm in (11.0, 2.2, 0.6, 0.01, 1.4):
