@@ -33,7 +33,7 @@ from .errors import (
     InfeasibleTargetError,
     OneSidedBandError,
 )
-from .twoport import NORMAL, IncidenceCondition, ShuntRLTail, SMatrix, wave_impedance
+from .twoport import NORMAL, IncidenceCondition, SMatrix, abcd_delta, abcd_shunt, j_omega, rl_admittance, wave_impedance
 
 
 @dataclass(frozen=True)
@@ -129,20 +129,26 @@ def width_evaluator(
     geometry, with every other dimension, the calibration, l1 and c1 fixed,
     and sweeps s21 on grid at inc.  Only the grid branch depends on w, so
     the ring and the spacer are evaluated here, at geometry's own width,
-    and their product is kept in a ShuntRLTail, with its b/z, jw and
-    buffers; each width then writes its s21 there.  The s21 is
-    bit-identical to network_smatrix(build_network(params), grid.points,
-    inc, reflections=False).s21.  A width outside (0, period) raises the
+    and the evaluator holds their product, its b/z, jw = 2 pi j f and two
+    complex buffers.  Each width writes y, the shunt update, c z, Delta and
+    s21 = 2/Delta into those buffers with the kernels that network_smatrix
+    calls, in their operand order, so the s21 is bit-identical to
+    network_smatrix(build_network(params), grid.points, inc,
+    reflections=False).s21.  A width outside (0, period) raises the
     DomainError of GeometryParams.
     """
     f = grid.points
+    z_ref = wave_impedance(inc.theta, inc.polarization)
     ring, line, _ = build_network(params_from_geometry(geometry, cal, l1, c1)).elements
-    tail = ShuntRLTail(ring.abcd(f, inc) @ line.abcd(f, inc), f, wave_impedance(inc.theta, inc.polarization))
+    head = ring.abcd(f, inc) @ line.abcd(f, inc)
+    bz, jw = head.b / z_ref, j_omega(f)
+    y, a = np.empty_like(jw), np.empty_like(jw)
 
     def metrics_at(w: float) -> PassbandMetrics:
         params = params_from_geometry(replace(geometry, strip_width=w), cal, l1, c1)
-        s21 = tail.s21(params.R, params.L)
-        return extract_metrics(ResponseCurve(freqs=f, s11=None, s21=s21, incidence=inc))
+        m = head.shunt_right(abcd_shunt(rl_admittance(params.R, params.L, jw, out=y)).c, out=(a, y))
+        delta = abcd_delta(m.a, bz, np.multiply(m.c, z_ref, out=y), m.d, out=a)
+        return extract_metrics(ResponseCurve(freqs=f, s11=None, s21=np.divide(2.0, delta, out=a), incidence=inc))
 
     return metrics_at
 
@@ -322,7 +328,8 @@ def aligned_start(problem: FitProblem) -> dict[str, float]:
     by r, which keeps C1 and the ratio L1/L; if neither is free, a free C1
     is scaled instead.  Each value is clipped into its bounds.  Costs one
     model call at the start, which reads s21 alone.  The start is returned
-    unchanged when none of L, L1 and C1 is free, or when either passband
+    unchanged when none of L, L1 and C1 is free, when the model's s21 is not
+    finite (fit_circuit then names its start), or when either passband
     cannot be extracted (not bracketed by the grid, or one-sided).
     """
     start = {name: problem.initial[name] for name in problem.free}
@@ -331,6 +338,8 @@ def aligned_start(problem: FitProblem) -> dict[str, float]:
         return start
     observed = problem.observed
     s21 = _model_smatrix(problem, start).s21
+    if not np.isfinite(s21).all():
+        return start
     model = ResponseCurve(freqs=observed.freqs, s11=None, s21=s21, incidence=observed.incidence)
     try:
         ratio = (extract_metrics(model).f_c / extract_metrics(observed).f_c) ** 2

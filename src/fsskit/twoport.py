@@ -16,8 +16,10 @@ on the right, (a, b, c + Y a, d + Y b) with it on the left.  abcd_to_s
 forms b/z and c z once for its three sums.  All keep the final S
 bit-identical to the general formulas.  A caller that reads only s21,
 such as the |s21| fit, asks abcd_to_s for it alone with
-reflections=False; the strip-width loop uses ShuntRLTail, which holds
-everything that does not depend on the width.
+reflections=False.  A loop in which one R-L branch changes, such as the
+strip-width loop, holds j_omega(f) and calls the parts that change per
+step, rl_admittance, TwoPortMatrix.shunt_right and abcd_delta, with out=
+arrays it holds; the general kernels call the same parts.
 """
 
 from __future__ import annotations
@@ -90,8 +92,7 @@ class TwoPortMatrix:
 
     def __matmul__(self, other: "TwoPortMatrix") -> "TwoPortMatrix":
         if other.__class__ is ShuntMatrix:
-            y = other.c
-            return TwoPortMatrix(a=self.a + self.b * y, b=self.b, c=self.c + self.d * y, d=self.d)
+            return self.shunt_right(other.c)
         if self.__class__ is ShuntMatrix:
             y = self.c
             return TwoPortMatrix(a=other.a, b=other.b, c=other.c + y * other.a, d=other.d + y * other.b)
@@ -101,6 +102,15 @@ class TwoPortMatrix:
             c=self.c * other.a + self.d * other.c,
             d=self.c * other.b + self.d * other.d,
         )
+
+    def shunt_right(self, y, out=(None, None)) -> "TwoPortMatrix":
+        """self @ [[1, 0], [y, 1]]: (a + b y, b, c + d y, d).
+
+        out names the arrays for the new a and c; the one for c may be y.
+        """
+        a = np.add(self.a, np.multiply(self.b, y, out=out[0]), out=out[0])
+        c = np.add(self.c, np.multiply(self.d, y, out=out[1]), out=out[1])
+        return TwoPortMatrix(a=a, b=self.b, c=c, d=self.d)
 
     def det(self) -> complex | np.ndarray:
         """a*d - b*c; unity for reciprocal networks."""
@@ -167,14 +177,24 @@ def shunt_series_rlc_admittance(r1, l1, c1, f):
     return np.where(shorted, SHORT_ADMITTANCE + 0j, 1.0 / np.where(shorted, 1.0, z))
 
 
-def shunt_rl_admittance(r, l, f):
-    """Admittance of a grounded series R-L branch: Y = 1/(R + jwL)."""
-    if not (everywhere(r >= 0) and everywhere(l > 0)):
-        raise DomainError("RL branch requires r >= 0 and l > 0")
+def j_omega(f):
+    """jw = 2 pi j f of the frequencies f, which must be positive."""
     f = np.asarray(f, dtype=float)
     if not np.all(f > 0):
         raise DomainError("frequency must be positive")
-    return 1.0 / (r + 1j * 2 * np.pi * f * l)
+    return 1j * 2 * np.pi * f
+
+
+def rl_admittance(r, l, jw, out=None):
+    """1/(r + jw l), formed in out if given."""
+    if not (everywhere(r >= 0) and everywhere(l > 0)):
+        raise DomainError("RL branch requires r >= 0 and l > 0")
+    return np.divide(1.0, np.add(r, np.multiply(jw, l, out=out), out=out), out=out)
+
+
+def shunt_rl_admittance(r, l, f):
+    """Admittance of a grounded series R-L branch: Y = 1/(R + jwL)."""
+    return rl_admittance(r, l, j_omega(f))
 
 
 def abcd_tline(
@@ -257,54 +277,17 @@ def abcd_to_s(m: TwoPortMatrix, z_ref: float, reflections: bool = True) -> SMatr
         raise DomainError(f"reference impedance must be positive, got {z_ref}")
     bz = m.b / z_ref
     cz = m.c * z_ref
-    delta = m.a + bz + cz + m.d
-    if np.any(delta == 0):
-        raise SingularNetworkError("singular network: a + b/z + c z + d = 0")
+    delta = abcd_delta(m.a, bz, cz, m.d)
     s21 = 2.0 / delta
     s11 = (m.a + bz - cz - m.d) / delta if reflections else None
     s22 = (-m.a + bz - cz + m.d) / delta if reflections else None
     return SMatrix(s11=s11, s21=s21, s12=s21, s22=s22, z_ref=z_ref)
 
 
-class ShuntRLTail:
-    """s21 of a held chain product, the head, closed by a grounded R-L branch.
-
-    A loop in which only that branch changes, such as the strip-width loop
-    over first-order ladders, makes one tail per frequency array and port
-    impedance.  It keeps the head, the head's b/z, jw = 2 pi j f and two
-    complex buffers.  s21(r, l) writes y = 1/(r + jw l) and then c + d y
-    into one, and a + b y, Delta = a + b/z + c z + d and then s21 = 2/Delta
-    into the other.  Each step keeps the operand order of
-    shunt_rl_admittance, the ShuntMatrix update and abcd_to_s, so s21(r, l)
-    is bit-identical to
-    abcd_to_s(head @ abcd_shunt(shunt_rl_admittance(r, l, f)), z_ref).s21.
-    r and l are scalars.  The array returned is overwritten by the next call.
-    """
-
-    def __init__(self, head: TwoPortMatrix, f, z_ref: float):
-        f = np.asarray(f, dtype=float)
-        if not np.all(f > 0):
-            raise DomainError("frequency must be positive")
-        if not z_ref > 0:
-            raise DomainError(f"reference impedance must be positive, got {z_ref}")
-        self.head = head
-        self.z_ref = z_ref
-        self.bz = head.b / z_ref
-        self.jw = 1j * 2 * np.pi * f
-        self._y, self._a = np.empty_like(self.jw), np.empty_like(self.jw)
-
-    def s21(self, r: float, l: float) -> np.ndarray:
-        if not (r >= 0 and l > 0):
-            raise DomainError("RL branch requires r >= 0 and l > 0")
-        h, y, a = self.head, self._y, self._a
-        np.divide(1.0, np.add(r, np.multiply(self.jw, l, out=y), out=y), out=y)
-        if not np.all(np.isfinite(y)):
-            raise DomainError("shunt admittance must be finite")
-        np.add(h.a, np.multiply(h.b, y, out=a), out=a)
-        c = np.add(h.c, np.multiply(h.d, y, out=y), out=y)
-        # Delta, formed in a
-        np.add(np.add(a, self.bz, out=a), np.multiply(c, self.z_ref, out=c), out=a)
-        np.add(a, h.d, out=a)
-        if np.any(a == 0):
-            raise SingularNetworkError("singular network: a + b/z + c z + d = 0")
-        return np.divide(2.0, a, out=a)
+def abcd_delta(a, bz, cz, d, out=None):
+    """Delta = a + b/z + c z + d from b/z and c z, formed in out if given;
+    SingularNetworkError where it is 0."""
+    delta = np.add(np.add(np.add(a, bz, out=out), cz, out=out), d, out=out)
+    if np.any(delta == 0):
+        raise SingularNetworkError("singular network: a + b/z + c z + d = 0")
+    return delta

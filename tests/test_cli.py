@@ -533,14 +533,16 @@ class TestFitMode:
         doc = {"mode": "simulate", "circuit": {"order": 2, "l_nh": 2.85, "h1_mm": 10},
                "output": {"touchstone": "obs.s2p"}}
         run(parse_config(json.dumps(doc)), out_dir=tmp_path)
-        # a spacer so thick and lossy that the model overflows on every row of the first call
-        doc = {"mode": "fit", "circuit": {**doc["circuit"], "h_mm": 5080, "loss_tangent": 1.0},
-               "fit": {"touchstone": str(tmp_path / "obs_te0deg.s2p"), "free": ["r_ohm"]}}
-        path = tmp_path / "fit.json"
-        path.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
-        assert capsys.readouterr().err == "computation error: the model's |s21| is not finite at the fit's start\n"
+        # a spacer so thick and lossy that the model overflows on every row of the first call;
+        # a free L is first moved by aligned_start, whose one model call is not finite either
+        for free in (["r_ohm"], ["l_nh"]):
+            fit = {"mode": "fit", "circuit": {**doc["circuit"], "h_mm": 5080, "loss_tangent": 1.0},
+                   "fit": {"touchstone": str(tmp_path / "obs_te0deg.s2p"), "free": free}}
+            path = tmp_path / "fit.json"
+            path.write_text(json.dumps(fit))
+            capsys.readouterr()
+            assert main(["--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE, free
+            assert capsys.readouterr().err == "computation error: the model's |s21| is not finite at the fit's start\n"
 
     def test_negative_frequency_file_exits_as_input_data_error(self, tmp_path, capsys):
         s2p = tmp_path / "negative.s2p"

@@ -3,14 +3,17 @@
 sweep_response evaluates an element object that its ladder holds more than
 once, as the mirrored second-order stack does, only once.  The strip-width
 loop of sweep-w and width_for_bandwidth, synthesis.width_evaluator, holds
-more: the ring and spacer product, its b/z, jw and the buffers of a
-ShuntRLTail, evaluated once per evaluator.  These tests check every held
-result against network_smatrix, which evaluates each element afresh, bit
-for bit, and count the element evaluations.
+more: the ring and spacer product, its b/z, jw and two complex buffers,
+formed once per evaluator, into which each width's split kernels
+(rl_admittance, TwoPortMatrix.shunt_right, abcd_delta) write.  These tests
+check every held result against network_smatrix, which evaluates each
+element afresh, bit for bit, count the element evaluations, and bound what
+a width allocates.
 """
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -31,9 +34,21 @@ from fsskit.builder import (
     build_network,
     params_from_geometry,
 )
-from fsskit.errors import DomainError, FssError, OneSidedBandError
+from fsskit.errors import DomainError, FssError, OneSidedBandError, SingularNetworkError
 from fsskit.synthesis import width_evaluator, width_for_bandwidth
-from fsskit.twoport import NORMAL, IncidenceCondition, Polarization, ShuntRLTail, wave_impedance
+from fsskit.twoport import (
+    NORMAL,
+    IncidenceCondition,
+    Polarization,
+    TwoPortMatrix,
+    abcd_delta,
+    abcd_shunt,
+    abcd_to_s,
+    j_omega,
+    rl_admittance,
+    shunt_rl_admittance,
+    wave_impedance,
+)
 
 L1, C1 = 1.61e-9, 0.6e-12
 GRID = FrequencyGrid(1e9, 5e9, 2001)
@@ -129,7 +144,24 @@ def test_width_for_bandwidth_matches_plain_evaluation(element_evaluations):
 
 
 # ---------------------------------------------------------------------------
-# the width evaluator's held kernel
+# the width evaluator's held kernels
+
+
+class HeldKernels:
+    """A head closed by a grounded R-L branch, as width_evaluator holds it:
+    the head, its b/z, jw and two buffers; s21(r, l) calls the split kernels
+    into the buffers in the evaluator's order."""
+
+    def __init__(self, head, f, z_ref):
+        self.head, self.z_ref = head, z_ref
+        self.bz, self.jw = head.b / z_ref, j_omega(f)
+        self.y, self.a = np.empty_like(self.jw), np.empty_like(self.jw)
+
+    def s21(self, r, l):
+        y, a = self.y, self.a
+        m = self.head.shunt_right(abcd_shunt(rl_admittance(r, l, self.jw, out=y)).c, out=(a, y))
+        delta = abcd_delta(m.a, self.bz, np.multiply(m.c, self.z_ref, out=y), m.d, out=a)
+        return np.divide(2.0, delta, out=a)
 
 
 def evaluated_s21(metrics_at, w):
@@ -189,13 +221,13 @@ def test_held_kernel_matches_network_smatrix(w, theta_deg, pol, lossy, n):
         return
     want = outcome(lambda: plain_s21(params, grid, inc))
     assert (_bits(got) if got is not None else (type(result), str(result))) == want
-    # the evaluator's spacer has the default loss tangent; a tail also holds a lossless one
+    # the evaluator's spacer has the default loss tangent; the held kernels also take a lossless one
     for loss_tangent in (0.0009, 0.0):
         p = replace(params, loss_tangent=loss_tangent)
         ring, line, _ = build_network(p).elements
-        tail = ShuntRLTail(ring.abcd(grid.points, inc) @ line.abcd(grid.points, inc),
+        held = HeldKernels(ring.abcd(grid.points, inc) @ line.abcd(grid.points, inc),
                            grid.points, wave_impedance(inc.theta, inc.polarization))
-        assert outcome(lambda: tail.s21(p.R, p.L)) == outcome(lambda: plain_s21(p, grid, inc))
+        assert outcome(lambda: held.s21(p.R, p.L)) == outcome(lambda: plain_s21(p, grid, inc))
 
 
 @pytest.mark.parametrize("inc", [NORMAL, TM40])
@@ -223,24 +255,52 @@ def test_a_width_that_raises_leaves_the_next_result_as_fresh(bad_mm, error):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_failed_tail_call_leaves_what_is_held():
+def test_a_failed_held_call_leaves_what_is_held():
     ring, line, _ = ladder_at(1.4).elements
-    f = GRID.points
-    tail = ShuntRLTail(ring.abcd(f) @ line.abcd(f), f, wave_impedance(0.0, Polarization.TE))
+    f, z_ref = GRID.points, wave_impedance(0.0, Polarization.TE)
+    held = HeldKernels(ring.abcd(f) @ line.abcd(f), f, z_ref)
+
     def held_bits():
-        h = tail.head
-        return [_bits(x) for x in (h.a, h.b, h.c, h.d, tail.bz, tail.jw)]
+        h = held.head
+        return [_bits(x) for x in (h.a, h.b, h.c, h.d, held.bz, held.jw)]
 
     held_before = held_bits()
     good = ladder_at(2.6).elements[2]
-    want = tail.s21(good.resistance, good.inductance).copy()
+    want = held.s21(good.resistance, good.inductance).copy()
     # with R = 0, jw L underflows to a subnormal, and 1/(jw L) overflows
     with pytest.raises(DomainError, match="^shunt admittance must be finite$"):
-        tail.s21(0.0, 1e-320)
+        held.s21(0.0, 1e-320)
     with pytest.raises(DomainError, match="RL branch requires"):
-        tail.s21(0.1, 0.0)
+        held.s21(0.1, 0.0)
     assert held_bits() == held_before
-    assert _bits(tail.s21(good.resistance, good.inductance)) == _bits(want)
+    fresh = HeldKernels(ring.abcd(f) @ line.abcd(f), f, z_ref)
+    assert _bits(held.s21(good.resistance, good.inductance)) == _bits(want)
+    assert _bits(fresh.s21(good.resistance, good.inductance)) == _bits(want)
+
+
+def test_a_singular_delta_is_named_as_abcd_to_s_names_it():
+    f, z_ref = GRID.points, wave_impedance(0.0, Polarization.TE)
+    zero = TwoPortMatrix(*np.zeros((4, f.size), complex))  # Delta = 0 at every frequency
+    with pytest.raises(SingularNetworkError) as held:
+        HeldKernels(zero, f, z_ref).s21(0.1, 2.85e-9)
+    with pytest.raises(SingularNetworkError) as plain:
+        abcd_to_s(zero @ abcd_shunt(shunt_rl_admittance(0.1, 2.85e-9, f)), z_ref, reflections=False)
+    assert str(held.value) == str(plain.value) == "singular network: a + b/z + c z + d = 0"
+
+
+def test_a_width_after_the_first_allocates_under_48_bytes_per_point():
+    """Every grid-sized array a width needs is held, apart from what
+    extract_metrics and ResponseCurve form (about 24 B per point)."""
+    n = 20001
+    metrics_at = evaluator(grid=FrequencyGrid(1e9, 5e9, n))
+    metrics_at(1.4e-3)
+    tracemalloc.start()
+    try:
+        metrics_at(2.6e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 48
 
 
 def test_ring_and_spacer_are_evaluated_when_the_evaluator_is_made(element_evaluations):
