@@ -67,26 +67,31 @@ class ResponseCurve:
     same type).  s11 and s22 are None in the curves that the solvers form
     from s21 alone; synthetic curves may omit s22.
 
-    Every array held is checked at construction: freqs for a finite 1-D
-    grid, and each S-parameter for its shape against freqs and for finite
-    samples.
+    freqs may be given as a FrequencyGrid, which checked its points when it
+    was made; the curve then holds grid.points, the same read-only array,
+    and checks it no further.  freqs given as an array is checked for a
+    finite, strictly increasing 1-D grid.  Each S-parameter is checked for
+    its shape against freqs and for finite samples.
     """
 
-    freqs: np.ndarray
+    freqs: np.ndarray | FrequencyGrid
     s11: np.ndarray | None
     s21: np.ndarray
     incidence: IncidenceCondition = NORMAL
     s22: np.ndarray | None = None
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=float)
+        if isinstance(self.freqs, FrequencyGrid):
+            freqs = self.freqs.points
+        else:
+            freqs = np.asarray(self.freqs, dtype=float)
+            if freqs.ndim != 1 or freqs.size < 1:
+                raise DomainError("a response curve needs a 1-D grid of frequencies")
+            if not np.all(np.isfinite(freqs)):
+                raise DomainError("freqs contains non-finite samples")
+            if np.any(np.diff(freqs) <= 0):
+                raise DomainError("curve frequencies must be strictly increasing")
         object.__setattr__(self, "freqs", freqs)
-        if freqs.ndim != 1 or freqs.size < 1:
-            raise DomainError("a response curve needs a 1-D grid of frequencies")
-        if not np.all(np.isfinite(freqs)):
-            raise DomainError("freqs contains non-finite samples")
-        if np.any(np.diff(freqs) <= 0):
-            raise DomainError("curve frequencies must be strictly increasing")
         for name in ("s11", "s21", "s22"):
             v = getattr(self, name)
             if v is None:
@@ -186,13 +191,27 @@ def _band_edges(f: np.ndarray, db: np.ndarray, i: int, thr: float) -> tuple[floa
     return f_lo, f_hi
 
 
+def _bracket(mag: np.ndarray, i: int, level: float) -> tuple[int, int]:
+    """Samples lo:hi from the first |s21| under level on either side of i
+    (the grid's end where there is none), and at least i - 1:i + 2."""
+    below = mag < level
+    j = i + int(np.argmax(below[i:]))
+    k = i - int(np.argmax(below[i::-1]))
+    return min(k, i - 1) if below[k] else 0, max(j, i + 1) + 1 if below[j] else len(mag)
+
+
 def extract_metrics(curve: ResponseCurve) -> PassbandMetrics:
     """Locate the transmission peak and measure the -3 dB band around it.
 
     The peak is refined with a three-point parabola; the band edges come
     from linear interpolation of |s21| in dB crossing (peak - 3 dB),
-    searched outward from the peak.  A deep |s21| minimum above the peak
-    (magnitude < 0.1) is reported as the transmission-zero frequency.
+    searched outward from the peak.  dB is formed only on the samples that
+    |s21| against 10^((peak - 3 dB)/20) brackets.  The search there gives
+    the whole-curve result when it finds both crossings; when it misses one,
+    the search runs again on the whole curve, so rounding at the threshold
+    never changes a result or the side a OneSidedBandError names.  A deep
+    |s21| minimum above the peak (magnitude < 0.1) is reported as the
+    transmission-zero frequency.
     """
     f = curve.freqs
     mag = np.abs(curve.s21)
@@ -203,10 +222,15 @@ def extract_metrics(curve: ResponseCurve) -> PassbandMetrics:
         )
 
     f_c, peak = _parabolic_vertex(f[i - 1], f[i], f[i + 1], mag[i - 1], mag[i], mag[i + 1])
-    db = _db(mag)
     thr = 20.0 * math.log10(max(peak, _DB_FLOOR)) - 3.0
 
-    f_lo, f_hi = _band_edges(f, db, i, thr)
+    lo, hi = _bracket(mag, i, 10.0 ** (thr / 20.0))
+    try:
+        f_lo, f_hi = _band_edges(f[lo:hi], _db(mag[lo:hi]), i - lo, thr)
+    except OneSidedBandError:
+        if hi - lo == len(f):
+            raise
+        f_lo, f_hi = _band_edges(f, _db(mag), i, thr)
 
     bw = f_hi - f_lo
     fbw = bw / f_c

@@ -148,7 +148,7 @@ def width_evaluator(
         params = params_from_geometry(replace(geometry, strip_width=w), cal, l1, c1)
         m = head.shunt_right(abcd_shunt(rl_admittance(params.R, params.L, jw, out=y)).c, out=(a, y))
         delta = abcd_delta(m.a, bz, np.multiply(m.c, z_ref, out=y), m.d, out=a)
-        return extract_metrics(ResponseCurve(freqs=f, s11=None, s21=np.divide(2.0, delta, out=a), incidence=inc))
+        return extract_metrics(ResponseCurve(freqs=grid, s11=None, s21=np.divide(2.0, delta, out=a), incidence=inc))
 
     return metrics_at
 

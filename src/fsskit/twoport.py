@@ -174,6 +174,8 @@ def shunt_series_rlc_admittance(r1, l1, c1, f):
     w = 2 * np.pi * f
     z = r1 + 1j * w * l1 + 1 / (1j * w * c1)
     shorted = z == 0
+    if not np.any(shorted):
+        return np.divide(1.0, z)
     return np.where(shorted, SHORT_ADMITTANCE + 0j, 1.0 / np.where(shorted, 1.0, z))
 
 

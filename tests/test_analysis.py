@@ -105,6 +105,24 @@ class TestGridAndCurve:
         with pytest.raises(DomainError):
             ResponseCurve(freqs=f, s11=ones, s21=bad)
 
+    def test_curve_from_a_grid_holds_its_points(self):
+        g = FrequencyGrid(1e9, 2e9, 8)
+        curve = ResponseCurve(freqs=g, s11=None, s21=np.ones(8, dtype=complex))
+        assert curve.freqs is g.points
+        assert not curve.freqs.flags.writeable
+        assert len(curve) == 8
+
+    def test_curve_from_a_grid_checks_each_s_parameter(self):
+        g = FrequencyGrid(1e9, 2e9, 8)
+        bad = np.ones(8, dtype=complex)
+        bad[3] = complex("nan")
+        with pytest.raises(DomainError, match="^s21 contains non-finite samples$"):
+            ResponseCurve(freqs=g, s11=None, s21=bad)
+        with pytest.raises(DomainError, match="^s21 sample count does not match the grid$"):
+            ResponseCurve(freqs=g, s11=None, s21=np.ones(7, dtype=complex))
+        with pytest.raises(DomainError, match="^s11 sample count does not match the grid$"):
+            ResponseCurve(freqs=g, s11=np.ones(9, dtype=complex), s21=np.ones(8, dtype=complex))
+
 
 def reference_params(**overrides) -> CircuitParams:
     kwargs = dict(L=2.85e-9, L1=1.61e-9, C1=0.6e-12, R=0.1, R1=0.1,

@@ -8,6 +8,7 @@ the same f_lo / f_hi bits, or raise the same OneSidedBandError.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -171,3 +172,90 @@ def test_plateau_exactly_at_the_threshold_on_a_curve():
     # the crossings lie beyond the plateaus: samples 0..1 and 6..7
     f_lo, f_hi = _band_edges(f, db, i, thr)
     assert 1.0 < f_lo <= 2.0 and 7.0 <= f_hi < 8.0
+
+
+# extract_metrics forms dB only on the samples that |s21| against
+# 10^(thr/20) brackets, and searches the whole curve when that window misses
+# a crossing.  The curves below put samples at, just under and just over that
+# level and the magnitude whose dB is thr exactly, so the window can end one
+# sample short of, on, or past a crossing, and a side may stay in band out to
+# the grid's end.
+
+
+def edges_found(curve):
+    """Hex bits of extract_metrics' (f_lo, f_hi) and bandwidth, or the side it names."""
+    found = []
+
+    def record(*args):
+        found.append(_band_edges(*args))
+        return found[-1]
+
+    with mock.patch("fsskit.analysis._band_edges", side_effect=record) as search:
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bw = extract_metrics(curve).bw_3db
+        except OneSidedBandError as exc:
+            return ("one-sided", exc.side), search.call_count
+    return (tuple(x.hex() for x in found[-1]), bw.hex()), search.call_count
+
+
+@st.composite
+def threshold_curves(draw):
+    """|s21| with its peak at sample i, other samples at levels next to the -3 dB level."""
+    n = draw(st.integers(4, 200))
+    i = draw(st.integers(1, n - 2))
+    # steps within a factor of 2 keep the parabolic peak, and so every level, under |s21| at i
+    f = np.cumsum(draw(st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n))) + 1.0
+    mag = np.full(n, 0.95)
+    mag[i] = 1.0
+    thr = reference_band(f, mag)[1]
+    level, at = 10.0 ** (thr / 20.0), threshold_level(thr)
+    values = {
+        "at": at, "under at": np.nextafter(at, 0.0), "level": level,
+        "under level": np.nextafter(level, 0.0), "over level": np.nextafter(level, 2.0),
+        "in band": 0.95, "out of band": 0.1,
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(values)), min_size=n, max_size=n))
+    in_band_to_end = draw(st.sampled_from([None, "lower", "upper"]))
+    for m, kind in enumerate(kinds):
+        if abs(m - i) > 1:
+            to_end = (in_band_to_end == "lower" and m < i) or (in_band_to_end == "upper" and m > i)
+            mag[m] = max(values[kind], at) if to_end else values[kind]
+    return f, mag
+
+
+@settings(max_examples=300, deadline=None)
+@given(threshold_curves())
+@example((np.arange(7.0) + 1.0, np.array([0.1, 0.95, 0.95, 1.0, 0.95, 0.95, 0.95])))
+@example((np.arange(7.0) + 1.0, np.array([0.95, 0.95, 0.95, 1.0, 0.95, 0.1, 0.1])))
+def test_windowed_search_matches_the_whole_curve(case):
+    f, mag = case
+    i, thr = reference_band(f, mag)
+    db = _db(mag)
+    want = outcome(_band_edges, f, db, i, thr)
+    assert want == outcome(walk_edges, f, db, i, thr)
+    if want[0] != "one-sided":
+        f_lo, f_hi = (float.fromhex(x) for x in want)
+        want = (want, (f_hi - f_lo).hex())
+    got, _ = edges_found(ResponseCurve(freqs=f, s11=None, s21=mag.astype(complex)))
+    assert got == want
+
+
+def test_a_crossing_the_window_misses_is_found_on_the_whole_curve():
+    """A sample just under 10^(thr/20) whose dB is not under thr ends the
+    window one sample short; the whole-curve search finds the crossing."""
+    f = np.arange(7.0) + 1.0
+    for peak in np.geomspace(0.01, 1.0, 101):
+        mag = peak * np.array([0.2, 0.0, 0.85, 1.0, 0.85, 0.2, 0.1])
+        i, thr = reference_band(f, mag)
+        mag[1] = np.nextafter(10.0 ** (thr / 20.0), 0.0)
+        if _db(mag[1:2])[0] >= thr:
+            break
+    else:
+        pytest.fail("no peak puts a sample under 10^(thr/20) with its dB at or over thr")
+    db = _db(mag)
+    f_lo, f_hi = _band_edges(f, db, i, thr)
+    assert 1.0 < f_lo <= 2.0  # the crossing lies between samples 0 and 1
+    got, searches = edges_found(ResponseCurve(freqs=f, s11=None, s21=mag.astype(complex)))
+    assert got == ((f_lo.hex(), f_hi.hex()), (f_hi - f_lo).hex())
+    assert searches == 2

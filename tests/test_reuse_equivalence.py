@@ -303,6 +303,29 @@ def test_a_width_after_the_first_allocates_under_48_bytes_per_point():
     assert peak / n < 48
 
 
+def test_a_width_allocates_under_16_bytes_per_point():
+    """Beyond the buffers, a width forms |s21| (8 B per point), a mask and dB
+    on its band alone: its curve holds the evaluator's grid unchecked."""
+    n = 20001
+    metrics_at = evaluator(grid=FrequencyGrid(1e9, 5e9, n))
+    metrics_at(1.4e-3)
+    for w in (2.6e-3, 0.3e-3):  # a narrow band and the widest of width_design
+        tracemalloc.start()
+        try:
+            metrics_at(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 16
+
+
+def test_each_width_curve_holds_the_grid_points():
+    grid = FrequencyGrid(1e9, 5e9, 2001)
+    with mock.patch.object(synthesis, "extract_metrics", wraps=extract_metrics) as spy:
+        evaluator(grid=grid)(1.4e-3)
+    assert spy.call_args.args[0].freqs is grid.points
+
+
 def test_ring_and_spacer_are_evaluated_when_the_evaluator_is_made(element_evaluations):
     evaluator()
     assert_ring_and_spacer_once(
