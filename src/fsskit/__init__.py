@@ -11,6 +11,7 @@ from .analysis import (
     extract_metrics,
     network_smatrix,
     passband_freq,
+    sweep_conditions,
     sweep_response,
     zero_freq,
 )

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .builder import LayeredNetwork
+from .builder import LayeredNetwork, LineSegment
 from .errors import BandNotBracketedError, DomainError, OneSidedBandError
 from .twoport import NORMAL, IncidenceCondition, SMatrix, abcd_to_s, cascade, wave_impedance
 
@@ -131,20 +131,40 @@ def network_smatrix(
     return abcd_to_s(net.abcd(f, inc), z_ref, reflections)
 
 
-def sweep_response(
-    net: LayeredNetwork, grid: FrequencyGrid, inc: IncidenceCondition = NORMAL
-) -> ResponseCurve:
-    """Vectorized frequency sweep of a ladder network: s11, s21 and s22.
+def sweep_response(net: LayeredNetwork, grid: FrequencyGrid, inc: IncidenceCondition = NORMAL) -> ResponseCurve:
+    """Vectorized frequency sweep of a ladder network: s11, s21 and s22; sweep_conditions of one."""
+    return sweep_conditions(net, grid, (inc,))[0]
 
-    An element object that the ladder holds more than once, as a
-    second-order stack holds its layer's, is evaluated once.
+
+def sweep_conditions(net: LayeredNetwork, grid: FrequencyGrid, conditions) -> list[ResponseCurve]:
+    """One sweep_response curve per incidence condition, in their order.
+
+    What the conditions share is evaluated on first use, in ladder order, and
+    kept: a shunt branch's matrix by element (an object that the ladder holds
+    twice, as a second-order stack does, is one element) and a line's phase
+    by element and angle.  A line's matrix is formed from that phase once per
+    element and condition.  Each curve is finished before the next condition
+    starts, so the first error is that of one sweep_response per condition.
     """
-    f = grid.points
-    distinct = {id(el): el for el in net.elements}
-    held = {key: el.abcd(f, inc) for key, el in distinct.items()}
-    m = cascade([held[id(el)] for el in net.elements])
-    s = abcd_to_s(m, wave_impedance(inc.theta, inc.polarization))
-    return ResponseCurve(freqs=f, s11=s.s11, s21=s.s21, incidence=inc, s22=s.s22)
+    f, kept = grid.points, {}
+
+    def held(store, key, evaluate):
+        if key not in store:
+            store[key] = evaluate()
+        return store[key]
+
+    curves = []
+    for inc in conditions:
+        chain, lines = [], {}
+        for el in net.elements:
+            if el.__class__ is LineSegment:
+                phase = held(kept, (id(el), inc.theta), lambda: el.phase(f, inc.theta))
+                chain.append(held(lines, id(el), lambda: el.abcd(f, inc, phase)))
+            else:
+                chain.append(held(kept, id(el), lambda: el.abcd(f, inc)))
+        s = abcd_to_s(cascade(chain), wave_impedance(inc.theta, inc.polarization))
+        curves.append(ResponseCurve(freqs=grid, s11=s.s11, s21=s.s21, incidence=inc, s22=s.s22))
+    return curves
 
 
 def _parabolic_vertex(x0, x1, x2, y0, y1, y2):

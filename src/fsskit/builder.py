@@ -22,6 +22,8 @@ from .twoport import (
     everywhere,
     shunt_rl_admittance,
     shunt_series_rlc_admittance,
+    tline_matrix,
+    tline_phase,
 )
 
 #: Default ring-branch element values used when no fitted values are supplied.
@@ -172,10 +174,14 @@ class LineSegment:
     length: float
     loss_tangent: float = 0.0
 
-    def abcd(self, f, inc: IncidenceCondition = NORMAL) -> TwoPortMatrix:
-        return abcd_tline(
-            self.eps_r, self.length, f, inc, loss_tangent=self.loss_tangent
-        )
+    def phase(self, f, theta: float):
+        return tline_phase(self.eps_r, self.length, f, theta, self.loss_tangent)
+
+    def abcd(self, f, inc: IncidenceCondition = NORMAL, phase=None) -> TwoPortMatrix:
+        """abcd_tline of the line, formed from phase if given: its phase(f, inc.theta)."""
+        if phase is None:
+            return abcd_tline(self.eps_r, self.length, f, inc, loss_tangent=self.loss_tangent)
+        return tline_matrix(phase, self.eps_r, inc.polarization)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .analysis import (
     ResponseCurve,
     _db,
     extract_metrics,
-    sweep_response,
+    sweep_conditions,
 )
 from .builder import (
     DEFAULT_CALIBRATION,
@@ -426,7 +426,7 @@ def _condition(curve: ResponseCurve) -> dict[str, Any]:
 
 def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
     net = build_network(cfg.circuit, mirrored=cfg.mirrored)
-    curves = [sweep_response(net, cfg.grid, inc) for inc in cfg.incidence]
+    curves = sweep_conditions(net, cfg.grid, cfg.incidence)
 
     artifacts: list[str] = []
     if cfg.csv_name:

@@ -200,12 +200,7 @@ def shunt_rl_admittance(r, l, f):
 
 
 def abcd_tline(
-    eps_r: float,
-    length: float,
-    f,
-    inc: IncidenceCondition = NORMAL,
-    *,
-    loss_tangent: float = 0.0,
+    eps_r: float, length: float, f, inc: IncidenceCondition = NORMAL, *, loss_tangent: float = 0.0
 ) -> TwoPortMatrix:
     """Chain matrix of a dielectric slab crossed at oblique incidence.
 
@@ -219,7 +214,16 @@ def abcd_tline(
     propagation factor gamma*l = phi * (tan_delta / 2 + j).
 
     eps_r and loss_tangent are scalars; length may be a (k, 1) column array.
+    The phase part, tline_phase, does not depend on the polarization, so a
+    caller with both at one angle forms it once and calls tline_matrix twice.
     """
+    return tline_matrix(tline_phase(eps_r, length, f, inc.theta, loss_tangent), eps_r, inc.polarization)
+
+
+def tline_phase(eps_r: float, length, f, theta: float, loss_tangent: float = 0.0):
+    """abcd_tline's checks and its (cosh gamma l, sinh gamma l) if the line is
+    lossy, else (cos phi, sin phi), with q = sqrt(eps_r - sin^2 theta) and
+    whether sin^2 theta is 0."""
     if not eps_r > 0:
         raise DomainError(f"relative permittivity must be positive, got {eps_r}")
     if not everywhere(length >= 0):
@@ -230,29 +234,27 @@ def abcd_tline(
     if not np.all(f > 0):
         raise DomainError("frequency must be positive")
 
-    s2 = math.sin(inc.theta) ** 2
+    s2 = math.sin(theta) ** 2
     if not eps_r > s2:
         raise EvanescentModeError(
             f"no propagating mode: eps_r = {eps_r} <= sin^2(theta) = {s2:.6f} "
-            f"at theta = {inc.theta:.6f} rad"
+            f"at theta = {theta:.6f} rad"
         )
     q = math.sqrt(eps_r - s2)
-    if inc.polarization is Polarization.TE or s2 == 0.0:
-        z_eff = ETA0 / q
-    else:
-        z_eff = ETA0 * q / eps_r
-
     phi = (2 * np.pi * f / C0) * q * length
     if loss_tangent > 0.0:
         gl = phi * (0.5 * loss_tangent + 1j)
-        cosh_gl = np.cosh(gl)
-        sinh_gl = np.sinh(gl)
-        return TwoPortMatrix(a=cosh_gl, b=z_eff * sinh_gl, c=sinh_gl / z_eff, d=cosh_gl)
-    cos_phi = np.cos(phi)
-    sin_phi = np.sin(phi)
-    return TwoPortMatrix(
-        a=cos_phi, b=1j * z_eff * sin_phi, c=1j * sin_phi / z_eff, d=cos_phi
-    )
+        return np.cosh(gl), np.sinh(gl), q, s2 == 0.0
+    return np.cos(phi), np.sin(phi), q, s2 == 0.0
+
+
+def tline_matrix(phase, eps_r: float, pol: Polarization) -> TwoPortMatrix:
+    """abcd_tline's chain matrix at polarization pol, from its tline_phase."""
+    even, odd, q, normal = phase  # cosh and sinh (complex) or cos and sin (real)
+    z_eff = ETA0 / q if pol is Polarization.TE or normal else ETA0 * q / eps_r
+    if np.iscomplexobj(even):
+        return TwoPortMatrix(a=even, b=z_eff * odd, c=odd / z_eff, d=even)
+    return TwoPortMatrix(a=even, b=1j * z_eff * odd, c=1j * odd / z_eff, d=even)
 
 
 def cascade(segments: Sequence[TwoPortMatrix] | Iterable[TwoPortMatrix]) -> TwoPortMatrix:

@@ -70,9 +70,9 @@ def element_evaluations(monkeypatch):
     """The element of every ShuntBranch.abcd and LineSegment.abcd call, in order."""
     calls = []
     for cls in (ShuntBranch, LineSegment):
-        def recording(self, f, inc=NORMAL, _real=cls.abcd):
+        def recording(self, f, inc=NORMAL, *phase, _real=cls.abcd):
             calls.append(self)
-            return _real(self, f, inc)
+            return _real(self, f, inc, *phase)
         monkeypatch.setattr(cls, "abcd", recording)
     return calls
 
@@ -290,7 +290,7 @@ def test_a_singular_delta_is_named_as_abcd_to_s_names_it():
 
 def test_a_width_after_the_first_allocates_under_48_bytes_per_point():
     """Every grid-sized array a width needs is held, apart from what
-    extract_metrics and ResponseCurve form (about 24 B per point)."""
+    extract_metrics forms (about 10-12 B per point)."""
     n = 20001
     metrics_at = evaluator(grid=FrequencyGrid(1e9, 5e9, n))
     metrics_at(1.4e-3)
