@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .builder import LayeredNetwork, LineSegment
+from .builder import HeldWork, LayeredNetwork, LineSegment
 from .errors import BandNotBracketedError, DomainError, OneSidedBandError
 from .twoport import NORMAL, IncidenceCondition, SMatrix, abcd_to_s, cascade, wave_impedance
 
@@ -120,15 +120,19 @@ class PassbandMetrics:
 
 
 def network_smatrix(
-    net: LayeredNetwork, f, inc: IncidenceCondition = NORMAL, reflections: bool = True
+    net: LayeredNetwork, f, inc: IncidenceCondition = NORMAL, reflections: bool = True,
+    work: HeldWork | None = None,
 ) -> SMatrix:
     """Evaluate a ladder at one or more frequencies.
 
     The port reference is the oblique free-space wave impedance for the
     given incidence, on both sides.  reflections is passed to abcd_to_s.
+    With work, a HeldWork on f started for this call, the ladder takes its
+    line phases from it and every array is formed in its arrays, so the
+    result holds until work's next call.
     """
     z_ref = wave_impedance(inc.theta, inc.polarization)
-    return abcd_to_s(net.abcd(f, inc), z_ref, reflections)
+    return abcd_to_s(net.abcd(f, inc, work), z_ref, reflections, None if work is None else work.arrays)
 
 
 def sweep_response(net: LayeredNetwork, grid: FrequencyGrid, inc: IncidenceCondition = NORMAL) -> ResponseCurve:
@@ -142,11 +146,12 @@ def sweep_conditions(net: LayeredNetwork, grid: FrequencyGrid, conditions) -> li
     What the conditions share is evaluated on first use, in ladder order, and
     kept: a shunt branch's matrix by element (an object that the ladder holds
     twice, as a second-order stack does, is one element) and a line's phase
-    by element and angle.  A line's matrix is formed from that phase once per
-    element and condition.  Each curve is finished before the next condition
-    starts, so the first error is that of one sweep_response per condition.
+    by line and angle, in a HeldWork as a fit keeps it.  A line's matrix is
+    formed from that phase once per element and condition.  Each curve is
+    finished before the next condition starts, so the first error is that of
+    one sweep_response per condition.
     """
-    f, kept = grid.points, {}
+    f, shunts, work = grid.points, {}, HeldWork(grid.points)
 
     def held(store, key, evaluate):
         if key not in store:
@@ -158,10 +163,9 @@ def sweep_conditions(net: LayeredNetwork, grid: FrequencyGrid, conditions) -> li
         chain, lines = [], {}
         for el in net.elements:
             if el.__class__ is LineSegment:
-                phase = held(kept, (id(el), inc.theta), lambda: el.phase(f, inc.theta))
-                chain.append(held(lines, id(el), lambda: el.abcd(f, inc, phase)))
+                chain.append(held(lines, id(el), lambda: el.abcd(f, inc, work)))
             else:
-                chain.append(held(kept, id(el), lambda: el.abcd(f, inc)))
+                chain.append(held(shunts, id(el), lambda: el.abcd(f, inc)))
         s = abcd_to_s(cascade(chain), wave_impedance(inc.theta, inc.polarization))
         curves.append(ResponseCurve(freqs=grid, s11=s.s11, s21=s.s21, incidence=inc, s22=s.s22))
     return curves

@@ -14,12 +14,16 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .twoport import (
     NORMAL,
+    HeldArrays,
     IncidenceCondition,
     TwoPortMatrix,
     abcd_shunt,
     abcd_tline,
     cascade,
     everywhere,
+    j_omega,
+    rl_admittance,
+    rlc_admittance,
     shunt_rl_admittance,
     shunt_series_rlc_admittance,
     tline_matrix,
@@ -155,15 +159,21 @@ class ShuntBranch:
     inductance: float
     capacitance: float | None = None
 
-    def admittance(self, f):
-        if self.capacitance is None:
-            return shunt_rl_admittance(self.resistance, self.inductance, f)
-        return shunt_series_rlc_admittance(
-            self.resistance, self.inductance, self.capacitance, f
-        )
+    def admittance(self, f, work: "HeldWork | None" = None):
+        """Y on f; with work, formed from its jw in its arrays."""
+        r, l, c = self.resistance, self.inductance, self.capacitance
+        if work is None:
+            return shunt_rl_admittance(r, l, f) if c is None else shunt_series_rlc_admittance(r, l, c, f)
+        y = work.admittance_array(self)
+        if c is None:
+            return rl_admittance(r, l, work.jw, out=y)
+        inv = work.arrays.take()
+        y = rlc_admittance(r, l, c, work.jw, out=(y, inv))
+        work.arrays.give(inv)
+        return y
 
-    def abcd(self, f, inc: IncidenceCondition = NORMAL) -> TwoPortMatrix:
-        return abcd_shunt(self.admittance(f))
+    def abcd(self, f, inc: IncidenceCondition = NORMAL, work: "HeldWork | None" = None) -> TwoPortMatrix:
+        return abcd_shunt(self.admittance(f, work))
 
 
 @dataclass(frozen=True)
@@ -177,11 +187,52 @@ class LineSegment:
     def phase(self, f, theta: float):
         return tline_phase(self.eps_r, self.length, f, theta, self.loss_tangent)
 
-    def abcd(self, f, inc: IncidenceCondition = NORMAL, phase=None) -> TwoPortMatrix:
-        """abcd_tline of the line, formed from phase if given: its phase(f, inc.theta)."""
-        if phase is None:
+    def abcd(self, f, inc: IncidenceCondition = NORMAL, work: "HeldWork | None" = None) -> TwoPortMatrix:
+        """abcd_tline of the line; with work, formed from its phase of the line at inc.theta."""
+        if work is None:
             return abcd_tline(self.eps_r, self.length, f, inc, loss_tangent=self.loss_tangent)
-        return tline_matrix(phase, self.eps_r, inc.polarization)
+        return tline_matrix(work.phase(self, inc.theta), self.eps_r, inc.polarization)
+
+
+class HeldWork:
+    """What evaluations of ladders on the frequencies f share, held from call to call.
+
+    A fit builds its ladder anew at every trial step, on the same f and
+    incidence, and no fittable value changes a line section.  So:
+    - phase(line, theta) is the line's tline_phase on f, evaluated on first
+      use and kept by the line's value (eps_r, length, loss tangent) and the
+      angle.  Keyed by value, it holds across rebuilt ladders, and a line that
+      a ladder holds twice, as a mirrored stack does, is one line;
+    - jw = j_omega(f), from which each shunt admittance is formed;
+    - arrays is the HeldArrays that a call's admittances, chain products and
+      s21 are formed in.  start(shape) begins a call (network_smatrix with
+      this work), after which what the last call returned is overwritten.
+      A branch object that the ladder holds twice has one admittance array
+      per call, written at each of its evaluations.
+    """
+
+    def __init__(self, f):
+        self.f, self.jw = f, j_omega(f)
+        self.arrays = HeldArrays()
+        self._phases: dict = {}
+        self._admittances: dict[int, object] = {}
+
+    def phase(self, line: LineSegment, theta: float):
+        key = (line, theta)
+        if key not in self._phases:
+            self._phases[key] = line.phase(self.f, theta)
+        return self._phases[key]
+
+    def start(self, shape: tuple[int, ...]) -> None:
+        """Begin a call whose element values broadcast against f to shape."""
+        self.arrays.start(shape)
+        self._admittances.clear()
+
+    def admittance_array(self, branch: ShuntBranch):
+        key = id(branch)
+        if key not in self._admittances:
+            self._admittances[key] = self.arrays.take()
+        return self._admittances[key]
 
 
 @dataclass(frozen=True)
@@ -193,9 +244,11 @@ class LayeredNetwork:
 
     elements: tuple[ShuntBranch | LineSegment, ...]
 
-    def abcd(self, f, inc: IncidenceCondition = NORMAL) -> TwoPortMatrix:
-        """Chain matrix of the whole ladder, every element evaluated."""
-        return cascade([el.abcd(f, inc) for el in self.elements])
+    def abcd(self, f, inc: IncidenceCondition = NORMAL, work: HeldWork | None = None) -> TwoPortMatrix:
+        """Chain matrix of the whole ladder, every element evaluated; with
+        work (a HeldWork on f, started for this call), in its arrays."""
+        arrays = None if work is None else work.arrays
+        return cascade([el.abcd(f, inc, work) for el in self.elements], arrays)
 
 
 def grid_inductance(w: float, period: float, scale: float) -> float:

@@ -21,6 +21,7 @@ from .builder import (
     CalibrationConstants,
     CircuitParams,
     GeometryParams,
+    HeldWork,
     build_network,
     grid_inductance,
     grid_width,
@@ -313,36 +314,52 @@ class FitResult:
     residual_history: tuple[float, ...] = ()
 
 
-def _model_smatrix(problem: FitProblem, values: Mapping[str, object]) -> SMatrix:
-    """The model at the given element values, on the observed frequencies and incidence."""
-    net = build_network(replace(problem.base, **values), mirrored=problem.mirrored)
-    observed = problem.observed
-    return network_smatrix(net, observed.freqs, observed.incidence, reflections=False)
+def fit_model(problem: FitProblem, work: HeldWork | None = None) -> Callable[[Mapping[str, object]], SMatrix]:
+    """The model of problem: element values -> its s21 alone, on the observed
+    frequencies and incidence.
+
+    Each call builds the ladder at the values (floats or (k, 1) columns) and
+    makes one network_smatrix call with work, a HeldWork on the observed
+    frequencies (a new one if None) that all calls share: each line's phase
+    is evaluated at the first call only, and each call's arrays are formed in
+    the work's arrays, so the s21 returned is overwritten by the next call.
+    Its bits are those of network_smatrix(build_network(...), f, inc,
+    reflections=False).s21.
+    """
+    observed, base, mirrored = problem.observed, problem.base, problem.mirrored
+    work = HeldWork(observed.freqs) if work is None else work
+
+    def model(values: Mapping[str, object]) -> SMatrix:
+        net = build_network(replace(base, **values), mirrored=mirrored)
+        work.start(np.broadcast_shapes(observed.freqs.shape, *map(np.shape, values.values())))
+        return network_smatrix(net, observed.freqs, observed.incidence, reflections=False, work=work)
+
+    return model
 
 
-def aligned_start(problem: FitProblem) -> dict[str, float]:
+def aligned_start(problem: FitProblem, model: Callable[[Mapping[str, object]], SMatrix] | None = None) -> dict[str, float]:
     """The start of problem with its model passband moved onto the observed one.
 
     The circuit's passband lies near 1/(2 pi sqrt((L + L1) C1)), so with
     r = (f_c,model / f_c,observed)^2 the free ones of L and L1 are scaled
     by r, which keeps C1 and the ratio L1/L; if neither is free, a free C1
     is scaled instead.  Each value is clipped into its bounds.  Costs one
-    model call at the start, which reads s21 alone.  The start is returned
-    unchanged when none of L, L1 and C1 is free, when the model's s21 is not
-    finite (fit_circuit then names its start), or when either passband
-    cannot be extracted (not bracketed by the grid, or one-sided).
+    call of model, fit_model(problem) if not given, at the start.  The start
+    is returned unchanged when none of L, L1 and C1 is free, when the model's
+    s21 is not finite (fit_circuit then names its start), or when either
+    passband cannot be extracted (not bracketed by the grid, or one-sided).
     """
     start = {name: problem.initial[name] for name in problem.free}
     scaled = [name for name in ("L", "L1") if name in start] or [n for n in ("C1",) if n in start]
     if not scaled:
         return start
     observed = problem.observed
-    s21 = _model_smatrix(problem, start).s21
+    s21 = (model or fit_model(problem))(start).s21
     if not np.isfinite(s21).all():
         return start
-    model = ResponseCurve(freqs=observed.freqs, s11=None, s21=s21, incidence=observed.incidence)
+    curve = ResponseCurve(freqs=observed.freqs, s11=None, s21=s21, incidence=observed.incidence)
     try:
-        ratio = (extract_metrics(model).f_c / extract_metrics(observed).f_c) ** 2
+        ratio = (extract_metrics(curve).f_c / extract_metrics(observed).f_c) ** 2
     except (BandNotBracketedError, OneSidedBandError):
         return start
     for name in scaled:
@@ -364,12 +381,16 @@ def fit_circuit(problem: FitProblem) -> FitResult:
     the start and each trial step, is evaluated with its 2k perturbed
     parameter sets as one batch of 1 + 2k rows, so a fit makes one model
     call per trial step, and an accepted step already has its Jacobian.
+    All model calls share one HeldWork (fit_model), whose arrays the fit
+    releases for the next fit in the process when it ends.
     A singular normal matrix only increases the damping, never aborts.  A
     step that clipping at the bounds cuts below the step tolerance is a
     stall, not a minimum: the fit ends unconverged, "stalled at bound
     <clipped names>".
     """
-    problem = replace(problem, initial=aligned_start(problem))
+    work = HeldWork(problem.observed.freqs)
+    model = fit_model(problem, work)
+    problem = replace(problem, initial=aligned_start(problem, model))
     obs = np.abs(problem.observed.s21)
     start = np.array([problem.initial[n] for n in problem.free])
     lo, hi = np.array([problem.bounds[n] for n in problem.free]).T
@@ -386,7 +407,7 @@ def fit_circuit(problem: FitProblem) -> FitResult:
         dn = np.maximum(u_vec - h, lo)
         rows = np.concatenate([u_vec[None, :], np.where(eye, up, u_vec), np.where(eye, dn, u_vec)])
         values = rows * scale
-        s = _model_smatrix(problem, {name: values[:, i:i + 1] for i, name in enumerate(problem.free)})
+        s = model({name: values[:, i:i + 1] for i, name in enumerate(problem.free)})
         res = np.abs(s.s21) - obs
         # BLAS rounds jac.T @ jac differently for an F-ordered jac, so keep C order
         return res[0], np.ascontiguousarray(((res[1:k + 1] - res[k + 1:]) / (up - dn)[:, None]).T)
@@ -440,6 +461,7 @@ def fit_circuit(problem: FitProblem) -> FitResult:
             message = f"converged: residual improvement {improvement:.2e} below tolerance"
             break
 
+    work.arrays.release()  # for the next fit in this process
     values = dict(zip(problem.free, (u * scale).tolist()))
     return FitResult(
         params=values,

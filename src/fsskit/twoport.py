@@ -19,7 +19,10 @@ such as the |s21| fit, asks abcd_to_s for it alone with
 reflections=False.  A loop in which one R-L branch changes, such as the
 strip-width loop, holds j_omega(f) and calls the parts that change per
 step, rl_admittance, TwoPortMatrix.shunt_right and abcd_delta, with out=
-arrays it holds; the general kernels call the same parts.
+arrays it holds; the general kernels call the same parts.  A loop that
+evaluates whole ladders on one grid, such as the fit, gives cascade and
+abcd_to_s a HeldArrays, and every product is formed in out= arrays taken
+from it (rlc_admittance, shunt_right, shunt_left, product).
 """
 
 from __future__ import annotations
@@ -91,17 +94,29 @@ class TwoPortMatrix:
     d: complex | np.ndarray
 
     def __matmul__(self, other: "TwoPortMatrix") -> "TwoPortMatrix":
+        return self.times(other)
+
+    def times(self, other: "TwoPortMatrix", arrays: "HeldArrays | None" = None) -> "TwoPortMatrix":
+        """self @ other, as an update when either side is a ShuntMatrix.
+
+        With arrays, each new entry is formed in an array taken from it, and
+        what the product no longer needs is given back: its scratch array and
+        the entries of self that it replaces, unless self is a ShuntMatrix,
+        whose admittance belongs to its branch.
+        """
+        take = _unheld if arrays is None else arrays.take
         if other.__class__ is ShuntMatrix:
-            return self.shunt_right(other.c)
-        if self.__class__ is ShuntMatrix:
-            y = self.c
-            return TwoPortMatrix(a=other.a, b=other.b, c=other.c + y * other.a, d=other.d + y * other.b)
-        return TwoPortMatrix(
-            a=self.a * other.a + self.b * other.c,
-            b=self.a * other.b + self.b * other.d,
-            c=self.c * other.a + self.d * other.c,
-            d=self.c * other.b + self.d * other.d,
-        )
+            out = self.shunt_right(other.c, out=(take(), take()))
+            replaced = (self.a, self.c)
+        elif self.__class__ is ShuntMatrix:
+            return other.shunt_left(self.c, out=(take(), take()))
+        else:
+            scratch = take()
+            out = self.product(other, out=(take(), take(), take(), take()), scratch=scratch)
+            replaced = (self.a, self.b, self.c, self.d, scratch)
+        if arrays is not None and self.__class__ is not ShuntMatrix:
+            arrays.give(*replaced)
+        return out
 
     def shunt_right(self, y, out=(None, None)) -> "TwoPortMatrix":
         """self @ [[1, 0], [y, 1]]: (a + b y, b, c + d y, d).
@@ -112,6 +127,31 @@ class TwoPortMatrix:
         c = np.add(self.c, np.multiply(self.d, y, out=out[1]), out=out[1])
         return TwoPortMatrix(a=a, b=self.b, c=c, d=self.d)
 
+    def shunt_left(self, y, out=(None, None)) -> "TwoPortMatrix":
+        """[[1, 0], [y, 1]] @ self: (a, b, c + y a, d + y b).
+
+        out names the arrays for the new c and d.
+        """
+        c = np.add(self.c, _mul(y, self.a, out[0]), out=out[0])
+        d = np.add(self.d, _mul(y, self.b, out[1]), out=out[1])
+        return TwoPortMatrix(a=self.a, b=self.b, c=c, d=d)
+
+    def product(self, other: "TwoPortMatrix", out=(None, None, None, None), scratch=None) -> "TwoPortMatrix":
+        """self @ other in the general eight-product form.
+
+        out names the arrays for the new a, b, c and d, none of them an entry
+        of self or other; scratch holds the second product of each sum.
+        """
+        def entry(x, y, u, v, o):  # x y + u v
+            return np.add(_mul(x, y, o), _mul(u, v, scratch), out=o)
+
+        return TwoPortMatrix(
+            a=entry(self.a, other.a, self.b, other.c, out[0]),
+            b=entry(self.a, other.b, self.b, other.d, out[1]),
+            c=entry(self.c, other.a, self.d, other.c, out[2]),
+            d=entry(self.c, other.b, self.d, other.d, out[3]),
+        )
+
     def det(self) -> complex | np.ndarray:
         """a*d - b*c; unity for reciprocal networks."""
         return self.a * self.d - self.b * self.c
@@ -121,8 +161,69 @@ class ShuntMatrix(TwoPortMatrix):
     """[[1, 0], [Y, 1]] of a shunt branch; c holds Y.
 
     Marks the matrix so that a product with it on either side takes an
-    update form in TwoPortMatrix.__matmul__.
+    update form in TwoPortMatrix.times.
     """
+
+
+def _mul(x, y, out):
+    """x * y, formed in out if given.  With no out it is the operator: numpy
+    scalars multiply complex values by their own rule, whose last bit may differ
+    from np.multiply's."""
+    return x * y if out is None else np.multiply(x, y, out=out)
+
+
+def _unheld():
+    """No array: each kernel allocates its result."""
+    return None
+
+
+#: Arrays that a released HeldArrays handed on, by shape, for the next one
+#: to take up, so that a process that fits again and again makes them once.
+#: Made anew per fit, they were faulted in again wherever glibc had trimmed
+#: the heap top between fits: about 60 minor faults per fit of a 401-point
+#: file.  Each kernel overwrites an array it takes, so no value carries over.
+_SPARES: dict[tuple[int, ...], list[np.ndarray]] = {}
+
+
+class HeldArrays:
+    """Complex arrays that the calls of a loop over ladders reuse, one shape per call.
+
+    start(shape) begins a call: every array of that shape is free again, so
+    what the last call returned is overwritten from here on.  take() hands
+    out a free array, taken from _SPARES or made on first need;
+    give(*entries) takes back those of them that are its own.  A call that
+    takes and gives as the last one did makes no array.  release() ends the
+    loop and hands every array on to _SPARES.
+    """
+
+    def __init__(self):
+        self.shape = None
+        self._made: dict[int, np.ndarray] = {}  # by id
+        self._free: list[np.ndarray] = []
+
+    def start(self, shape: tuple[int, ...]) -> None:
+        self.shape = shape
+        self._free = [x for x in self._made.values() if x.shape == shape]
+
+    def take(self) -> np.ndarray:
+        if self._free:
+            return self._free.pop()
+        try:
+            x = _SPARES[self.shape].pop()
+        except (KeyError, IndexError):
+            x = np.empty(self.shape, complex)
+        self._made[id(x)] = x
+        return x
+
+    def give(self, *entries) -> None:
+        self._free.extend(x for x in entries if id(x) in self._made)
+
+    def release(self) -> None:
+        """Hand every array on; what the calls returned must no longer be in use."""
+        _SPARES.clear()
+        for x in self._made.values():
+            _SPARES.setdefault(x.shape, []).append(x)
+        self._made, self._free = {}, []
 
 
 @dataclass(frozen=True)
@@ -166,16 +267,20 @@ def shunt_series_rlc_admittance(r1, l1, c1, f):
     At the branch resonance with r1 = 0 the impedance vanishes; the exact
     zero is clamped to SHORT_ADMITTANCE so downstream cascades stay finite.
     """
-    if not (everywhere(r1 >= 0) and everywhere(l1 > 0) and everywhere(c1 > 0)):
+    return rlc_admittance(r1, l1, c1, j_omega(f))
+
+
+def rlc_admittance(r, l, c, jw, out=(None, None)):
+    """1/(r + jw l + 1/(jw c)), with an exact zero impedance clamped to
+    SHORT_ADMITTANCE.  out names the arrays for Y and for 1/(jw c)."""
+    if not (everywhere(r >= 0) and everywhere(l > 0) and everywhere(c > 0)):
         raise DomainError("series RLC branch requires r1 >= 0, l1 > 0, c1 > 0")
-    f = np.asarray(f, dtype=float)
-    if not np.all(f > 0):
-        raise DomainError("frequency must be positive (series capacitor blocks DC)")
-    w = 2 * np.pi * f
-    z = r1 + 1j * w * l1 + 1 / (1j * w * c1)
+    y, inv = out
+    z = np.add(np.add(r, np.multiply(jw, l, out=y), out=y),
+               np.divide(1, np.multiply(jw, c, out=inv), out=inv), out=y)
     shorted = z == 0
     if not np.any(shorted):
-        return np.divide(1.0, z)
+        return np.divide(1.0, z, out=y)
     return np.where(shorted, SHORT_ADMITTANCE + 0j, 1.0 / np.where(shorted, 1.0, z))
 
 
@@ -257,18 +362,23 @@ def tline_matrix(phase, eps_r: float, pol: Polarization) -> TwoPortMatrix:
     return TwoPortMatrix(a=even, b=1j * z_eff * odd, c=1j * odd / z_eff, d=even)
 
 
-def cascade(segments: Sequence[TwoPortMatrix] | Iterable[TwoPortMatrix]) -> TwoPortMatrix:
-    """Left-to-right chain product; the leftmost segment faces the incoming wave."""
+def cascade(
+    segments: Sequence[TwoPortMatrix] | Iterable[TwoPortMatrix], arrays: HeldArrays | None = None
+) -> TwoPortMatrix:
+    """Left-to-right chain product; the leftmost segment faces the incoming wave.
+
+    With arrays, each product is formed in arrays taken from it (TwoPortMatrix.times).
+    """
     segments = list(segments)
     if not segments:
         raise DomainError("cascade requires at least one segment")
     out = segments[0]
     for seg in segments[1:]:
-        out = out @ seg
+        out = out @ seg if arrays is None else out.times(seg, arrays)
     return out
 
 
-def abcd_to_s(m: TwoPortMatrix, z_ref: float, reflections: bool = True) -> SMatrix:
+def abcd_to_s(m: TwoPortMatrix, z_ref: float, reflections: bool = True, arrays: HeldArrays | None = None) -> SMatrix:
     """Convert a chain matrix to scattering parameters.
 
     Both ports share the real reference impedance z_ref.  The conversion
@@ -276,13 +386,15 @@ def abcd_to_s(m: TwoPortMatrix, z_ref: float, reflections: bool = True) -> SMatr
     constructs s12 = s21 = 2/Delta with Delta = a + b/z + c*z + d,
     s11 = (a + b/z - c z - d)/Delta and s22 = (-a + b/z - c z + d)/Delta.
     With reflections=False, s11 and s22 are not formed and come back None.
+    With arrays, b/z, c z, Delta and s21 are formed in arrays taken from it.
     """
     if not z_ref > 0:
         raise DomainError(f"reference impedance must be positive, got {z_ref}")
-    bz = m.b / z_ref
-    cz = m.c * z_ref
-    delta = abcd_delta(m.a, bz, cz, m.d)
-    s21 = 2.0 / delta
+    take = _unheld if arrays is None else arrays.take
+    bz = np.divide(m.b, z_ref, out=take())
+    cz = _mul(m.c, z_ref, take())
+    delta = abcd_delta(m.a, bz, cz, m.d, out=take())
+    s21 = np.divide(2.0, delta, out=take())
     s11 = (m.a + bz - cz - m.d) / delta if reflections else None
     s22 = (-m.a + bz - cz + m.d) / delta if reflections else None
     return SMatrix(s11=s11, s21=s21, s12=s21, s22=s22, z_ref=z_ref)

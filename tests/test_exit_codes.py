@@ -19,6 +19,11 @@ import contextlib
 import io
 import json
 import os
+import pwd
+import shutil
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -367,17 +372,67 @@ def test_a_directory_at_an_artifact_name_is_an_io_error(tmp_path):
     assert err.startswith("io error: ")
 
 
-@pytest.mark.skipif(os.geteuid() == 0, reason="root writes into a read-only directory")
-def test_a_file_in_a_read_only_out_dir_is_an_io_error(tmp_path):
-    # truncating the file in place would succeed; replacing it needs the directory
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / "x.txt").write_bytes(b"old\n")
-    out.chmod(0o555)
+#: main() in a child process.  Root writes into a read-only directory, so a
+#: child started as root drops to the uid and gid given, after its imports
+#: (argparse imports locale when main() builds its parser).
+AS_USER = """
+import locale, os, sys
+from fsskit import cli
+uid, gid = map(int, sys.argv[1:3])
+if os.geteuid() == 0:
+    os.setgroups([])
+    os.setgid(gid)
+    os.setuid(uid)
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+def run_main_as_user(uid, gid, argv) -> subprocess.CompletedProcess:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", AS_USER, str(uid), str(gid), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def unprivileged_ids() -> tuple[int, int]:
+    """The current uid and gid, or under root those of 'nobody' if a child can drop to them."""
+    if os.geteuid() != 0:
+        return os.getuid(), os.getgid()
     try:
-        code, err = run_main(tmp_path, json.dumps({**OUTPUTS["csv"], "output": {"csv": "x.txt"}}).encode())
+        nobody = pwd.getpwnam("nobody")
+    except KeyError:
+        pytest.skip("running as root, which writes into a read-only directory, with no 'nobody' user to drop to")
+    probe = subprocess.run([sys.executable, "-c", "import os, sys; os.setgroups([]); "
+                            "os.setgid(int(sys.argv[2])); os.setuid(int(sys.argv[1]))",
+                            str(nobody.pw_uid), str(nobody.pw_gid)], capture_output=True, timeout=60)
+    if probe.returncode != 0:
+        pytest.skip("running as root, which writes into a read-only directory, without the right to change uid")
+    return nobody.pw_uid, nobody.pw_gid
+
+
+def test_a_file_in_a_read_only_out_dir_is_an_io_error():
+    uid, gid = unprivileged_ids()
+    # pytest's tmp_path may lie under a directory that only root can traverse
+    work = Path(tempfile.mkdtemp())
+    out = work / "out"
+    try:
+        work.chmod(0o755)
+        config = work / "run.json"
+        config.write_text(json.dumps({**OUTPUTS["csv"], "output": {"csv": "x.txt"}}))
+        config.chmod(0o644)
+        out.mkdir()
+        (out / "x.txt").write_bytes(b"old\n")
+        for path in (out, out / "x.txt"):
+            os.chown(path, uid, gid)
+        # uid could truncate x.txt in place; replacing it needs the directory
+        out.chmod(0o555)
+        child = run_main_as_user(uid, gid, ["--config", str(config), "--out-dir", str(out)])
+        assert child.returncode == cli.EXIT_IO, child.stderr
+        assert child.stderr.startswith("io error: ") and "Traceback" not in child.stderr
+        # the artifact failed, not the config, which the child reads (an unreadable one exits 4 too)
+        assert str(out / "x.txt") in child.stderr and str(config) not in child.stderr
+        assert (out / "x.txt").read_bytes() == b"old\n"
     finally:
-        out.chmod(0o755)
-    assert code == cli.EXIT_IO
-    assert err.startswith("io error: ")
-    assert (out / "x.txt").read_bytes() == b"old\n"
+        if out.exists():
+            out.chmod(0o755)
+        shutil.rmtree(work)

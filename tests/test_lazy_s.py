@@ -140,8 +140,8 @@ def smatrices(monkeypatch):
     made = []
     convert = analysis.abcd_to_s
 
-    def recording_abcd_to_s(m, z_ref, reflections=True):
-        s = convert(m, z_ref, reflections)
+    def recording_abcd_to_s(m, z_ref, reflections=True, *arrays):
+        s = convert(m, z_ref, reflections, *arrays)
         made.append((reflections, s))
         return s
 

@@ -5,10 +5,13 @@ once, as the mirrored second-order stack does, only once.  The strip-width
 loop of sweep-w and width_for_bandwidth, synthesis.width_evaluator, holds
 more: the ring and spacer product, its b/z, jw and two complex buffers,
 formed once per evaluator, into which each width's split kernels
-(rl_admittance, TwoPortMatrix.shunt_right, abcd_delta) write.  These tests
-check every held result against network_smatrix, which evaluates each
-element afresh, bit for bit, count the element evaluations, and bound what
-a width allocates.
+(rl_admittance, TwoPortMatrix.shunt_right, abcd_delta) write.  A fit's
+model, synthesis.fit_model, holds a HeldWork across its calls: each line's
+phase, evaluated at the first call, and the arrays that every call's
+admittances, products and s21 are formed in.  These tests check every held
+result against network_smatrix, which evaluates each element afresh, bit
+for bit, count the element and kernel evaluations, and bound what a width
+and a model call allocate.
 """
 
 import json
@@ -19,11 +22,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsskit import cli, synthesis
-from fsskit.analysis import FrequencyGrid, extract_metrics, network_smatrix, sweep_response
+from fsskit import builder, cli, synthesis
+from fsskit.analysis import FrequencyGrid, ResponseCurve, extract_metrics, network_smatrix, sweep_response
 from fsskit.builder import (
     DEFAULT_CALIBRATION,
     DEFAULT_GEOMETRY,
@@ -35,7 +38,8 @@ from fsskit.builder import (
     params_from_geometry,
 )
 from fsskit.errors import DomainError, FssError, OneSidedBandError, SingularNetworkError
-from fsskit.synthesis import width_evaluator, width_for_bandwidth
+from fsskit.synthesis import FITTABLE, FitProblem, fit_circuit, fit_model, width_evaluator, width_for_bandwidth
+from fsskit.touchstone import read_touchstone
 from fsskit.twoport import (
     NORMAL,
     IncidenceCondition,
@@ -70,9 +74,9 @@ def element_evaluations(monkeypatch):
     """The element of every ShuntBranch.abcd and LineSegment.abcd call, in order."""
     calls = []
     for cls in (ShuntBranch, LineSegment):
-        def recording(self, f, inc=NORMAL, *phase, _real=cls.abcd):
+        def recording(self, f, inc=NORMAL, *work, _real=cls.abcd):
             calls.append(self)
-            return _real(self, f, inc, *phase)
+            return _real(self, f, inc, *work)
         monkeypatch.setattr(cls, "abcd", recording)
     return calls
 
@@ -341,3 +345,191 @@ def test_ring_and_spacer_are_evaluated_once_per_evaluator(element_evaluations):
             pass
     assert_ring_and_spacer_once(
         element_evaluations, params_from_geometry(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, L1, C1))
+
+
+# ---------------------------------------------------------------------------
+# the fit's model and its held work
+
+#: a range for each fittable value
+RANGES = {"L": (1e-9, 6e-9), "L1": (0.5e-9, 3e-9), "C1": (0.2e-12, 1.2e-12), "R": (0.0, 1.0), "R1": (0.0, 1.0)}
+START = {"L": 2.5e-9, "L1": 1.5e-9, "C1": 0.65e-12}
+
+
+def start_problem(observed, base, mirrored=True, start=START):
+    return FitProblem(observed=observed, base=base, free=tuple(start), initial=start,
+                      bounds={k: (v / 4, v * 4) for k, v in start.items()}, mirrored=mirrored)
+
+
+def fit_problem(order, mirrored=True, inc=NORMAL, n=401):
+    truth = CircuitParams(L=2.85e-9, L1=L1, C1=C1, order=order, h1=10e-3 if order == 2 else None)
+    observed = sweep_response(build_network(truth, mirrored=mirrored), FrequencyGrid(1e9, 5e9, n), inc)
+    return start_problem(observed, truth, mirrored)
+
+
+def plain_model(problem, work=None):
+    """fit_model's function with no held work: one network_smatrix of a new ladder per call."""
+    observed = problem.observed
+
+    def model(values):
+        net = build_network(replace(problem.base, **values), mirrored=problem.mirrored)
+        return network_smatrix(net, observed.freqs, observed.incidence, reflections=False)
+
+    return model
+
+
+@pytest.mark.parametrize("shape", LADDERS.values(), ids=LADDERS)
+def test_a_fit_evaluates_each_line_phase_once(shape, element_evaluations):
+    order, mirrored = shape
+    problem = fit_problem(order, mirrored, TM40)
+    element_evaluations.clear()
+    with mock.patch.object(builder, "tline_phase", wraps=builder.tline_phase) as phase, \
+            mock.patch.object(builder, "abcd_tline", wraps=builder.abcd_tline) as tline, \
+            mock.patch.object(synthesis, "network_smatrix", wraps=network_smatrix) as calls:
+        result = fit_circuit(problem)
+    assert result.converged and calls.call_count > 3
+    # the spacer and, in a second-order stack, the air gap, at the one angle of the fit
+    assert phase.call_count == order
+    # every element of every model call, each line's matrix formed from its held phase
+    assert tline.call_count == 0
+    assert len(element_evaluations) == calls.call_count * (3 if order == 1 else 7)
+
+
+circuits = st.fixed_dictionaries({
+    "L": st.floats(*RANGES["L"]),
+    "L1": st.floats(*RANGES["L1"]),
+    "C1": st.floats(*RANGES["C1"]),
+    "R": st.sampled_from([0.0, 0.1]),
+    "R1": st.sampled_from([0.0, 0.1]),
+    "h": st.sampled_from([0.0, 0.254e-3]) | st.floats(1e-5, 2e-3),
+    "eps_r": st.floats(0.2, 12.0),  # under 1, the larger angles are evanescent
+    "loss_tangent": st.sampled_from([0.0, 0.0009]) | st.floats(0.0, 0.05),
+    "order": st.sampled_from([1, 2]),
+    "h1": st.floats(0.0, 20e-3),
+})
+incidences = st.builds(IncidenceCondition, st.sampled_from([0.0, 0.3, 0.7, 1.2, 1.5]), st.sampled_from(Polarization))
+
+
+#: model calls: (rows, fractions), with rows = 0 for floats; value i of a
+#: fittable name j lies fractions[5 i + j] of the way across its range
+calls = st.lists(st.tuples(st.integers(0, 7), st.lists(st.floats(0.0, 1.0), min_size=35, max_size=35)),
+                 min_size=1, max_size=4)
+
+
+def call_values(free, rows, fractions):
+    frac = np.reshape(fractions, (7, 5))[:max(rows, 1)]
+    values = {}
+    for name in free:
+        lo, hi = RANGES[name]
+        x = lo + frac[:, FITTABLE.index(name)] * (hi - lo)
+        values[name] = x[:, None] if rows else float(x[0])
+    return values
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(circuit=circuits, mirrored=st.booleans(), inc=incidences, n=st.integers(2, 40),
+       free=st.lists(st.sampled_from(FITTABLE), min_size=1, unique=True), calls=calls)
+@example(circuit=dict(L=2.85e-9, L1=L1, C1=C1, R=0.1, R1=0.0, h=0.0, eps_r=2.2, loss_tangent=0.0,
+                      order=2, h1=10e-3),
+         mirrored=False, inc=IncidenceCondition(0.7, Polarization.TE), n=11, free=["L", "R1", "C1"],
+         calls=[(7, [0.5] * 35), (0, [0.1] * 35), (3, [0.9] * 35), (7, [0.2] * 35)])
+@example(circuit=dict(L=2.85e-9, L1=L1, C1=C1, R=0.1, R1=0.1, h=0.254e-3, eps_r=0.3, loss_tangent=0.0009,
+                      order=2, h1=10e-3),
+         mirrored=True, inc=IncidenceCondition(0.7, Polarization.TM), n=11, free=["L1"],
+         calls=[(3, [0.5] * 35), (0, [0.5] * 35)])
+def test_the_fit_model_has_the_bits_and_first_error_of_network_smatrix(circuit, mirrored, inc, n, free, calls):
+    if circuit["order"] == 1:
+        circuit = {**circuit, "h1": None}
+    base = CircuitParams(**circuit)
+    f = FrequencyGrid(1e9, 5e9, n).points
+    observed = ResponseCurve(freqs=f, s11=None, s21=np.ones(n, complex), incidence=inc)
+    problem = FitProblem(observed=observed, base=base, free=tuple(free), initial={k: RANGES[k][1] for k in free},
+                         bounds={k: RANGES[k] for k in free}, mirrored=mirrored)
+    held, plain = fit_model(problem), plain_model(problem)
+    # several calls on one model, with floats or (rows, 1) columns
+    for rows, fractions in calls:
+        values = call_values(free, rows, fractions)
+        assert outcome(lambda: held(values).s21) == outcome(lambda: plain(values).s21)
+
+
+@pytest.fixture(scope="module")
+def oblique_files(tmp_path_factory):
+    """Annotated .s2p files of a second-order stack at 30 and 55 degrees, TE and TM."""
+    out = tmp_path_factory.mktemp("oblique")
+    doc = {"mode": "simulate", "circuit": {"order": 2, "l_nh": 2.85, "h1_mm": 10.0},
+           "grid": {"f_start_ghz": 1.0, "f_stop_ghz": 5.0, "n_points": 401},
+           "incidence": {"theta_deg": [30, 55], "pol": ["TE", "TM"]},
+           "output": {"csv": "", "touchstone": "obs.s2p"}}
+    cli.run(cli.parse_config(json.dumps(doc)), out_dir=out)
+    return sorted(out.glob("obs_*.s2p"))
+
+
+def recorded(make_model, seen):
+    """make_model with the s21 bits of each call appended to seen."""
+    def fit_model(problem, work=None):
+        model = make_model(problem, work)
+
+        def call(values):
+            s = model(values)
+            seen.append(_bits(s.s21))
+            return s
+
+        return call
+
+    return fit_model
+
+
+@settings(max_examples=12, deadline=None)
+@given(index=st.integers(0, 3), mirrored=st.booleans(),
+       free=st.sampled_from([("L", "L1", "C1"), ("L", "C1"), ("L1", "R"), ("C1", "R1")]),
+       scale=st.floats(0.8, 1.25))
+def test_a_fit_at_oblique_incidence_from_a_file_has_the_bits_of_plain_model_calls(
+        oblique_files, index, mirrored, free, scale):
+    observed = read_touchstone(oblique_files[index])
+    assert observed.incidence.theta > 0
+    base = CircuitParams(L=2.85e-9, L1=L1, C1=C1, order=2, h1=10e-3)
+    start = {name: getattr(base, name) * scale if name in START else 0.3 for name in free}
+    problem = start_problem(observed, base, mirrored, start)
+    held_calls, plain_calls = [], []
+    with mock.patch.object(synthesis, "fit_model", recorded(fit_model, held_calls)):
+        held = fit_circuit(problem)
+    with mock.patch.object(synthesis, "fit_model", recorded(plain_model, plain_calls)):
+        plain = fit_circuit(problem)
+    assert held == plain
+    assert held_calls == plain_calls and len(held_calls) > 2
+
+
+def test_a_model_call_after_the_first_allocates_under_160_kib():
+    """A call forms every (k, nf) array in held arrays; at 401 points and 7
+    rows, about 670 KiB while each call made its own.  What remains is its
+    three line matrices ((nf,) arrays, about 40 KiB) and the buffers numpy's
+    iterator makes for a broadcast operand (45 KiB each, two at once)."""
+    problem = fit_problem(2, True, TM40, n=401)
+    model = fit_model(problem)
+    col = np.linspace(0.97, 1.03, 7)[:, None]
+    model({name: value * col for name, value in START.items()})
+    for scale in (1.0, 1.01, 0.99):
+        values = {name: value * scale * col for name, value in START.items()}
+        tracemalloc.start()
+        try:
+            model(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * 1024
+
+
+def test_a_fit_after_a_fit_takes_up_its_arrays():
+    """fit_circuit hands its held arrays on when it ends and the next fit takes
+    them up, so it makes none of the eleven (7, 401) arrays (484 KiB) again,
+    and what they held does not change its result."""
+    problem = fit_problem(2, True, TM40)
+    first = fit_circuit(problem)
+    tracemalloc.start()
+    try:
+        again = fit_circuit(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    assert peak < 320 * 1024
