@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .builder import HeldWork, LayeredNetwork, LineSegment
+from .builder import HeldWork, LayeredNetwork
 from .errors import BandNotBracketedError, DomainError, OneSidedBandError
-from .twoport import NORMAL, IncidenceCondition, SMatrix, abcd_to_s, cascade, wave_impedance
+from .twoport import NORMAL, IncidenceCondition, SMatrix, abcd_to_s, wave_impedance
 
 #: Magnitudes are floored here before taking logs so dB values stay finite.
 _DB_FLOOR = 1e-300
@@ -127,9 +127,9 @@ def network_smatrix(
 
     The port reference is the oblique free-space wave impedance for the
     given incidence, on both sides.  reflections is passed to abcd_to_s.
-    With work, a HeldWork on f started for this call, the ladder takes its
-    line phases from it and every array is formed in its arrays, so the
-    result holds until work's next call.
+    With work, a HeldWork on f (started for this call if it holds arrays),
+    the ladder's elements are those it holds, and with its arrays every
+    array is formed in them, so the result holds until work's next call.
     """
     z_ref = wave_impedance(inc.theta, inc.polarization)
     return abcd_to_s(net.abcd(f, inc, work), z_ref, reflections, None if work is None else work.arrays)
@@ -143,30 +143,16 @@ def sweep_response(net: LayeredNetwork, grid: FrequencyGrid, inc: IncidenceCondi
 def sweep_conditions(net: LayeredNetwork, grid: FrequencyGrid, conditions) -> list[ResponseCurve]:
     """One sweep_response curve per incidence condition, in their order.
 
-    What the conditions share is evaluated on first use, in ladder order, and
-    kept: a shunt branch's matrix by element (an object that the ladder holds
-    twice, as a second-order stack does, is one element) and a line's phase
-    by line and angle, in a HeldWork as a fit keeps it.  A line's matrix is
-    formed from that phase once per element and condition.  Each curve is
-    finished before the next condition starts, so the first error is that of
-    one sweep_response per condition.
+    Each curve is a network_smatrix of the ladder with one HeldWork, which
+    holds no arrays, so no two curves share one: each shunt branch is formed
+    once, each line's phase once per angle and its matrix once per condition.
+    Each curve is finished before the next starts, so the first error is
+    that of one sweep_response per condition.
     """
-    f, shunts, work = grid.points, {}, HeldWork(grid.points)
-
-    def held(store, key, evaluate):
-        if key not in store:
-            store[key] = evaluate()
-        return store[key]
-
+    work = HeldWork(grid.points, arrays=False)
     curves = []
     for inc in conditions:
-        chain, lines = [], {}
-        for el in net.elements:
-            if el.__class__ is LineSegment:
-                chain.append(held(lines, id(el), lambda: el.abcd(f, inc, work)))
-            else:
-                chain.append(held(shunts, id(el), lambda: el.abcd(f, inc)))
-        s = abcd_to_s(cascade(chain), wave_impedance(inc.theta, inc.polarization))
+        s = network_smatrix(net, grid.points, inc, work=work)
         curves.append(ResponseCurve(freqs=grid, s11=s.s11, s21=s.s21, incidence=inc, s22=s.s22))
     return curves
 

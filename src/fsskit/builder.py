@@ -160,20 +160,21 @@ class ShuntBranch:
     capacitance: float | None = None
 
     def admittance(self, f, work: "HeldWork | None" = None):
-        """Y on f; with work, formed from its jw in its arrays."""
+        """Y on f; with work that holds arrays, formed from its jw in them."""
         r, l, c = self.resistance, self.inductance, self.capacitance
-        if work is None:
+        if work is None or work.arrays is None:
             return shunt_rl_admittance(r, l, f) if c is None else shunt_series_rlc_admittance(r, l, c, f)
-        y = work.admittance_array(self)
+        take = work.arrays.take
         if c is None:
-            return rl_admittance(r, l, work.jw, out=y)
-        inv = work.arrays.take()
+            return rl_admittance(r, l, work.jw, out=take())
+        y, inv = take(), take()
         y = rlc_admittance(r, l, c, work.jw, out=(y, inv))
         work.arrays.give(inv)
         return y
 
     def abcd(self, f, inc: IncidenceCondition = NORMAL, work: "HeldWork | None" = None) -> TwoPortMatrix:
-        return abcd_shunt(self.admittance(f, work))
+        """abcd_shunt of the admittance; with work, its held matrix (HeldWork.shunt)."""
+        return abcd_shunt(self.admittance(f)) if work is None else work.shunt(self)
 
 
 @dataclass(frozen=True)
@@ -188,51 +189,55 @@ class LineSegment:
         return tline_phase(self.eps_r, self.length, f, theta, self.loss_tangent)
 
     def abcd(self, f, inc: IncidenceCondition = NORMAL, work: "HeldWork | None" = None) -> TwoPortMatrix:
-        """abcd_tline of the line; with work, formed from its phase of the line at inc.theta."""
+        """abcd_tline of the line; with work, its held matrix at inc (HeldWork.line)."""
         if work is None:
             return abcd_tline(self.eps_r, self.length, f, inc, loss_tangent=self.loss_tangent)
-        return tline_matrix(work.phase(self, inc.theta), self.eps_r, inc.polarization)
+        return work.line(self, inc)
 
 
 class HeldWork:
-    """What evaluations of ladders on the frequencies f share, held from call to call.
+    """What evaluations of ladders on the frequencies f share, each element formed once.
 
-    A fit builds its ladder anew at every trial step, on the same f and
-    incidence, and no fittable value changes a line section.  So:
-    - phase(line, theta) is the line's tline_phase on f, evaluated on first
-      use and kept by the line's value (eps_r, length, loss tangent) and the
-      angle.  Keyed by value, it holds across rebuilt ladders, and a line that
-      a ladder holds twice, as a mirrored stack does, is one line;
-    - jw = j_omega(f), from which each shunt admittance is formed;
-    - arrays is the HeldArrays that a call's admittances, chain products and
-      s21 are formed in.  start(shape) begins a call (network_smatrix with
-      this work), after which what the last call returned is overwritten.
-      A branch object that the ladder holds twice has one admittance array
-      per call, written at each of its evaluations.
+    A ladder evaluated with this work still calls each element's abcd, which
+    returns what the work holds:
+    - shunt(branch): the branch's ShuntMatrix, kept with the branch object
+      until start(); a branch that a mirrored stack holds twice is formed once;
+    - line(line, inc): the line's matrix, kept by the line's value until a line
+      is asked for at another condition, from its tline_phase, kept by value
+      and angle.  So a fit, in which no fittable value changes a line, forms each once;
+    - arrays (None if arrays=False): the HeldArrays that a call's admittances,
+      from jw = j_omega(f), products and s21 are formed in.  start(shape)
+      begins a call, after which what the last call returned is overwritten.
+      TwoPortMatrix.times never gives a held matrix's entries back to them.
     """
 
-    def __init__(self, f):
-        self.f, self.jw = f, j_omega(f)
-        self.arrays = HeldArrays()
+    def __init__(self, f, arrays: bool = True):
+        self.f, self.jw = f, j_omega(f) if arrays else None
+        self.arrays = HeldArrays() if arrays else None
         self._phases: dict = {}
-        self._admittances: dict[int, object] = {}
-
-    def phase(self, line: LineSegment, theta: float):
-        key = (line, theta)
-        if key not in self._phases:
-            self._phases[key] = line.phase(self.f, theta)
-        return self._phases[key]
+        self._shunts: dict[int, tuple[ShuntBranch, TwoPortMatrix]] = {}  # by id
+        self._inc, self._lines = None, {}
 
     def start(self, shape: tuple[int, ...]) -> None:
         """Begin a call whose element values broadcast against f to shape."""
         self.arrays.start(shape)
-        self._admittances.clear()
+        self._shunts.clear()
 
-    def admittance_array(self, branch: ShuntBranch):
+    def shunt(self, branch: ShuntBranch) -> TwoPortMatrix:
         key = id(branch)
-        if key not in self._admittances:
-            self._admittances[key] = self.arrays.take()
-        return self._admittances[key]
+        if key not in self._shunts:  # the branch is kept too, so its id is not reused
+            self._shunts[key] = branch, abcd_shunt(branch.admittance(self.f, self))
+        return self._shunts[key][1]
+
+    def line(self, line: LineSegment, inc: IncidenceCondition) -> TwoPortMatrix:
+        if inc != self._inc:
+            self._inc, self._lines = inc, {}
+        if line not in self._lines:
+            key = (line, inc.theta)
+            if key not in self._phases:
+                self._phases[key] = line.phase(self.f, inc.theta)
+            self._lines[line] = tline_matrix(self._phases[key], line.eps_r, inc.polarization)
+        return self._lines[line]
 
 
 @dataclass(frozen=True)
@@ -245,8 +250,9 @@ class LayeredNetwork:
     elements: tuple[ShuntBranch | LineSegment, ...]
 
     def abcd(self, f, inc: IncidenceCondition = NORMAL, work: HeldWork | None = None) -> TwoPortMatrix:
-        """Chain matrix of the whole ladder, every element evaluated; with
-        work (a HeldWork on f, started for this call), in its arrays."""
+        """Chain matrix of the whole ladder, every element's abcd called; with
+        work, a HeldWork on f, each returns what the work holds, and the
+        products are formed in the work's arrays, if any."""
         arrays = None if work is None else work.arrays
         return cascade([el.abcd(f, inc, work) for el in self.elements], arrays)
 

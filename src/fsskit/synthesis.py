@@ -320,9 +320,10 @@ def fit_model(problem: FitProblem, work: HeldWork | None = None) -> Callable[[Ma
 
     Each call builds the ladder at the values (floats or (k, 1) columns) and
     makes one network_smatrix call with work, a HeldWork on the observed
-    frequencies (a new one if None) that all calls share: each line's phase
-    is evaluated at the first call only, and each call's arrays are formed in
-    the work's arrays, so the s21 returned is overwritten by the next call.
+    frequencies (a new one if None) that all calls share: each line's
+    matrix is formed at the first call only, each shunt branch once per call
+    (the mirrored ring and grid once each), and each call's arrays are formed
+    in the work's arrays, so the s21 returned is overwritten by the next call.
     Its bits are those of network_smatrix(build_network(...), f, inc,
     reflections=False).s21.
     """
@@ -386,7 +387,8 @@ def fit_circuit(problem: FitProblem) -> FitResult:
     A singular normal matrix only increases the damping, never aborts.  A
     step that clipping at the bounds cuts below the step tolerance is a
     stall, not a minimum: the fit ends unconverged, "stalled at bound
-    <clipped names>".
+    <clipped names>".  Nor is a step of 0 along a Jacobian column of 0 at a
+    residual above 0: "no sensitivity to <names>", unconverged.
     """
     work = HeldWork(problem.observed.freqs)
     model = fit_model(problem, work)
@@ -461,6 +463,10 @@ def fit_circuit(problem: FitProblem) -> FitResult:
             message = f"converged: residual improvement {improvement:.2e} below tolerance"
             break
 
+    flat = [name for name, column in zip(problem.free, jac.T) if not column.any()]
+    if converged and flat and cost > 0:
+        converged = False
+        message = f"no sensitivity to {', '.join(flat)} where the fit stopped (Jacobian column 0)"
     work.arrays.release()  # for the next fit in this process
     values = dict(zip(problem.free, (u * scale).tolist()))
     return FitResult(

@@ -1,19 +1,21 @@
 """Results held within a sweep or across a width loop, against plain evaluation.
 
-sweep_response evaluates an element object that its ladder holds more than
+sweep_response forms an element object that its ladder holds more than
 once, as the mirrored second-order stack does, only once.  The strip-width
 loop of sweep-w and width_for_bandwidth, synthesis.width_evaluator, holds
 more: the ring and spacer product, its b/z, jw and two complex buffers,
 formed once per evaluator, into which each width's split kernels
 (rl_admittance, TwoPortMatrix.shunt_right, abcd_delta) write.  A fit's
 model, synthesis.fit_model, holds a HeldWork across its calls: each line's
-phase, evaluated at the first call, and the arrays that every call's
-admittances, products and s21 are formed in.  These tests check every held
-result against network_smatrix, which evaluates each element afresh, bit
-for bit, count the element and kernel evaluations, and bound what a width
-and a model call allocate.
+matrix, formed at the first call, each shunt branch's matrix, formed once
+per call, and the arrays that every call's admittances, products and s21
+are formed in.  These tests check every held result against
+network_smatrix, which evaluates each element afresh, bit for bit, count
+the element and kernel evaluations, check that nothing held goes stale,
+and bound what a width and a model call allocate.
 """
 
+import contextlib
 import json
 import math
 import tracemalloc
@@ -32,6 +34,7 @@ from fsskit.builder import (
     DEFAULT_GEOMETRY,
     CalibrationConstants,
     CircuitParams,
+    HeldWork,
     LineSegment,
     ShuntBranch,
     build_network,
@@ -85,17 +88,26 @@ def element_evaluations(monkeypatch):
 LADDERS = {"first": (1, True), "second-mirrored": (2, True), "second": (2, False)}
 
 
+@contextlib.contextmanager
+def kernel_calls(*names):
+    """Spies on the builder's kernels of the given names, in that order."""
+    with contextlib.ExitStack() as stack:
+        yield [stack.enter_context(mock.patch.object(builder, name, wraps=getattr(builder, name)))
+               for name in names]
+
+
 @pytest.mark.parametrize("inc", [NORMAL, TM40])
 @pytest.mark.parametrize("shape", LADDERS.values(), ids=LADDERS)
 def test_sweep_evaluates_each_distinct_element_once(shape, inc, element_evaluations):
     order, mirrored = shape
     p = CircuitParams(L=2.85e-9, L1=L1, C1=C1, order=order, h1=10e-3 if order == 2 else None)
     net = build_network(p, mirrored=mirrored)
-    curve = sweep_response(net, GRID, inc)
-    # each element object once, in ladder order; a second-order stack holds
-    # 7 elements, 4 of them distinct
-    assert list(map(id, element_evaluations)) == list(dict.fromkeys(map(id, net.elements)))
-    assert len(element_evaluations) == (3 if order == 1 else 4)
+    with kernel_calls("shunt_series_rlc_admittance", "shunt_rl_admittance", "tline_phase", "tline_matrix") as spies:
+        curve = sweep_response(net, GRID, inc)
+    # every element's abcd in ladder order; a second-order stack holds 7
+    # elements, 4 of them distinct, and the kernels form each distinct one once
+    assert list(map(id, element_evaluations)) == list(map(id, net.elements))
+    assert [spy.call_count for spy in spies] == [1, 1, order, order]
     want = network_smatrix(net, GRID.points, inc)
     for name in ("s11", "s21", "s22"):
         assert _bits(getattr(curve, name)) == _bits(getattr(want, name)), name
@@ -394,6 +406,67 @@ def test_a_fit_evaluates_each_line_phase_once(shape, element_evaluations):
     assert len(element_evaluations) == calls.call_count * (3 if order == 1 else 7)
 
 
+@pytest.mark.parametrize("shape", LADDERS.values(), ids=LADDERS)
+def test_a_fit_forms_each_shunt_branch_once_per_call_and_each_line_once(shape, element_evaluations):
+    order, mirrored = shape
+    problem = fit_problem(order, mirrored, TM40)
+    element_evaluations.clear()
+    with kernel_calls("rlc_admittance", "rl_admittance", "tline_matrix") as (rlc, rl, matrix), \
+            mock.patch.object(synthesis, "network_smatrix", wraps=network_smatrix) as calls:
+        result = fit_circuit(problem)
+    assert result.converged and calls.call_count > 3
+    # a second-order stack holds its ring and its grid twice, mirrored or not
+    assert rlc.call_count == rl.call_count == calls.call_count
+    assert matrix.call_count == order
+    assert len(element_evaluations) == calls.call_count * (3 if order == 1 else 7)
+
+
+def test_a_held_matrix_is_never_given_back_to_the_arrays():
+    problem = fit_problem(2, True, TM40)
+    f, inc = problem.observed.freqs, problem.observed.incidence
+    work = HeldWork(f)
+    col = np.linspace(0.97, 1.03, 7)[:, None]
+    for scale in (1.0, 1.01, 0.99):
+        net = build_network(replace(problem.base, **{k: v * scale * col for k, v in START.items()}))
+        work.start((7, f.size))
+        s21 = network_smatrix(net, f, inc, reflections=False, work=work).s21
+        held = [el.abcd(f, inc, work) for el in net.elements]
+        assert all(m is el.abcd(f, inc, work) for m, el in zip(held, net.elements))
+        # more arrays than a call takes: every free one, then new ones
+        drawn = [work.arrays.take() for _ in range(16)]
+        entries = [x for m in held for x in (m.a, m.b, m.c, m.d) if isinstance(x, np.ndarray)]
+        assert not any(x is y for x in drawn for y in entries + [s21])
+        assert _bits(s21) == _bits(network_smatrix(net, f, inc, reflections=False).s21)
+
+
+def test_a_call_that_raises_mid_ladder_leaves_the_next_call_plain():
+    problem = fit_problem(2, True, TM40)
+    held, plain = fit_model(problem), plain_model(problem)
+    col = np.linspace(0.97, 1.03, 7)[:, None]
+    good = {name: value * col for name, value in START.items()}
+    held(good)
+    # the ring and the spacer are formed, then the grid's admittance is not finite
+    bad = {**good, "L": np.where(col == col[3], np.inf, good["L"])}
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="shunt admittance must be finite"):
+        held(bad)
+    for values in (good, {name: value * 1.01 for name, value in good.items()}):
+        assert _bits(held(values).s21) == _bits(plain(values).s21)
+
+
+def test_a_second_condition_forms_its_line_matrices_again():
+    net = build_network(CircuitParams(L=2.85e-9, L1=L1, C1=C1, order=2, h1=10e-3))
+    f = GRID.points
+    work = HeldWork(f)
+    te40 = IncidenceCondition(TM40.theta, Polarization.TE)
+    with kernel_calls("tline_phase", "tline_matrix") as (phase, matrix):
+        for inc in (TM40, TM40, te40, NORMAL, TM40):
+            work.start(f.shape)
+            s21 = network_smatrix(net, f, inc, reflections=False, work=work).s21
+            assert _bits(s21) == _bits(network_smatrix(net, f, inc, reflections=False).s21)
+    # spacer and air gap: a phase per angle, and a matrix at each change of condition
+    assert (phase.call_count, matrix.call_count) == (2 * 2, 2 * 4)
+
+
 circuits = st.fixed_dictionaries({
     "L": st.floats(*RANGES["L"]),
     "L1": st.floats(*RANGES["L1"]),
@@ -499,11 +572,13 @@ def test_a_fit_at_oblique_incidence_from_a_file_has_the_bits_of_plain_model_call
     assert held_calls == plain_calls and len(held_calls) > 2
 
 
-def test_a_model_call_after_the_first_allocates_under_160_kib():
-    """A call forms every (k, nf) array in held arrays; at 401 points and 7
-    rows, about 670 KiB while each call made its own.  What remains is its
-    three line matrices ((nf,) arrays, about 40 KiB) and the buffers numpy's
-    iterator makes for a broadcast operand (45 KiB each, two at once)."""
+def test_a_model_call_after_the_first_allocates_under_112_kib():
+    """A call forms every (k, nf) array in held arrays, and its line matrices
+    are held from the first call; at 401 points and 7 rows, about 670 KiB
+    while each call made its own, and about 137 KiB while each call formed
+    its three line matrices.  What remains, about 98 KiB, is mostly the
+    buffers numpy's iterator makes for a broadcast operand (45 KiB each, two
+    at once)."""
     problem = fit_problem(2, True, TM40, n=401)
     model = fit_model(problem)
     col = np.linspace(0.97, 1.03, 7)[:, None]
@@ -516,7 +591,7 @@ def test_a_model_call_after_the_first_allocates_under_160_kib():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 160 * 1024
+        assert peak < 112 * 1024
 
 
 def test_a_fit_after_a_fit_takes_up_its_arrays():

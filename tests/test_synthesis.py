@@ -315,6 +315,30 @@ class TestFitCircuit:
         assert result.params["L1"] == pytest.approx(bounds["L1"][1], rel=1e-12)
         assert result.params["C1"] == pytest.approx(bounds["C1"][0], rel=1e-12)
 
+    def test_a_value_the_residual_does_not_feel_is_not_converged(self):
+        # at L ~ 1e-300 H the Jacobian's step in L changes no bit of |s21|, so
+        # its column is exactly 0 and so is every step
+        truth = reference_truth()
+        problem = FitProblem(observed=observed_curve(truth), base=truth, free=("L",),
+                             initial={"L": 1e-300}, bounds={"L": (2.5e-301, 4e-300)})
+        result = fit_circuit(problem)
+        assert not result.converged
+        assert result.message == "no sensitivity to L where the fit stopped (Jacobian column 0)"
+        assert result.residual_norm > 7.0
+
+    @pytest.mark.parametrize("l", [2.85e-9, 1e-300])
+    def test_a_start_on_the_exact_optimum_converges(self, l):
+        # the observed curve is the model at the start, so the residual is 0;
+        # at l = 1e-300 H the Jacobian column of L is 0 as well
+        truth = replace(reference_truth(), L=l)
+        start = {"L": l, "L1": truth.L1, "C1": truth.C1}
+        problem = FitProblem(observed=observed_curve(truth), base=truth, free=tuple(start), initial=start,
+                             bounds={name: (v / 4, v * 4) for name, v in start.items()})
+        result = fit_circuit(problem)
+        assert result.converged and result.residual_norm == 0.0
+        assert result.message == "converged: relative step 0.00e+00 below tolerance"
+        assert result.params == start
+
     def test_five_parameter_fit(self):
         truth = CircuitParams(
             L=2.85e-9, L1=1.61e-9, C1=0.6e-12, R=0.15, R1=0.08,
