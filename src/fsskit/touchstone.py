@@ -7,17 +7,21 @@ dB formats in any standard frequency unit.
 
 Both text formats share one numpy kernel.  ``_mantissa`` rounds each cell
 once to its 12 significant digits and marks the cells whose correct
-rounding it cannot decide; ``_e11_lines`` renders the digits as CPython's
-``"%.11e" % cell`` (each Touchstone number) and ``format_g12`` as
+rounding it cannot decide; ``_e11_words`` renders the digits as CPython's
+``"%.11e" % cell`` (each Touchstone number) and ``_g12_lines`` as
 ``"%.12g" % cell`` (each CSV number).  ``%`` formats the marked cells one
-at a time, so every cell is exactly what ``%`` gives.  Both renderers format
-a block of whole rows at a time, about ``BLOCK_CELLS`` cells each, and the
-writers write each block as it comes, so the memory that formatting takes
-does not grow with the table.
+at a time, so every cell is exactly what ``%`` gives.
+
+A writer formats its table a block of whole rows at a time in one held set
+of arrays (``_Blocks``), and writes each block's text as it comes, so the
+memory that formatting takes does not grow with the table.  A .s2p file's
+frequency column is formatted once per grid: ``_FREQUENCY_WORDS`` holds the
+last grid written and its cell words, for the next file on that grid.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -33,17 +37,20 @@ from .twoport import ETA0, IncidenceCondition, Polarization
 
 _UNIT_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
-#: cells formatted at a time, in whole rows.  A block's temporaries, about
-#: 170 bytes a cell, stay small enough that freeing them does not trim the
-#: heap, which the next block would fault in again (measured with ru_minflt)
-BLOCK_CELLS = 2048
+#: A block is whole rows of at most BLOCK_CELLS ``%.11e`` cells, five words
+#: each, or of as many ``%.12g`` cells, eight words each, as fill the same
+#: words (5120).  The arrays a block is formatted in are held (``_Blocks``).
+BLOCK_CELLS = 8192
+_BLOCK_WORDS = 5 * BLOCK_CELLS
+#: A block's text is made _PIECE_WORDS words at a time.  Each piece is a new
+#: bytes object, small enough that freeing it does not trim the heap (README,
+#: "Performance notes").
+_PIECE_WORDS = 16384
 
 #: 10**k for k in 0..22, each exact in a double (5**22 < 2**53)
 _POW10 = np.array([10**k for k in range(23)], dtype=float)
 #: 10**k for k in 0..15 as integers
 _IPOW10 = 10 ** np.arange(16, dtype=np.int64)
-#: a .s2p line: f, s11, s21, s12 (the s21 pair again), s22 of the distinct columns
-_S2P_COLUMNS = np.array([0, 1, 2, 3, 4, 3, 4, 5, 6])
 
 
 def create(path: str | os.PathLike):
@@ -53,12 +60,43 @@ def create(path: str | os.PathLike):
     is broken.  OSError is raised for a directory at the name, for an existing
     file in a directory the user cannot write (or in a sticky directory, owned
     by another user), and for a file another process creates at the name
-    between the two steps.  On ext4, rewriting the same files back to back in one process
-    took less time this way than truncating them in place (README,
-    "Performance notes"); why was not verified.
+    between the two steps.
     """
     Path(path).unlink(missing_ok=True)
     return open(path, "xb")
+
+
+class _Blocks:
+    """The arrays that one writer formats its blocks in.
+
+    ``parts`` takes a block's values, ``cells`` its cell words (and one word
+    more) and ``lines`` a .s2p block's rows of words.  Each block overwrites
+    them; the text made from them is a copy.
+    """
+
+    def __init__(self):
+        self.parts = np.empty(BLOCK_CELLS)
+        self.cells = np.empty(_BLOCK_WORDS + 1, np.uint32)
+        self.lines = np.empty(_BLOCK_WORDS, np.uint32)
+
+
+#: Block sets that writers handed back, for the next writer to take up.  A
+#: writer holds one set from its first block to its last, so two writers at
+#: once never share one, and a process keeps one set per writer it ran at once.
+_SPARE_BLOCKS: list[_Blocks] = []
+
+
+@contextlib.contextmanager
+def _held_blocks() -> Iterator[_Blocks]:
+    """A block set from ``_SPARE_BLOCKS``, or a new one, handed back at the end."""
+    try:
+        blocks = _SPARE_BLOCKS.pop()
+    except IndexError:
+        blocks = _Blocks()
+    try:
+        yield blocks
+    finally:
+        _SPARE_BLOCKS.append(blocks)
 
 
 def _divmod(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
@@ -70,16 +108,16 @@ def _divmod(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
     return q, a - q * b
 
 
-def _block_rows(cols: int) -> int:
-    """The rows of a block of a table with ``cols`` columns."""
-    return max(1, BLOCK_CELLS // cols)
+def _text(words: np.ndarray) -> Iterator[bytes]:
+    """The text of ``words`` without its NUL bytes, in pieces of _PIECE_WORDS words."""
+    words = words.ravel()
+    for i in range(0, words.size, _PIECE_WORDS):
+        yield words[i : i + _PIECE_WORDS].tobytes().translate(None, b"\0")
 
 
-def _by_blocks(lines, table: np.ndarray) -> Iterator[bytes]:
-    """``lines`` of each successive row block of a 2-D table."""
-    step = _block_rows(table.shape[1])
-    for i in range(0, len(table), step):
-        yield lines(table[i : i + step])
+def _block_rows(row_words: int) -> int:
+    """The rows of a block whose rows take ``row_words`` cell words each."""
+    return max(1, _BLOCK_WORDS // row_words)
 
 
 def _mantissa(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,7 +162,7 @@ def _digits(width: int) -> np.ndarray:
 
 @functools.cache
 def _e11_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The word tables of ``_e11_lines``, built once, on its first call.
+    """The word tables of ``_e11_words``, built once, on its first call.
 
     A cell is five words, and its NUL bytes are dropped from the output:
     NUL, sign or NUL, digit, "." | 4 digits | 4 digits | 3 digits, "e" |
@@ -141,16 +179,15 @@ def _e11_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _e11_lines(block: np.ndarray, columns: np.ndarray) -> bytes:
-    """Lines of ``"%.11e"`` cells; output column j is ``block[:, columns[j]]``.
+def _e11_words(x: np.ndarray, cells: np.ndarray) -> None:
+    """Write the ``"%.11e "`` cells of the 1-D ``x`` into ``cells``, five words each.
 
-    A cell is its sign, the first digit of ``n``, ".", the other 11 and the
-    exponent ``11 - k`` (see ``_mantissa``); ``%`` formats the undecided cells.
+    A cell is its sign, the first digit of ``n``, ".", the other 11, the
+    exponent ``11 - k`` (see ``_mantissa``) and a space; ``%`` formats the
+    undecided cells.
     """
-    x = block.ravel()
     n, k, ok = _mantissa(x)
     lead, digits4, tail, exponent = _e11_tables()
-    cells = np.empty((x.size, 5), np.uint32)
     cells[:, 4] = exponent[22 - k]
     first, n = _divmod(n, 10**11)
     first += 10 * np.signbit(x)
@@ -164,10 +201,23 @@ def _e11_lines(block: np.ndarray, columns: np.ndarray) -> bytes:
     fallback = np.flatnonzero(~ok)
     for i, value in zip(fallback.tolist(), x[fallback].tolist()):
         text[i, :-1] = np.frombuffer((b"%.11e" % value).ljust(19, b"\0"), np.uint8)
-    cells = cells.reshape(block.shape + (5,))
-    text = np.take(cells, columns, axis=1).view(np.uint8)  # faster than indexing
-    text[:, -1, -1] = ord("\n")
-    return text.tobytes().translate(None, b"\0")
+
+
+def _e11_lines(s: list[np.ndarray], frequency: np.ndarray, blocks: _Blocks) -> Iterator[bytes]:
+    """.s2p lines: the cell words ``frequency``, then the ``"%.11e"`` cells of the
+    re/im pairs of ``s``, s11, s21 and s22, with the s21 pair's words again as s12."""
+    rows = len(frequency)
+    parts = blocks.parts[: 6 * rows].view(complex).reshape(rows, 3)
+    for j, column in enumerate(s):
+        parts[:, j] = column
+    cells = blocks.cells[: 30 * rows].reshape(rows, 6, 5)
+    _e11_words(parts.view(float).ravel(), cells.reshape(-1, 5))
+    words = blocks.lines[: 45 * rows].reshape(rows, 9, 5)
+    words[:, 0] = frequency
+    words[:, 1:5] = cells[:, :4]
+    words[:, 5:] = cells[:, 2:]
+    words.view(np.uint8)[:, -1, -1] = ord("\n")
+    yield from _text(words)
 
 
 @functools.cache
@@ -199,14 +249,15 @@ def _g12_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _g12_lines(block: np.ndarray) -> bytes:
+def _g12_lines(block: np.ndarray, blocks: _Blocks) -> Iterator[bytes]:
     """Comma-separated lines of ``"%.12g"`` cells, with the NaN cells empty."""
     x = block.ravel()
     n, k, ok = _mantissa(x)
     ok &= (k >= 0) & (k <= 15)  # fixed notation: -4 <= e < 12
     k = np.clip(k, 0, 15)
     head, integer, point, fraction = _g12_tables()
-    cells = np.empty((x.size, 8), np.uint32)
+    words = blocks.cells[: 8 * x.size + 1]
+    cells = words[:-1].reshape(x.size, 8)
     cells[:, 0] = head[np.signbit(x) + 2 * (k >= 12)]
     n, f = _divmod(n, _IPOW10[k])
     f *= _IPOW10[15 - k]  # the fraction's digits, left-aligned to 15
@@ -227,8 +278,10 @@ def _g12_lines(block: np.ndarray) -> bytes:
     for i, value in zip(fallback.tolist(), x[fallback].tolist()):
         text[i, 1:] = np.frombuffer((b"%.12g" % value).ljust(31, b"\0"), np.uint8)
     text[np.isnan(x), 1:] = 0
-    text.reshape(block.shape + (32,))[:, 0, 0] = ord("\n")
-    return text.tobytes().translate(None, b"\0")[1:] + b"\n"
+    text.reshape(block.shape + (32,))[:, 0, 0] = ord("\n")  # a row's first separator ends the row before
+    text[0, 0] = 0  # the block's first row has none before it
+    words[-1] = ord("\n")  # and one word after the cells ends its last
+    yield from _text(words)
 
 
 def format_g12(table: np.ndarray) -> Iterator[bytes]:
@@ -243,7 +296,33 @@ def format_g12(table: np.ndarray) -> Iterator[bytes]:
     cells in exponent notation and the undecided ones.  A NaN cell, an
     absent value, is written empty.
     """
-    return _by_blocks(_g12_lines, table)
+    step = _block_rows(8 * table.shape[1])
+    with _held_blocks() as blocks:
+        for i in range(0, len(table), step):
+            yield from _g12_lines(table[i : i + step], blocks)
+
+
+#: The frequencies of the last .s2p file written, a copy, and the cell words
+#: of their GHz values.  Replaced, never written into, so a writer that took
+#: the pair keeps it whole.
+_FREQUENCY_WORDS = (np.empty(0), np.empty((0, 5), np.uint32))
+
+
+def _frequency_words(freqs: np.ndarray, blocks: _Blocks) -> np.ndarray:
+    """The ``"%.11e "`` cell words of ``freqs / 1e9``, formatted again only for new frequencies.
+
+    Frequencies equal bit for bit to the held ones (so -0.0 is not 0.0), as
+    every curve of one ``sweep_conditions`` call is, take the held words.
+    """
+    global _FREQUENCY_WORDS
+    held, words = _FREQUENCY_WORDS
+    if not np.array_equal(held.view(np.uint64), freqs.view(np.uint64)):
+        words = np.empty((freqs.size, 5), np.uint32)
+        for i in range(0, freqs.size, BLOCK_CELLS):
+            f = freqs[i : i + BLOCK_CELLS]
+            _e11_words(np.divide(f, 1e9, out=blocks.parts[: f.size]), words[i : i + f.size])
+        _FREQUENCY_WORDS = freqs.copy(), words
+    return words
 
 
 def write_touchstone(curve: ResponseCurve, path: str | os.PathLike) -> None:
@@ -251,7 +330,7 @@ def write_touchstone(curve: ResponseCurve, path: str | os.PathLike) -> None:
 
     s12 duplicates s21 (reciprocal network): the s21 pair is formatted once
     and its text copied.  A curve without s11 (swept for s21 alone) or
-    without s22 raises DomainError.
+    without s22 raises DomainError, and no file is made.
     """
     if curve.s11 is None or curve.s22 is None:
         held = "s21 alone" if curve.s11 is None else "no s22"
@@ -262,11 +341,15 @@ def write_touchstone(curve: ResponseCurve, path: str | os.PathLike) -> None:
         f"! polarization = {curve.incidence.polarization.value}",
         f"# GHz S RI R {ETA0:g}",
     ]
-    s = np.column_stack([curve.s11, curve.s21, curve.s22])
-    table = np.column_stack([curve.freqs / 1e9, s.view(float)])
-    with create(path) as fh:
-        fh.write(("\n".join(header) + "\n").encode())
-        fh.writelines(_by_blocks(lambda block: _e11_lines(block, _S2P_COLUMNS), table))
+    step = _block_rows(45)  # 9 cells
+    with _held_blocks() as blocks:
+        frequency = _frequency_words(curve.freqs, blocks)
+        with create(path) as fh:
+            fh.write(("\n".join(header) + "\n").encode())
+            for i in range(0, len(curve), step):
+                rows = slice(i, i + step)
+                s = [curve.s11[rows], curve.s21[rows], curve.s22[rows]]
+                fh.writelines(_e11_lines(s, frequency[rows], blocks))
 
 
 def _parse_option_line(tokens: list[str], line_no: int) -> tuple[float, str, float]:

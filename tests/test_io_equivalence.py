@@ -24,7 +24,7 @@ from fsskit import cli, touchstone
 from fsskit.analysis import FrequencyGrid, PassbandMetrics, ResponseCurve, sweep_response
 from fsskit.builder import CircuitParams, build_network
 from fsskit.errors import TouchstoneError
-from fsskit.touchstone import _block_rows, _by_blocks, _e11_lines, format_g12, read_touchstone, write_touchstone
+from fsskit.touchstone import BLOCK_CELLS, _block_rows, _e11_words, format_g12, read_touchstone, write_touchstone
 from fsskit.twoport import IncidenceCondition, Polarization
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -59,8 +59,8 @@ MIXED = sum(G12_CASES.values(), sum(E11_CASES.values(), EDGE_VALUES)) + [-3.25, 
 
 
 def _seam_tables(cols):
-    """Tables of 0 rows and of one row either side of the block seams of ``cols`` columns."""
-    block = _block_rows(cols)
+    """Tables of 0 rows and of one row either side of the block seams of a CSV of ``cols`` columns."""
+    block = _block_rows(8 * cols)
     return [np.resize(MIXED, (rows, cols)) for rows in (0, block - 1, block, block + 1, 2 * block + 1)]
 
 
@@ -100,12 +100,44 @@ ONLY_S21_FALLS_BACK = np.column_stack(
 )
 
 
+def _s2p_body_per_cell(curve: ResponseCurve) -> list[str]:
+    """The data lines of a .s2p file, formatted one value at a time."""
+    return [
+        " ".join(
+            [f"{f / 1e9:.11e}"]
+            + [f"{x:.11e}" for v in (a, b, b, d) for x in (v.real, v.imag)]
+        )
+        for f, a, b, d in zip(curve.freqs, curve.s11, curve.s21, curve.s22)
+    ]
+
+
+def _written_body(curve: ResponseCurve) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.s2p"
+        write_touchstone(curve, path)
+        return path.read_text().splitlines()[4:]
+
+
 class TestWriters:
     @given(tables(extra=NEAR_TIES))
-    @_with_examples(EDGE_VALUES, *E11_CASES.values(), *_seam_tables(9))
+    @_with_examples(EDGE_VALUES, *E11_CASES.values(), MIXED)
     def test_touchstone_cells_are_per_cell_e11(self, table):
-        lines = b"".join(_by_blocks(lambda block: _e11_lines(block, np.arange(block.shape[1])), table))
-        assert lines == _per_cell(table, ".11e", " ").encode()
+        words = np.empty((table.size, 5), np.uint32)
+        _e11_words(table.ravel(), words)
+        words = words.reshape(len(table), -1)
+        words.view(np.uint8)[:, -1] = ord("\n")
+        assert words.tobytes().translate(None, b"\0") == _per_cell(table, ".11e", " ").encode()
+
+    @pytest.mark.parametrize("rows", [1, _block_rows(45) - 1, _block_rows(45), _block_rows(45) + 1,
+                                      2 * _block_rows(45) + 1, BLOCK_CELLS + 1])
+    def test_write_touchstone_rows_at_the_block_seams(self, rows):
+        """The s-parameter blocks are _block_rows(45) rows (9 cells of 5 words)
+        and the frequency column's BLOCK_CELLS; a zero frequency and tie cells
+        fall to %."""
+        parts = np.resize(MIXED[::-1], (rows, 6))
+        s11, s21, s22 = (parts[:, k] + 1j * parts[:, k + 1] for k in (0, 2, 4))
+        curve = ResponseCurve(np.arange(rows) * 1.25e8 + np.resize([0.0, 2.0**-18], rows), s11, s21, s22=s22)
+        assert _written_body(curve) == _s2p_body_per_cell(curve)
 
     @given(tables())
     @example(np.array([EDGE_VALUES]))
@@ -118,7 +150,7 @@ class TestWriters:
         assert b"".join(format_g12(table)) == _per_cell(table, ".12g", ",").encode()
 
     @given(tables(extra=NEAR_TIES).flatmap(lambda t: st.tuples(st.just(t), arrays(bool, t.shape))))
-    @example(tuple(np.resize(v, (2 * _block_rows(7) + 1, 7)) for v in (MIXED, [True, False, False])))
+    @example(tuple(np.resize(v, (2 * _block_rows(8 * 7) + 1, 7)) for v in (MIXED, [True, False, False])))
     def test_blank_cells_are_empty(self, case):
         table, blank = case
         expected = "".join(
@@ -134,18 +166,7 @@ class TestWriters:
     def test_write_touchstone_body_matches_row_loop(self, parts):
         s11, s21, s22 = (parts[:, k] + 1j * parts[:, k + 1] for k in (0, 2, 4))
         curve = ResponseCurve(np.linspace(1e9, 3e9, 5), s11, s21, s22=s22)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "out.s2p"
-            write_touchstone(curve, path)
-            body = path.read_text().splitlines()[4:]
-        expected = [
-            " ".join(
-                [f"{f / 1e9:.11e}"]
-                + [f"{x:.11e}" for v in (a, b, b, d) for x in (v.real, v.imag)]
-            )
-            for f, a, b, d in zip(curve.freqs, s11, s21, s22)
-        ]
-        assert body == expected
+        assert _written_body(curve) == _s2p_body_per_cell(curve)
 
 
 def _metrics_csv_per_cell(rows) -> bytes:
