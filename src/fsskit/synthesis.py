@@ -312,6 +312,10 @@ class FitResult:
     message: str
     #: residual norm after each accepted step (never increasing)
     residual_history: tuple[float, ...] = ()
+    #: model calls, aligned_start's included (MINPACK's nfev)
+    model_calls: int = 0
+    #: trial steps whose residual rose, each one model call
+    rejected_steps: int = 0
 
 
 def fit_model(problem: FitProblem, work: HeldWork | None = None) -> Callable[[Mapping[str, object]], SMatrix]:
@@ -384,23 +388,39 @@ def fit_circuit(problem: FitProblem) -> FitResult:
     call per trial step, and an accepted step already has its Jacobian.
     All model calls share one HeldWork (fit_model), whose arrays the fit
     releases for the next fit in the process when it ends.
+    A step delta the box does not cut moves a free L, L1 or C1 to
+    u exp(delta / u), along its logarithm, as the resonances
+    w^2 (L + L1) C1 = 1 and w^2 L1 C1 = 1 do, when that point lies inside
+    the box too; R and R1 step to u + delta.  Any other trial point is
+    clip(u + delta) into the box.
     A singular normal matrix only increases the damping, never aborts.  A
     step that clipping at the bounds cuts below the step tolerance is a
     stall, not a minimum: the fit ends unconverged, "stalled at bound
     <clipped names>".  Nor is a step of 0 along a Jacobian column of 0 at a
-    residual above 0: "no sensitivity to <names>", unconverged.
+    residual above 0: "no sensitivity to <names>", unconverged.  A value at
+    a bound is returned as that bound, bit for bit; every other value as
+    u times its scale, clipped into the box.  The result counts the model
+    calls, aligned_start's included, and the rejected trial steps.
     """
     work = HeldWork(problem.observed.freqs)
-    model = fit_model(problem, work)
+    held_model = fit_model(problem, work)
+    calls = 0
+
+    def model(values: Mapping[str, object]) -> SMatrix:
+        nonlocal calls
+        calls += 1
+        return held_model(values)
+
     problem = replace(problem, initial=aligned_start(problem, model))
     obs = np.abs(problem.observed.s21)
     start = np.array([problem.initial[n] for n in problem.free])
-    lo, hi = np.array([problem.bounds[n] for n in problem.free]).T
-    scale = np.where(start == 0, np.maximum(abs(lo), abs(hi)), abs(start))
-    lo, hi = lo / scale, hi / scale
+    box = np.array([problem.bounds[n] for n in problem.free]).T
+    scale = np.where(start == 0, np.abs(box).max(axis=0), abs(start))
+    lo, hi = box / scale
     u = start / scale
     k = u.size
     eye = np.eye(k, dtype=bool)
+    multiplicative = np.isin(problem.free, ("L", "L1", "C1"))
 
     def evaluate(u_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residuals at u_vec and their (nf, k) Jacobian, from one model call."""
@@ -419,7 +439,7 @@ def fit_circuit(problem: FitProblem) -> FitResult:
         raise DomainError("the model's |s21| is not finite at the fit's start")
     cost = float(r @ r)
     lam = 1e-3
-    iterations = 0
+    iterations = rejected = 0
     message = "iteration cap reached without convergence"
     converged = False
     history = [math.sqrt(cost)]
@@ -435,19 +455,27 @@ def fit_circuit(problem: FitProblem) -> FitResult:
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            u_new = np.clip(u + step, lo, hi)
+            trial = u + step
+            u_new = np.clip(trial, lo, hi)
+            cut = u_new != trial
+            if not cut.any():
+                with np.errstate(all="ignore"):  # an inf or nan product lies outside the box
+                    along = u * np.exp(np.divide(step, u, out=np.zeros(k), where=multiplicative))
+                if ((lo <= along) & (along <= hi)).all():
+                    u_new = np.where(multiplicative, along, trial)
             r_new, jac_new = evaluate(u_new)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:
                 accepted = True
                 break
+            rejected += 1
             lam *= 10.0
         if not accepted:
             message = "damping exhausted without an accepting step"
             break
 
         rel_step = float(np.max(np.abs(u_new - u) / np.maximum(np.abs(u), 1e-30)))
-        clipped = [name for name, hit in zip(problem.free, u + step != u_new) if hit]
+        clipped = [name for name, hit in zip(problem.free, cut) if hit]
         improvement = cost - cost_new
         u, r, jac, cost = u_new, r_new, jac_new, cost_new
         history.append(math.sqrt(cost))
@@ -468,12 +496,15 @@ def fit_circuit(problem: FitProblem) -> FitResult:
         converged = False
         message = f"no sensitivity to {', '.join(flat)} where the fit stopped (Jacobian column 0)"
     work.arrays.release()  # for the next fit in this process
-    values = dict(zip(problem.free, (u * scale).tolist()))
+    # a value the box holds is its bound bit for bit, which (bound / scale) * scale need not be
+    values = np.where(u == lo, box[0], np.where(u == hi, box[1], np.clip(u * scale, *box)))
     return FitResult(
-        params=values,
+        params=dict(zip(problem.free, values.tolist())),
         residual_norm=float(math.sqrt(cost)),
         iterations=iterations,
         converged=converged,
         message=message,
         residual_history=tuple(history),
+        model_calls=calls,
+        rejected_steps=rejected,
     )

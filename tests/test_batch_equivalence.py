@@ -38,12 +38,15 @@ def _hex(values) -> list[str]:
 
 
 def reference_fit(problem: FitProblem) -> FitResult:
-    """fit_circuit as it was with one scalar model call per Jacobian column."""
+    """fit_circuit as it was with one scalar model call per Jacobian column,
+    with its update rule: a trial point the box does not cut moves L, L1 and
+    C1 to u exp(step / u) when that point lies inside the box too."""
     obs = np.abs(problem.observed.s21)
     scale = np.array([abs(problem.initial[n]) for n in problem.free])
     lo = np.array([problem.bounds[n][0] for n in problem.free]) / scale
     hi = np.array([problem.bounds[n][1] for n in problem.free]) / scale
     u = np.clip(np.ones(len(problem.free)), lo, hi)
+    multiplicative = np.array([name in ("L", "L1", "C1") for name in problem.free])
 
     def residual(u_vec):
         params = replace(problem.base, **dict(zip(problem.free, u_vec * scale)))
@@ -83,6 +86,12 @@ def reference_fit(problem: FitProblem) -> FitResult:
                 lam *= 10.0
                 continue
             u_new = np.clip(u + step, lo, hi)
+            if np.array_equal(u_new, u + step):
+                # inside the box, L, L1 and C1 step along their logarithm
+                with np.errstate(all="ignore"):
+                    along = u * np.exp(np.divide(step, u, out=np.zeros(u.size), where=multiplicative))
+                if ((lo <= along) & (along <= hi)).all():
+                    u_new = np.where(multiplicative, along, u + step)
             r_new = residual(u_new)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:
@@ -183,6 +192,50 @@ def test_fit_makes_one_model_call_per_trial_step(monkeypatch):
     assert len(rows) == 1 + 1 + len(solves)
     assert rows[0] == ()  # the alignment call, at the user's start alone
     assert set(rows[1:]) == {(1 + 2 * 3,)}
+
+
+def stalled_problem() -> FitProblem:
+    """criterion 8 in a box that excludes its truth: the fit rejects a step and stalls."""
+    problem = criterion_8_problem()
+    return replace(problem, initial={"L": 1.9e-9, "L1": 1.0e-9, "C1": 0.45e-12},
+                   bounds={"L": (0.5e-9, 2.0e-9), "L1": (0.3e-9, 1.2e-9), "C1": (0.1e-12, 0.5e-12)})
+
+
+@pytest.mark.parametrize("make_problem", [criterion_8_problem, five_parameter_problem, stalled_problem])
+def test_fit_counts_its_model_calls_and_rejected_steps(monkeypatch, make_problem):
+    """model_calls is every network_smatrix call of the fit, the alignment's
+    included, and rejected_steps every trial step whose residual rose above
+    the last accepted one; the spy reads each call's squared residual."""
+    problem = make_problem()
+    observed = np.abs(problem.observed.s21)
+    costs = []
+    smatrix = synthesis.network_smatrix
+
+    def counting_smatrix(*args, **kwargs):
+        s = smatrix(*args, **kwargs)
+        residual = np.abs(np.atleast_2d(s.s21)[0]) - observed
+        costs.append(float(residual @ residual))
+        return s
+
+    monkeypatch.setattr(synthesis, "network_smatrix", counting_smatrix)
+    result = fit_circuit(problem)
+    accepted, rejected = costs[1], 0  # the alignment call, then the start
+    for cost in costs[2:]:
+        if cost <= accepted:
+            accepted = cost
+        else:
+            rejected += 1
+    assert result.model_calls == len(costs)
+    assert result.rejected_steps == rejected
+    assert result.model_calls == 2 + result.iterations + rejected
+
+
+@pytest.mark.parametrize("make_problem", [criterion_8_problem, five_parameter_problem])
+def test_fit_converges_within_ten_model_calls(make_problem):
+    """The additive update took 15 and 10; L, L1 and C1 stepping along their logarithm take 9."""
+    result = fit_circuit(make_problem())
+    assert result.converged
+    assert result.model_calls <= 10
 
 
 ROWS = {

@@ -3,6 +3,7 @@
 
 import functools
 import itertools
+import math
 import warnings
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from fsskit.builder import (
     DEFAULT_CALIBRATION,
     DEFAULT_GEOMETRY,
     CircuitParams,
+    build_network,
     build_second_order,
 )
 from fsskit.errors import DomainError, InfeasibleSpecError, InfeasibleTargetError
@@ -38,7 +40,7 @@ from fsskit.synthesis import (
     synthesize_lc,
     width_for_bandwidth,
 )
-from fsskit.twoport import NORMAL
+from fsskit.twoport import NORMAL, IncidenceCondition, Polarization
 
 F_P = 3076642798.29332
 F_Z = 5120726356.363333
@@ -480,6 +482,60 @@ def test_every_low_start_recovers_the_truth(factors, box):
     assert result.residual_norm < 1e-6
     for name in start:
         assert result.params[name] == pytest.approx(getattr(truth, name), rel=1e-2)
+
+
+@functools.cache
+def criterion_8_curve() -> ResponseCurve:
+    return observed_curve(reference_truth())
+
+
+@settings(max_examples=30, deadline=None)
+@given(boxes=st.lists(st.tuples(st.floats(0.25, 1.6), st.floats(1.05, 5.0), st.floats(0.0, 1.0)),
+                      min_size=3, max_size=3))
+def test_a_fit_keeps_to_its_box_and_names_the_bounds_it_stalls_at(boxes):
+    """Boxes around the criterion-8 truth, most of which exclude it, each with
+    a start inside: a value comes back inside its box, a value the box holds
+    is its bound bit for bit, and a stall names exactly the values at a bound.
+    A fit the iteration cap ends does not claim convergence."""
+    truth = reference_truth()
+    names = ("L", "L1", "C1")
+    bounds = {n: (getattr(truth, n) * a, getattr(truth, n) * a * b) for n, (a, b, _) in zip(names, boxes)}
+    start = {n: lo + t * (hi - lo) for n, (lo, hi), (_, _, t) in zip(names, bounds.values(), boxes)}
+    problem = FitProblem(observed=criterion_8_curve(), base=truth, free=names, initial=start, bounds=bounds)
+    result = fit_circuit(problem)
+    at_bound = []
+    for name, value in result.params.items():
+        lo, hi = bounds[name]
+        assert lo <= value <= hi
+        for bound in (lo, hi):
+            if abs(value - bound) <= 4e-16 * bound:
+                assert value == bound
+                at_bound.append(name)
+    if result.message.startswith("stalled at bound "):
+        assert not result.converged
+        assert result.message.removeprefix("stalled at bound ").split(", ") == at_bound
+    if result.iterations == synthesis.MAX_ITERATIONS:
+        assert not result.converged
+
+
+def test_a_step_tolerance_stop_inside_the_box_is_converged():
+    """Inside the box a step moves L, L1 and C1 along their logarithm, so the
+    new point differs from u + step without any bound touched.  This fit, an
+    unmirrored second-order cell at 40 degrees TM, stops on the step tolerance
+    with every value inside its box, and is converged, not stalled."""
+    truth = CircuitParams(L=2.85e-9, L1=1.61e-9, C1=0.6e-12, order=2, h1=10e-3)
+    tm40 = IncidenceCondition(math.radians(40.0), Polarization.TM)
+    observed = sweep_response(build_network(truth, mirrored=False), FrequencyGrid(1e9, 5e9, 401), tm40)
+    start = {"L": 2.5e-9, "L1": 1.5e-9, "C1": 0.65e-12}
+    bounds = {name: (v / 4, v * 4) for name, v in start.items()}
+    problem = FitProblem(observed=observed, base=truth, free=tuple(start), initial=start, bounds=bounds,
+                         mirrored=False)
+    result = fit_circuit(problem)
+    assert result.message.startswith("converged: relative step")
+    assert result.converged
+    for name, value in result.params.items():
+        assert bounds[name][0] < value < bounds[name][1]
+        assert value == pytest.approx(getattr(truth, name), rel=1e-9)
 
 
 def test_aligned_start_moves_the_model_passband_onto_the_observed_one():
