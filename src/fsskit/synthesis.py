@@ -282,7 +282,8 @@ def check_fit_settings(
     free: tuple[str, ...], initial: Mapping[str, float], bounds: Mapping[str, tuple[float, float]]
 ) -> None:
     """Raise DomainError unless free names distinct FITTABLE fields, each with
-    a start inside a finite box lo < hi (lo > 0 for L, L1 and C1)."""
+    a start inside a finite box lo < hi (lo > 0 for L, L1 and C1, lo >= 0 for
+    R and R1)."""
     if not free:
         raise DomainError("fit requires at least one free parameter")
     if len(set(free)) < len(free):
@@ -299,6 +300,8 @@ def check_fit_settings(
             raise DomainError(f"bounds for {name!r} must be finite with lo < hi, got {(lo, hi)}")
         if name in ("L", "L1", "C1") and lo <= 0:
             raise DomainError(f"reactive element {name!r} needs positive bounds")
+        if name in ("R", "R1") and lo < 0:
+            raise DomainError(f"resistive element {name!r} needs nonnegative bounds")
         if not lo <= initial[name] <= hi:
             raise DomainError(f"initial guess for {name!r} lies outside its bounds")
 
@@ -381,11 +384,14 @@ def fit_circuit(problem: FitProblem) -> FitResult:
     the parameters are scaled by that aligned start (a start of 0 by the
     larger magnitude of its bounds).  Levenberg damping:
     steps that increase the residual are rejected and the damping grows;
-    accepted steps shrink it.  The Jacobian uses central differences with
-    a relative step of 1e-6 in the scaled parameter space.  Every point,
-    the start and each trial step, is evaluated with its 2k perturbed
-    parameter sets as one batch of 1 + 2k rows, so a fit makes one model
-    call per trial step, and an accepted step already has its Jacobian.
+    accepted steps shrink it.  The Jacobian takes forward differences, as
+    MINPACK's lmdif does, with a step h of 1e-6 relative in the scaled
+    parameter space: row i moves u_i to u_i + h_i, or to max(u_i - h_i, lo_i)
+    when that leaves the box, or to hi_i when u_i sits on lo_i of a box
+    narrower than h_i, so no row leaves the box.  Every point, the start and
+    each trial step, is evaluated with its k perturbed parameter sets as one
+    batch of 1 + k rows, so a fit makes one model call per trial step, and
+    an accepted step already has its Jacobian.
     All model calls share one HeldWork (fit_model), whose arrays the fit
     releases for the next fit in the process when it ends.
     A step delta the box does not cut moves a free L, L1 or C1 to
@@ -425,14 +431,14 @@ def fit_circuit(problem: FitProblem) -> FitResult:
     def evaluate(u_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residuals at u_vec and their (nf, k) Jacobian, from one model call."""
         h = 1e-6 * np.maximum(np.abs(u_vec), 1e-3)
-        up = np.minimum(u_vec + h, hi)
-        dn = np.maximum(u_vec - h, lo)
-        rows = np.concatenate([u_vec[None, :], np.where(eye, up, u_vec), np.where(eye, dn, u_vec)])
+        t = np.where(u_vec + h <= hi, u_vec + h, np.maximum(u_vec - h, lo))
+        t = np.where(t == u_vec, hi, t)  # u on lo of a box narrower than h
+        rows = np.concatenate([u_vec[None, :], np.where(eye, t, u_vec)])
         values = rows * scale
         s = model({name: values[:, i:i + 1] for i, name in enumerate(problem.free)})
         res = np.abs(s.s21) - obs
         # BLAS rounds jac.T @ jac differently for an F-ordered jac, so keep C order
-        return res[0], np.ascontiguousarray(((res[1:k + 1] - res[k + 1:]) / (up - dn)[:, None]).T)
+        return res[0], np.ascontiguousarray(((res[1:] - res[0]) / (t - u_vec)[:, None]).T)
 
     r, jac = evaluate(u)
     if not (np.isfinite(r).all() and np.isfinite(jac).all()):

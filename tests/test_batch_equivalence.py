@@ -1,7 +1,7 @@
 """The batch axis of the element values against one evaluation per row.
 
 CircuitParams element values may be (k, 1) column arrays, and fit_circuit
-evaluates each point with the 2k central-difference rows of its Jacobian
+evaluates each point with the k forward-difference rows of its Jacobian
 in one model call.  These tests check both against scalar evaluations,
 bit for bit: the batched network against k separate networks, and
 fit_circuit against the former per-column fit, which is kept here as the
@@ -39,7 +39,9 @@ def _hex(values) -> list[str]:
 
 def reference_fit(problem: FitProblem) -> FitResult:
     """fit_circuit as it was with one scalar model call per Jacobian column,
-    with its update rule: a trial point the box does not cut moves L, L1 and
+    with its difference rule and update rule: column i steps u_i forward by
+    h_i, or back where that leaves the box, or to hi_i from lo_i of a box
+    narrower than h_i; a trial point the box does not cut moves L, L1 and
     C1 to u exp(step / u) when that point lies inside the box too."""
     obs = np.abs(problem.observed.s21)
     scale = np.array([abs(problem.initial[n]) for n in problem.free])
@@ -54,16 +56,18 @@ def reference_fit(problem: FitProblem) -> FitResult:
         s21 = network_smatrix(net, problem.observed.freqs, problem.observed.incidence).s21
         return np.abs(s21) - obs
 
-    def jacobian(u_vec):
+    def jacobian(u_vec, r_vec):
         cols = []
         for k in range(u_vec.size):
             step = 1e-6 * max(abs(u_vec[k]), 1e-3)
-            up = u_vec.copy()
-            dn = u_vec.copy()
-            up[k] = min(u_vec[k] + step, hi[k])
-            dn[k] = max(u_vec[k] - step, lo[k])
-            span = up[k] - dn[k]
-            cols.append((residual(up) - residual(dn)) / span)
+            moved = u_vec.copy()
+            if u_vec[k] + step <= hi[k]:
+                moved[k] = u_vec[k] + step
+            else:
+                moved[k] = max(u_vec[k] - step, lo[k])
+            if moved[k] == u_vec[k]:
+                moved[k] = hi[k]
+            cols.append((residual(moved) - r_vec) / (moved[k] - u_vec[k]))
         return np.column_stack(cols)
 
     r = residual(u)
@@ -74,7 +78,7 @@ def reference_fit(problem: FitProblem) -> FitResult:
     converged = False
     history = [math.sqrt(cost)]
     for iterations in range(1, MAX_ITERATIONS + 1):
-        jac = jacobian(u)
+        jac = jacobian(u, r)
         jtj = jac.T @ jac
         jtr = jac.T @ r
         diag = np.maximum(np.diag(jtj), 1e-30)
@@ -191,7 +195,7 @@ def test_fit_makes_one_model_call_per_trial_step(monkeypatch):
     assert len(solves) >= result.iterations
     assert len(rows) == 1 + 1 + len(solves)
     assert rows[0] == ()  # the alignment call, at the user's start alone
-    assert set(rows[1:]) == {(1 + 2 * 3,)}
+    assert set(rows[1:]) == {(1 + 3,)}
 
 
 def stalled_problem() -> FitProblem:
@@ -236,6 +240,80 @@ def test_fit_converges_within_ten_model_calls(make_problem):
     result = fit_circuit(make_problem())
     assert result.converged
     assert result.model_calls <= 10
+
+
+def record_model_calls(monkeypatch) -> list[tuple[dict[str, np.ndarray], np.ndarray]]:
+    """Each model call of the fits that follow: its values, one row per set,
+    and a copy of its |s21| (the fit's arrays overwrite the s21 it returns)."""
+    calls = []
+    fit_model = synthesis.fit_model
+
+    def recording_fit_model(problem, work=None):
+        model = fit_model(problem, work)
+
+        def record(values):
+            s = model(values)
+            calls.append(({n: np.ravel(v).astype(float) for n, v in values.items()}, np.abs(s.s21)))
+            return s
+
+        return record
+
+    monkeypatch.setattr(synthesis, "fit_model", recording_fit_model)
+    return calls
+
+
+@pytest.mark.parametrize("make_problem", [criterion_8_problem, five_parameter_problem])
+def test_forward_columns_agree_with_central_ones(monkeypatch, make_problem):
+    """At the aligned start and at the optimum, each forward-difference column
+    of the fit's batch agrees with a central one over the same step, formed
+    from two scalar-row evaluations, within 1e-4 relative."""
+    problem = make_problem()
+    calls = record_model_calls(monkeypatch)
+    assert fit_circuit(problem).converged
+    monkeypatch.undo()
+    model = synthesis.fit_model(problem)
+    for values, s21 in (calls[1], calls[-1]):  # the start, and the last (accepted) point
+        assert s21.shape == (1 + len(problem.free), problem.observed.freqs.size)
+        for i, name in enumerate(problem.free, start=1):
+            point = {n: v[0] for n, v in values.items()}
+            h = values[name][i] - point[name]
+            forward = (s21[i] - s21[0]) / h
+            pair = {**point, name: np.array([[point[name] + h], [point[name] - h]])}
+            up, dn = np.abs(model(pair).s21)
+            central = (up - dn) / (2.0 * h)
+            assert np.max(np.abs(forward - central)) <= 1e-4 * np.max(np.abs(central))
+
+
+def assert_every_row_inside_the_box(problem: FitProblem, calls) -> None:
+    for values, _ in calls:
+        for name in problem.free:
+            lo, hi = problem.bounds[name]
+            assert ((lo <= values[name]) & (values[name] <= hi)).all(), (name, values[name])
+
+
+def test_a_row_at_an_upper_bound_steps_back_inside_the_box(monkeypatch):
+    """The stall test's corner ends with L and L1 on their upper bounds, where
+    a forward row would leave the box: their rows step back, every row of
+    every model call lies inside the box, and the fit stalls there as before."""
+    problem = stalled_problem()
+    calls = record_model_calls(monkeypatch)
+    assert fit_circuit(problem).message == "stalled at bound L, L1, C1"
+    assert_every_row_inside_the_box(problem, calls)
+    last = calls[-1][0]
+    assert last["L"][0] == problem.bounds["L"][1] > last["L"][1]
+
+
+def test_a_box_narrower_than_the_step_takes_its_upper_bound_as_the_row(monkeypatch):
+    """L on the lower bound of a box narrower than its step, where u + h and
+    u - h both leave the box: its row is the upper bound, and the fit ends as
+    it did with central differences."""
+    bounds = (3.0e-9, 3.0000000001e-9)
+    problem = replace(criterion_8_problem(), free=("L",), initial={"L": 3.0e-9}, bounds={"L": bounds})
+    calls = record_model_calls(monkeypatch)
+    result = fit_circuit(problem)
+    assert (result.converged, result.message, result.params) == (False, "stalled at bound L", {"L": bounds[0]})
+    assert_every_row_inside_the_box(problem, calls)
+    assert calls[1][0]["L"].tolist() == list(bounds)
 
 
 ROWS = {

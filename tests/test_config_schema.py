@@ -580,11 +580,12 @@ def names_a_fit_parameter_twice(doc: dict) -> bool:
 
 def has_an_invalid_fit_box(want: RunConfig) -> bool:
     """Whether the reference's fit starts and boxes hold one that the fit
-    rejects: a box that is not lo < hi, a reactive box from 0 or below, or a
-    start outside its box.  The reference accepted these and left them to
-    the fit."""
+    rejects: a box that is not lo < hi, a reactive box from 0 or below, a
+    resistive box from below 0, or a start outside its box.  The reference
+    accepted these and left them to the fit."""
     return any(
         not (lo < hi and lo <= want.fit_initial[name] <= hi) or (name in ("L", "L1", "C1") and lo <= 0)
+        or (name in ("R", "R1") and lo < 0)
         for name, (lo, hi) in want.fit_bounds.items()
     )
 

@@ -228,6 +228,20 @@ def test_every_config_exits_with_a_documented_code(workdir, case):
         assert code == cli.EXIT_CONFIG, err
 
 
+@pytest.mark.parametrize("fit, field", [
+    ({"free": ["r_ohm"], "initial": {"r_ohm": -0.5}, "bounds": {"r_ohm": [-1, 1]}}, "R"),
+    ({"free": ["r_ohm"], "initial": {"r_ohm": 0.5}, "bounds": {"r_ohm": [-1, 1]}}, "R"),
+    ({"free": ["l_nh", "r1_ohm"], "initial": {"r1_ohm": 0}, "bounds": {"r1_ohm": [-5, 5]}}, "R1"),
+])
+def test_a_resistive_box_below_zero_exits_2_and_names_its_field(workdir, fit, field):
+    """Before the check, the run exited 3 (the ladder rejected a negative
+    R on the fit's path) or 0 (the path stayed at R >= 0)."""
+    doc = {"mode": "fit", "circuit": {"order": 2, "l_nh": 2.85}, "fit": {"touchstone": "S2P", **fit}}
+    code, err = run_main(workdir, json.dumps(doc).encode())
+    assert (code, err) == (cli.EXIT_CONFIG,
+                           f"config error: invalid fit block: resistive element '{field}' needs nonnegative bounds\n")
+
+
 @pytest.mark.parametrize("case", sorted(AT_PARSE))
 def test_values_the_run_cannot_use_fail_at_parse(case):
     doc, error = AT_PARSE[case]

@@ -433,6 +433,16 @@ class TestFitCircuit:
                 initial={"C1": 1e-12}, bounds={"C1": (-1e-12, 2e-12)},  # reactive <= 0
             )
 
+    @pytest.mark.parametrize("name", ["R", "R1"])
+    def test_a_resistive_box_below_zero_is_rejected(self, name):
+        # the fit may otherwise step R below 0, where the ladder raises, or not,
+        # depending on its path; a box from 0 is accepted
+        truth = reference_truth()
+        curve = observed_curve(truth, n_points=51)
+        with pytest.raises(DomainError, match=f"resistive element '{name}' needs nonnegative bounds"):
+            FitProblem(observed=curve, base=truth, free=(name,), initial={name: 0.5}, bounds={name: (-1.0, 1.0)})
+        FitProblem(observed=curve, base=truth, free=(name,), initial={name: 0.0}, bounds={name: (0.0, 1.0)})
+
     def test_duplicate_free_parameter_is_rejected(self):
         truth = reference_truth()
         with pytest.raises(DomainError, match="must be distinct"):
