@@ -36,8 +36,7 @@ def zero_freq(l1: float, c1: float) -> float:
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Linear frequency grid, endpoints inclusive; n_points is an int (not a bool).  The points are
-    formed once, at construction (7 ms for 1,000,000 on a 2-CPU Xeon), checked to strictly increase
-    and held read-only in points."""
+    formed once, at construction, checked to strictly increase and held read-only in points."""
 
     f_start: float
     f_stop: float
@@ -127,12 +126,14 @@ def network_smatrix(
 
     The port reference is the oblique free-space wave impedance for the
     given incidence, on both sides.  reflections is passed to abcd_to_s.
-    With work, a HeldWork on f (started for this call if it holds arrays),
-    the ladder's elements are those it holds, and with its arrays every
-    array is formed in them, so the result holds until work's next call.
+    The ladder's elements are those that work, a HeldWork on f (a new
+    HeldWork(f, arrays=False) if None; started for this call if it holds
+    arrays), holds, and with its arrays every array is formed in them, so
+    the result holds until work's next call.
     """
     z_ref = wave_impedance(inc.theta, inc.polarization)
-    return abcd_to_s(net.abcd(f, inc, work), z_ref, reflections, None if work is None else work.arrays)
+    work = work or HeldWork(f, arrays=False)
+    return abcd_to_s(net.abcd(f, inc, work), z_ref, reflections, work.arrays)
 
 
 def sweep_response(net: LayeredNetwork, grid: FrequencyGrid, inc: IncidenceCondition = NORMAL) -> ResponseCurve:

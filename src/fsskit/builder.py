@@ -18,7 +18,6 @@ from .twoport import (
     IncidenceCondition,
     TwoPortMatrix,
     abcd_shunt,
-    abcd_tline,
     cascade,
     everywhere,
     j_omega,
@@ -159,22 +158,9 @@ class ShuntBranch:
     inductance: float
     capacitance: float | None = None
 
-    def admittance(self, f, work: "HeldWork | None" = None):
-        """Y on f; with work that holds arrays, formed from its jw in them."""
-        r, l, c = self.resistance, self.inductance, self.capacitance
-        if work is None or work.arrays is None:
-            return shunt_rl_admittance(r, l, f) if c is None else shunt_series_rlc_admittance(r, l, c, f)
-        take = work.arrays.take
-        if c is None:
-            return rl_admittance(r, l, work.jw, out=take())
-        y, inv = take(), take()
-        y = rlc_admittance(r, l, c, work.jw, out=(y, inv))
-        work.arrays.give(inv)
-        return y
-
     def abcd(self, f, inc: IncidenceCondition = NORMAL, work: "HeldWork | None" = None) -> TwoPortMatrix:
-        """abcd_shunt of the admittance; with work, its held matrix (HeldWork.shunt)."""
-        return abcd_shunt(self.admittance(f)) if work is None else work.shunt(self)
+        """Its matrix on f as work holds it (HeldWork.shunt); with no work, a new HeldWork(f, arrays=False)."""
+        return (work or HeldWork(f, arrays=False)).shunt(self)
 
 
 @dataclass(frozen=True)
@@ -185,30 +171,29 @@ class LineSegment:
     length: float
     loss_tangent: float = 0.0
 
-    def phase(self, f, theta: float):
-        return tline_phase(self.eps_r, self.length, f, theta, self.loss_tangent)
-
     def abcd(self, f, inc: IncidenceCondition = NORMAL, work: "HeldWork | None" = None) -> TwoPortMatrix:
-        """abcd_tline of the line; with work, its held matrix at inc (HeldWork.line)."""
-        if work is None:
-            return abcd_tline(self.eps_r, self.length, f, inc, loss_tangent=self.loss_tangent)
-        return work.line(self, inc)
+        """Its matrix on f at inc as work holds it (HeldWork.line); with no work, a new HeldWork(f, arrays=False)."""
+        return (work or HeldWork(f, arrays=False)).line(self, inc)
 
 
 class HeldWork:
     """What evaluations of ladders on the frequencies f share, each element formed once.
 
-    A ladder evaluated with this work still calls each element's abcd, which
-    returns what the work holds:
-    - shunt(branch): the branch's ShuntMatrix, kept with the branch object
-      until start(); a branch that a mirrored stack holds twice is formed once;
-    - line(line, inc): the line's matrix, kept by the line's value until a line
-      is asked for at another condition, from its tline_phase, kept by value
-      and angle.  So a fit, in which no fittable value changes a line, forms each once;
+    Every element's matrix is formed here; an element's abcd returns what the
+    work holds:
+    - shunt(branch): abcd_shunt of the branch's admittance, kept with the
+      branch object until start(); a branch that a mirrored stack holds twice
+      is formed once;
+    - line(line, inc): tline_matrix of the line's tline_phase, the matrix
+      kept by the line's value until a line is asked for at another
+      condition, the phase by value and angle.  So a fit, in which no
+      fittable value changes a line, forms each once;
     - arrays (None if arrays=False): the HeldArrays that a call's admittances,
       from jw = j_omega(f), products and s21 are formed in.  start(shape)
       begins a call, after which what the last call returned is overwritten.
       TwoPortMatrix.times never gives a held matrix's entries back to them.
+      With no arrays, an admittance is shunt_rl_admittance or
+      shunt_series_rlc_admittance on f.
     """
 
     def __init__(self, f, arrays: bool = True):
@@ -226,7 +211,16 @@ class HeldWork:
     def shunt(self, branch: ShuntBranch) -> TwoPortMatrix:
         key = id(branch)
         if key not in self._shunts:  # the branch is kept too, so its id is not reused
-            self._shunts[key] = branch, abcd_shunt(branch.admittance(self.f, self))
+            r, l, c, arrays = branch.resistance, branch.inductance, branch.capacitance, self.arrays
+            if arrays is None:
+                y = shunt_rl_admittance(r, l, self.f) if c is None else shunt_series_rlc_admittance(r, l, c, self.f)
+            elif c is None:
+                y = rl_admittance(r, l, self.jw, out=arrays.take())
+            else:
+                y, inv = arrays.take(), arrays.take()
+                y = rlc_admittance(r, l, c, self.jw, out=(y, inv))
+                arrays.give(inv)
+            self._shunts[key] = branch, abcd_shunt(y)
         return self._shunts[key][1]
 
     def line(self, line: LineSegment, inc: IncidenceCondition) -> TwoPortMatrix:
@@ -235,7 +229,7 @@ class HeldWork:
         if line not in self._lines:
             key = (line, inc.theta)
             if key not in self._phases:
-                self._phases[key] = line.phase(self.f, inc.theta)
+                self._phases[key] = tline_phase(line.eps_r, line.length, self.f, inc.theta, line.loss_tangent)
             self._lines[line] = tline_matrix(self._phases[key], line.eps_r, inc.polarization)
         return self._lines[line]
 
@@ -250,11 +244,11 @@ class LayeredNetwork:
     elements: tuple[ShuntBranch | LineSegment, ...]
 
     def abcd(self, f, inc: IncidenceCondition = NORMAL, work: HeldWork | None = None) -> TwoPortMatrix:
-        """Chain matrix of the whole ladder, every element's abcd called; with
-        work, a HeldWork on f, each returns what the work holds, and the
-        products are formed in the work's arrays, if any."""
-        arrays = None if work is None else work.arrays
-        return cascade([el.abcd(f, inc, work) for el in self.elements], arrays)
+        """Chain matrix of the whole ladder, every element's abcd called with
+        work, a HeldWork on f (a new HeldWork(f, arrays=False) if None), and
+        the products formed in the work's arrays, if any."""
+        work = work or HeldWork(f, arrays=False)
+        return cascade([el.abcd(f, inc, work) for el in self.elements], work.arrays)
 
 
 def grid_inductance(w: float, period: float, scale: float) -> float:

@@ -321,21 +321,20 @@ class FitResult:
     rejected_steps: int = 0
 
 
-def fit_model(problem: FitProblem, work: HeldWork | None = None) -> Callable[[Mapping[str, object]], SMatrix]:
+def fit_model(problem: FitProblem, work: HeldWork) -> Callable[[Mapping[str, object]], SMatrix]:
     """The model of problem: element values -> its s21 alone, on the observed
     frequencies and incidence.
 
     Each call builds the ladder at the values (floats or (k, 1) columns) and
     makes one network_smatrix call with work, a HeldWork on the observed
-    frequencies (a new one if None) that all calls share: each line's
-    matrix is formed at the first call only, each shunt branch once per call
-    (the mirrored ring and grid once each), and each call's arrays are formed
-    in the work's arrays, so the s21 returned is overwritten by the next call.
+    frequencies that all calls share: each line's matrix is formed at the
+    first call only, each shunt branch once per call (the mirrored ring and
+    grid once each), and each call's arrays are formed in the work's arrays,
+    so the s21 returned is overwritten by the next call.
     Its bits are those of network_smatrix(build_network(...), f, inc,
     reflections=False).s21.
     """
     observed, base, mirrored = problem.observed, problem.base, problem.mirrored
-    work = HeldWork(observed.freqs) if work is None else work
 
     def model(values: Mapping[str, object]) -> SMatrix:
         net = build_network(replace(base, **values), mirrored=mirrored)
@@ -345,14 +344,14 @@ def fit_model(problem: FitProblem, work: HeldWork | None = None) -> Callable[[Ma
     return model
 
 
-def aligned_start(problem: FitProblem, model: Callable[[Mapping[str, object]], SMatrix] | None = None) -> dict[str, float]:
+def aligned_start(problem: FitProblem, model: Callable[[Mapping[str, object]], SMatrix]) -> dict[str, float]:
     """The start of problem with its model passband moved onto the observed one.
 
     The circuit's passband lies near 1/(2 pi sqrt((L + L1) C1)), so with
     r = (f_c,model / f_c,observed)^2 the free ones of L and L1 are scaled
     by r, which keeps C1 and the ratio L1/L; if neither is free, a free C1
     is scaled instead.  Each value is clipped into its bounds.  Costs one
-    call of model, fit_model(problem) if not given, at the start.  The start
+    call of model, a fit_model of problem, at the start.  The start
     is returned unchanged when none of L, L1 and C1 is free, when the model's
     s21 is not finite (fit_circuit then names its start), or when either
     passband cannot be extracted (not bracketed by the grid, or one-sided).
@@ -362,7 +361,7 @@ def aligned_start(problem: FitProblem, model: Callable[[Mapping[str, object]], S
     if not scaled:
         return start
     observed = problem.observed
-    s21 = (model or fit_model(problem))(start).s21
+    s21 = model(start).s21
     if not np.isfinite(s21).all():
         return start
     curve = ResponseCurve(freqs=observed.freqs, s11=None, s21=s21, incidence=observed.incidence)

@@ -14,15 +14,10 @@ and a product with one on either side is a two-product update instead of
 the general eight-product form: (a + b Y, b, c + d Y, d) with the shunt
 on the right, (a, b, c + Y a, d + Y b) with it on the left.  abcd_to_s
 forms b/z and c z once for its three sums.  All keep the final S
-bit-identical to the general formulas.  A caller that reads only s21,
-such as the |s21| fit, asks abcd_to_s for it alone with
-reflections=False.  A loop in which one R-L branch changes, such as the
-strip-width loop, holds j_omega(f) and calls the parts that change per
-step, rl_admittance, TwoPortMatrix.shunt_right and abcd_delta, with out=
-arrays it holds; the general kernels call the same parts.  A loop that
-evaluates whole ladders on one grid, such as the fit, gives cascade and
-abcd_to_s a HeldArrays, and every product is formed in out= arrays taken
-from it (rlc_admittance, shunt_right, shunt_left, product).
+bit-identical to the general formulas.  A caller that reads only s21
+asks abcd_to_s for it alone with reflections=False.  The parts of the
+kernels take out= arrays, so a loop can form each result in arrays it
+holds, its own or a HeldArrays; the general kernels call the same parts.
 """
 
 from __future__ import annotations
@@ -179,9 +174,7 @@ def _unheld():
 
 #: Arrays that a released HeldArrays handed on, by shape, for the next one
 #: to take up, so that a process that fits again and again makes them once.
-#: Made anew per fit, they were faulted in again wherever glibc had trimmed
-#: the heap top between fits: about 60 minor faults per fit of a 401-point
-#: file.  Each kernel overwrites an array it takes, so no value carries over.
+#: Each kernel overwrites an array it takes, so no value carries over.
 _SPARES: dict[tuple[int, ...], list[np.ndarray]] = {}
 
 

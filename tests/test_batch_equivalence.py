@@ -16,7 +16,7 @@ import pytest
 
 from fsskit import synthesis
 from fsskit.analysis import FrequencyGrid, network_smatrix, sweep_response
-from fsskit.builder import CircuitParams, build_network, build_second_order
+from fsskit.builder import CircuitParams, HeldWork, build_network, build_second_order
 from fsskit.synthesis import (
     IMPROVEMENT_TOL,
     MAX_ITERATIONS,
@@ -25,6 +25,7 @@ from fsskit.synthesis import (
     FitResult,
     aligned_start,
     fit_circuit,
+    fit_model,
 )
 from fsskit.twoport import NORMAL, IncidenceCondition, Polarization
 
@@ -162,7 +163,8 @@ def five_parameter_problem() -> FitProblem:
 @pytest.mark.parametrize("make_problem", [criterion_8_problem, five_parameter_problem])
 def test_fit_matches_per_column_reference_bit_for_bit(make_problem):
     problem = make_problem()
-    got, want = fit_circuit(problem), reference_fit(replace(problem, initial=aligned_start(problem)))
+    start = aligned_start(problem, held_model(problem))
+    got, want = fit_circuit(problem), reference_fit(replace(problem, initial=start))
     assert got.iterations == want.iterations
     assert list(got.params) == list(want.params)
     assert _hex(got.params.values()) == _hex(want.params.values())
@@ -242,13 +244,18 @@ def test_fit_converges_within_ten_model_calls(make_problem):
     assert result.model_calls <= 10
 
 
+def held_model(problem):
+    """The fit_model of problem on a HeldWork of its own."""
+    return fit_model(problem, HeldWork(problem.observed.freqs))
+
+
 def record_model_calls(monkeypatch) -> list[tuple[dict[str, np.ndarray], np.ndarray]]:
     """Each model call of the fits that follow: its values, one row per set,
     and a copy of its |s21| (the fit's arrays overwrite the s21 it returns)."""
     calls = []
     fit_model = synthesis.fit_model
 
-    def recording_fit_model(problem, work=None):
+    def recording_fit_model(problem, work):
         model = fit_model(problem, work)
 
         def record(values):
@@ -271,7 +278,7 @@ def test_forward_columns_agree_with_central_ones(monkeypatch, make_problem):
     calls = record_model_calls(monkeypatch)
     assert fit_circuit(problem).converged
     monkeypatch.undo()
-    model = synthesis.fit_model(problem)
+    model = held_model(problem)
     for values, s21 in (calls[1], calls[-1]):  # the start, and the last (accepted) point
         assert s21.shape == (1 + len(problem.free), problem.observed.freqs.size)
         for i, name in enumerate(problem.free, start=1):

@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsskit import builder, cli
+from fsskit import builder, cli, twoport
 from fsskit.analysis import FrequencyGrid, ResponseCurve, network_smatrix, sweep_conditions, sweep_response
 from fsskit.builder import CircuitParams, build_network
 from fsskit.errors import FssError
@@ -109,9 +109,11 @@ STUDY = {
 
 @contextlib.contextmanager
 def kernel_calls():
-    """Calls of each kernel that a ladder's elements evaluate, by name."""
+    """Calls of each kernel that a ladder's elements evaluate, by name; abcd_tline,
+    which the builder does not import, is spied on in twoport."""
     names = ("shunt_series_rlc_admittance", "shunt_rl_admittance", "tline_phase", "tline_matrix", "abcd_tline")
-    spies = {name: mock.patch.object(builder, name, wraps=getattr(builder, name)) for name in names}
+    spies = {name: mock.patch.object(twoport if name == "abcd_tline" else builder, name,
+                                     wraps=getattr(twoport, name)) for name in names}
     with contextlib.ExitStack() as stack:
         yield {name: stack.enter_context(spy) for name, spy in spies.items()}
 

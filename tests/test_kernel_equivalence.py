@@ -2,8 +2,10 @@
 
 A product with a shunt on either side takes an update form, and abcd_to_s
 forms b/z and c z once.  The reference below is the general eight-product
-chain multiply and the three-sum conversion written out in full; every
-final S bit must match it.  The general product computes a*0.0 + b, which
+chain multiply and the three-sum conversion written out in full, of element
+matrices formed by the public leaf kernels (abcd_tline, and abcd_shunt of
+shunt_series_rlc_admittance or shunt_rl_admittance), not by the HeldWork
+that every ladder is evaluated through; every final S bit must match it.  The general product computes a*0.0 + b, which
 may flip the sign of a zero that the update form keeps, so lossless ladders
 (whose lines have ±0 real parts) are part of the grid.  network_smatrix,
 which evaluates every element, and sweep_response, which evaluates each
@@ -28,7 +30,17 @@ from fsskit.builder import (
     build_network,
     params_from_geometry,
 )
-from fsskit.twoport import NORMAL, IncidenceCondition, Polarization, TwoPortMatrix, wave_impedance
+from fsskit.twoport import (
+    NORMAL,
+    IncidenceCondition,
+    Polarization,
+    TwoPortMatrix,
+    abcd_shunt,
+    abcd_tline,
+    shunt_rl_admittance,
+    shunt_series_rlc_admittance,
+    wave_impedance,
+)
 
 L1, C1 = 1.61e-9, 0.6e-12
 INCIDENCES = {
@@ -50,10 +62,18 @@ def general_product(m, n):
     )
 
 
+def leaf_matrix(el, f, inc):
+    """An element's chain matrix from the public leaf kernels, not through HeldWork."""
+    if isinstance(el, LineSegment):
+        return abcd_tline(el.eps_r, el.length, f, inc, loss_tangent=el.loss_tangent)
+    r, l, c = el.resistance, el.inductance, el.capacitance
+    return abcd_shunt(shunt_rl_admittance(r, l, f) if c is None else shunt_series_rlc_admittance(r, l, c, f))
+
+
 def reference_s(net, f, inc):
     out = None
     for el in net.elements:
-        m = el.abcd(f, inc)
+        m = leaf_matrix(el, f, inc)
         out = m if out is None else general_product(out, m)
     z = wave_impedance(inc.theta, inc.polarization)
     delta = out.a + out.b / z + out.c * z + out.d

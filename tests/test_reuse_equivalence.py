@@ -9,13 +9,17 @@ formed once per evaluator, into which each width's split kernels
 model, synthesis.fit_model, holds a HeldWork across its calls: each line's
 matrix, formed at the first call, each shunt branch's matrix, formed once
 per call, and the arrays that every call's admittances, products and s21
-are formed in.  These tests check every held result against
-network_smatrix, which evaluates each element afresh, bit for bit, count
-the element and kernel evaluations, check that nothing held goes stale,
-and bound what a width and a model call allocate.
+are formed in.  These tests check the width loop's and the fit's held
+results, bit for bit, against leaf_s21: each element formed afresh by the
+public leaf kernels, not by the HeldWork that every ladder is evaluated
+through, with the general chain product and Delta written out.  A sweep and
+a held condition are checked against network_smatrix with no held arrays.
+They also count the element and kernel evaluations, check that nothing held
+goes stale, and bound what a width and a model call allocate.
 """
 
 import contextlib
+import functools
 import json
 import math
 import tracemalloc
@@ -27,7 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsskit import builder, cli, synthesis
+from fsskit import builder, cli, synthesis, twoport
 from fsskit.analysis import FrequencyGrid, ResponseCurve, extract_metrics, network_smatrix, sweep_response
 from fsskit.builder import (
     DEFAULT_CALIBRATION,
@@ -47,13 +51,16 @@ from fsskit.twoport import (
     NORMAL,
     IncidenceCondition,
     Polarization,
+    SMatrix,
     TwoPortMatrix,
     abcd_delta,
     abcd_shunt,
+    abcd_tline,
     abcd_to_s,
     j_omega,
     rl_admittance,
     shunt_rl_admittance,
+    shunt_series_rlc_admittance,
     wave_impedance,
 )
 
@@ -205,8 +212,32 @@ def outcome(make_s21):
         return type(exc), str(exc)
 
 
+def leaf_matrix(el, f, inc):
+    """An element's chain matrix from the public leaf kernels, not through HeldWork."""
+    if isinstance(el, LineSegment):
+        return abcd_tline(el.eps_r, el.length, f, inc, loss_tangent=el.loss_tangent)
+    r, l, c = el.resistance, el.inductance, el.capacitance
+    return abcd_shunt(shunt_rl_admittance(r, l, f) if c is None else shunt_series_rlc_admittance(r, l, c, f))
+
+
+def general_product(m, n):
+    return TwoPortMatrix(a=m.a * n.a + m.b * n.c, b=m.a * n.b + m.b * n.d,
+                         c=m.c * n.a + m.d * n.c, d=m.c * n.b + m.d * n.d)
+
+
+def leaf_s21(net, f, inc):
+    """The ladder's s21 from its leaf_matrix elements, the general chain product
+    and Delta = a + b/z + c z + d written out, with abcd_to_s's error at Delta = 0."""
+    z = wave_impedance(inc.theta, inc.polarization)
+    m = functools.reduce(general_product, [leaf_matrix(el, f, inc) for el in net.elements])
+    delta = m.a + m.b / z + m.c * z + m.d
+    if np.any(delta == 0):
+        raise SingularNetworkError("singular network: a + b/z + c z + d = 0")
+    return 2.0 / delta
+
+
 def plain_s21(params, grid, inc):
-    return network_smatrix(build_network(params), grid.points, inc, reflections=False).s21
+    return leaf_s21(build_network(params), grid.points, inc)
 
 
 def evaluator(cal=DEFAULT_CALIBRATION, grid=GRID, inc=NORMAL):
@@ -379,12 +410,12 @@ def fit_problem(order, mirrored=True, inc=NORMAL, n=401):
 
 
 def plain_model(problem, work=None):
-    """fit_model's function with no held work: one network_smatrix of a new ladder per call."""
-    observed = problem.observed
+    """fit_model's function with no held work: the leaf_s21 of a new ladder per call."""
+    f, inc = problem.observed.freqs, problem.observed.incidence
 
     def model(values):
-        net = build_network(replace(problem.base, **values), mirrored=problem.mirrored)
-        return network_smatrix(net, observed.freqs, observed.incidence, reflections=False)
+        s21 = leaf_s21(build_network(replace(problem.base, **values), mirrored=problem.mirrored), f, inc)
+        return SMatrix(s11=None, s21=s21, s12=s21, s22=None, z_ref=wave_impedance(inc.theta, inc.polarization))
 
     return model
 
@@ -395,7 +426,7 @@ def test_a_fit_evaluates_each_line_phase_once(shape, element_evaluations):
     problem = fit_problem(order, mirrored, TM40)
     element_evaluations.clear()
     with mock.patch.object(builder, "tline_phase", wraps=builder.tline_phase) as phase, \
-            mock.patch.object(builder, "abcd_tline", wraps=builder.abcd_tline) as tline, \
+            mock.patch.object(twoport, "abcd_tline", wraps=twoport.abcd_tline) as tline, \
             mock.patch.object(synthesis, "network_smatrix", wraps=network_smatrix) as calls:
         result = fit_circuit(problem)
     assert result.converged and calls.call_count > 3
@@ -436,12 +467,12 @@ def test_a_held_matrix_is_never_given_back_to_the_arrays():
         drawn = [work.arrays.take() for _ in range(16)]
         entries = [x for m in held for x in (m.a, m.b, m.c, m.d) if isinstance(x, np.ndarray)]
         assert not any(x is y for x in drawn for y in entries + [s21])
-        assert _bits(s21) == _bits(network_smatrix(net, f, inc, reflections=False).s21)
+        assert _bits(s21) == _bits(leaf_s21(net, f, inc))
 
 
 def test_a_call_that_raises_mid_ladder_leaves_the_next_call_plain():
     problem = fit_problem(2, True, TM40)
-    held, plain = fit_model(problem), plain_model(problem)
+    held, plain = fit_model(problem, HeldWork(problem.observed.freqs)), plain_model(problem)
     col = np.linspace(0.97, 1.03, 7)[:, None]
     good = {name: value * col for name, value in START.items()}
     held(good)
@@ -458,11 +489,14 @@ def test_a_second_condition_forms_its_line_matrices_again():
     f = GRID.points
     work = HeldWork(f)
     te40 = IncidenceCondition(TM40.theta, Polarization.TE)
+    conditions = (TM40, TM40, te40, NORMAL, TM40)
+    # a plain call forms its lines too, so the references are formed before counting
+    want = [_bits(network_smatrix(net, f, inc, reflections=False).s21) for inc in conditions]
     with kernel_calls("tline_phase", "tline_matrix") as (phase, matrix):
-        for inc in (TM40, TM40, te40, NORMAL, TM40):
+        for inc, bits in zip(conditions, want):
             work.start(f.shape)
             s21 = network_smatrix(net, f, inc, reflections=False, work=work).s21
-            assert _bits(s21) == _bits(network_smatrix(net, f, inc, reflections=False).s21)
+            assert _bits(s21) == bits
     # spacer and air gap: a phase per angle, and a matrix at each change of condition
     assert (phase.call_count, matrix.call_count) == (2 * 2, 2 * 4)
 
@@ -518,7 +552,7 @@ def test_the_fit_model_has_the_bits_and_first_error_of_network_smatrix(circuit, 
     observed = ResponseCurve(freqs=f, s11=None, s21=np.ones(n, complex), incidence=inc)
     problem = FitProblem(observed=observed, base=base, free=tuple(free), initial={k: RANGES[k][1] for k in free},
                          bounds={k: RANGES[k] for k in free}, mirrored=mirrored)
-    held, plain = fit_model(problem), plain_model(problem)
+    held, plain = fit_model(problem, HeldWork(problem.observed.freqs)), plain_model(problem)
     # several calls on one model, with floats or (rows, 1) columns
     for rows, fractions in calls:
         values = call_values(free, rows, fractions)
@@ -539,7 +573,7 @@ def oblique_files(tmp_path_factory):
 
 def recorded(make_model, seen):
     """make_model with the s21 bits of each call appended to seen."""
-    def fit_model(problem, work=None):
+    def fit_model(problem, work):
         model = make_model(problem, work)
 
         def call(values):
@@ -580,7 +614,7 @@ def test_a_model_call_after_the_first_allocates_under_112_kib():
     buffers numpy's iterator makes for a broadcast operand (45 KiB each, two
     at once)."""
     problem = fit_problem(2, True, TM40, n=401)
-    model = fit_model(problem)
+    model = fit_model(problem, HeldWork(problem.observed.freqs))
     col = np.linspace(0.97, 1.03, 7)[:, None]
     model({name: value * col for name, value in START.items()})
     for scale in (1.0, 1.01, 0.99):

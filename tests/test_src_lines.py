@@ -1,4 +1,4 @@
-"""tools/src_lines.py: every line of a module is code or prose, once."""
+"""tools/src_lines.py: every line of a module is code or prose, once, and a\ncomparison with a revision lists every module of either side."""
 
 import importlib.util
 from pathlib import Path
@@ -46,3 +46,18 @@ def g(): """one line: the def is code"""
 def test_docstrings_comments_and_blanks_are_prose():
     # code: import, class, def f, the return's 2 lines, def g
     assert src_lines.count(SAMPLE) == (18, 6, 12)
+
+
+def test_a_comparison_lists_each_module_of_either_side_and_the_total():
+    before = {"a.py": (10, 6, 4), "gone.py": (5, 3, 2)}
+    after = {"new.py": (7, 4, 3), "a.py": (8, 6, 2)}
+    assert src_lines.compare(before, after) == [
+        ("a.py", (10, 6, 4), (8, 6, 2), (-2, 0, -2)),
+        ("gone.py", (5, 3, 2), (0, 0, 0), (-5, -3, -2)),
+        ("new.py", (0, 0, 0), (7, 4, 3), (7, 4, 3)),
+        ("total", (15, 9, 6), (15, 10, 5), (0, 1, -1)),
+    ]
+
+
+def test_a_comparison_of_nothing_is_a_zero_total():
+    assert src_lines.compare({}, {}) == [("total", (0, 0, 0), (0, 0, 0), (0, 0, 0))]

@@ -25,6 +25,7 @@ from fsskit.builder import (
     DEFAULT_CALIBRATION,
     DEFAULT_GEOMETRY,
     CircuitParams,
+    HeldWork,
     build_network,
     build_second_order,
 )
@@ -36,6 +37,7 @@ from fsskit.synthesis import (
     SynthesizedLC,
     aligned_start,
     fit_circuit,
+    fit_model,
     loss_budget_for_q,
     synthesize_lc,
     width_for_bandwidth,
@@ -548,12 +550,17 @@ def test_a_step_tolerance_stop_inside_the_box_is_converged():
         assert value == pytest.approx(getattr(truth, name), rel=1e-9)
 
 
+def model_of(problem):
+    """The fit_model of problem on a HeldWork of its own."""
+    return fit_model(problem, HeldWork(problem.observed.freqs))
+
+
 def test_aligned_start_moves_the_model_passband_onto_the_observed_one():
     truth = reference_truth()
     observed = observed_curve(truth)
     start = {"L": truth.L * 0.7, "L1": truth.L1 * 0.7, "C1": truth.C1 * 0.7}
     problem = FitProblem(observed=observed, base=truth, free=tuple(start), initial=start, bounds=BOUNDS)
-    aligned = aligned_start(problem)
+    aligned = aligned_start(problem, model_of(problem))
     assert aligned["C1"] == start["C1"]
     assert aligned["L1"] / aligned["L"] == pytest.approx(start["L1"] / start["L"], rel=1e-12)
     model = observed_curve(replace(truth, **aligned))
@@ -565,7 +572,7 @@ def test_aligned_start_scales_c1_when_neither_inductance_is_free():
     problem = FitProblem(observed=observed_curve(truth), base=truth, free=("C1", "R"),
                          initial={"C1": truth.C1 * 0.7, "R": 0.1},
                          bounds={"C1": BOUNDS["C1"], "R": (0.0, 2.0)})
-    aligned = aligned_start(problem)
+    aligned = aligned_start(problem, model_of(problem))
     assert aligned["R"] == 0.1
     assert aligned["C1"] == pytest.approx(truth.C1, rel=1e-2)
 
@@ -586,7 +593,7 @@ def test_aligned_start_keeps_the_start_it_cannot_align(free, grid):
     problem = FitProblem(observed=sweep_response(build_second_order(truth), grid, NORMAL),
                          base=truth, free=free, initial=start,
                          bounds={name: bounds[name] for name in free})
-    assert aligned_start(problem) == start
+    assert aligned_start(problem, model_of(problem)) == start
 
 
 def test_aligned_start_is_clipped_into_the_bounds():
@@ -595,7 +602,7 @@ def test_aligned_start_is_clipped_into_the_bounds():
     bounds = {"L": (0.5e-9, truth.L * 0.8), "L1": (0.3e-9, truth.L1 * 0.8)}
     problem = FitProblem(observed=observed_curve(truth), base=truth, free=tuple(start),
                          initial=start, bounds=bounds)
-    assert aligned_start(problem) == {"L": bounds["L"][1], "L1": bounds["L1"][1]}
+    assert aligned_start(problem, model_of(problem)) == {"L": bounds["L"][1], "L1": bounds["L1"][1]}
 
 
 class TestSynthesizedType:
