@@ -9,7 +9,7 @@ import numpy as np
 
 from .builder import HeldWork, LayeredNetwork
 from .errors import BandNotBracketedError, DomainError, OneSidedBandError
-from .twoport import NORMAL, IncidenceCondition, SMatrix, abcd_to_s, wave_impedance
+from .twoport import NORMAL, IncidenceCondition, SMatrix, abcd_to_s, all_finite, wave_impedance
 
 #: Magnitudes are floored here before taking logs so dB values stay finite.
 _DB_FLOOR = 1e-300
@@ -86,7 +86,7 @@ class ResponseCurve:
             freqs = np.asarray(self.freqs, dtype=float)
             if freqs.ndim != 1 or freqs.size < 1:
                 raise DomainError("a response curve needs a 1-D grid of frequencies")
-            if not np.all(np.isfinite(freqs)):
+            if not all_finite(freqs):
                 raise DomainError("freqs contains non-finite samples")
             if np.any(np.diff(freqs) <= 0):
                 raise DomainError("curve frequencies must be strictly increasing")
@@ -99,7 +99,7 @@ class ResponseCurve:
             object.__setattr__(self, name, v)
             if v.shape != freqs.shape:
                 raise DomainError(f"{name} sample count does not match the grid")
-            if not np.all(np.isfinite(v)):
+            if not all_finite(v):
                 raise DomainError(f"{name} contains non-finite samples")
 
     def __len__(self) -> int:

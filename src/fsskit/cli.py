@@ -383,14 +383,16 @@ def parse_config(text: str) -> RunConfig:
 
 def _write_response_csv(path: Path, curves: Sequence[ResponseCurve]) -> None:
     header = ["f_ghz"]
-    columns = [curves[0].freqs / 1e9]
-    for curve in curves:
+    table = np.empty((len(curves[0]), 1 + 2 * len(curves)))
+    np.divide(curves[0].freqs, 1e9, out=table[:, 0])
+    for i, curve in enumerate(curves):
         token = _condition_token(curve.incidence)
         header += [f"s11_db_{token}", f"s21_db_{token}"]
-        columns += [np.maximum(_db(np.abs(s)), -200.0) for s in (curve.s11, curve.s21)]
+        for j, s in enumerate((curve.s11, curve.s21), start=1 + 2 * i):
+            np.maximum(_db(np.abs(s)), -200.0, out=table[:, j])
     with create(path) as fh:
         fh.write((",".join(header) + "\n").encode())
-        fh.writelines(format_g12(np.column_stack(columns)))
+        fh.writelines(format_g12(table))
 
 
 _METRIC_FIELDS = (

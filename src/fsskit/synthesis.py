@@ -34,7 +34,9 @@ from .errors import (
     InfeasibleTargetError,
     OneSidedBandError,
 )
-from .twoport import NORMAL, IncidenceCondition, SMatrix, abcd_delta, abcd_shunt, j_omega, rl_admittance, wave_impedance
+from .twoport import (
+    NORMAL, IncidenceCondition, SMatrix, abcd_delta, abcd_shunt, all_finite, j_omega, rl_admittance, wave_impedance
+)
 
 
 @dataclass(frozen=True)
@@ -362,7 +364,7 @@ def aligned_start(problem: FitProblem, model: Callable[[Mapping[str, object]], S
         return start
     observed = problem.observed
     s21 = model(start).s21
-    if not np.isfinite(s21).all():
+    if not all_finite(s21):
         return start
     curve = ResponseCurve(freqs=observed.freqs, s11=None, s21=s21, incidence=observed.incidence)
     try:
@@ -440,7 +442,7 @@ def fit_circuit(problem: FitProblem) -> FitResult:
         return res[0], np.ascontiguousarray(((res[1:] - res[0]) / (t - u_vec)[:, None]).T)
 
     r, jac = evaluate(u)
-    if not (np.isfinite(r).all() and np.isfinite(jac).all()):
+    if not (all_finite(r) and all_finite(jac)):
         raise DomainError("the model's |s21| is not finite at the fit's start")
     cost = float(r @ r)
     lam = 1e-3

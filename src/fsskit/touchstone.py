@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .analysis import ResponseCurve
 from .errors import DomainError, TouchstoneError
-from .twoport import ETA0, IncidenceCondition, Polarization
+from .twoport import ETA0, IncidenceCondition, Polarization, all_finite
 
 _UNIT_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
@@ -454,7 +454,7 @@ def _parse_at_once(body: list[str], mult: float) -> np.ndarray | None:
     except ValueError:
         return None
     freqs = fields[:, 0] * mult
-    ok = fields.shape[1] == 9 and np.isfinite(fields).all() and (freqs >= 0).all()
+    ok = fields.shape[1] == 9 and all_finite(fields) and (freqs >= 0).all()
     return fields if ok and (freqs[1:] > freqs[:-1]).all() else None
 
 

@@ -18,6 +18,8 @@ bit-identical to the general formulas.  A caller that reads only s21
 asks abcd_to_s for it alone with reflections=False.  The parts of the
 kernels take out= arrays, so a loop can form each result in arrays it
 holds, its own or a HeldArrays; the general kernels call the same parts.
+Every array guard of the package, a finiteness or an exact-zero test, goes
+through all_finite or any_zero.
 """
 
 from __future__ import annotations
@@ -69,6 +71,39 @@ def everywhere(cond) -> bool:
     them.  A plain bool is returned as is, which keeps scalar checks cheap.
     """
     return cond if cond.__class__ is bool else bool(cond.all())
+
+
+def _parts(z):
+    """The float64 view of z when z is a C-contiguous complex128 array of one or
+    more dimensions, else None.  numpy tests float64 with SIMD loops and complex128
+    element by element; a 0-d array has no float view."""
+    if z.dtype == np.complex128 and z.ndim and z.flags.c_contiguous:
+        return z.view(np.float64)
+    return None
+
+
+def all_finite(z) -> bool:
+    """np.isfinite(z).all() of the numpy array or scalar z, as a bool.
+
+    A complex value is finite when both its parts are, so a C-contiguous
+    complex128 array is tested through its float64 view.  Any other z, such as
+    a 0-d, real or strided array, is tested as it is.
+    """
+    parts = _parts(z)
+    return bool(np.isfinite(z if parts is None else parts).all())
+
+
+def any_zero(z) -> bool:
+    """np.any(z == 0) of the numpy array or scalar z, as a bool.
+
+    A complex value is 0 only when both its parts are (either sign), so a
+    C-contiguous complex128 array none of whose float64 parts is 0 has no
+    zero; when one part is 0, or z is any other array, z == 0 is tested.
+    """
+    parts = _parts(z)
+    if parts is not None and not (parts == 0).any():
+        return False
+    return bool(np.any(z == 0))
 
 
 #: Normal incidence.  TE and TM produce identical results at theta = 0.
@@ -249,7 +284,7 @@ def wave_impedance(theta: float, pol: Polarization) -> float:
 def abcd_shunt(admittance: complex | np.ndarray) -> ShuntMatrix:
     """Chain matrix [[1, 0], [Y, 1]] of a shunt branch with admittance Y."""
     y = np.asarray(admittance, dtype=complex)
-    if not np.all(np.isfinite(y)):
+    if not all_finite(y):
         raise DomainError("shunt admittance must be finite")
     return ShuntMatrix(a=1.0, b=0.0, c=y, d=1.0)
 
@@ -265,16 +300,19 @@ def shunt_series_rlc_admittance(r1, l1, c1, f):
 
 def rlc_admittance(r, l, c, jw, out=(None, None)):
     """1/(r + jw l + 1/(jw c)), with an exact zero impedance clamped to
-    SHORT_ADMITTANCE.  out names the arrays for Y and for 1/(jw c)."""
+    SHORT_ADMITTANCE.  out names the arrays for Y and for 1/(jw c); Y is formed in
+    out[0] if given, shorted or not."""
     if not (everywhere(r >= 0) and everywhere(l > 0) and everywhere(c > 0)):
         raise DomainError("series RLC branch requires r1 >= 0, l1 > 0, c1 > 0")
     y, inv = out
     z = np.add(np.add(r, np.multiply(jw, l, out=y), out=y),
                np.divide(1, np.multiply(jw, c, out=inv), out=inv), out=y)
-    shorted = z == 0
-    if not np.any(shorted):
+    if not any_zero(z):
         return np.divide(1.0, z, out=y)
-    return np.where(shorted, SHORT_ADMITTANCE + 0j, 1.0 / np.where(shorted, 1.0, z))
+    shorted = z == 0
+    y = np.divide(1.0, z, out=np.empty(np.shape(z), complex) if y is None else y, where=~shorted)
+    y[shorted] = SHORT_ADMITTANCE
+    return y
 
 
 def j_omega(f):
@@ -397,6 +435,6 @@ def abcd_delta(a, bz, cz, d, out=None):
     """Delta = a + b/z + c z + d from b/z and c z, formed in out if given;
     SingularNetworkError where it is 0."""
     delta = np.add(np.add(np.add(a, bz, out=out), cz, out=out), d, out=out)
-    if np.any(delta == 0):
+    if any_zero(delta):
         raise SingularNetworkError("singular network: a + b/z + c z + d = 0")
     return delta

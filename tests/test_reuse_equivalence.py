@@ -10,10 +10,11 @@ model, synthesis.fit_model, holds a HeldWork across its calls: each line's
 matrix, formed at the first call, each shunt branch's matrix, formed once
 per call, and the arrays that every call's admittances, products and s21
 are formed in.  These tests check the width loop's and the fit's held
-results, bit for bit, against leaf_s21: each element formed afresh by the
-public leaf kernels, not by the HeldWork that every ladder is evaluated
-through, with the general chain product and Delta written out.  A sweep and
-a held condition are checked against network_smatrix with no held arrays.
+results and a sweep's, bit for bit, against leaf_s: each element formed
+afresh by the public leaf kernels, not by the HeldWork that every ladder is
+evaluated through, with the general chain product and abcd_to_s's formulas
+written out.  A held condition is checked against network_smatrix with no
+held arrays.
 They also count the element and kernel evaluations, check that nothing held
 goes stale, and bound what a width and a model call allocate.
 """
@@ -115,9 +116,8 @@ def test_sweep_evaluates_each_distinct_element_once(shape, inc, element_evaluati
     # elements, 4 of them distinct, and the kernels form each distinct one once
     assert list(map(id, element_evaluations)) == list(map(id, net.elements))
     assert [spy.call_count for spy in spies] == [1, 1, order, order]
-    want = network_smatrix(net, GRID.points, inc)
-    for name in ("s11", "s21", "s22"):
-        assert _bits(getattr(curve, name)) == _bits(getattr(want, name)), name
+    for name, want in zip(("s11", "s21", "s22"), leaf_s(net, GRID.points, inc)):
+        assert _bits(getattr(curve, name)) == _bits(want), name
 
 
 def assert_ring_and_spacer_once(calls, params):
@@ -225,15 +225,19 @@ def general_product(m, n):
                          c=m.c * n.a + m.d * n.c, d=m.c * n.b + m.d * n.d)
 
 
-def leaf_s21(net, f, inc):
-    """The ladder's s21 from its leaf_matrix elements, the general chain product
-    and Delta = a + b/z + c z + d written out, with abcd_to_s's error at Delta = 0."""
+def leaf_s(net, f, inc):
+    """The ladder's (s11, s21, s22) from its leaf_matrix elements, the general chain
+    product and abcd_to_s's formulas written out, with its error at Delta = 0."""
     z = wave_impedance(inc.theta, inc.polarization)
     m = functools.reduce(general_product, [leaf_matrix(el, f, inc) for el in net.elements])
     delta = m.a + m.b / z + m.c * z + m.d
     if np.any(delta == 0):
         raise SingularNetworkError("singular network: a + b/z + c z + d = 0")
-    return 2.0 / delta
+    return (m.a + m.b / z - m.c * z - m.d) / delta, 2.0 / delta, (-m.a + m.b / z - m.c * z + m.d) / delta
+
+
+def leaf_s21(net, f, inc):
+    return leaf_s(net, f, inc)[1]
 
 
 def plain_s21(params, grid, inc):

@@ -17,6 +17,8 @@ from fsskit.twoport import (
     abcd_tline,
     abcd_to_s,
     cascade,
+    j_omega,
+    rlc_admittance,
     shunt_rl_admittance,
     shunt_series_rlc_admittance,
     wave_impedance,
@@ -112,6 +114,18 @@ class TestSeriesRlcBranch:
         y = shunt_series_rlc_admittance(0.0, 2.0, 0.5, f)
         assert y[1] == SHORT_ADMITTANCE
         assert np.all(np.isfinite(y))
+
+    def test_held_short_guard(self):
+        from fsskit.twoport import SHORT_ADMITTANCE
+
+        f = np.array([0.5, 1.0, 2.0]) / (2 * math.pi)
+        jw = j_omega(f)
+        out = (np.empty(3, complex), np.empty(3, complex))
+        y = rlc_admittance(0.0, 2.0, 0.5, jw, out=out)
+        assert y is out[0]
+        want = 1.0 / (0.0 + jw * 2.0 + 1 / (jw * 0.5))[[0, 2]]
+        assert y[1] == SHORT_ADMITTANCE and y[[0, 2]].tobytes() == want.tobytes()
+        assert y.tobytes() == shunt_series_rlc_admittance(0.0, 2.0, 0.5, f).tobytes()
 
     def test_dc_rejected(self):
         with pytest.raises(DomainError):
