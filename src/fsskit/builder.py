@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .twoport import (
     NORMAL,
@@ -188,17 +190,21 @@ class HeldWork:
       kept by the line's value until a line is asked for at another
       condition, the phase by value and angle.  So a fit, in which no
       fittable value changes a line, forms each once;
-    - arrays (None if arrays=False): the HeldArrays that a call's admittances,
-      from jw = j_omega(f), products and s21 are formed in.  start(shape)
+    - arrays (None if arrays=False): the HeldArrays that jw = j_omega(f), the
+      lines' phases and matrices (arrays kept for the whole loop) and a
+      call's admittances, products and s21 are formed in.  start(shape)
       begins a call, after which what the last call returned is overwritten.
       TwoPortMatrix.times never gives a held matrix's entries back to them.
       With no arrays, an admittance is shunt_rl_admittance or
       shunt_series_rlc_admittance on f.
+    forget(keep) drops every element held and frees their arrays, apart from
+    keep's entries, which are kept for the rest of the loop.
     """
 
     def __init__(self, f, arrays: bool = True):
-        self.f, self.jw = f, j_omega(f) if arrays else None
+        self.f = f
         self.arrays = HeldArrays() if arrays else None
+        self.jw = j_omega(f, out=self.arrays.keep(np.shape(f))) if arrays else None
         self._phases: dict = {}
         self._shunts: dict[int, tuple[ShuntBranch, TwoPortMatrix]] = {}  # by id
         self._inc, self._lines = None, {}
@@ -225,13 +231,45 @@ class HeldWork:
 
     def line(self, line: LineSegment, inc: IncidenceCondition) -> TwoPortMatrix:
         if inc != self._inc:
-            self._inc, self._lines = inc, {}
+            self._let_go_lines()
+            self._inc = inc
         if line not in self._lines:
             key = (line, inc.theta)
             if key not in self._phases:
-                self._phases[key] = tline_phase(line.eps_r, line.length, self.f, inc.theta, line.loss_tangent)
-            self._lines[line] = tline_matrix(self._phases[key], line.eps_r, inc.polarization)
+                out = self._kept(line) if line.loss_tangent > 0 else (None, None)
+                self._phases[key] = tline_phase(line.eps_r, line.length, self.f, inc.theta, line.loss_tangent, out)
+            self._lines[line] = tline_matrix(self._phases[key], line.eps_r, inc.polarization, self._kept(line))
         return self._lines[line]
+
+    def forget(self, keep: TwoPortMatrix) -> None:
+        """Drop every element held.  keep, a product of them that the caller
+        holds from here on, is kept for the rest of the loop (HeldArrays.hold);
+        each other array the elements were formed in is free again
+        (HeldArrays.let_go)."""
+        entries = (keep.a, keep.b, keep.c, keep.d)
+        held = set(map(id, entries))
+        formed = [m.c for _, m in self._shunts.values()] + [x for p in self._phases.values() for x in p[:2]]
+        formed += [x for m in self._lines.values() for x in (m.b, m.c)]
+        self.arrays.hold(*entries)
+        self.arrays.let_go(*(x for x in formed if id(x) not in held))
+        self._shunts.clear()
+        self._phases.clear()
+        self._inc, self._lines = None, {}
+
+    def _kept(self, line: LineSegment) -> tuple:
+        """Two arrays of the line's shape kept from the arrays, or (None, None) with no arrays."""
+        if self.arrays is None:
+            return None, None
+        shape = np.shape(self.f)
+        if np.ndim(line.length):
+            shape = np.broadcast_shapes(shape, np.shape(line.length))
+        return self.arrays.keep(shape), self.arrays.keep(shape)
+
+    def _let_go_lines(self) -> None:
+        """Drop the line matrices held; their b and c are free again."""
+        if self.arrays is not None and self._lines:
+            self.arrays.let_go(*(x for m in self._lines.values() for x in (m.b, m.c)))
+        self._inc, self._lines = None, {}
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .errors import (
     OneSidedBandError,
 )
 from .twoport import (
-    NORMAL, IncidenceCondition, SMatrix, abcd_delta, abcd_shunt, all_finite, j_omega, rl_admittance, wave_impedance
+    NORMAL, IncidenceCondition, SMatrix, abcd_delta, abcd_shunt, all_finite, rl_admittance, wave_impedance
 )
 
 
@@ -125,6 +125,7 @@ def width_evaluator(
     c1: float,
     grid: FrequencyGrid,
     inc: IncidenceCondition,
+    work: HeldWork | None = None,
 ) -> Callable[[float], PassbandMetrics]:
     """Passband metrics of the first-order cell as a function of its strip width.
 
@@ -132,20 +133,29 @@ def width_evaluator(
     geometry, with every other dimension, the calibration, l1 and c1 fixed,
     and sweeps s21 on grid at inc.  Only the grid branch depends on w, so
     the ring and the spacer are evaluated here, at geometry's own width,
-    and the evaluator holds their product, its b/z, jw = 2 pi j f and two
-    complex buffers.  Each width writes y, the shunt update, c z, Delta and
-    s21 = 2/Delta into those buffers with the kernels that network_smatrix
-    calls, in their operand order, so the s21 is bit-identical to
-    network_smatrix(build_network(params), grid.points, inc,
-    reflections=False).s21.  A width outside (0, period) raises the
-    DomainError of GeometryParams.
+    through work, a HeldWork on grid.points that serves this evaluator alone
+    (a new one if None).  Every grid-sized array is formed in the work's
+    arrays: jw, the ring and spacer, and their product, its b/z and two
+    buffers, which the evaluator keeps (HeldArrays.keep), so that no start()
+    of the work frees them; the rest of the elements' arrays are freed
+    (HeldWork.forget) and taken up by the last three.  Each width
+    writes y, the shunt update, c z, Delta and s21 = 2/Delta into the
+    buffers with the kernels that network_smatrix calls, in their operand
+    order, so the s21 is bit-identical to network_smatrix(build_network(
+    params), grid.points, inc, reflections=False).s21.  The caller that
+    passes work releases its arrays once the evaluator is no longer called.
+    A width outside (0, period) raises the DomainError of GeometryParams.
     """
     f = grid.points
     z_ref = wave_impedance(inc.theta, inc.polarization)
+    work = work or HeldWork(f)
+    work.start(f.shape)
+    arrays = work.arrays
     ring, line, _ = build_network(params_from_geometry(geometry, cal, l1, c1)).elements
-    head = ring.abcd(f, inc) @ line.abcd(f, inc)
-    bz, jw = head.b / z_ref, j_omega(f)
-    y, a = np.empty_like(jw), np.empty_like(jw)
+    head = ring.abcd(f, inc, work).times(line.abcd(f, inc, work), arrays)
+    work.forget(keep=head)
+    bz, jw = np.divide(head.b, z_ref, out=arrays.keep(f.shape)), work.jw
+    y, a = arrays.keep(f.shape), arrays.keep(f.shape)
 
     def metrics_at(w: float) -> PassbandMetrics:
         params = params_from_geometry(replace(geometry, strip_width=w), cal, l1, c1)
@@ -186,13 +196,28 @@ def width_for_bandwidth(
     passband over the whole width range.  Relies on the fractional
     bandwidth being strictly decreasing in w.  Raises InfeasibleTargetError
     (reporting the achievable range) when the target is not within
-    FBW_TOL of [fbw(w_max), fbw(w_min)].
+    FBW_TOL of [fbw(w_max), fbw(w_min)].  The evaluator's arrays are
+    handed on (HeldArrays.release) when the search ends, as a fit's are.
     """
     check_width_range(w_range, geometry.period)
-    w_lo, w_hi = w_range
     grid = _auto_grid(geometry, cal, l1, c1, w_range)
-    metrics_at = width_evaluator(geometry, cal, l1, c1, grid, NORMAL)
+    work = HeldWork(grid.points)
+    try:
+        return _search_width(fbw_target, width_evaluator(geometry, cal, l1, c1, grid, NORMAL, work),
+                             geometry, cal, w_range)
+    finally:
+        work.arrays.release()  # for the next width loop in this process
 
+
+def _search_width(
+    fbw_target: float,
+    metrics_at: Callable[[float], PassbandMetrics],
+    geometry: GeometryParams,
+    cal: CalibrationConstants,
+    w_range: tuple[float, float],
+) -> float:
+    """width_for_bandwidth's search, with its width evaluator."""
+    w_lo, w_hi = w_range
     fbw_max = metrics_at(w_lo).fbw
     if w_lo == w_hi:
         if abs(fbw_max - fbw_target) < FBW_TOL:
@@ -394,7 +419,8 @@ def fit_circuit(problem: FitProblem) -> FitResult:
     batch of 1 + k rows, so a fit makes one model call per trial step, and
     an accepted step already has its Jacobian.
     All model calls share one HeldWork (fit_model), whose arrays the fit
-    releases for the next fit in the process when it ends.
+    releases for the next fit in the process when it ends, also when it
+    raises.
     A step delta the box does not cut moves a free L, L1 or C1 to
     u exp(delta / u), along its logarithm, as the resonances
     w^2 (L + L1) C1 = 1 and w^2 L1 C1 = 1 do, when that point lies inside
@@ -410,7 +436,14 @@ def fit_circuit(problem: FitProblem) -> FitResult:
     calls, aligned_start's included, and the rejected trial steps.
     """
     work = HeldWork(problem.observed.freqs)
-    held_model = fit_model(problem, work)
+    try:
+        return _fit(problem, fit_model(problem, work))
+    finally:
+        work.arrays.release()  # for the next fit in this process, also after an error
+
+
+def _fit(problem: FitProblem, held_model: Callable[[Mapping[str, object]], SMatrix]) -> FitResult:
+    """fit_circuit's damped least squares, with its model."""
     calls = 0
 
     def model(values: Mapping[str, object]) -> SMatrix:
@@ -502,7 +535,6 @@ def fit_circuit(problem: FitProblem) -> FitResult:
     if converged and flat and cost > 0:
         converged = False
         message = f"no sensitivity to {', '.join(flat)} where the fit stopped (Jacobian column 0)"
-    work.arrays.release()  # for the next fit in this process
     # a value the box holds is its bound bit for bit, which (bound / scale) * scale need not be
     values = np.where(u == lo, box[0], np.where(u == hi, box[1], np.clip(u * scale, *box)))
     return FitResult(

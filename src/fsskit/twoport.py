@@ -16,8 +16,9 @@ on the right, (a, b, c + Y a, d + Y b) with it on the left.  abcd_to_s
 forms b/z and c z once for its three sums.  All keep the final S
 bit-identical to the general formulas.  A caller that reads only s21
 asks abcd_to_s for it alone with reflections=False.  The parts of the
-kernels take out= arrays, so a loop can form each result in arrays it
-holds, its own or a HeldArrays; the general kernels call the same parts.
+kernels, and j_omega, tline_phase and tline_matrix, take out= arrays, so a
+loop can form each result in arrays it holds, its own or a HeldArrays; the
+general kernels call the same parts.
 Every array guard of the package, a finiteness or an exact-zero test, goes
 through all_finite or any_zero.
 """
@@ -202,31 +203,59 @@ def _mul(x, y, out):
     return x * y if out is None else np.multiply(x, y, out=out)
 
 
+def _div(x, y, out):
+    """x / y, formed in out if given; with no out it is the operator, as in _mul."""
+    return x / y if out is None else np.divide(x, y, out=out)
+
+
 def _unheld():
     """No array: each kernel allocates its result."""
     return None
 
 
-#: Arrays that a released HeldArrays handed on, by shape, for the next one
-#: to take up, so that a process that fits again and again makes them once.
-#: Each kernel overwrites an array it takes, so no value carries over.
+#: Arrays that released HeldArrays handed on, by shape, for the next ones to
+#: take up, so that a process that runs the same loop again and again makes
+#: them once.  Each kernel overwrites an array it takes, so no value carries
+#: over.  They total at most twice HeldArrays.largest bytes (HeldArrays.release).
 _SPARES: dict[tuple[int, ...], list[np.ndarray]] = {}
+
+
+def _spare(shape: tuple[int, ...]) -> np.ndarray:
+    """An array of shape from _SPARES, or a new one whose data starts on a 64-byte
+    boundary.  numpy aligns complex data to 16 bytes only, and the width loop's
+    kernels run about 6% slower over data 16 bytes off a 32-byte boundary; a
+    held array keeps its address for the life of the process."""
+    try:
+        return _SPARES[shape].pop()
+    except (KeyError, IndexError):
+        size = math.prod(shape)
+        block = np.empty(size + 4, complex)
+        start = -block.ctypes.data % 64 // 16
+        return block[start:start + size].reshape(shape)
 
 
 class HeldArrays:
     """Complex arrays that the calls of a loop over ladders reuse, one shape per call.
 
-    start(shape) begins a call: every array of that shape is free again, so
-    what the last call returned is overwritten from here on.  take() hands
-    out a free array, taken from _SPARES or made on first need;
-    give(*entries) takes back those of them that are its own.  A call that
-    takes and gives as the last one did makes no array.  release() ends the
-    loop and hands every array on to _SPARES.
+    start(shape) begins a call: every array of that shape that take() handed
+    out is free again, so what the last call returned is overwritten from
+    here on.  take() hands out a free array, taken from _SPARES or made on
+    first need; give(*entries) takes back those of them that take() handed
+    out.  A call that takes and gives as the last one did makes no array.
+    keep(shape) hands out an array for the whole loop, for what the loop's
+    calls share, and hold(*entries) keeps those of entries that take() handed
+    out: neither start() nor give() frees a kept array, only let_go(*entries),
+    which frees kept and taken arrays alike.  release() ends the loop and
+    hands every array on to _SPARES.
     """
+
+    #: bytes of the largest set of arrays that one loop released
+    largest = 0
 
     def __init__(self):
         self.shape = None
-        self._made: dict[int, np.ndarray] = {}  # by id
+        self._made: dict[int, np.ndarray] = {}  # by id, what take() handed out
+        self._kept: dict[int, np.ndarray] = {}  # by id, what keep() handed out
         self._free: list[np.ndarray] = []
 
     def start(self, shape: tuple[int, ...]) -> None:
@@ -236,22 +265,54 @@ class HeldArrays:
     def take(self) -> np.ndarray:
         if self._free:
             return self._free.pop()
-        try:
-            x = _SPARES[self.shape].pop()
-        except (KeyError, IndexError):
-            x = np.empty(self.shape, complex)
+        x = _spare(self.shape)
         self._made[id(x)] = x
         return x
+
+    def keep(self, shape: tuple[int, ...]) -> np.ndarray:
+        if shape == self.shape and self._free:
+            x = self._free.pop()
+            del self._made[id(x)]
+        else:
+            x = _spare(shape)
+        self._kept[id(x)] = x
+        return x
+
+    def hold(self, *entries) -> None:
+        for x in entries:
+            if id(x) in self._made:
+                self._kept[id(x)] = self._made.pop(id(x))
 
     def give(self, *entries) -> None:
         self._free.extend(x for x in entries if id(x) in self._made)
 
+    def let_go(self, *entries) -> None:
+        """Free those of entries, distinct arrays in use, that it handed out,
+        kept or taken; one of the call's shape is taken again in this call."""
+        for x in entries:
+            if id(x) in self._kept:
+                self._made[id(x)] = self._kept.pop(id(x))
+        self._free.extend(x for x in entries if id(x) in self._made and x.shape == self.shape)
+
     def release(self) -> None:
-        """Hand every array on; what the calls returned must no longer be in use."""
-        _SPARES.clear()
-        for x in self._made.values():
+        """Hand every array on; what the calls returned must no longer be in use.
+
+        What other loops handed on and this one did not take up stays in
+        _SPARES up to the bytes of the largest set that one loop released,
+        its smallest arrays dropped first.  So _SPARES holds at most twice
+        that set, and a loop on a large grid keeps its set across loops on
+        smaller ones, as these keep theirs.
+        """
+        arrays = [*self._made.values(), *self._kept.values()]
+        HeldArrays.largest = max(HeldArrays.largest, sum(x.nbytes for x in arrays))
+        excess = sum(len(spares) * spares[0].nbytes for spares in _SPARES.values() if spares) - HeldArrays.largest
+        for shape in sorted(_SPARES, key=math.prod) if excess > 0 else ():
+            spares = _SPARES[shape]
+            while excess > 0 and spares:
+                excess -= spares.pop().nbytes
+        for x in arrays:
             _SPARES.setdefault(x.shape, []).append(x)
-        self._made, self._free = {}, []
+        self._made, self._kept, self._free = {}, {}, []
 
 
 @dataclass(frozen=True)
@@ -315,12 +376,12 @@ def rlc_admittance(r, l, c, jw, out=(None, None)):
     return y
 
 
-def j_omega(f):
-    """jw = 2 pi j f of the frequencies f, which must be positive."""
+def j_omega(f, out=None):
+    """jw = 2 pi j f of the frequencies f, which must be positive; formed in out if given."""
     f = np.asarray(f, dtype=float)
     if not np.all(f > 0):
         raise DomainError("frequency must be positive")
-    return 1j * 2 * np.pi * f
+    return _mul(1j * 2 * np.pi, f, out)
 
 
 def rl_admittance(r, l, jw, out=None):
@@ -356,10 +417,12 @@ def abcd_tline(
     return tline_matrix(tline_phase(eps_r, length, f, inc.theta, loss_tangent), eps_r, inc.polarization)
 
 
-def tline_phase(eps_r: float, length, f, theta: float, loss_tangent: float = 0.0):
+def tline_phase(eps_r: float, length, f, theta: float, loss_tangent: float = 0.0, out=(None, None)):
     """abcd_tline's checks and its (cosh gamma l, sinh gamma l) if the line is
     lossy, else (cos phi, sin phi), with q = sqrt(eps_r - sin^2 theta) and
-    whether sin^2 theta is 0."""
+    whether sin^2 theta is 0.  out names the complex arrays for a lossy line's
+    cosh and sinh, gamma l formed in the first; a lossless line's real pair is
+    formed anew."""
     if not eps_r > 0:
         raise DomainError(f"relative permittivity must be positive, got {eps_r}")
     if not everywhere(length >= 0):
@@ -379,18 +442,21 @@ def tline_phase(eps_r: float, length, f, theta: float, loss_tangent: float = 0.0
     q = math.sqrt(eps_r - s2)
     phi = (2 * np.pi * f / C0) * q * length
     if loss_tangent > 0.0:
-        gl = phi * (0.5 * loss_tangent + 1j)
-        return np.cosh(gl), np.sinh(gl), q, s2 == 0.0
+        gl = _mul(phi, 0.5 * loss_tangent + 1j, out[0])
+        odd = np.sinh(gl, out=out[1])
+        return np.cosh(gl, out=out[0]), odd, q, s2 == 0.0
     return np.cos(phi), np.sin(phi), q, s2 == 0.0
 
 
-def tline_matrix(phase, eps_r: float, pol: Polarization) -> TwoPortMatrix:
-    """abcd_tline's chain matrix at polarization pol, from its tline_phase."""
+def tline_matrix(phase, eps_r: float, pol: Polarization, out=(None, None)) -> TwoPortMatrix:
+    """abcd_tline's chain matrix at polarization pol, from its tline_phase;
+    out names the arrays for b and c."""
     even, odd, q, normal = phase  # cosh and sinh (complex) or cos and sin (real)
     z_eff = ETA0 / q if pol is Polarization.TE or normal else ETA0 * q / eps_r
+    b, c = out
     if np.iscomplexobj(even):
-        return TwoPortMatrix(a=even, b=z_eff * odd, c=odd / z_eff, d=even)
-    return TwoPortMatrix(a=even, b=1j * z_eff * odd, c=1j * odd / z_eff, d=even)
+        return TwoPortMatrix(a=even, b=_mul(z_eff, odd, b), c=_div(odd, z_eff, c), d=even)
+    return TwoPortMatrix(a=even, b=_mul(1j * z_eff, odd, b), c=_div(_mul(1j, odd, c), z_eff, c), d=even)
 
 
 def cascade(

@@ -4,19 +4,24 @@ sweep_response forms an element object that its ladder holds more than
 once, as the mirrored second-order stack does, only once.  The strip-width
 loop of sweep-w and width_for_bandwidth, synthesis.width_evaluator, holds
 more: the ring and spacer product, its b/z, jw and two complex buffers,
-formed once per evaluator, into which each width's split kernels
-(rl_admittance, TwoPortMatrix.shunt_right, abcd_delta) write.  A fit's
-model, synthesis.fit_model, holds a HeldWork across its calls: each line's
-matrix, formed at the first call, each shunt branch's matrix, formed once
-per call, and the arrays that every call's admittances, products and s21
-are formed in.  These tests check the width loop's and the fit's held
-results and a sweep's, bit for bit, against leaf_s: each element formed
-afresh by the public leaf kernels, not by the HeldWork that every ladder is
-evaluated through, with the general chain product and abcd_to_s's formulas
-written out.  A held condition is checked against network_smatrix with no
-held arrays.
+formed once per evaluator in the arrays of a HeldWork, into which each
+width's split kernels (rl_admittance, TwoPortMatrix.shunt_right,
+abcd_delta) write.  A fit's model, synthesis.fit_model, holds a HeldWork
+across its calls: jw and each line's phase and matrix, formed at the first
+call, each shunt branch's matrix, formed once per call, and the arrays that
+every call's admittances, products and s21 are formed in.  Across loops,
+sweep-w, width_for_bandwidth and fit_circuit hand their arrays on when they
+end, also when they raise, and the next loop takes them up.  These tests
+check the width loop's and the fit's held results and a sweep's, bit for
+bit, against leaf_s: each element formed afresh by the public leaf kernels,
+not by the HeldWork that every ladder is evaluated through, with the
+general chain product and abcd_to_s's formulas written out.  A held
+condition is checked against network_smatrix with no held arrays.  Fits
+and sweeps run in turn, on arrays the other handed on, are checked against
+fresh ones.
 They also count the element and kernel evaluations, check that nothing held
-goes stale, and bound what a width and a model call allocate.
+goes stale or is overwritten while it is held, and bound what a width, a
+model call, an evaluator after a released one and a fit after fits allocate.
 """
 
 import contextlib
@@ -244,8 +249,8 @@ def plain_s21(params, grid, inc):
     return leaf_s21(build_network(params), grid.points, inc)
 
 
-def evaluator(cal=DEFAULT_CALIBRATION, grid=GRID, inc=NORMAL):
-    return width_evaluator(DEFAULT_GEOMETRY, cal, L1, C1, grid, inc)
+def evaluator(cal=DEFAULT_CALIBRATION, grid=GRID, inc=NORMAL, work=None):
+    return width_evaluator(DEFAULT_GEOMETRY, cal, L1, C1, grid, inc, work)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -392,6 +397,136 @@ def test_ring_and_spacer_are_evaluated_once_per_evaluator(element_evaluations):
             pass
     assert_ring_and_spacer_once(
         element_evaluations, params_from_geometry(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, L1, C1))
+
+
+# ---------------------------------------------------------------------------
+# the width loop's arrays across loops
+
+
+@pytest.fixture
+def fresh_spares(monkeypatch):
+    """No array handed on yet, and no set released: what earlier tests left does not count."""
+    monkeypatch.setattr(twoport, "_SPARES", {})
+    monkeypatch.setattr(twoport.HeldArrays, "largest", 0, raising=False)
+    return twoport._SPARES
+
+
+WIDTHS = (2.2e-3, 0.6e-3, 1.4e-3)
+
+
+def released_sweep(grid, widths=WIDTHS, inc=NORMAL):
+    """evaluated_s21 at each width of an evaluator whose work is released at the end, as sweep-w does."""
+    work = HeldWork(grid.points)
+    try:
+        metrics_at = evaluator(grid=grid, inc=inc, work=work)
+        return [evaluated_s21(metrics_at, w) for w in widths]
+    finally:
+        work.arrays.release()
+
+
+def assert_same_results(got, want):
+    for (m, s21), (m_want, s21_want) in zip(got, want, strict=True):
+        assert m == m_want and _bits(s21) == _bits(s21_want)
+
+
+def shipped_width_for_bandwidth(fbw=0.25):
+    l1 = 1.0 / ((2 * math.pi * 5.1207263563633e9) ** 2 * C1)  # the shipped synthesize target
+    return width_for_bandwidth(fbw, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, l1, C1, (0.3e-3, 3.0e-3))
+
+
+@pytest.mark.parametrize("between", ["nothing", "width_for_bandwidth"])
+def test_an_evaluator_after_a_released_one_makes_no_grid_sized_array(fresh_spares, between):
+    """The second loop takes up the eight arrays (128 B per point) that the
+    first handed on, also after a width_for_bandwidth on its own 2001-point
+    grid; what is left is the spacer's real phase temporaries and extract_metrics."""
+    n = 20001
+    grid = FrequencyGrid(1e9, 5e9, n)
+    first = released_sweep(grid)
+    if between == "width_for_bandwidth":
+        shipped_width_for_bandwidth()
+    tracemalloc.start()
+    try:
+        again = released_sweep(grid, WIDTHS[:1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_results(again, first[:1])
+    assert peak / n < 40
+
+
+def test_a_fit_of_one_value_between_fits_of_three_leaves_their_arrays(fresh_spares):
+    """The (2, 401) set of the one-value fit is handed on beside the (4, 401)
+    set, so the next three-value fit makes none of its arrays again (about
+    420 KiB while release kept one set alone)."""
+    problem = fit_problem(2, True, TM40)
+    one = start_problem(problem.observed, problem.base, start={"C1": START["C1"]})
+    first = fit_circuit(problem)
+    fit_circuit(one)
+    tracemalloc.start()
+    try:
+        again = fit_circuit(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    assert peak < 320 * 1024
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_fit_that_raises_hands_its_arrays_on(fresh_spares):
+    problem = fit_problem(2, True, TM40)
+    fit_circuit(problem)
+    counts = {shape: len(spares) for shape, spares in fresh_spares.items()}
+    # 1/(jw C1) overflows, so the start's admittance is not finite
+    bad = replace(problem, initial={**problem.initial, "C1": 1e-320}, bounds={**problem.bounds, "C1": (1e-321, 4 * C1)})
+    with pytest.raises(DomainError, match="^shunt admittance must be finite$"):
+        fit_circuit(bad)
+    assert {shape: len(spares) for shape, spares in fresh_spares.items()} == counts
+
+
+@pytest.mark.parametrize("order", [("fit", "sweep", "fit"), ("sweep", "fit", "sweep")], ids="/".join)
+def test_fits_and_sweeps_in_turn_have_the_bits_of_fresh_ones(fresh_spares, order):
+    """The sweep's grid has the fit's 401 points, so each loop takes up the
+    (401,) arrays that the other handed on."""
+    problem = fit_problem(2, True, TM40)
+    grid = FrequencyGrid(1e9, 5e9, 401)
+    assert grid.points.shape == problem.observed.freqs.shape
+    want = {"fit": fit_circuit(problem)}
+    fresh_spares.clear()
+    want["sweep"] = released_sweep(grid, inc=TM40)
+    fresh_spares.clear()
+    for step in order:
+        if step == "fit":
+            assert fit_circuit(problem) == want["fit"]
+        else:
+            assert_same_results(released_sweep(grid, inc=TM40), want["sweep"])
+    assert fresh_spares[grid.points.shape]
+
+
+def test_no_start_of_an_evaluators_work_frees_what_it_holds():
+    grid = FrequencyGrid(1e9, 5e9, 2001)
+    want = [evaluated_s21(evaluator(grid=grid), w) for w in WIDTHS]
+    work = HeldWork(grid.points)
+    metrics_at = evaluator(grid=grid, work=work)
+    evaluated_s21(metrics_at, WIDTHS[0])
+    # every array of the grid's shape that a start frees, then new ones, overwritten
+    work.start(grid.points.shape)
+    for _ in range(16):
+        work.arrays.take().fill(np.nan)
+    assert_same_results([evaluated_s21(metrics_at, w) for w in WIDTHS], want)
+
+
+def test_no_call_of_a_fit_model_frees_its_lines_arrays():
+    """A call with float values has the (nf,) shape of the lines' arrays,
+    which stay held across it."""
+    problem = fit_problem(2, True, TM40)
+    work = HeldWork(problem.observed.freqs)
+    held, plain = fit_model(problem, work), plain_model(problem)
+    for scale in (1.0, 1.01, 0.99):
+        values = {name: value * scale for name, value in START.items()}
+        assert _bits(held(values).s21) == _bits(plain(values).s21)
+        for _ in range(16):  # what the next call's start frees, then new ones
+            work.arrays.take().fill(np.nan)
 
 
 # ---------------------------------------------------------------------------

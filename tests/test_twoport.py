@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from fsskit import twoport
 from fsskit.errors import DomainError, EvanescentModeError, SingularNetworkError
 from fsskit.twoport import (
     C0,
     ETA0,
     NORMAL,
+    HeldArrays,
     IncidenceCondition,
     Polarization,
     TwoPortMatrix,
@@ -21,6 +23,8 @@ from fsskit.twoport import (
     rlc_admittance,
     shunt_rl_admittance,
     shunt_series_rlc_admittance,
+    tline_matrix,
+    tline_phase,
     wave_impedance,
 )
 
@@ -395,3 +399,92 @@ class TestNetworkProperties:
             s_tm = abcd_to_s(m_tm, wave_impedance(0.0, TM))
             np.testing.assert_array_equal(s_te.s11, s_tm.s11)
             np.testing.assert_array_equal(s_te.s21, s_tm.s21)
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+class TestHeldForms:
+    """j_omega, tline_phase and tline_matrix with out= arrays, and the HeldArrays they come from."""
+
+    @pytest.mark.parametrize("length", [0.254e-3, np.array([[0.1e-3], [0.254e-3], [10e-3]])], ids=["1-D", "rows"])
+    @pytest.mark.parametrize("loss_tangent", [0.0009, 0.0])
+    @pytest.mark.parametrize("inc", [NORMAL, IncidenceCondition(math.radians(40.0), TE),
+                                     IncidenceCondition(math.radians(40.0), TM)], ids=["normal", "TE40", "TM40"])
+    def test_out_forms_have_the_bits_of_the_plain_ones(self, inc, loss_tangent, length):
+        f = np.linspace(1e9, 5e9, 2001)
+        shape = np.broadcast_shapes(f.shape, np.shape(length))
+        held = [np.full(shape, np.nan, complex) for _ in range(4)]
+        jw = np.full(f.shape, np.nan, complex)
+        assert j_omega(f, out=jw) is jw and _bits(jw) == _bits(j_omega(f))
+        plain = tline_phase(2.2, length, f, inc.theta, loss_tangent)
+        phase = tline_phase(2.2, length, f, inc.theta, loss_tangent, out=(held[0], held[1]))
+        assert [_bits(x) for x in phase[:2]] == [_bits(x) for x in plain[:2]]
+        assert phase[2:] == plain[2:]
+        if loss_tangent > 0:  # a lossless phase is real and formed anew
+            assert phase[0] is held[0] and phase[1] is held[1]
+        m = tline_matrix(phase, 2.2, inc.polarization, out=(held[2], held[3]))
+        want = tline_matrix(plain, 2.2, inc.polarization)
+        assert m.b is held[2] and m.c is held[3]
+        assert [_bits(x) for x in (m.a, m.b, m.c, m.d)] == [_bits(x) for x in (want.a, want.b, want.c, want.d)]
+        assert [_bits(x) for x in (want.a, want.b, want.c, want.d)] == [
+            _bits(x) for x in (lambda t: (t.a, t.b, t.c, t.d))(abcd_tline(2.2, length, f, inc, loss_tangent=loss_tangent))]
+
+    @pytest.fixture
+    def spares(self, monkeypatch):
+        monkeypatch.setattr(twoport, "_SPARES", {})
+        monkeypatch.setattr(HeldArrays, "largest", 0)
+        return twoport._SPARES
+
+    @pytest.mark.parametrize("shape", [(2001,), (4, 401), (20001,), ()])
+    def test_a_new_held_array_starts_on_a_64_byte_boundary(self, spares, shape):
+        arrays = HeldArrays()
+        arrays.start(shape)
+        for x in [arrays.take() for _ in range(5)] + [arrays.keep(shape) for _ in range(5)]:
+            assert x.shape == shape and x.dtype == complex and x.flags.c_contiguous
+            assert x.ctypes.data % 64 == 0
+
+    def test_a_kept_array_is_freed_by_let_go_alone(self, spares):
+        arrays = HeldArrays()
+        arrays.start((4,))
+        kept, taken = arrays.keep((4,)), arrays.take()
+        held = arrays.take()
+        arrays.hold(held)
+        arrays.give(kept, taken, held)  # give frees what take handed out, and nothing kept
+        arrays.start((4,))
+        assert arrays.take() is taken
+        fresh = arrays.take()
+        assert all(fresh is not x for x in (kept, held))
+        arrays.let_go(kept, held)
+        assert {id(arrays.take()), id(arrays.take())} == {id(kept), id(held)}
+        assert all(arrays.take() is not x for x in (kept, held, taken, fresh))
+
+    def test_a_kept_array_of_another_shape_is_free_from_the_next_start_of_its_shape(self, spares):
+        arrays = HeldArrays()
+        arrays.start((2, 4))
+        line = arrays.keep((4,))
+        arrays.let_go(line)
+        assert arrays.take().shape == (2, 4)
+        arrays.start((4,))
+        assert arrays.take() is line
+
+    def test_release_keeps_earlier_spares_up_to_the_largest_set_smallest_dropped_first(self, spares):
+        def loop(shape, count):
+            arrays = HeldArrays()
+            arrays.start(shape)
+            taken = [arrays.take() for _ in range(count)]
+            arrays.release()
+            return taken
+
+        big = loop((1000,), 3)
+        small = loop((100,), 2)
+        assert HeldArrays.largest == 3 * 1000 * 16
+        assert {k: len(v) for k, v in spares.items()} == {(1000,): 3, (100,): 2}
+        # a loop that takes no spare: what it leaves is over the bound by the (100,) set
+        loop((10,), 1)
+        assert {k: len(v) for k, v in spares.items() if v} == {(1000,): 3, (10,): 1}
+        assert all(any(x is y for y in spares[(1000,)]) for x in big)
+        assert not any(x is y for x in small for ys in spares.values() for y in ys)
+        # the large set is taken up again, and the small loops keep theirs beside it
+        assert all(any(x is y for y in big) for x in loop((1000,), 3))
