@@ -197,8 +197,8 @@ class HeldWork:
       TwoPortMatrix.times never gives a held matrix's entries back to them.
       With no arrays, an admittance is shunt_rl_admittance or
       shunt_series_rlc_admittance on f.
-    forget(keep) drops every element held and frees their arrays, apart from
-    keep's entries, which are kept for the rest of the loop.
+    forget(keep) drops every element held and frees every array apart from
+    jw and keep's entries, which are kept for the rest of the loop.
     """
 
     def __init__(self, f, arrays: bool = True):
@@ -231,8 +231,7 @@ class HeldWork:
 
     def line(self, line: LineSegment, inc: IncidenceCondition) -> TwoPortMatrix:
         if inc != self._inc:
-            self._let_go_lines()
-            self._inc = inc
+            self._inc, self._lines = inc, {}
         if line not in self._lines:
             key = (line, inc.theta)
             if key not in self._phases:
@@ -242,16 +241,10 @@ class HeldWork:
         return self._lines[line]
 
     def forget(self, keep: TwoPortMatrix) -> None:
-        """Drop every element held.  keep, a product of them that the caller
-        holds from here on, is kept for the rest of the loop (HeldArrays.hold);
-        each other array the elements were formed in is free again
-        (HeldArrays.let_go)."""
-        entries = (keep.a, keep.b, keep.c, keep.d)
-        held = set(map(id, entries))
-        formed = [m.c for _, m in self._shunts.values()] + [x for p in self._phases.values() for x in p[:2]]
-        formed += [x for m in self._lines.values() for x in (m.b, m.c)]
-        self.arrays.hold(*entries)
-        self.arrays.let_go(*(x for x in formed if id(x) not in held))
+        """Drop every element held.  jw and keep, a product of them that the
+        caller holds from here on, are kept for the rest of the loop; every
+        other array is free again (HeldArrays.hold_only)."""
+        self.arrays.hold_only(self.jw, keep.a, keep.b, keep.c, keep.d)
         self._shunts.clear()
         self._phases.clear()
         self._inc, self._lines = None, {}
@@ -260,16 +253,10 @@ class HeldWork:
         """Two arrays of the line's shape kept from the arrays, or (None, None) with no arrays."""
         if self.arrays is None:
             return None, None
-        shape = np.shape(self.f)
-        if np.ndim(line.length):
-            shape = np.broadcast_shapes(shape, np.shape(line.length))
+        shape, rows = np.shape(self.f), np.shape(line.length)
+        if rows:
+            shape = np.broadcast_shapes(shape, rows)
         return self.arrays.keep(shape), self.arrays.keep(shape)
-
-    def _let_go_lines(self) -> None:
-        """Drop the line matrices held; their b and c are free again."""
-        if self.arrays is not None and self._lines:
-            self.arrays.let_go(*(x for m in self._lines.values() for x in (m.b, m.c)))
-        self._inc, self._lines = None, {}
 
 
 @dataclass(frozen=True)

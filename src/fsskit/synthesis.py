@@ -125,7 +125,7 @@ def width_evaluator(
     c1: float,
     grid: FrequencyGrid,
     inc: IncidenceCondition,
-    work: HeldWork | None = None,
+    work: HeldWork,
 ) -> Callable[[float], PassbandMetrics]:
     """Passband metrics of the first-order cell as a function of its strip width.
 
@@ -133,22 +133,21 @@ def width_evaluator(
     geometry, with every other dimension, the calibration, l1 and c1 fixed,
     and sweeps s21 on grid at inc.  Only the grid branch depends on w, so
     the ring and the spacer are evaluated here, at geometry's own width,
-    through work, a HeldWork on grid.points that serves this evaluator alone
-    (a new one if None).  Every grid-sized array is formed in the work's
-    arrays: jw, the ring and spacer, and their product, its b/z and two
-    buffers, which the evaluator keeps (HeldArrays.keep), so that no start()
-    of the work frees them; the rest of the elements' arrays are freed
-    (HeldWork.forget) and taken up by the last three.  Each width
-    writes y, the shunt update, c z, Delta and s21 = 2/Delta into the
-    buffers with the kernels that network_smatrix calls, in their operand
-    order, so the s21 is bit-identical to network_smatrix(build_network(
-    params), grid.points, inc, reflections=False).s21.  The caller that
-    passes work releases its arrays once the evaluator is no longer called.
+    through work, a HeldWork on grid.points that serves this evaluator
+    alone.  Every grid-sized array is formed in the work's arrays: jw, the
+    ring and spacer, and their product, its b/z and two buffers, which the
+    evaluator keeps (HeldArrays.keep), so that no start() of the work frees
+    them; the rest of the elements' arrays are freed (HeldWork.forget) and
+    taken up by the last three.  Each width writes y, the shunt update,
+    c z, Delta and s21 = 2/Delta into the buffers with the kernels that
+    network_smatrix calls, in their operand order, so the s21 is
+    bit-identical to network_smatrix(build_network(params), grid.points,
+    inc, reflections=False).s21.  The caller releases work's arrays once
+    the evaluator is no longer called.
     A width outside (0, period) raises the DomainError of GeometryParams.
     """
     f = grid.points
     z_ref = wave_impedance(inc.theta, inc.polarization)
-    work = work or HeldWork(f)
     work.start(f.shape)
     arrays = work.arrays
     ring, line, _ = build_network(params_from_geometry(geometry, cal, l1, c1)).elements

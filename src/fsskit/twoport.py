@@ -243,10 +243,10 @@ class HeldArrays:
     first need; give(*entries) takes back those of them that take() handed
     out.  A call that takes and gives as the last one did makes no array.
     keep(shape) hands out an array for the whole loop, for what the loop's
-    calls share, and hold(*entries) keeps those of entries that take() handed
-    out: neither start() nor give() frees a kept array, only let_go(*entries),
-    which frees kept and taken arrays alike.  release() ends the loop and
-    hands every array on to _SPARES.
+    calls share; neither start() nor give() frees a kept array.
+    hold_only(*entries) keeps those of entries that it handed out and frees
+    every other array it handed out, kept or taken.  release() ends the loop
+    and hands every array on to _SPARES.
     """
 
     #: bytes of the largest set of arrays that one loop released
@@ -278,21 +278,17 @@ class HeldArrays:
         self._kept[id(x)] = x
         return x
 
-    def hold(self, *entries) -> None:
-        for x in entries:
-            if id(x) in self._made:
-                self._kept[id(x)] = self._made.pop(id(x))
-
     def give(self, *entries) -> None:
         self._free.extend(x for x in entries if id(x) in self._made)
 
-    def let_go(self, *entries) -> None:
-        """Free those of entries, distinct arrays in use, that it handed out,
-        kept or taken; one of the call's shape is taken again in this call."""
-        for x in entries:
-            if id(x) in self._kept:
-                self._made[id(x)] = self._kept.pop(id(x))
-        self._free.extend(x for x in entries if id(x) in self._made and x.shape == self.shape)
+    def hold_only(self, *entries) -> None:
+        """Keep those of entries that it handed out; every other array is free
+        again, one of the call's shape to be taken again in this call."""
+        held = set(map(id, entries))
+        arrays = {**self._made, **self._kept}
+        self._kept = {k: x for k, x in arrays.items() if k in held}
+        self._made = {k: x for k, x in arrays.items() if k not in held}
+        self._free = [x for x in self._made.values() if x.shape == self.shape]
 
     def release(self) -> None:
         """Hand every array on; what the calls returned must no longer be in use.

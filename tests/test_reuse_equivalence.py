@@ -20,8 +20,9 @@ condition is checked against network_smatrix with no held arrays.  Fits
 and sweeps run in turn, on arrays the other handed on, are checked against
 fresh ones.
 They also count the element and kernel evaluations, check that nothing held
-goes stale or is overwritten while it is held, and bound what a width, a
-model call, an evaluator after a released one and a fit after fits allocate.
+goes stale or is overwritten while it is held, bound what a width, a
+model call, an evaluator after a released one and a fit after fits
+allocate, and pin the bytes that the width loops leave in the spares.
 """
 
 import contextlib
@@ -250,7 +251,8 @@ def plain_s21(params, grid, inc):
 
 
 def evaluator(cal=DEFAULT_CALIBRATION, grid=GRID, inc=NORMAL, work=None):
-    return width_evaluator(DEFAULT_GEOMETRY, cal, L1, C1, grid, inc, work)
+    """width_evaluator through work, or through a new HeldWork on grid that is never released."""
+    return width_evaluator(DEFAULT_GEOMETRY, cal, L1, C1, grid, inc, HeldWork(grid.points) if work is None else work)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -452,6 +454,21 @@ def test_an_evaluator_after_a_released_one_makes_no_grid_sized_array(fresh_spare
         tracemalloc.stop()
     assert_same_results(again, first[:1])
     assert peak / n < 40
+
+
+def test_width_loops_leave_one_set_of_each_grid_in_the_spares(fresh_spares):
+    """sweep-w and width_for_bandwidth in turn, as width_design runs them: the
+    spares keep the eight arrays of each grid (2.8 MB), inside twice the
+    20001-point set, however often the loops run."""
+    n = 20001
+    grid = FrequencyGrid(1e9, 5e9, n)
+    for _ in range(3):
+        released_sweep(grid, WIDTHS[:1])
+        shipped_width_for_bandwidth()
+        shipped_width_for_bandwidth()
+        assert twoport.HeldArrays.largest == 8 * n * 16
+        assert {shape: len(spares) for shape, spares in fresh_spares.items()} == {(n,): 8, (2001,): 8}
+        assert sum(x.nbytes for spares in fresh_spares.values() for x in spares) == 8 * (n + 2001) * 16
 
 
 def test_a_fit_of_one_value_between_fits_of_three_leaves_their_arrays(fresh_spares):

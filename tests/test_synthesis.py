@@ -113,7 +113,9 @@ class TestWidthForBandwidth:
         from fsskit.synthesis import _auto_grid, width_evaluator
 
         grid = _auto_grid(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, self.RANGE)
-        metrics_at = width_evaluator(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, grid, NORMAL)
+        metrics_at = width_evaluator(
+            DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, grid, NORMAL, HeldWork(grid.points)
+        )
         target = metrics_at(1.4e-3).fbw
         w = width_for_bandwidth(
             target, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, self.RANGE
@@ -129,7 +131,9 @@ class TestWidthForBandwidth:
         w = width_for_bandwidth(
             target, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, self.RANGE
         )
-        metrics_at = width_evaluator(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, grid, NORMAL)
+        metrics_at = width_evaluator(
+            DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, grid, NORMAL, HeldWork(grid.points)
+        )
         achieved = metrics_at(w).fbw
         assert abs(achieved - target) < 1e-3
 
@@ -145,7 +149,9 @@ class TestWidthForBandwidth:
         from fsskit.synthesis import _auto_grid, width_evaluator
 
         grid = _auto_grid(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, self.RANGE)
-        metrics_at = width_evaluator(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, grid, NORMAL)
+        metrics_at = width_evaluator(
+            DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, grid, NORMAL, HeldWork(grid.points)
+        )
         fbw_here = metrics_at(1.0e-3).fbw
         w = width_for_bandwidth(
             fbw_here, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, (1.0e-3, 1.0e-3)
@@ -167,7 +173,9 @@ class TestWidthForBandwidth:
         from fsskit.synthesis import _auto_grid, width_evaluator
 
         grid = _auto_grid(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, self.RANGE)
-        metrics_at = width_evaluator(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, grid, NORMAL)
+        metrics_at = width_evaluator(
+            DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, self.L1, self.C1, grid, NORMAL, HeldWork(grid.points)
+        )
         fbw_min, fbw_max = metrics_at(self.RANGE[1]).fbw, metrics_at(self.RANGE[0]).fbw
         target = fbw_min - FBW_TOL if edge == "lower" else fbw_max + FBW_TOL
         with pytest.raises(InfeasibleTargetError) as err:
@@ -192,7 +200,7 @@ WIDTHS = (0.3e-3, 3.0e-3)
 def ring_evaluator(ring):
     l1, c1 = ring
     grid = synthesis._auto_grid(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, l1, c1, WIDTHS)
-    return synthesis.width_evaluator(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, l1, c1, grid, NORMAL)
+    return synthesis.width_evaluator(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, l1, c1, grid, NORMAL, HeldWork(grid.points))
 
 
 @functools.cache

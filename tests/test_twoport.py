@@ -1,9 +1,12 @@
 """Two-port algebra: element matrices, cascading, S conversion, properties."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsskit import twoport
 from fsskit.errors import DomainError, EvanescentModeError, SingularNetworkError
@@ -445,26 +448,26 @@ class TestHeldForms:
             assert x.shape == shape and x.dtype == complex and x.flags.c_contiguous
             assert x.ctypes.data % 64 == 0
 
-    def test_a_kept_array_is_freed_by_let_go_alone(self, spares):
+    def test_a_kept_array_is_freed_by_hold_only_alone(self, spares):
         arrays = HeldArrays()
         arrays.start((4,))
-        kept, taken = arrays.keep((4,)), arrays.take()
-        held = arrays.take()
-        arrays.hold(held)
-        arrays.give(kept, taken, held)  # give frees what take handed out, and nothing kept
+        kept, taken, held = arrays.keep((4,)), arrays.take(), arrays.take()
+        arrays.hold_only(kept, held, np.ones(4, complex))  # and frees taken; an array it never handed out is nothing
+        arrays.give(kept, held)  # give frees what take handed out, and nothing kept
         arrays.start((4,))
         assert arrays.take() is taken
         fresh = arrays.take()
         assert all(fresh is not x for x in (kept, held))
-        arrays.let_go(kept, held)
-        assert {id(arrays.take()), id(arrays.take())} == {id(kept), id(held)}
+        arrays.hold_only()
+        assert {id(arrays.take()), id(arrays.take()), id(arrays.take()), id(arrays.take())} == {
+            id(kept), id(held), id(taken), id(fresh)}
         assert all(arrays.take() is not x for x in (kept, held, taken, fresh))
 
     def test_a_kept_array_of_another_shape_is_free_from_the_next_start_of_its_shape(self, spares):
         arrays = HeldArrays()
         arrays.start((2, 4))
         line = arrays.keep((4,))
-        arrays.let_go(line)
+        arrays.hold_only()
         assert arrays.take().shape == (2, 4)
         arrays.start((4,))
         assert arrays.take() is line
@@ -488,3 +491,20 @@ class TestHeldForms:
         assert not any(x is y for x in small for ys in spares.values() for y in ys)
         # the large set is taken up again, and the small loops keep theirs beside it
         assert all(any(x is y for y in big) for x in loop((1000,), 3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(loops=st.lists(st.tuples(st.sampled_from([(10,), (100,), (3, 100), (1000,)]), st.integers(0, 5),
+                                    st.integers(0, 2)), min_size=1, max_size=12))
+    def test_the_spares_never_hold_more_bytes_than_twice_the_largest_set(self, loops):
+        """Loops of taken and kept arrays in any order: after each release the
+        spares total at most twice the bytes of the largest set one loop released."""
+        with mock.patch.object(twoport, "_SPARES", {}), mock.patch.object(HeldArrays, "largest", 0):
+            largest = 0
+            for shape, taken, kept in loops:
+                arrays = HeldArrays()
+                arrays.start(shape)
+                held = [arrays.take() for _ in range(taken)] + [arrays.keep(shape) for _ in range(kept)]
+                arrays.release()
+                largest = max(largest, sum(x.nbytes for x in held))
+                assert HeldArrays.largest == largest
+                assert sum(x.nbytes for spares in twoport._SPARES.values() for x in spares) <= 2 * largest
