@@ -146,7 +146,8 @@ def sweep_conditions(net: LayeredNetwork, grid: FrequencyGrid, conditions) -> li
 
     Each curve is a network_smatrix of the ladder with one HeldWork, which
     holds no arrays, so no two curves share one: each shunt branch is formed
-    once, each line's phase once per angle and its matrix once per condition.
+    once and each line's matrix once per condition, from the phase that the
+    process holds for the line, angle and grid (builder.line_phase).
     Each curve is finished before the next starts, so the first error is
     that of one sweep_response per condition.
     """

@@ -9,6 +9,7 @@ second-order variant joins two such layers with an air line.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,15 +187,17 @@ class HeldWork:
     - shunt(branch): abcd_shunt of the branch's admittance, kept with the
       branch object until start(); a branch that a mirrored stack holds twice
       is formed once;
-    - line(line, inc): tline_matrix of the line's tline_phase, the matrix
-      kept by the line's value until a line is asked for at another
-      condition, the phase by value and angle.  So a fit, in which no
-      fittable value changes a line, forms each once;
+    - line(line, inc): tline_matrix of the line's line_phase, which the
+      process holds per grid, the matrix kept by the line's value until a
+      line is asked for at another condition.  So a fit, in which no
+      fittable value changes a line, forms each matrix once, and a loop
+      that runs again on the same grid forms no phase;
     - arrays (None if arrays=False): the HeldArrays that jw = j_omega(f), the
-      lines' phases and matrices (arrays kept for the whole loop) and a
-      call's admittances, products and s21 are formed in.  start(shape)
-      begins a call, after which what the last call returned is overwritten.
-      TwoPortMatrix.times never gives a held matrix's entries back to them.
+      lines' matrices (arrays kept for the whole loop) and a call's
+      admittances, products and s21 are formed in.  start(shape) begins a
+      call, after which what the last call returned is overwritten.
+      TwoPortMatrix.times never gives a held matrix's entries back to them,
+      and a held phase is never one of them.
       With no arrays, an admittance is shunt_rl_admittance or
       shunt_series_rlc_admittance on f.
     forget(keep) drops every element held and frees every array apart from
@@ -205,7 +208,6 @@ class HeldWork:
         self.f = f
         self.arrays = HeldArrays() if arrays else None
         self.jw = j_omega(f, out=self.arrays.keep(np.shape(f))) if arrays else None
-        self._phases: dict = {}
         self._shunts: dict[int, tuple[ShuntBranch, TwoPortMatrix]] = {}  # by id
         self._inc, self._lines = None, {}
 
@@ -233,11 +235,9 @@ class HeldWork:
         if inc != self._inc:
             self._inc, self._lines = inc, {}
         if line not in self._lines:
-            key = (line, inc.theta)
-            if key not in self._phases:
-                out = self._kept(line) if line.loss_tangent > 0 else (None, None)
-                self._phases[key] = tline_phase(line.eps_r, line.length, self.f, inc.theta, line.loss_tangent, out)
-            self._lines[line] = tline_matrix(self._phases[key], line.eps_r, inc.polarization, self._kept(line))
+            shape = np.shape(self.f)
+            out = (None, None) if self.arrays is None else (self.arrays.keep(shape), self.arrays.keep(shape))
+            self._lines[line] = tline_matrix(line_phase(line, self.f, inc.theta), line.eps_r, inc.polarization, out)
         return self._lines[line]
 
     def forget(self, keep: TwoPortMatrix) -> None:
@@ -246,17 +246,61 @@ class HeldWork:
         other array is free again (HeldArrays.hold_only)."""
         self.arrays.hold_only(self.jw, keep.a, keep.b, keep.c, keep.d)
         self._shunts.clear()
-        self._phases.clear()
         self._inc, self._lines = None, {}
 
-    def _kept(self, line: LineSegment) -> tuple:
-        """Two arrays of the line's shape kept from the arrays, or (None, None) with no arrays."""
-        if self.arrays is None:
-            return None, None
-        shape, rows = np.shape(self.f), np.shape(line.length)
-        if rows:
-            shape = np.broadcast_shapes(shape, rows)
-        return self.arrays.keep(shape), self.arrays.keep(shape)
+
+#: Bytes that the held line phases (_PHASES) take at most: their arrays and
+#: the grid copies they are held with.
+PHASE_BUDGET = 4 * 2**20
+
+#: The tline_phase of each line that line_phase was asked for, by grid shape,
+#: the least recently used grid first: (a copy of the grid, {key: phase}), with
+#: key = (eps_r, the bits of length, loss_tangent, theta).  One grid per shape;
+#: every array held is read-only.
+_PHASES: dict[tuple[int, ...], tuple[np.ndarray, dict]] = {}
+
+
+def line_phase(line: LineSegment, f, theta: float) -> tuple:
+    """tline_phase of line on the frequencies f at angle theta, held for the process.
+
+    A grid equal bit for bit to the held grid of its shape (so -0.0 is not
+    0.0) takes its held phases.  tline_phase's checks depend on the key and
+    the grid alone, so a held phase needs none again.  A new phase is held,
+    read-only, unless f is 0-d or the phase and its grid alone take more
+    than PHASE_BUDGET bytes.  A new grid replaces the held grid of its shape.
+    To stay within the budget, the least recently used grids are dropped
+    first, then the least recently used phases of this one.  An error is
+    raised, never held.  The key takes length by its bits, since sinh keeps
+    the sign of a zero phase.
+    """
+    f = np.asarray(f, dtype=float)
+    key = (line.eps_r, struct.pack("d", line.length), line.loss_tangent, theta)
+    grid, phases = _PHASES.get(f.shape, (None, {}))
+    if grid is not None and not np.array_equal(grid.view(np.uint64), f.view(np.uint64)):
+        grid, phases = None, {}
+    phase = phases.pop(key, None)
+    if phase is None:
+        phase = tline_phase(line.eps_r, line.length, f, theta, line.loss_tangent)
+        if not (f.ndim and f.nbytes + phase[0].nbytes + phase[1].nbytes <= PHASE_BUDGET):
+            return phase
+        for x in phase[:2]:
+            x.flags.writeable = False
+    phases[key] = phase  # the most recently used last, as its grid
+    _PHASES.pop(f.shape, None)
+    _PHASES[f.shape] = f.copy() if grid is None else grid, phases
+    while held_phase_bytes() > PHASE_BUDGET:
+        shape = next(iter(_PHASES))
+        if shape == f.shape:
+            del phases[next(iter(phases))]
+        else:
+            del _PHASES[shape]
+    return phase
+
+
+def held_phase_bytes() -> int:
+    """Bytes that the held line phases take (_PHASES), their grid copies included."""
+    return sum(grid.nbytes + sum(x.nbytes for phase in phases.values() for x in phase[:2])
+               for grid, phases in _PHASES.values())
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .builder import (
     HeldWork,
     build_network,
     grid_inductance,
+    grid_resistance,
     grid_width,
     params_from_geometry,
 )
@@ -134,17 +135,23 @@ def width_evaluator(
     and sweeps s21 on grid at inc.  Only the grid branch depends on w, so
     the ring and the spacer are evaluated here, at geometry's own width,
     through work, a HeldWork on grid.points that serves this evaluator
-    alone.  Every grid-sized array is formed in the work's arrays: jw, the
-    ring and spacer, and their product, its b/z and two buffers, which the
-    evaluator keeps (HeldArrays.keep), so that no start() of the work frees
-    them; the rest of the elements' arrays are freed (HeldWork.forget) and
-    taken up by the last three.  Each width writes y, the shunt update,
-    c z, Delta and s21 = 2/Delta into the buffers with the kernels that
-    network_smatrix calls, in their operand order, so the s21 is
-    bit-identical to network_smatrix(build_network(params), grid.points,
-    inc, reflections=False).s21.  The caller releases work's arrays once
-    the evaluator is no longer called.
-    A width outside (0, period) raises the DomainError of GeometryParams.
+    alone.  The spacer's phase is the one that the process holds for the
+    grid (builder.line_phase), and its cosh is the product's a.  Every
+    other grid-sized array is formed in the work's arrays: jw, the ring,
+    the spacer's b and c, the rest of their product, its b/z and two
+    buffers, which the evaluator keeps
+    (HeldArrays.keep), so that no start() of the work frees them; the rest
+    of the elements' arrays are freed (HeldWork.forget) and taken up by the
+    last three.  Each width takes L and R from grid_inductance and
+    grid_resistance and writes y, the shunt update, c z, Delta and
+    s21 = 2/Delta into the buffers with the kernels that network_smatrix
+    calls, in their operand order, so the s21 is bit-identical to
+    network_smatrix(build_network(params), grid.points, inc,
+    reflections=False).s21.  The caller releases work's arrays once the
+    evaluator is no longer called.
+    A width outside (0, period) raises the DomainError of GeometryParams,
+    and one whose L rounds to 0 that of CircuitParams: for these alone the
+    width's records are built, and they raise.
     """
     f = grid.points
     z_ref = wave_impedance(inc.theta, inc.polarization)
@@ -157,8 +164,12 @@ def width_evaluator(
     y, a = arrays.keep(f.shape), arrays.keep(f.shape)
 
     def metrics_at(w: float) -> PassbandMetrics:
-        params = params_from_geometry(replace(geometry, strip_width=w), cal, l1, c1)
-        m = head.shunt_right(abcd_shunt(rl_admittance(params.R, params.L, jw, out=y)).c, out=(a, y))
+        if 0 < w < geometry.period and (l := grid_inductance(w, geometry.period, cal.l_scale)) > 0:
+            r = grid_resistance(w, cal.r_scale)
+        else:  # the records raise their DomainError: GeometryParams' for w, CircuitParams' for L = 0
+            params = params_from_geometry(replace(geometry, strip_width=w), cal, l1, c1)
+            l, r = params.L, params.R
+        m = head.shunt_right(abcd_shunt(rl_admittance(r, l, jw, out=y)).c, out=(a, y))
         delta = abcd_delta(m.a, bz, np.multiply(m.c, z_ref, out=y), m.d, out=a)
         return extract_metrics(ResponseCurve(freqs=grid, s11=None, s21=np.divide(2.0, delta, out=a), incidence=inc))
 

@@ -16,9 +16,9 @@ on the right, (a, b, c + Y a, d + Y b) with it on the left.  abcd_to_s
 forms b/z and c z once for its three sums.  All keep the final S
 bit-identical to the general formulas.  A caller that reads only s21
 asks abcd_to_s for it alone with reflections=False.  The parts of the
-kernels, and j_omega, tline_phase and tline_matrix, take out= arrays, so a
-loop can form each result in arrays it holds, its own or a HeldArrays; the
-general kernels call the same parts.
+kernels, and j_omega and tline_matrix, take out= arrays, so a loop can form
+each result in arrays it holds, its own or a HeldArrays; the general kernels
+call the same parts.
 Every array guard of the package, a finiteness or an exact-zero test, goes
 through all_finite or any_zero.
 """
@@ -413,12 +413,10 @@ def abcd_tline(
     return tline_matrix(tline_phase(eps_r, length, f, inc.theta, loss_tangent), eps_r, inc.polarization)
 
 
-def tline_phase(eps_r: float, length, f, theta: float, loss_tangent: float = 0.0, out=(None, None)):
+def tline_phase(eps_r: float, length, f, theta: float, loss_tangent: float = 0.0):
     """abcd_tline's checks and its (cosh gamma l, sinh gamma l) if the line is
     lossy, else (cos phi, sin phi), with q = sqrt(eps_r - sin^2 theta) and
-    whether sin^2 theta is 0.  out names the complex arrays for a lossy line's
-    cosh and sinh, gamma l formed in the first; a lossless line's real pair is
-    formed anew."""
+    whether sin^2 theta is 0."""
     if not eps_r > 0:
         raise DomainError(f"relative permittivity must be positive, got {eps_r}")
     if not everywhere(length >= 0):
@@ -438,9 +436,8 @@ def tline_phase(eps_r: float, length, f, theta: float, loss_tangent: float = 0.0
     q = math.sqrt(eps_r - s2)
     phi = (2 * np.pi * f / C0) * q * length
     if loss_tangent > 0.0:
-        gl = _mul(phi, 0.5 * loss_tangent + 1j, out[0])
-        odd = np.sinh(gl, out=out[1])
-        return np.cosh(gl, out=out[0]), odd, q, s2 == 0.0
+        gl = phi * (0.5 * loss_tangent + 1j)
+        return np.cosh(gl), np.sinh(gl), q, s2 == 0.0
     return np.cos(phi), np.sin(phi), q, s2 == 0.0
 
 

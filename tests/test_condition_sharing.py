@@ -118,7 +118,7 @@ def kernel_calls():
         yield {name: stack.enter_context(spy) for name, spy in spies.items()}
 
 
-def test_simulate_evaluates_each_shunt_branch_once_and_each_line_phase_once_per_angle(tmp_path):
+def test_simulate_evaluates_each_shunt_branch_once_and_each_line_phase_once_per_angle(tmp_path, fresh_phases):
     cfg = cli.parse_config(json.dumps(STUDY))
     with kernel_calls() as calls:
         cli.run(cfg, tmp_path)
@@ -131,6 +131,7 @@ def test_simulate_evaluates_each_shunt_branch_once_and_each_line_phase_once_per_
 
     net = build_network(cfg.circuit, mirrored=cfg.mirrored)
     again = (cfg.incidence[5], IncidenceCondition(cfg.incidence[2].theta, TM), cfg.incidence[0])
+    fresh_phases.clear()  # the run above holds every phase of the grid
     with kernel_calls() as calls:
         sweep_conditions(net, cfg.grid, cfg.incidence + again)
     # a line's matrix is formed again for each condition, from its held phase

@@ -7,9 +7,11 @@ more: the ring and spacer product, its b/z, jw and two complex buffers,
 formed once per evaluator in the arrays of a HeldWork, into which each
 width's split kernels (rl_admittance, TwoPortMatrix.shunt_right,
 abcd_delta) write.  A fit's model, synthesis.fit_model, holds a HeldWork
-across its calls: jw and each line's phase and matrix, formed at the first
-call, each shunt branch's matrix, formed once per call, and the arrays that
-every call's admittances, products and s21 are formed in.  Across loops,
+across its calls: jw and each line's matrix, formed at the first call, each
+shunt branch's matrix, formed once per call, and the arrays that every
+call's admittances, products and s21 are formed in.  Each line's phase is
+the one that the process holds for the grid (builder.line_phase), within
+its byte budget.  Across loops,
 sweep-w, width_for_bandwidth and fit_circuit hand their arrays on when they
 end, also when they raise, and the next loop takes them up.  These tests
 check the width loop's and the fit's held results and a sweep's, bit for
@@ -22,7 +24,11 @@ fresh ones.
 They also count the element and kernel evaluations, check that nothing held
 goes stale or is overwritten while it is held, bound what a width, a
 model call, an evaluator after a released one and a fit after fits
-allocate, and pin the bytes that the width loops leave in the spares.
+allocate, and pin the bytes that the width loops leave in the spares and in
+the held phases.  The held phases are checked against cold runs: a second
+run of a config forms none, a grid one ulp apart and a length of -0.0 are
+held apart, and any sequence of grids, lines and conditions keeps the bits
+of the leaf-kernel reference within the budget.
 """
 
 import contextlib
@@ -30,6 +36,7 @@ import functools
 import json
 import math
 import tracemalloc
+from pathlib import Path
 from dataclasses import replace
 from unittest import mock
 
@@ -112,7 +119,7 @@ def kernel_calls(*names):
 
 @pytest.mark.parametrize("inc", [NORMAL, TM40])
 @pytest.mark.parametrize("shape", LADDERS.values(), ids=LADDERS)
-def test_sweep_evaluates_each_distinct_element_once(shape, inc, element_evaluations):
+def test_sweep_evaluates_each_distinct_element_once(shape, inc, element_evaluations, fresh_phases):
     order, mirrored = shape
     p = CircuitParams(L=2.85e-9, L1=L1, C1=C1, order=order, h1=10e-3 if order == 2 else None)
     net = build_network(p, mirrored=mirrored)
@@ -401,6 +408,31 @@ def test_ring_and_spacer_are_evaluated_once_per_evaluator(element_evaluations):
         element_evaluations, params_from_geometry(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, L1, C1))
 
 
+@pytest.mark.parametrize("w", [0.0, -1e-3, DEFAULT_GEOMETRY.period, math.nan, math.inf, -math.inf])
+def test_a_width_outside_the_cell_raises_the_error_of_geometry_params(w):
+    with pytest.raises(DomainError) as raised:
+        evaluator()(w)
+    assert str(raised.value) == "strip width must satisfy 0 < w < period"
+
+
+def test_a_width_whose_grid_inductance_rounds_to_0_raises_the_error_of_circuit_params():
+    w = math.nextafter(DEFAULT_GEOMETRY.period, 0.0)
+    assert builder.grid_inductance(w, DEFAULT_GEOMETRY.period, DEFAULT_CALIBRATION.l_scale) == 0.0
+    with pytest.raises(DomainError) as raised:
+        evaluator()(w)
+    assert str(raised.value) == "L, L1 and C1 must be positive"
+
+
+def test_a_width_inside_the_cell_builds_no_records():
+    """Each width takes L and R from grid_inductance and grid_resistance; the
+    evaluator builds its circuit values once, at geometry's own width."""
+    with mock.patch.object(synthesis, "params_from_geometry", wraps=params_from_geometry) as records:
+        metrics_at = evaluator()
+        for w in WIDTHS:
+            metrics_at(w)
+    assert records.call_count == 1
+
+
 # ---------------------------------------------------------------------------
 # the width loop's arrays across loops
 
@@ -456,19 +488,27 @@ def test_an_evaluator_after_a_released_one_makes_no_grid_sized_array(fresh_spare
     assert peak / n < 40
 
 
-def test_width_loops_leave_one_set_of_each_grid_in_the_spares(fresh_spares):
+def test_width_loops_leave_one_set_of_each_grid_in_the_spares(fresh_spares, fresh_phases):
     """sweep-w and width_for_bandwidth in turn, as width_design runs them: the
-    spares keep the eight arrays of each grid (2.8 MB), inside twice the
-    20001-point set, however often the loops run."""
+    spares keep the seven arrays of each grid (2.5 MB), inside twice the
+    20001-point set, and the held phases the spacer's (cosh, sinh) on each
+    grid with a copy of the grid (0.9 MB), however often the loops run.  The
+    spacer's cosh is the head's a, which the evaluator takes from the held
+    phases, so the spares hold one array of each grid fewer than the eight
+    that the evaluator formed when its phase was its own."""
     n = 20001
     grid = FrequencyGrid(1e9, 5e9, n)
     for _ in range(3):
         released_sweep(grid, WIDTHS[:1])
         shipped_width_for_bandwidth()
         shipped_width_for_bandwidth()
-        assert twoport.HeldArrays.largest == 8 * n * 16
-        assert {shape: len(spares) for shape, spares in fresh_spares.items()} == {(n,): 8, (2001,): 8}
-        assert sum(x.nbytes for spares in fresh_spares.values() for x in spares) == 8 * (n + 2001) * 16
+        assert twoport.HeldArrays.largest == 7 * n * 16
+        assert {shape: len(spares) for shape, spares in fresh_spares.items()} == {(n,): 7, (2001,): 7}
+        spares = sum(x.nbytes for spares in fresh_spares.values() for x in spares)
+        assert spares == 7 * (n + 2001) * 16
+        assert {shape: len(phases) for shape, (_, phases) in fresh_phases.items()} == {(n,): 1, (2001,): 1}
+        assert builder.held_phase_bytes() == (8 + 2 * 16) * (n + 2001)
+        assert spares + builder.held_phase_bytes() == 3_344_304
 
 
 def test_a_fit_of_one_value_between_fits_of_three_leaves_their_arrays(fresh_spares):
@@ -577,10 +617,11 @@ def plain_model(problem, work=None):
 
 
 @pytest.mark.parametrize("shape", LADDERS.values(), ids=LADDERS)
-def test_a_fit_evaluates_each_line_phase_once(shape, element_evaluations):
+def test_a_fit_evaluates_each_line_phase_once(shape, element_evaluations, fresh_phases):
     order, mirrored = shape
     problem = fit_problem(order, mirrored, TM40)
     element_evaluations.clear()
+    fresh_phases.clear()  # the sweep of the observed curve held its phases
     with mock.patch.object(builder, "tline_phase", wraps=builder.tline_phase) as phase, \
             mock.patch.object(twoport, "abcd_tline", wraps=twoport.abcd_tline) as tline, \
             mock.patch.object(synthesis, "network_smatrix", wraps=network_smatrix) as calls:
@@ -640,14 +681,16 @@ def test_a_call_that_raises_mid_ladder_leaves_the_next_call_plain():
         assert _bits(held(values).s21) == _bits(plain(values).s21)
 
 
-def test_a_second_condition_forms_its_line_matrices_again():
+def test_a_second_condition_forms_its_line_matrices_again(fresh_phases):
     net = build_network(CircuitParams(L=2.85e-9, L1=L1, C1=C1, order=2, h1=10e-3))
     f = GRID.points
     work = HeldWork(f)
     te40 = IncidenceCondition(TM40.theta, Polarization.TE)
     conditions = (TM40, TM40, te40, NORMAL, TM40)
-    # a plain call forms its lines too, so the references are formed before counting
+    # a plain call forms its lines too, so the references are formed, and their
+    # phases dropped, before counting
     want = [_bits(network_smatrix(net, f, inc, reflections=False).s21) for inc in conditions]
+    fresh_phases.clear()
     with kernel_calls("tline_phase", "tline_matrix") as (phase, matrix):
         for inc, bits in zip(conditions, want):
             work.start(f.shape)
@@ -798,3 +841,95 @@ def test_a_fit_after_a_fit_takes_up_its_arrays():
         tracemalloc.stop()
     assert again == first
     assert peak < 320 * 1024
+
+
+
+# ---------------------------------------------------------------------------
+# the line phases that the process holds (builder.line_phase)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("config", ["width_sweep.json", "oblique_study.json"])
+def test_a_second_run_of_a_config_forms_no_phase_and_writes_the_same_bytes(tmp_path, fresh_phases, config):
+    cfg = cli.parse_config((CONFIGS / config).read_text())
+    first = cli.run(cfg, tmp_path / "first")
+    with kernel_calls("tline_phase") as (phase,):
+        again = cli.run(cfg, tmp_path / "again")
+    assert phase.call_count == 0 and fresh_phases
+    assert json.dumps(again).replace("again", "first") == json.dumps(first)
+    names = sorted(path.name for path in (tmp_path / "first").iterdir())
+    assert names and names == sorted(path.name for path in (tmp_path / "again").iterdir())
+    for name in names:
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
+
+
+def test_a_grid_one_ulp_apart_forms_its_phases_again(fresh_phases):
+    net = build_network(CircuitParams(L=2.85e-9, L1=L1, C1=C1, order=2, h1=10e-3))
+    f = GRID.points
+    nudged = f.copy()
+    nudged[1000] = np.nextafter(nudged[1000], np.inf)
+    with kernel_calls("tline_phase") as (phase,):
+        counts = []
+        for grid in (f, f, nudged, nudged, f):
+            assert _bits(network_smatrix(net, grid, TM40).s21) == _bits(leaf_s21(net, grid, TM40))
+            counts.append(phase.call_count)
+    # spacer and air gap; one grid of a shape is held, so the first comes back anew
+    assert counts == [2, 2, 4, 4, 6]
+    held_grid, phases = fresh_phases[f.shape]
+    assert _bits(held_grid) == _bits(f) and len(phases) == 2
+
+
+def test_held_phases_refuse_writes_and_are_never_handed_to_the_spares(fresh_spares, fresh_phases):
+    released_sweep(GRID)
+    fit_circuit(fit_problem(2, True, TM40))
+    sweep_response(ladder_at(2.6), GRID, TM40)
+    held = [x for _, phases in fresh_phases.values() for phase in phases.values() for x in phase[:2]]
+    # the spacer at normal incidence and at 40 degrees on GRID; spacer and air gap on the fit's grid
+    assert len(held) == 2 * (2 + 2)
+    for x in held:
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.0
+    spares = [y for ys in fresh_spares.values() for y in ys]
+    assert spares and not any(np.shares_memory(x, y) for x in held for y in spares)
+
+
+def test_a_line_of_length_minus_0_after_one_of_0_has_the_bits_of_a_cold_run(fresh_phases):
+    def run(h):
+        net = build_network(CircuitParams(L=2.85e-9, L1=L1, C1=C1, h=h))
+        s = network_smatrix(net, GRID.points, TM40)
+        phase = builder.line_phase(net.elements[1], GRID.points, TM40.theta)
+        return [_bits(x) for x in (s.s11, s.s21, s.s22, *phase[:2])]
+
+    cold = run(-0.0)
+    fresh_phases.clear()
+    zero = run(0.0)
+    assert run(-0.0) == cold
+    assert zero[3:] != cold[3:]  # sinh keeps the sign of a zero phase, so the two are held apart
+
+
+#: (start, stop, points) of a grid, and whether one point of it is one ulp higher
+phase_grids = st.tuples(st.sampled_from([(1e9, 5e9, 11), (2e9, 3e9, 11), (1e9, 5e9, 41), (1e9, 5e9, 401)]),
+                        st.booleans())
+phase_lines = st.tuples(st.sampled_from([0.5, 1.0, 2.2]), st.sampled_from([0.0, -0.0, 0.254e-3, 2e-3]),
+                        st.sampled_from([0.0, 0.0009]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(steps=st.lists(st.tuples(phase_grids, phase_lines, incidences), min_size=1, max_size=12),
+       budget=st.sampled_from([0, 2_000, 30_000, builder.PHASE_BUDGET]))
+def test_held_phases_stay_within_their_budget_and_keep_every_bit(steps, budget):
+    """Sequences of grids, lines and conditions, an eps_r of 0.5 evanescent at
+    the larger angles: every s21, or the first error, is that of the leaf-kernel
+    reference, and the held phases never take more than the budget."""
+    with mock.patch.object(builder, "_PHASES", {}), mock.patch.object(builder, "PHASE_BUDGET", budget):
+        for ((start, stop, n), nudged), (eps_r, h, loss_tangent), inc in steps:
+            f = FrequencyGrid(start, stop, n).points.copy()
+            if nudged:
+                f[n // 2] = np.nextafter(f[n // 2], np.inf)
+            net = build_network(CircuitParams(L=2.85e-9, L1=L1, C1=C1, h=h, eps_r=eps_r,
+                                              loss_tangent=loss_tangent, order=2, h1=10e-3))
+            assert outcome(lambda: network_smatrix(net, f, inc, reflections=False).s21) == \
+                outcome(lambda: leaf_s21(net, f, inc))
+            assert builder.held_phase_bytes() <= budget

@@ -16,7 +16,10 @@ milliseconds.  A minor fault is a page that the process touches for the
 first time since it was mapped, so an operation that frees memory which
 the C allocator hands back to the system and then allocates it again
 faults it in again.  Every operation's output is checked as the benchmark
-checks it; a failed check is reported, not raised.
+checks it; a failed check is reported, not raised.  After the rounds, the
+report gives the bytes that the process still holds for the next operation:
+the arrays handed on in twoport._SPARES and the line phases that
+builder.line_phase holds (builder.held_phase_bytes).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from fsskit import cli  # noqa: E402
+from fsskit import builder, cli, twoport  # noqa: E402
 
 
 def call(config: Path) -> tuple[int, float, str]:
@@ -79,6 +82,8 @@ def measure(workload: str, seed: int, rounds: int, tiny: bool) -> dict:
                        "faults_p50": statistics.median(g["faults"]), "faults_max": max(g["faults"]),
                        "ms_p50": round(statistics.median(g["ms"]), 3), "ms_max": round(max(g["ms"]), 3)}
                 for name, g in groups.items()},
+        "held_bytes": {"spares": sum(x.nbytes for spares in twoport._SPARES.values() for x in spares),
+                       "phases": builder.held_phase_bytes()},
         "problems": list(dict.fromkeys(problems))[:20],
     }
 
