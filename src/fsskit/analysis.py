@@ -127,9 +127,10 @@ def network_smatrix(
     The port reference is the oblique free-space wave impedance for the
     given incidence, on both sides.  reflections is passed to abcd_to_s.
     The ladder's elements are those that work, a HeldWork on f (a new
-    HeldWork(f, arrays=False) if None; started for this call if it holds
-    arrays), holds, and with its arrays every array is formed in them, so
-    the result holds until work's next call.
+    HeldWork(f, arrays=False) if None), holds.  A work with arrays is
+    started on f's shape when it is made; a caller that calls again with it
+    starts it for each call (HeldWork.start).  Every array is then formed in
+    its arrays, so the result holds until work's next call.
     """
     z_ref = wave_impedance(inc.theta, inc.polarization)
     work = work or HeldWork(f, arrays=False)

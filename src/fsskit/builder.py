@@ -23,11 +23,10 @@ from .twoport import (
     abcd_shunt,
     cascade,
     everywhere,
+    held,
     j_omega,
     rl_admittance,
     rlc_admittance,
-    shunt_rl_admittance,
-    shunt_series_rlc_admittance,
     tline_matrix,
     tline_phase,
 )
@@ -184,30 +183,29 @@ class HeldWork:
 
     Every element's matrix is formed here; an element's abcd returns what the
     work holds:
-    - shunt(branch): abcd_shunt of the branch's admittance, kept with the
-      branch object until start(); a branch that a mirrored stack holds twice
-      is formed once;
+    - shunt(branch): abcd_shunt of the branch's rl_admittance or
+      rlc_admittance on jw = j_omega(f), which the process holds per grid
+      (twoport.held) and the work fetches at its first shunt; the matrix is
+      kept with the branch object until start(), so a branch that a mirrored
+      stack holds twice is formed once;
     - line(line, inc): tline_matrix of the line's line_phase, which the
       process holds per grid, the matrix kept by the line's value until a
       line is asked for at another condition.  So a fit, in which no
       fittable value changes a line, forms each matrix once, and a loop
       that runs again on the same grid forms no phase;
-    - arrays (None if arrays=False): the HeldArrays that jw = j_omega(f), the
-      lines' matrices (arrays kept for the whole loop) and a call's
-      admittances, products and s21 are formed in.  start(shape) begins a
-      call, after which what the last call returned is overwritten.
-      TwoPortMatrix.times never gives a held matrix's entries back to them,
-      and a held phase is never one of them.
-      With no arrays, an admittance is shunt_rl_admittance or
-      shunt_series_rlc_admittance on f.
-    forget(keep) drops every element held and frees every array apart from
-    jw and keep's entries, which are kept for the rest of the loop.
+    - arrays (None if arrays=False): the HeldArrays, started on f's shape,
+      that a call's admittances, products and s21 are formed in.
+      start(shape) begins a call, after which what the last call returned is
+      overwritten.  TwoPortMatrix.times never gives a line's or a held
+      value's arrays back to them.
     """
 
     def __init__(self, f, arrays: bool = True):
         self.f = f
         self.arrays = HeldArrays() if arrays else None
-        self.jw = j_omega(f, out=self.arrays.keep(np.shape(f))) if arrays else None
+        if arrays:
+            self.arrays.start(np.shape(f))
+        self.jw = None
         self._shunts: dict[int, tuple[ShuntBranch, TwoPortMatrix]] = {}  # by id
         self._inc, self._lines = None, {}
 
@@ -219,11 +217,13 @@ class HeldWork:
     def shunt(self, branch: ShuntBranch) -> TwoPortMatrix:
         key = id(branch)
         if key not in self._shunts:  # the branch is kept too, so its id is not reused
+            if self.jw is None:
+                self.jw = held(self.f, ("jw",), lambda: (j_omega(self.f),))[0]
             r, l, c, arrays = branch.resistance, branch.inductance, branch.capacitance, self.arrays
-            if arrays is None:
-                y = shunt_rl_admittance(r, l, self.f) if c is None else shunt_series_rlc_admittance(r, l, c, self.f)
-            elif c is None:
-                y = rl_admittance(r, l, self.jw, out=arrays.take())
+            if c is None:
+                y = rl_admittance(r, l, self.jw, out=None if arrays is None else arrays.take())
+            elif arrays is None:
+                y = rlc_admittance(r, l, c, self.jw)
             else:
                 y, inv = arrays.take(), arrays.take()
                 y = rlc_admittance(r, l, c, self.jw, out=(y, inv))
@@ -235,72 +235,20 @@ class HeldWork:
         if inc != self._inc:
             self._inc, self._lines = inc, {}
         if line not in self._lines:
-            shape = np.shape(self.f)
-            out = (None, None) if self.arrays is None else (self.arrays.keep(shape), self.arrays.keep(shape))
-            self._lines[line] = tline_matrix(line_phase(line, self.f, inc.theta), line.eps_r, inc.polarization, out)
+            self._lines[line] = tline_matrix(line_phase(line, self.f, inc.theta), line.eps_r, inc.polarization)
         return self._lines[line]
-
-    def forget(self, keep: TwoPortMatrix) -> None:
-        """Drop every element held.  jw and keep, a product of them that the
-        caller holds from here on, are kept for the rest of the loop; every
-        other array is free again (HeldArrays.hold_only)."""
-        self.arrays.hold_only(self.jw, keep.a, keep.b, keep.c, keep.d)
-        self._shunts.clear()
-        self._inc, self._lines = None, {}
-
-
-#: Bytes that the held line phases (_PHASES) take at most: their arrays and
-#: the grid copies they are held with.
-PHASE_BUDGET = 4 * 2**20
-
-#: The tline_phase of each line that line_phase was asked for, by grid shape,
-#: the least recently used grid first: (a copy of the grid, {key: phase}), with
-#: key = (eps_r, the bits of length, loss_tangent, theta).  One grid per shape;
-#: every array held is read-only.
-_PHASES: dict[tuple[int, ...], tuple[np.ndarray, dict]] = {}
 
 
 def line_phase(line: LineSegment, f, theta: float) -> tuple:
-    """tline_phase of line on the frequencies f at angle theta, held for the process.
+    """tline_phase of line on the frequencies f at angle theta, held for the
+    process (twoport.held).
 
-    A grid equal bit for bit to the held grid of its shape (so -0.0 is not
-    0.0) takes its held phases.  tline_phase's checks depend on the key and
-    the grid alone, so a held phase needs none again.  A new phase is held,
-    read-only, unless f is 0-d or the phase and its grid alone take more
-    than PHASE_BUDGET bytes.  A new grid replaces the held grid of its shape.
-    To stay within the budget, the least recently used grids are dropped
-    first, then the least recently used phases of this one.  An error is
-    raised, never held.  The key takes length by its bits, since sinh keeps
-    the sign of a zero phase.
+    tline_phase's checks depend on the key and the grid alone, so a held
+    phase needs none again.  The key takes length by its bits, since sinh
+    keeps the sign of a zero phase.
     """
-    f = np.asarray(f, dtype=float)
-    key = (line.eps_r, struct.pack("d", line.length), line.loss_tangent, theta)
-    grid, phases = _PHASES.get(f.shape, (None, {}))
-    if grid is not None and not np.array_equal(grid.view(np.uint64), f.view(np.uint64)):
-        grid, phases = None, {}
-    phase = phases.pop(key, None)
-    if phase is None:
-        phase = tline_phase(line.eps_r, line.length, f, theta, line.loss_tangent)
-        if not (f.ndim and f.nbytes + phase[0].nbytes + phase[1].nbytes <= PHASE_BUDGET):
-            return phase
-        for x in phase[:2]:
-            x.flags.writeable = False
-    phases[key] = phase  # the most recently used last, as its grid
-    _PHASES.pop(f.shape, None)
-    _PHASES[f.shape] = f.copy() if grid is None else grid, phases
-    while held_phase_bytes() > PHASE_BUDGET:
-        shape = next(iter(_PHASES))
-        if shape == f.shape:
-            del phases[next(iter(phases))]
-        else:
-            del _PHASES[shape]
-    return phase
-
-
-def held_phase_bytes() -> int:
-    """Bytes that the held line phases take (_PHASES), their grid copies included."""
-    return sum(grid.nbytes + sum(x.nbytes for phase in phases.values() for x in phase[:2])
-               for grid, phases in _PHASES.values())
+    key = ("phase", line.eps_r, struct.pack("d", line.length), line.loss_tangent, theta)
+    return held(f, key, lambda: tline_phase(line.eps_r, line.length, f, theta, line.loss_tangent))
 
 
 @dataclass(frozen=True)

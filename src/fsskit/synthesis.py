@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
 
@@ -22,6 +23,7 @@ from .builder import (
     CircuitParams,
     GeometryParams,
     HeldWork,
+    ShuntBranch,
     build_network,
     grid_inductance,
     grid_resistance,
@@ -36,7 +38,7 @@ from .errors import (
     OneSidedBandError,
 )
 from .twoport import (
-    NORMAL, IncidenceCondition, SMatrix, abcd_delta, abcd_shunt, all_finite, rl_admittance, wave_impedance
+    NORMAL, IncidenceCondition, SMatrix, TwoPortMatrix, abcd_delta, aligned_empty, all_finite, held, wave_impedance
 )
 
 
@@ -133,19 +135,15 @@ def width_evaluator(
     The returned function takes the circuit values at width w (m) from
     geometry, with every other dimension, the calibration, l1 and c1 fixed,
     and sweeps s21 on grid at inc.  Only the grid branch depends on w, so
-    the ring and the spacer are evaluated here, at geometry's own width,
-    through work, a HeldWork on grid.points that serves this evaluator
-    alone.  The spacer's phase is the one that the process holds for the
-    grid (builder.line_phase), and its cosh is the product's a.  Every
-    other grid-sized array is formed in the work's arrays: jw, the ring,
-    the spacer's b and c, the rest of their product, its b/z and two
-    buffers, which the evaluator keeps
-    (HeldArrays.keep), so that no start() of the work frees them; the rest
-    of the elements' arrays are freed (HeldWork.forget) and taken up by the
-    last three.  Each width takes L and R from grid_inductance and
-    grid_resistance and writes y, the shunt update, c z, Delta and
-    s21 = 2/Delta into the buffers with the kernels that network_smatrix
-    calls, in their operand order, so the s21 is bit-identical to
+    the ring and the spacer are evaluated at geometry's own width, and
+    their product's (a, b, c, d) and b/z are the ones that the process
+    holds for the ring's values, the spacer, inc and the grid
+    (twoport.held).  Each width takes L and R from grid_inductance and
+    grid_resistance, starts work, a HeldWork on grid.points that serves
+    this evaluator alone, evaluates its grid branch ShuntBranch(R, L) with
+    it, and writes the shunt update, c z, Delta and s21 = 2/Delta into the
+    work's arrays with the kernels that network_smatrix calls, in their
+    operand order, so the s21 is bit-identical to
     network_smatrix(build_network(params), grid.points, inc,
     reflections=False).s21.  The caller releases work's arrays once the
     evaluator is no longer called.
@@ -155,13 +153,17 @@ def width_evaluator(
     """
     f = grid.points
     z_ref = wave_impedance(inc.theta, inc.polarization)
-    work.start(f.shape)
-    arrays = work.arrays
     ring, line, _ = build_network(params_from_geometry(geometry, cal, l1, c1)).elements
-    head = ring.abcd(f, inc, work).times(line.abcd(f, inc, work), arrays)
-    work.forget(keep=head)
-    bz, jw = np.divide(head.b, z_ref, out=arrays.keep(f.shape)), work.jw
-    y, a = arrays.keep(f.shape), arrays.keep(f.shape)
+
+    def product():  # c, d and b/z formed where they are held: a copy of each would raise the peak
+        y = ring.abcd(f, inc).c
+        m = line.abcd(f, inc).shunt_left(y, out=(aligned_empty(f.shape), aligned_empty(f.shape)))
+        return m.a, m.b, m.c, m.d, np.divide(m.b, z_ref, out=aligned_empty(f.shape))
+
+    key = ("ring-spacer", struct.pack("3d", ring.resistance, ring.inductance, ring.capacitance),
+           line.eps_r, struct.pack("d", line.length), line.loss_tangent, inc)
+    a, b, c, d, bz = held(f, key, product)
+    head = TwoPortMatrix(a, b, c, d)
 
     def metrics_at(w: float) -> PassbandMetrics:
         if 0 < w < geometry.period and (l := grid_inductance(w, geometry.period, cal.l_scale)) > 0:
@@ -169,9 +171,11 @@ def width_evaluator(
         else:  # the records raise their DomainError: GeometryParams' for w, CircuitParams' for L = 0
             params = params_from_geometry(replace(geometry, strip_width=w), cal, l1, c1)
             l, r = params.L, params.R
-        m = head.shunt_right(abcd_shunt(rl_admittance(r, l, jw, out=y)).c, out=(a, y))
-        delta = abcd_delta(m.a, bz, np.multiply(m.c, z_ref, out=y), m.d, out=a)
-        return extract_metrics(ResponseCurve(freqs=grid, s11=None, s21=np.divide(2.0, delta, out=a), incidence=inc))
+        work.start(f.shape)
+        y = ShuntBranch(r, l).abcd(f, inc, work).c
+        m = head.shunt_right(y, out=(work.arrays.take(), y))
+        delta = abcd_delta(m.a, bz, np.multiply(m.c, z_ref, out=y), m.d, out=m.a)
+        return extract_metrics(ResponseCurve(freqs=grid, s11=None, s21=np.divide(2.0, delta, out=delta), incidence=inc))
 
     return metrics_at
 

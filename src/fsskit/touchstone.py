@@ -15,8 +15,8 @@ at a time, so every cell is exactly what ``%`` gives.
 A writer formats its table a block of whole rows at a time in one held set
 of arrays (``_Blocks``), and writes each block's text as it comes, so the
 memory that formatting takes does not grow with the table.  A .s2p file's
-frequency column is formatted once per grid: ``_FREQUENCY_WORDS`` holds the
-last grid written and its cell words, for the next file on that grid.
+frequency column is formatted once per grid: its cell words are held for
+the process per grid (``twoport.held``), for the next file on that grid.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .analysis import ResponseCurve
 from .errors import DomainError, TouchstoneError
-from .twoport import ETA0, IncidenceCondition, Polarization, all_finite
+from .twoport import ETA0, IncidenceCondition, Polarization, aligned_empty, all_finite, held
 
 _UNIT_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
@@ -302,27 +302,20 @@ def format_g12(table: np.ndarray) -> Iterator[bytes]:
             yield from _g12_lines(table[i : i + step], blocks)
 
 
-#: The frequencies of the last .s2p file written, a copy, and the cell words
-#: of their GHz values.  Replaced, never written into, so a writer that took
-#: the pair keeps it whole.
-_FREQUENCY_WORDS = (np.empty(0), np.empty((0, 5), np.uint32))
-
-
 def _frequency_words(freqs: np.ndarray, blocks: _Blocks) -> np.ndarray:
-    """The ``"%.11e "`` cell words of ``freqs / 1e9``, formatted again only for new frequencies.
+    """The ``"%.11e "`` cell words of ``freqs / 1e9``, held for the process (``twoport.held``).
 
     Frequencies equal bit for bit to the held ones (so -0.0 is not 0.0), as
     every curve of one ``sweep_conditions`` call is, take the held words.
     """
-    global _FREQUENCY_WORDS
-    held, words = _FREQUENCY_WORDS
-    if not np.array_equal(held.view(np.uint64), freqs.view(np.uint64)):
-        words = np.empty((freqs.size, 5), np.uint32)
+    def make():
+        words = aligned_empty((freqs.size, 5), np.uint32)
         for i in range(0, freqs.size, BLOCK_CELLS):
             f = freqs[i : i + BLOCK_CELLS]
             _e11_words(np.divide(f, 1e9, out=blocks.parts[: f.size]), words[i : i + f.size])
-        _FREQUENCY_WORDS = freqs.copy(), words
-    return words
+        return (words,)
+
+    return held(freqs, ("%.11e GHz",), make)[0]
 
 
 def write_touchstone(curve: ResponseCurve, path: str | os.PathLike) -> None:

@@ -16,17 +16,23 @@ on the right, (a, b, c + Y a, d + Y b) with it on the left.  abcd_to_s
 forms b/z and c z once for its three sums.  All keep the final S
 bit-identical to the general formulas.  A caller that reads only s21
 asks abcd_to_s for it alone with reflections=False.  The parts of the
-kernels, and j_omega and tline_matrix, take out= arrays, so a loop can form
-each result in arrays it holds, its own or a HeldArrays; the general kernels
-call the same parts.
+kernels take out= arrays, so a loop can form each result in arrays it
+holds, its own or a HeldArrays; the general kernels call the same parts.
 Every array guard of the package, a finiteness or an exact-zero test, goes
 through all_finite or any_zero.
+
+Two stores here keep arrays from one call to the next.  held() keeps values
+per grid, read-only: line phases, jw, the .s2p frequency words and the
+width loop's ring-spacer product.  _SPARES keeps the scratch arrays that
+released HeldArrays handed on.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -203,11 +209,6 @@ def _mul(x, y, out):
     return x * y if out is None else np.multiply(x, y, out=out)
 
 
-def _div(x, y, out):
-    """x / y, formed in out if given; with no out it is the operator, as in _mul."""
-    return x / y if out is None else np.divide(x, y, out=out)
-
-
 def _unheld():
     """No array: each kernel allocates its result."""
     return None
@@ -220,33 +221,40 @@ def _unheld():
 _SPARES: dict[tuple[int, ...], list[np.ndarray]] = {}
 
 
+def aligned_empty(shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+    """A new array of shape whose data starts on a 64-byte boundary.  numpy aligns
+    complex data to 16 bytes only, and the width loop's kernels run about 6%
+    slower over data 16 bytes off a 32-byte boundary; a held array keeps its
+    address for the life of the process."""
+    block = np.empty(math.prod(shape) * np.dtype(dtype).itemsize + 64, np.uint8)
+    start = -block.ctypes.data % 64
+    return block[start:start + block.size - 64].view(dtype).reshape(shape)
+
+
+def _aligned_out(x, dtype=complex):
+    """An aligned_empty array for a result shaped as x, or None if x is 0-d.  So
+    held() keeps the results of j_omega and tline_phase as they are formed, and
+    the process makes no copy of them: a copy would raise its peak memory."""
+    return aligned_empty(np.shape(x), dtype) if np.ndim(x) else None
+
+
 def _spare(shape: tuple[int, ...]) -> np.ndarray:
-    """An array of shape from _SPARES, or a new one whose data starts on a 64-byte
-    boundary.  numpy aligns complex data to 16 bytes only, and the width loop's
-    kernels run about 6% slower over data 16 bytes off a 32-byte boundary; a
-    held array keeps its address for the life of the process."""
+    """An array of shape from _SPARES, or a new aligned_empty one."""
     try:
         return _SPARES[shape].pop()
     except (KeyError, IndexError):
-        size = math.prod(shape)
-        block = np.empty(size + 4, complex)
-        start = -block.ctypes.data % 64 // 16
-        return block[start:start + size].reshape(shape)
+        return aligned_empty(shape)
 
 
 class HeldArrays:
-    """Complex arrays that the calls of a loop over ladders reuse, one shape per call.
+    """Complex scratch arrays that the calls of a loop over ladders reuse, one shape per call.
 
     start(shape) begins a call: every array of that shape that take() handed
     out is free again, so what the last call returned is overwritten from
     here on.  take() hands out a free array, taken from _SPARES or made on
     first need; give(*entries) takes back those of them that take() handed
     out.  A call that takes and gives as the last one did makes no array.
-    keep(shape) hands out an array for the whole loop, for what the loop's
-    calls share; neither start() nor give() frees a kept array.
-    hold_only(*entries) keeps those of entries that it handed out and frees
-    every other array it handed out, kept or taken.  release() ends the loop
-    and hands every array on to _SPARES.
+    release() ends the loop and hands every array on to _SPARES.
     """
 
     #: bytes of the largest set of arrays that one loop released
@@ -255,7 +263,6 @@ class HeldArrays:
     def __init__(self):
         self.shape = None
         self._made: dict[int, np.ndarray] = {}  # by id, what take() handed out
-        self._kept: dict[int, np.ndarray] = {}  # by id, what keep() handed out
         self._free: list[np.ndarray] = []
 
     def start(self, shape: tuple[int, ...]) -> None:
@@ -269,26 +276,8 @@ class HeldArrays:
         self._made[id(x)] = x
         return x
 
-    def keep(self, shape: tuple[int, ...]) -> np.ndarray:
-        if shape == self.shape and self._free:
-            x = self._free.pop()
-            del self._made[id(x)]
-        else:
-            x = _spare(shape)
-        self._kept[id(x)] = x
-        return x
-
     def give(self, *entries) -> None:
         self._free.extend(x for x in entries if id(x) in self._made)
-
-    def hold_only(self, *entries) -> None:
-        """Keep those of entries that it handed out; every other array is free
-        again, one of the call's shape to be taken again in this call."""
-        held = set(map(id, entries))
-        arrays = {**self._made, **self._kept}
-        self._kept = {k: x for k, x in arrays.items() if k in held}
-        self._made = {k: x for k, x in arrays.items() if k not in held}
-        self._free = [x for x in self._made.values() if x.shape == self.shape]
 
     def release(self) -> None:
         """Hand every array on; what the calls returned must no longer be in use.
@@ -299,7 +288,7 @@ class HeldArrays:
         that set, and a loop on a large grid keeps its set across loops on
         smaller ones, as these keep theirs.
         """
-        arrays = [*self._made.values(), *self._kept.values()]
+        arrays = list(self._made.values())
         HeldArrays.largest = max(HeldArrays.largest, sum(x.nbytes for x in arrays))
         excess = sum(len(spares) * spares[0].nbytes for spares in _SPARES.values() if spares) - HeldArrays.largest
         for shape in sorted(_SPARES, key=math.prod) if excess > 0 else ():
@@ -308,7 +297,75 @@ class HeldArrays:
                 excess -= spares.pop().nbytes
         for x in arrays:
             _SPARES.setdefault(x.shape, []).append(x)
-        self._made, self._kept, self._free = {}, {}, []
+        self._made, self._free = {}, []
+
+
+#: Bytes that the values held per grid (_HELD) take at most, their grid
+#: copies included.
+HELD_BUDGET = 4 * 2**20
+
+#: What held() keeps, by grid shape, the least recently used grid first:
+#: (a copy of the grid, {key: tuple}).  One grid per shape.
+_HELD: dict[tuple[int, ...], tuple[np.ndarray, dict]] = {}
+_HELD_LOCK = threading.Lock()
+
+
+def held(f, key, make) -> tuple:
+    """make(), a tuple of values on the frequencies f, held for the process under key.
+
+    A grid equal bit for bit to the held grid of its shape (so -0.0 is not
+    0.0) takes the tuple held under key, if any; a hit does no more than move
+    it to the most recently used end.  Otherwise make() is called, and each
+    array in its tuple that does not start on a 64-byte boundary is replaced
+    by an aligned copy.  The tuple is held unless f is 0-d or its arrays and
+    a copy of f alone take more than HELD_BUDGET bytes.  A new grid replaces
+    the held grid of its shape.  Then, to stay within the budget, the least
+    recently used grids are dropped first, then the least recently used
+    tuples of this one.  An error that make() raises is never held.  Every
+    array returned is read-only, and key must separate every input of make()
+    that could change a bit of its value.
+    """
+    f = np.asarray(f, dtype=float)
+    with _HELD_LOCK:
+        grid, values = _HELD.get(f.shape, (None, {}))
+        if key in values and np.array_equal(grid.view(np.uint64), f.view(np.uint64)):
+            values[key] = value = values.pop(key)  # the most recently used last, as its grid
+            _HELD[f.shape] = _HELD.pop(f.shape)
+            return value
+    value = tuple(map(_aligned, make()))
+    if not f.ndim or f.nbytes + sum(getattr(x, "nbytes", 0) for x in value) > HELD_BUDGET:
+        return value
+    with _HELD_LOCK:
+        grid, values = _HELD.pop(f.shape, (None, {}))
+        if grid is None or not np.array_equal(grid.view(np.uint64), f.view(np.uint64)):
+            grid, values = f.copy(), {}
+        values[key] = value
+        _HELD[f.shape] = grid, values
+        while held_bytes() > HELD_BUDGET:
+            shape = next(iter(_HELD))
+            if shape == f.shape:
+                del values[next(iter(values))]
+            else:
+                del _HELD[shape]
+    return value
+
+
+def _aligned(x):
+    """x, read-only, and if it is an array off a 64-byte boundary, an aligned copy of it."""
+    if isinstance(x, np.ndarray):
+        if x.ctypes.data % 64 or not x.flags.c_contiguous:
+            copy = aligned_empty(x.shape, x.dtype)
+            copy[...] = x
+            x = copy
+        x.flags.writeable = False
+    return x
+
+
+def held_bytes() -> int:
+    """Bytes that the held values take, their grid copies included; an array
+    that two values share counts once."""
+    arrays = {id(x): x for grid, values in _HELD.values() for x in (grid, *itertools.chain(*values.values()))}
+    return sum(getattr(x, "nbytes", 0) for x in arrays.values())
 
 
 @dataclass(frozen=True)
@@ -372,12 +429,12 @@ def rlc_admittance(r, l, c, jw, out=(None, None)):
     return y
 
 
-def j_omega(f, out=None):
-    """jw = 2 pi j f of the frequencies f, which must be positive; formed in out if given."""
+def j_omega(f):
+    """jw = 2 pi j f of the frequencies f, which must be positive."""
     f = np.asarray(f, dtype=float)
     if not np.all(f > 0):
         raise DomainError("frequency must be positive")
-    return _mul(1j * 2 * np.pi, f, out)
+    return np.multiply(1j * 2 * np.pi, f, out=_aligned_out(f))
 
 
 def rl_admittance(r, l, jw, out=None):
@@ -437,19 +494,17 @@ def tline_phase(eps_r: float, length, f, theta: float, loss_tangent: float = 0.0
     phi = (2 * np.pi * f / C0) * q * length
     if loss_tangent > 0.0:
         gl = phi * (0.5 * loss_tangent + 1j)
-        return np.cosh(gl), np.sinh(gl), q, s2 == 0.0
-    return np.cos(phi), np.sin(phi), q, s2 == 0.0
+        return np.cosh(gl, out=_aligned_out(gl)), np.sinh(gl, out=_aligned_out(gl)), q, s2 == 0.0
+    return np.cos(phi, out=_aligned_out(phi, float)), np.sin(phi, out=_aligned_out(phi, float)), q, s2 == 0.0
 
 
-def tline_matrix(phase, eps_r: float, pol: Polarization, out=(None, None)) -> TwoPortMatrix:
-    """abcd_tline's chain matrix at polarization pol, from its tline_phase;
-    out names the arrays for b and c."""
+def tline_matrix(phase, eps_r: float, pol: Polarization) -> TwoPortMatrix:
+    """abcd_tline's chain matrix at polarization pol, from its tline_phase."""
     even, odd, q, normal = phase  # cosh and sinh (complex) or cos and sin (real)
     z_eff = ETA0 / q if pol is Polarization.TE or normal else ETA0 * q / eps_r
-    b, c = out
     if np.iscomplexobj(even):
-        return TwoPortMatrix(a=even, b=_mul(z_eff, odd, b), c=_div(odd, z_eff, c), d=even)
-    return TwoPortMatrix(a=even, b=_mul(1j * z_eff, odd, b), c=_div(_mul(1j, odd, c), z_eff, c), d=even)
+        return TwoPortMatrix(a=even, b=z_eff * odd, c=odd / z_eff, d=even)
+    return TwoPortMatrix(a=even, b=1j * z_eff * odd, c=1j * odd / z_eff, d=even)
 
 
 def cascade(

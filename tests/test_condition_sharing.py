@@ -111,7 +111,7 @@ STUDY = {
 def kernel_calls():
     """Calls of each kernel that a ladder's elements evaluate, by name; abcd_tline,
     which the builder does not import, is spied on in twoport."""
-    names = ("shunt_series_rlc_admittance", "shunt_rl_admittance", "tline_phase", "tline_matrix", "abcd_tline")
+    names = ("rlc_admittance", "rl_admittance", "tline_phase", "tline_matrix", "abcd_tline")
     spies = {name: mock.patch.object(twoport if name == "abcd_tline" else builder, name,
                                      wraps=getattr(twoport, name)) for name in names}
     with contextlib.ExitStack() as stack:
@@ -123,8 +123,8 @@ def test_simulate_evaluates_each_shunt_branch_once_and_each_line_phase_once_per_
     with kernel_calls() as calls:
         cli.run(cfg, tmp_path)
     # ring and grid; spacer and air gap at 4 angles; their matrices at 8 conditions
-    assert calls["shunt_series_rlc_admittance"].call_count == 1
-    assert calls["shunt_rl_admittance"].call_count == 1
+    assert calls["rlc_admittance"].call_count == 1
+    assert calls["rl_admittance"].call_count == 1
     assert calls["tline_phase"].call_count == 2 * 4
     assert calls["tline_matrix"].call_count == 2 * 8
     assert calls["abcd_tline"].call_count == 0

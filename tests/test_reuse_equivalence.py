@@ -2,33 +2,33 @@
 
 sweep_response forms an element object that its ladder holds more than
 once, as the mirrored second-order stack does, only once.  The strip-width
-loop of sweep-w and width_for_bandwidth, synthesis.width_evaluator, holds
-more: the ring and spacer product, its b/z, jw and two complex buffers,
-formed once per evaluator in the arrays of a HeldWork, into which each
-width's split kernels (rl_admittance, TwoPortMatrix.shunt_right,
-abcd_delta) write.  A fit's model, synthesis.fit_model, holds a HeldWork
-across its calls: jw and each line's matrix, formed at the first call, each
-shunt branch's matrix, formed once per call, and the arrays that every
-call's admittances, products and s21 are formed in.  Each line's phase is
-the one that the process holds for the grid (builder.line_phase), within
-its byte budget.  Across loops,
-sweep-w, width_for_bandwidth and fit_circuit hand their arrays on when they
-end, also when they raise, and the next loop takes them up.  These tests
-check the width loop's and the fit's held results and a sweep's, bit for
-bit, against leaf_s: each element formed afresh by the public leaf kernels,
-not by the HeldWork that every ladder is evaluated through, with the
-general chain product and abcd_to_s's formulas written out.  A held
-condition is checked against network_smatrix with no held arrays.  Fits
-and sweeps run in turn, on arrays the other handed on, are checked against
-fresh ones.
+loop of sweep-w and width_for_bandwidth, synthesis.width_evaluator, takes
+the ring and spacer product and its b/z from what the process holds per
+grid (twoport.held) and, per width, evaluates its grid branch through a
+HeldWork and writes the split kernels (TwoPortMatrix.shunt_right,
+abcd_delta) into the work's two scratch arrays.  A fit's model,
+synthesis.fit_model, holds a HeldWork across its calls: each line's
+matrix, formed at the first call, each shunt branch's matrix, formed once
+per call, and the arrays that every call's admittances, products and s21
+are formed in.  jw and each line's phase are the ones that the process
+holds for the grid, within its byte budget.  Across loops, sweep-w,
+width_for_bandwidth and fit_circuit hand their arrays on when they end,
+also when they raise, and the next loop takes them up.  These tests check
+the width loop's and the fit's held results and a sweep's, bit for bit,
+against leaf_s: each element formed afresh by the public leaf kernels, not
+by the HeldWork that every ladder is evaluated through, with the general
+chain product and abcd_to_s's formulas written out.  A held condition is
+checked against network_smatrix with no held arrays.  Fits and sweeps run
+in turn, on arrays the other handed on, are checked against fresh ones.
 They also count the element and kernel evaluations, check that nothing held
 goes stale or is overwritten while it is held, bound what a width, a
 model call, an evaluator after a released one and a fit after fits
 allocate, and pin the bytes that the width loops leave in the spares and in
-the held phases.  The held phases are checked against cold runs: a second
-run of a config forms none, a grid one ulp apart and a length of -0.0 are
-held apart, and any sequence of grids, lines and conditions keeps the bits
-of the leaf-kernel reference within the budget.
+the held values.  The held values are checked against cold runs: a second
+run of a config forms no phase, a grid one ulp apart and a length of -0.0
+are held apart, every held array is read-only and aligned, and any
+sequence of sweeps, .s2p writes, width evaluators and fits on grids, lines
+and conditions keeps the bits of a cold run within the budget.
 """
 
 import contextlib
@@ -60,7 +60,7 @@ from fsskit.builder import (
 )
 from fsskit.errors import DomainError, FssError, OneSidedBandError, SingularNetworkError
 from fsskit.synthesis import FITTABLE, FitProblem, fit_circuit, fit_model, width_evaluator, width_for_bandwidth
-from fsskit.touchstone import read_touchstone
+from fsskit.touchstone import read_touchstone, write_touchstone
 from fsskit.twoport import (
     NORMAL,
     IncidenceCondition,
@@ -123,7 +123,7 @@ def test_sweep_evaluates_each_distinct_element_once(shape, inc, element_evaluati
     order, mirrored = shape
     p = CircuitParams(L=2.85e-9, L1=L1, C1=C1, order=order, h1=10e-3 if order == 2 else None)
     net = build_network(p, mirrored=mirrored)
-    with kernel_calls("shunt_series_rlc_admittance", "shunt_rl_admittance", "tline_phase", "tline_matrix") as spies:
+    with kernel_calls("rlc_admittance", "rl_admittance", "tline_phase", "tline_matrix") as spies:
         curve = sweep_response(net, GRID, inc)
     # every element's abcd in ladder order; a second-order stack holds 7
     # elements, 4 of them distinct, and the kernels form each distinct one once
@@ -133,12 +133,18 @@ def test_sweep_evaluates_each_distinct_element_once(shape, inc, element_evaluati
         assert _bits(getattr(curve, name)) == _bits(want), name
 
 
-def assert_ring_and_spacer_once(calls, params):
+def grid_branch(w, geometry=DEFAULT_GEOMETRY, cal=DEFAULT_CALIBRATION, l1=L1, c1=C1):
+    """The grid branch of the cell at strip width w (m)."""
+    return build_network(params_from_geometry(replace(geometry, strip_width=w), cal, l1, c1)).elements[2]
+
+
+def assert_ring_and_spacer_once(calls, params, branches):
+    """The ring and the spacer, once per process and grid, then one grid branch per width."""
     ring, line, _ = build_network(params).elements
-    assert calls == [ring, line]
+    assert calls == [ring, line, *branches]
 
 
-def test_sweep_w_rows_match_plain_evaluation(tmp_path, element_evaluations):
+def test_sweep_w_rows_match_plain_evaluation(tmp_path, element_evaluations, fresh_phases):
     widths = [2.2, 0.6, 11.0, 1.4, 0.6, 0.0, 2.6, 1.0]
     doc = {
         "mode": "sweep-w",
@@ -150,9 +156,14 @@ def test_sweep_w_rows_match_plain_evaluation(tmp_path, element_evaluations):
     cfg = cli.parse_config(json.dumps(doc))
     summary = cli.run(cfg, out_dir=tmp_path)
 
-    # the ring and the spacer, evaluated once for the first width that builds
+    # the ring and the spacer, then the grid branch of each width inside the cell, in sweep order
+    branches = [grid_branch(w_mm * 1e-3, cfg.geometry, cfg.calibration, cfg.ring_l1, cfg.ring_c1)
+                for w_mm in sorted(widths) if 0 < w_mm < 10.2]
     assert_ring_and_spacer_once(element_evaluations, params_from_geometry(
-        replace(cfg.geometry, strip_width=0.6e-3), cfg.calibration, cfg.ring_l1, cfg.ring_c1))
+        cfg.geometry, cfg.calibration, cfg.ring_l1, cfg.ring_c1), branches)
+    element_evaluations.clear()
+    assert cli.run(cfg, out_dir=tmp_path) == summary
+    assert element_evaluations == branches  # the ring and the spacer are held for the grid
 
     rows, failures = [], []
     for w_mm in sorted(widths):
@@ -170,13 +181,16 @@ def test_sweep_w_rows_match_plain_evaluation(tmp_path, element_evaluations):
     assert summary["failures"] == failures and len(failures) == 2
 
 
-def test_width_for_bandwidth_matches_plain_evaluation(element_evaluations):
+def test_width_for_bandwidth_matches_plain_evaluation(element_evaluations, fresh_phases):
     l1 = 1.0 / ((2 * math.pi * 5.1207263563633e9) ** 2 * C1)  # the shipped synthesize target
-    w = width_for_bandwidth(0.25, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, l1, C1, (0.3e-3, 3.0e-3))
+    with mock.patch.object(synthesis, "grid_resistance", wraps=builder.grid_resistance) as spy:
+        w = width_for_bandwidth(0.25, DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, l1, C1, (0.3e-3, 3.0e-3))
     assert 0.3e-3 < w < 3.0e-3
-    # the ring and the spacer, evaluated once for the first width, w_min
-    assert_ring_and_spacer_once(element_evaluations, params_from_geometry(
-        replace(DEFAULT_GEOMETRY, strip_width=0.3e-3), DEFAULT_CALIBRATION, l1, C1))
+    # the ring and the spacer, then the grid branch of each width the search tried, none twice
+    widths = [call.args[0] for call in spy.call_args_list]
+    assert len(widths) > 2 and len(set(widths)) == len(widths) and w in widths
+    assert_ring_and_spacer_once(element_evaluations, params_from_geometry(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, l1, C1),
+                                [grid_branch(x, l1=l1) for x in widths])
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +405,27 @@ def test_each_width_curve_holds_the_grid_points():
     assert spy.call_args.args[0].freqs is grid.points
 
 
-def test_ring_and_spacer_are_evaluated_when_the_evaluator_is_made(element_evaluations):
+def test_ring_and_spacer_are_evaluated_when_the_evaluator_is_made(element_evaluations, fresh_phases):
+    evaluator()
     evaluator()
     assert_ring_and_spacer_once(
-        element_evaluations, params_from_geometry(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, L1, C1))
+        element_evaluations, params_from_geometry(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, L1, C1), [])
 
 
-def test_ring_and_spacer_are_evaluated_once_per_evaluator(element_evaluations):
-    metrics_at = evaluator()
-    for w_mm in (11.0, 2.2, 0.6, 0.01, 1.4):
-        try:
-            metrics_at(w_mm * 1e-3)
-        except FssError:
-            pass
+def test_ring_and_spacer_are_evaluated_once_per_process_and_grid(element_evaluations, fresh_phases):
+    """A width outside the cell raises before its branch is formed; one whose
+    band is one-sided raises after it."""
+    widths = (11.0, 2.2, 0.6, 0.01, 1.4)
+    for _ in range(2):
+        metrics_at = evaluator()
+        for w_mm in widths:
+            try:
+                metrics_at(w_mm * 1e-3)
+            except FssError:
+                pass
+    branches = [grid_branch(w_mm * 1e-3) for w_mm in widths[1:]]
     assert_ring_and_spacer_once(
-        element_evaluations, params_from_geometry(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, L1, C1))
+        element_evaluations, params_from_geometry(DEFAULT_GEOMETRY, DEFAULT_CALIBRATION, L1, C1), branches * 2)
 
 
 @pytest.mark.parametrize("w", [0.0, -1e-3, DEFAULT_GEOMETRY.period, math.nan, math.inf, -math.inf])
@@ -470,9 +490,10 @@ def shipped_width_for_bandwidth(fbw=0.25):
 
 @pytest.mark.parametrize("between", ["nothing", "width_for_bandwidth"])
 def test_an_evaluator_after_a_released_one_makes_no_grid_sized_array(fresh_spares, between):
-    """The second loop takes up the eight arrays (128 B per point) that the
-    first handed on, also after a width_for_bandwidth on its own 2001-point
-    grid; what is left is the spacer's real phase temporaries and extract_metrics."""
+    """The second loop takes up the two scratch arrays that the first handed
+    on, also after a width_for_bandwidth on its own 2001-point grid, and
+    takes the ring and spacer product from what the process holds; what is
+    left is extract_metrics."""
     n = 20001
     grid = FrequencyGrid(1e9, 5e9, n)
     first = released_sweep(grid)
@@ -490,25 +511,24 @@ def test_an_evaluator_after_a_released_one_makes_no_grid_sized_array(fresh_spare
 
 def test_width_loops_leave_one_set_of_each_grid_in_the_spares(fresh_spares, fresh_phases):
     """sweep-w and width_for_bandwidth in turn, as width_design runs them: the
-    spares keep the seven arrays of each grid (2.5 MB), inside twice the
-    20001-point set, and the held phases the spacer's (cosh, sinh) on each
-    grid with a copy of the grid (0.9 MB), however often the loops run.  The
-    spacer's cosh is the head's a, which the evaluator takes from the held
-    phases, so the spares hold one array of each grid fewer than the eight
-    that the evaluator formed when its phase was its own."""
+    spares keep the two scratch arrays of each grid (0.7 MB), inside twice
+    the 20001-point set, and the process holds on each grid (twoport.held)
+    a copy of the grid, the spacer's (cosh, sinh), jw and the ring-spacer
+    product's (a, b, c, d, b/z) (2.6 MB), however often the loops run.  The
+    product's a is the spacer's held cosh, so it counts once."""
     n = 20001
     grid = FrequencyGrid(1e9, 5e9, n)
     for _ in range(3):
         released_sweep(grid, WIDTHS[:1])
         shipped_width_for_bandwidth()
         shipped_width_for_bandwidth()
-        assert twoport.HeldArrays.largest == 7 * n * 16
-        assert {shape: len(spares) for shape, spares in fresh_spares.items()} == {(n,): 7, (2001,): 7}
+        assert twoport.HeldArrays.largest == 2 * n * 16
+        assert {shape: len(spares) for shape, spares in fresh_spares.items()} == {(n,): 2, (2001,): 2}
         spares = sum(x.nbytes for spares in fresh_spares.values() for x in spares)
-        assert spares == 7 * (n + 2001) * 16
-        assert {shape: len(phases) for shape, (_, phases) in fresh_phases.items()} == {(n,): 1, (2001,): 1}
-        assert builder.held_phase_bytes() == (8 + 2 * 16) * (n + 2001)
-        assert spares + builder.held_phase_bytes() == 3_344_304
+        assert spares == 2 * (n + 2001) * 16
+        assert {shape: len(values) for shape, (_, values) in fresh_phases.items()} == {(n,): 3, (2001,): 3}
+        assert twoport.held_bytes() == (8 + 2 * 16 + 16 + 4 * 16) * (n + 2001)
+        assert spares + twoport.held_bytes() == 3_344_304
 
 
 def test_a_fit_of_one_value_between_fits_of_three_leaves_their_arrays(fresh_spares):
@@ -665,6 +685,16 @@ def test_a_held_matrix_is_never_given_back_to_the_arrays():
         entries = [x for m in held for x in (m.a, m.b, m.c, m.d) if isinstance(x, np.ndarray)]
         assert not any(x is y for x in drawn for y in entries + [s21])
         assert _bits(s21) == _bits(leaf_s21(net, f, inc))
+
+
+@pytest.mark.parametrize("inc", [NORMAL, TM40])
+def test_a_new_held_work_with_arrays_serves_a_network_smatrix_call(inc):
+    """A HeldWork with arrays is started on f's shape when it is made."""
+    net = build_network(CircuitParams(L=2.85e-9, L1=L1, C1=C1, order=2, h1=10e-3))
+    got = network_smatrix(net, GRID.points, inc, work=HeldWork(GRID.points))
+    want = network_smatrix(net, GRID.points, inc)
+    assert [_bits(x) for x in (got.s11, got.s21, got.s22)] == [_bits(x) for x in (want.s11, want.s21, want.s22)]
+    assert _bits(got.s21) == _bits(leaf_s21(net, GRID.points, inc))
 
 
 def test_a_call_that_raises_mid_ladder_leaves_the_next_call_plain():
@@ -845,7 +875,7 @@ def test_a_fit_after_a_fit_takes_up_its_arrays():
 
 
 # ---------------------------------------------------------------------------
-# the line phases that the process holds (builder.line_phase)
+# the values that the process holds per grid (twoport.held)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -876,20 +906,24 @@ def test_a_grid_one_ulp_apart_forms_its_phases_again(fresh_phases):
             counts.append(phase.call_count)
     # spacer and air gap; one grid of a shape is held, so the first comes back anew
     assert counts == [2, 2, 4, 4, 6]
-    held_grid, phases = fresh_phases[f.shape]
-    assert _bits(held_grid) == _bits(f) and len(phases) == 2
+    held_grid, values = fresh_phases[f.shape]
+    assert _bits(held_grid) == _bits(f) and len(values) == 3  # the two phases and jw
 
 
-def test_held_phases_refuse_writes_and_are_never_handed_to_the_spares(fresh_spares, fresh_phases):
+def test_every_held_array_is_read_only_aligned_and_apart_from_the_spares(tmp_path, fresh_spares, fresh_phases):
     released_sweep(GRID)
     fit_circuit(fit_problem(2, True, TM40))
-    sweep_response(ladder_at(2.6), GRID, TM40)
-    held = [x for _, phases in fresh_phases.values() for phase in phases.values() for x in phase[:2]]
-    # the spacer at normal incidence and at 40 degrees on GRID; spacer and air gap on the fit's grid
-    assert len(held) == 2 * (2 + 2)
+    curve = sweep_response(ladder_at(2.6), GRID, TM40)
+    write_touchstone(curve, tmp_path / "c.s2p")
+    values = [value for _, held in fresh_phases.values() for value in held.values()]
+    held = [x for value in values for x in value if isinstance(x, np.ndarray)]
+    # on GRID: the spacer at 0 and 40 degrees, jw, the width loop's product and
+    # the frequency words; on the fit's grid: spacer and air gap at 40 degrees, jw
+    assert len(values) == 5 + 3 and len(held) == 2 * 2 + 1 + 5 + 1 + 2 * 2 + 1
     for x in held:
+        assert x.ctypes.data % 64 == 0 and x.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
-            x[0] = 0.0
+            x[0] = 0
     spares = [y for ys in fresh_spares.values() for y in ys]
     assert spares and not any(np.shares_memory(x, y) for x in held for y in spares)
 
@@ -913,23 +947,72 @@ phase_grids = st.tuples(st.sampled_from([(1e9, 5e9, 11), (2e9, 3e9, 11), (1e9, 5
                         st.booleans())
 phase_lines = st.tuples(st.sampled_from([0.5, 1.0, 2.2]), st.sampled_from([0.0, -0.0, 0.254e-3, 2e-3]),
                         st.sampled_from([0.0, 0.0009]))
+#: what a step runs on its grid: a sweep of the ladder, a .s2p file of it,
+#: a width of an evaluator (lossy or lossless grid) or a fit of L to it
+held_steps = st.sampled_from(["sweep", "s2p", "width", "width-lossless", "fit"])
+
+
+@pytest.fixture(scope="module")
+def held_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("held")
+
+
+def held_step(step, net, grid, inc, out):
+    """The outcome of one step: the bits, bytes or fit it forms, or its FssError."""
+    f = grid.points
+    try:
+        if step == "sweep":
+            return _bits(network_smatrix(net, f, inc, reflections=False).s21)
+        if step == "s2p":
+            s11, s21, s22 = leaf_s(net, f, inc)
+            write_touchstone(ResponseCurve(freqs=f, s11=s11, s21=s21, s22=s22, incidence=inc), out)
+            return out.read_bytes()
+        if step.startswith("width"):
+            work = HeldWork(f)
+            try:
+                result, s21 = evaluated_s21(evaluator(LOSSLESS if step == "width-lossless" else DEFAULT_CALIBRATION,
+                                                      grid, inc, work), 1.4e-3)
+            finally:
+                work.arrays.release()
+            return (type(result), str(result)) if s21 is None else _bits(s21)
+        observed = ResponseCurve(freqs=f, s11=None, s21=np.abs(leaf_s21(net, f, inc)) + 0j, incidence=inc)
+        return fit_circuit(FitProblem(observed=observed, base=replace(net_params(net), L=3e-9), free=("L",),
+                                      initial={"L": 3e-9}, bounds={"L": (1e-9, 6e-9)}, mirrored=True))
+    except FssError as exc:
+        return type(exc), str(exc)
+
+
+def net_params(net):
+    ring, line, grid, gap = net.elements[:4]
+    return CircuitParams(L=grid.inductance, L1=ring.inductance, C1=ring.capacitance, R=grid.resistance,
+                         R1=ring.resistance, h=line.length, eps_r=line.eps_r, loss_tangent=line.loss_tangent,
+                         order=2, h1=gap.length)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=80, deadline=None)
-@given(steps=st.lists(st.tuples(phase_grids, phase_lines, incidences), min_size=1, max_size=12),
-       budget=st.sampled_from([0, 2_000, 30_000, builder.PHASE_BUDGET]))
-def test_held_phases_stay_within_their_budget_and_keep_every_bit(steps, budget):
-    """Sequences of grids, lines and conditions, an eps_r of 0.5 evanescent at
-    the larger angles: every s21, or the first error, is that of the leaf-kernel
-    reference, and the held phases never take more than the budget."""
-    with mock.patch.object(builder, "_PHASES", {}), mock.patch.object(builder, "PHASE_BUDGET", budget):
-        for ((start, stop, n), nudged), (eps_r, h, loss_tangent), inc in steps:
-            f = FrequencyGrid(start, stop, n).points.copy()
+@given(steps=st.lists(st.tuples(phase_grids, phase_lines, incidences, held_steps), min_size=1, max_size=12),
+       budget=st.sampled_from([0, 2_000, 30_000, twoport.HELD_BUDGET]))
+def test_held_phases_stay_within_their_budget_and_keep_every_bit(held_dir, steps, budget):
+    """Sequences of sweeps, .s2p writes, width evaluators and fits on grids
+    (one ulp nudges included), lines and conditions, an eps_r of 0.5
+    evanescent at the larger angles: every outcome is that of a cold run
+    with nothing held, every sweep's that of the leaf-kernel reference, and
+    the held values never take more than the budget."""
+    with mock.patch.object(twoport, "_HELD", {}), mock.patch.object(twoport, "HELD_BUDGET", budget):
+        for ((start, stop, n), nudged), (eps_r, h, loss_tangent), inc, step in steps:
+            grid = FrequencyGrid(start, stop, n)
             if nudged:
+                f = grid.points.copy()
                 f[n // 2] = np.nextafter(f[n // 2], np.inf)
+                f.flags.writeable = False
+                object.__setattr__(grid, "points", f)
             net = build_network(CircuitParams(L=2.85e-9, L1=L1, C1=C1, h=h, eps_r=eps_r,
                                               loss_tangent=loss_tangent, order=2, h1=10e-3))
-            assert outcome(lambda: network_smatrix(net, f, inc, reflections=False).s21) == \
-                outcome(lambda: leaf_s21(net, f, inc))
-            assert builder.held_phase_bytes() <= budget
+            got = held_step(step, net, grid, inc, held_dir / "held.s2p")
+            with mock.patch.object(twoport, "_HELD", {}):
+                cold = held_step(step, net, grid, inc, held_dir / "cold.s2p")
+            assert got == cold
+            if step == "sweep":
+                assert got == outcome(lambda: leaf_s21(net, grid.points, inc))
+            assert twoport.held_bytes() <= budget

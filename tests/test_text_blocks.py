@@ -2,8 +2,8 @@
 
 A writer formats in a block set (``touchstone._Blocks``) that it takes from
 ``touchstone._SPARE_BLOCKS`` and hands back, and a .s2p writer takes the
-frequency column's cell words from ``touchstone._FREQUENCY_WORDS`` when the
-last file was on equal frequencies.  These tests check that neither ever
+frequency column's cell words from the values that the process holds per
+grid (``twoport.held``) when an earlier file was on equal frequencies.  These tests check that neither ever
 changes a byte: not across threads, not after an error, and not when the
 frequencies change under the held copy.
 """
@@ -20,7 +20,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fsskit import cli, touchstone
+from fsskit import cli, touchstone, twoport
 from fsskit.analysis import FrequencyGrid, ResponseCurve, sweep_conditions
 from fsskit.builder import CircuitParams, build_network
 from fsskit.errors import DomainError
@@ -39,18 +39,14 @@ def _curves(grid, conditions=CONDITIONS):
     return sweep_conditions(build_network(PARAMS), grid, conditions)
 
 
-def _empty_slot():
-    return np.empty(0), np.empty((0, 5), np.uint32)
-
-
 def _written(curve, path) -> bytes:
     write_touchstone(curve, path)
     return path.read_bytes()
 
 
 def _fresh(curve, path) -> bytes:
-    """The file as written with no frequency column held."""
-    with mock.patch.object(touchstone, "_FREQUENCY_WORDS", _empty_slot()):
+    """The file as written with nothing held per grid."""
+    with mock.patch.object(twoport, "_HELD", {}):
         return _written(curve, path)
 
 
@@ -128,7 +124,7 @@ class TestConcurrentWriters:
 
 class TestFrequencyColumn:
     def test_one_simulate_call_formats_its_frequency_column_once(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(touchstone, "_FREQUENCY_WORDS", _empty_slot())
+        monkeypatch.setattr(twoport, "_HELD", {})
         curves = _curves(FrequencyGrid(1e9, 5e9, 2001))
         with mock.patch.object(touchstone, "_e11_words", wraps=touchstone._e11_words) as kernel:
             for k, curve in enumerate(curves):
