@@ -189,12 +189,15 @@ class HeldWork:
       kept with the branch object until start(), so a branch that a mirrored
       stack holds twice is formed once;
     - line(line, inc): tline_matrix of the line's line_phase, which the
-      process holds per grid, the matrix kept by the line's value until a
-      line is asked for at another condition.  So a fit, in which no
-      fittable value changes a line, forms each matrix once, and a loop
-      that runs again on the same grid forms no phase;
+      process holds per grid, the phase kept by the line's value until a
+      line is asked for at another angle, and the matrix until one is asked
+      for at another condition.  So a fit, in which no fittable value
+      changes a line, forms each matrix once, a loop that runs again on the
+      same grid forms no phase, and TE and TM at one angle share a phase
+      that is too large to hold;
     - arrays (None if arrays=False): the HeldArrays, started on f's shape,
-      that a call's admittances, products and s21 are formed in.
+      that a call's admittances, products and s21 are formed in; they go
+      with the work.
       start(shape) begins a call, after which what the last call returned is
       overwritten.  TwoPortMatrix.times never gives a line's or a held
       value's arrays back to them.
@@ -207,7 +210,7 @@ class HeldWork:
             self.arrays.start(np.shape(f))
         self.jw = None
         self._shunts: dict[int, tuple[ShuntBranch, TwoPortMatrix]] = {}  # by id
-        self._inc, self._lines = None, {}
+        self._inc, self._lines, self._phases = None, {}, {}
 
     def start(self, shape: tuple[int, ...]) -> None:
         """Begin a call whose element values broadcast against f to shape."""
@@ -233,9 +236,13 @@ class HeldWork:
 
     def line(self, line: LineSegment, inc: IncidenceCondition) -> TwoPortMatrix:
         if inc != self._inc:
+            if self._inc is None or inc.theta != self._inc.theta:
+                self._phases = {}
             self._inc, self._lines = inc, {}
         if line not in self._lines:
-            self._lines[line] = tline_matrix(line_phase(line, self.f, inc.theta), line.eps_r, inc.polarization)
+            if line not in self._phases:
+                self._phases[line] = line_phase(line, self.f, inc.theta)
+            self._lines[line] = tline_matrix(self._phases[line], line.eps_r, inc.polarization)
         return self._lines[line]
 
 

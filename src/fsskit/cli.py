@@ -454,18 +454,14 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> dict:
 
 def _run_sweep_w(cfg: RunConfig, out_dir: Path) -> dict:
     rows, failures = [], []
-    work = HeldWork(cfg.grid.points)
-    try:
-        metrics_at = width_evaluator(
-            cfg.geometry, cfg.calibration, cfg.ring_l1, cfg.ring_c1, cfg.grid, cfg.incidence[0], work
-        )
-        for w_mm in cfg.sweep_widths_mm:
-            try:
-                rows.append(dict(w_mm=w_mm, **_metrics_dict(metrics_at(w_mm * 1e-3))))
-            except FssError as exc:
-                failures.append({"w_mm": w_mm, "error": str(exc)})
-    finally:
-        work.arrays.release()  # for the next width loop in this process
+    metrics_at = width_evaluator(
+        cfg.geometry, cfg.calibration, cfg.ring_l1, cfg.ring_c1, cfg.grid, cfg.incidence[0], HeldWork(cfg.grid.points)
+    )
+    for w_mm in cfg.sweep_widths_mm:
+        try:
+            rows.append(dict(w_mm=w_mm, **_metrics_dict(metrics_at(w_mm * 1e-3))))
+        except FssError as exc:
+            failures.append({"w_mm": w_mm, "error": str(exc)})
     artifacts: list[str] = []
     if cfg.metrics_csv_name:
         path = out_dir / cfg.metrics_csv_name

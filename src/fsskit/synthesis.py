@@ -145,8 +145,7 @@ def width_evaluator(
     work's arrays with the kernels that network_smatrix calls, in their
     operand order, so the s21 is bit-identical to
     network_smatrix(build_network(params), grid.points, inc,
-    reflections=False).s21.  The caller releases work's arrays once the
-    evaluator is no longer called.
+    reflections=False).s21.
     A width outside (0, period) raises the DomainError of GeometryParams,
     and one whose L rounds to 0 that of CircuitParams: for these alone the
     width's records are built, and they raise.
@@ -210,17 +209,12 @@ def width_for_bandwidth(
     passband over the whole width range.  Relies on the fractional
     bandwidth being strictly decreasing in w.  Raises InfeasibleTargetError
     (reporting the achievable range) when the target is not within
-    FBW_TOL of [fbw(w_max), fbw(w_min)].  The evaluator's arrays are
-    handed on (HeldArrays.release) when the search ends, as a fit's are.
+    FBW_TOL of [fbw(w_max), fbw(w_min)].
     """
     check_width_range(w_range, geometry.period)
     grid = _auto_grid(geometry, cal, l1, c1, w_range)
-    work = HeldWork(grid.points)
-    try:
-        return _search_width(fbw_target, width_evaluator(geometry, cal, l1, c1, grid, NORMAL, work),
-                             geometry, cal, w_range)
-    finally:
-        work.arrays.release()  # for the next width loop in this process
+    metrics_at = width_evaluator(geometry, cal, l1, c1, grid, NORMAL, HeldWork(grid.points))
+    return _search_width(fbw_target, metrics_at, geometry, cal, w_range)
 
 
 def _search_width(
@@ -432,9 +426,7 @@ def fit_circuit(problem: FitProblem) -> FitResult:
     each trial step, is evaluated with its k perturbed parameter sets as one
     batch of 1 + k rows, so a fit makes one model call per trial step, and
     an accepted step already has its Jacobian.
-    All model calls share one HeldWork (fit_model), whose arrays the fit
-    releases for the next fit in the process when it ends, also when it
-    raises.
+    All model calls share one HeldWork (fit_model).
     A step delta the box does not cut moves a free L, L1 or C1 to
     u exp(delta / u), along its logarithm, as the resonances
     w^2 (L + L1) C1 = 1 and w^2 L1 C1 = 1 do, when that point lies inside
@@ -449,16 +441,7 @@ def fit_circuit(problem: FitProblem) -> FitResult:
     u times its scale, clipped into the box.  The result counts the model
     calls, aligned_start's included, and the rejected trial steps.
     """
-    work = HeldWork(problem.observed.freqs)
-    try:
-        return _fit(problem, fit_model(problem, work))
-    finally:
-        work.arrays.release()  # for the next fit in this process, also after an error
-
-
-def _fit(problem: FitProblem, held_model: Callable[[Mapping[str, object]], SMatrix]) -> FitResult:
-    """fit_circuit's damped least squares, with its model."""
-    calls = 0
+    held_model, calls = fit_model(problem, HeldWork(problem.observed.freqs)), 0
 
     def model(values: Mapping[str, object]) -> SMatrix:
         nonlocal calls

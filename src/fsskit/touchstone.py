@@ -12,16 +12,16 @@ rounding it cannot decide; ``_e11_words`` renders the digits as CPython's
 ``"%.12g" % cell`` (each CSV number).  ``%`` formats the marked cells one
 at a time, so every cell is exactly what ``%`` gives.
 
-A writer formats its table a block of whole rows at a time in one held set
-of arrays (``_Blocks``), and writes each block's text as it comes, so the
-memory that formatting takes does not grow with the table.  A .s2p file's
-frequency column is formatted once per grid: its cell words are held for
-the process per grid (``twoport.held``), for the next file on that grid.
+A writer formats its table a block of whole rows at a time in a set of
+arrays of its own (``_Blocks``), and writes each block's text as it comes,
+so the memory that formatting takes does not grow with the table.  A .s2p
+file's frequency column is formatted once per grid: its cell words are
+held for the process per grid (``twoport.held``), for the next file on
+that grid.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -39,7 +39,7 @@ _UNIT_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 #: A block is whole rows of at most BLOCK_CELLS ``%.11e`` cells, five words
 #: each, or of as many ``%.12g`` cells, eight words each, as fill the same
-#: words (5120).  The arrays a block is formatted in are held (``_Blocks``).
+#: words (5120).  A writer formats each block in its own ``_Blocks``.
 BLOCK_CELLS = 8192
 _BLOCK_WORDS = 5 * BLOCK_CELLS
 #: A block's text is made _PIECE_WORDS words at a time.  Each piece is a new
@@ -67,36 +67,17 @@ def create(path: str | os.PathLike):
 
 
 class _Blocks:
-    """The arrays that one writer formats its blocks in.
+    """The arrays that one writer makes and formats its blocks in.
 
     ``parts`` takes a block's values, ``cells`` its cell words (and one word
     more) and ``lines`` a .s2p block's rows of words.  Each block overwrites
-    them; the text made from them is a copy.
+    them; the text made from them is a copy, so they go with the writer.
     """
 
     def __init__(self):
         self.parts = np.empty(BLOCK_CELLS)
         self.cells = np.empty(_BLOCK_WORDS + 1, np.uint32)
         self.lines = np.empty(_BLOCK_WORDS, np.uint32)
-
-
-#: Block sets that writers handed back, for the next writer to take up.  A
-#: writer holds one set from its first block to its last, so two writers at
-#: once never share one, and a process keeps one set per writer it ran at once.
-_SPARE_BLOCKS: list[_Blocks] = []
-
-
-@contextlib.contextmanager
-def _held_blocks() -> Iterator[_Blocks]:
-    """A block set from ``_SPARE_BLOCKS``, or a new one, handed back at the end."""
-    try:
-        blocks = _SPARE_BLOCKS.pop()
-    except IndexError:
-        blocks = _Blocks()
-    try:
-        yield blocks
-    finally:
-        _SPARE_BLOCKS.append(blocks)
 
 
 def _divmod(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
@@ -296,10 +277,9 @@ def format_g12(table: np.ndarray) -> Iterator[bytes]:
     cells in exponent notation and the undecided ones.  A NaN cell, an
     absent value, is written empty.
     """
-    step = _block_rows(8 * table.shape[1])
-    with _held_blocks() as blocks:
-        for i in range(0, len(table), step):
-            yield from _g12_lines(table[i : i + step], blocks)
+    step, blocks = _block_rows(8 * table.shape[1]), _Blocks()
+    for i in range(0, len(table), step):
+        yield from _g12_lines(table[i : i + step], blocks)
 
 
 def _frequency_words(freqs: np.ndarray, blocks: _Blocks) -> np.ndarray:
@@ -334,15 +314,14 @@ def write_touchstone(curve: ResponseCurve, path: str | os.PathLike) -> None:
         f"! polarization = {curve.incidence.polarization.value}",
         f"# GHz S RI R {ETA0:g}",
     ]
-    step = _block_rows(45)  # 9 cells
-    with _held_blocks() as blocks:
-        frequency = _frequency_words(curve.freqs, blocks)
-        with create(path) as fh:
-            fh.write(("\n".join(header) + "\n").encode())
-            for i in range(0, len(curve), step):
-                rows = slice(i, i + step)
-                s = [curve.s11[rows], curve.s21[rows], curve.s22[rows]]
-                fh.writelines(_e11_lines(s, frequency[rows], blocks))
+    step, blocks = _block_rows(45), _Blocks()  # 9 cells a row
+    frequency = _frequency_words(curve.freqs, blocks)
+    with create(path) as fh:
+        fh.write(("\n".join(header) + "\n").encode())
+        for i in range(0, len(curve), step):
+            rows = slice(i, i + step)
+            s = [curve.s11[rows], curve.s21[rows], curve.s22[rows]]
+            fh.writelines(_e11_lines(s, frequency[rows], blocks))
 
 
 def _parse_option_line(tokens: list[str], line_no: int) -> tuple[float, str, float]:

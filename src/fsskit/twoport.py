@@ -21,10 +21,10 @@ holds, its own or a HeldArrays; the general kernels call the same parts.
 Every array guard of the package, a finiteness or an exact-zero test, goes
 through all_finite or any_zero.
 
-Two stores here keep arrays from one call to the next.  held() keeps values
-per grid, read-only: line phases, jw, the .s2p frequency words and the
-width loop's ring-spacer product.  _SPARES keeps the scratch arrays that
-released HeldArrays handed on.
+One store here keeps arrays for the process: held() keeps values per grid,
+read-only (line phases, jw, the .s2p frequency words and the width loop's
+ring-spacer product).  A HeldArrays keeps the scratch arrays of one loop
+and goes with it.
 """
 
 from __future__ import annotations
@@ -214,13 +214,6 @@ def _unheld():
     return None
 
 
-#: Arrays that released HeldArrays handed on, by shape, for the next ones to
-#: take up, so that a process that runs the same loop again and again makes
-#: them once.  Each kernel overwrites an array it takes, so no value carries
-#: over.  They total at most twice HeldArrays.largest bytes (HeldArrays.release).
-_SPARES: dict[tuple[int, ...], list[np.ndarray]] = {}
-
-
 def aligned_empty(shape: tuple[int, ...], dtype=complex) -> np.ndarray:
     """A new array of shape whose data starts on a 64-byte boundary.  numpy aligns
     complex data to 16 bytes only, and the width loop's kernels run about 6%
@@ -238,27 +231,16 @@ def _aligned_out(x, dtype=complex):
     return aligned_empty(np.shape(x), dtype) if np.ndim(x) else None
 
 
-def _spare(shape: tuple[int, ...]) -> np.ndarray:
-    """An array of shape from _SPARES, or a new aligned_empty one."""
-    try:
-        return _SPARES[shape].pop()
-    except (KeyError, IndexError):
-        return aligned_empty(shape)
-
-
 class HeldArrays:
     """Complex scratch arrays that the calls of a loop over ladders reuse, one shape per call.
 
     start(shape) begins a call: every array of that shape that take() handed
     out is free again, so what the last call returned is overwritten from
-    here on.  take() hands out a free array, taken from _SPARES or made on
-    first need; give(*entries) takes back those of them that take() handed
+    here on.  take() hands out a free array, or a new aligned_empty one if
+    none is free; give(*entries) takes back those of them that take() handed
     out.  A call that takes and gives as the last one did makes no array.
-    release() ends the loop and hands every array on to _SPARES.
+    The arrays go when the HeldArrays does.
     """
-
-    #: bytes of the largest set of arrays that one loop released
-    largest = 0
 
     def __init__(self):
         self.shape = None
@@ -272,32 +254,12 @@ class HeldArrays:
     def take(self) -> np.ndarray:
         if self._free:
             return self._free.pop()
-        x = _spare(self.shape)
+        x = aligned_empty(self.shape)
         self._made[id(x)] = x
         return x
 
     def give(self, *entries) -> None:
         self._free.extend(x for x in entries if id(x) in self._made)
-
-    def release(self) -> None:
-        """Hand every array on; what the calls returned must no longer be in use.
-
-        What other loops handed on and this one did not take up stays in
-        _SPARES up to the bytes of the largest set that one loop released,
-        its smallest arrays dropped first.  So _SPARES holds at most twice
-        that set, and a loop on a large grid keeps its set across loops on
-        smaller ones, as these keep theirs.
-        """
-        arrays = list(self._made.values())
-        HeldArrays.largest = max(HeldArrays.largest, sum(x.nbytes for x in arrays))
-        excess = sum(len(spares) * spares[0].nbytes for spares in _SPARES.values() if spares) - HeldArrays.largest
-        for shape in sorted(_SPARES, key=math.prod) if excess > 0 else ():
-            spares = _SPARES[shape]
-            while excess > 0 and spares:
-                excess -= spares.pop().nbytes
-        for x in arrays:
-            _SPARES.setdefault(x.shape, []).append(x)
-        self._made, self._free = {}, []
 
 
 #: Bytes that the values held per grid (_HELD) take at most, their grid

@@ -138,6 +138,22 @@ def test_simulate_evaluates_each_shunt_branch_once_and_each_line_phase_once_per_
     assert [calls[name].call_count for name in calls] == [1, 1, 2 * 4, 2 * (8 + 3), 0]
 
 
+def test_te_and_tm_at_one_angle_share_a_phase_too_large_to_hold(fresh_phases, monkeypatch):
+    """With nothing held, a work keeps each line's phase until the angle
+    changes: spacer and air gap once at 30 degrees, as within the budget."""
+    net = build_network(CircuitParams(L=2.85e-9, L1=1.61e-9, C1=0.6e-12, order=2, h1=10e-3))
+    conds = [IncidenceCondition(math.radians(30), TE), IncidenceCondition(math.radians(30), TM)]
+    counts = []
+    for budget in (twoport.HELD_BUDGET, 0):
+        monkeypatch.setattr(twoport, "HELD_BUDGET", budget)
+        fresh_phases.clear()
+        with kernel_calls() as calls:
+            sweep_conditions(net, FrequencyGrid(1e9, 5e9, 201), conds)
+        counts.append(calls["tline_phase"].call_count)
+        assert not fresh_phases or budget
+    assert counts == [2, 2]
+
+
 def test_an_evanescent_second_angle_exits_3_with_the_first_error_and_writes_nothing(tmp_path):
     doc = {**STUDY, "circuit": {"l_nh": 2.85, "eps_r": 0.3},
            "incidence": {"theta_deg": [10, 40], "pol": ["TE", "TM"]},

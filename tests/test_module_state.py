@@ -2,11 +2,9 @@
 
 A function of ``src/fsskit`` neither rebinds a module-level name (``global``)
 nor changes a module-level container or class attribute, apart from the
-stores that own such state: the values held per grid (``twoport._HELD``),
-the scratch arrays handed on (``twoport._SPARES`` and
-``HeldArrays.largest``) and the text writers' block sets
-(``touchstone._SPARE_BLOCKS``).  So a new cache has to go through
-``twoport.held`` or be named here.
+one store that owns such state: the values held per grid
+(``twoport._HELD``).  So a new cache has to go through ``twoport.held`` or
+be named here.
 """
 
 import ast
@@ -16,7 +14,7 @@ import pytest
 
 import fsskit
 
-ALLOWED = {"twoport._HELD", "twoport._SPARES", "twoport.HeldArrays.largest", "touchstone._SPARE_BLOCKS"}
+ALLOWED = {"twoport._HELD"}
 
 #: methods of list, dict and set that change the container
 MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update", "setdefault", "add",

@@ -11,24 +11,23 @@ synthesis.fit_model, holds a HeldWork across its calls: each line's
 matrix, formed at the first call, each shunt branch's matrix, formed once
 per call, and the arrays that every call's admittances, products and s21
 are formed in.  jw and each line's phase are the ones that the process
-holds for the grid, within its byte budget.  Across loops, sweep-w,
-width_for_bandwidth and fit_circuit hand their arrays on when they end,
-also when they raise, and the next loop takes them up.  These tests check
-the width loop's and the fit's held results and a sweep's, bit for bit,
-against leaf_s: each element formed afresh by the public leaf kernels, not
-by the HeldWork that every ladder is evaluated through, with the general
-chain product and abcd_to_s's formulas written out.  A held condition is
-checked against network_smatrix with no held arrays.  Fits and sweeps run
-in turn, on arrays the other handed on, are checked against fresh ones.
-They also count the element and kernel evaluations, check that nothing held
-goes stale or is overwritten while it is held, bound what a width, a
-model call, an evaluator after a released one and a fit after fits
-allocate, and pin the bytes that the width loops leave in the spares and in
-the held values.  The held values are checked against cold runs: a second
-run of a config forms no phase, a grid one ulp apart and a length of -0.0
-are held apart, every held array is read-only and aligned, and any
-sequence of sweeps, .s2p writes, width evaluators and fits on grids, lines
-and conditions keeps the bits of a cold run within the budget.
+holds for the grid, within its byte budget.  A loop's scratch arrays go
+with its work.  These tests check the width loop's and the fit's held
+results and a sweep's, bit for bit, against leaf_s: each element formed
+afresh by the public leaf kernels, not by the HeldWork that every ladder is
+evaluated through, with the general chain product and abcd_to_s's formulas
+written out.  A held condition is checked against network_smatrix with no
+held arrays.  Loops after loops, and fits and sweeps in turn, are checked
+against the first ones.  They also count the element and kernel
+evaluations, check that nothing held goes stale or is overwritten while it
+is held, bound what a width and a model call allocate, pin the bytes that
+the width loops leave in the held values, and check that a sweep-w and a
+fit keep nothing else.  The held values are checked against cold runs: a
+second run of a config forms no phase, a grid one ulp apart and a length of
+-0.0 are held apart, every held array is read-only, aligned and apart from
+a work's arrays, and any sequence of sweeps, .s2p writes, width evaluators
+and fits on grids, lines and conditions keeps the bits of a cold run within
+the budget.
 """
 
 import contextlib
@@ -60,7 +59,7 @@ from fsskit.builder import (
 )
 from fsskit.errors import DomainError, FssError, OneSidedBandError, SingularNetworkError
 from fsskit.synthesis import FITTABLE, FitProblem, fit_circuit, fit_model, width_evaluator, width_for_bandwidth
-from fsskit.touchstone import read_touchstone, write_touchstone
+from fsskit.touchstone import format_g12, read_touchstone, write_touchstone
 from fsskit.twoport import (
     NORMAL,
     IncidenceCondition,
@@ -272,7 +271,7 @@ def plain_s21(params, grid, inc):
 
 
 def evaluator(cal=DEFAULT_CALIBRATION, grid=GRID, inc=NORMAL, work=None):
-    """width_evaluator through work, or through a new HeldWork on grid that is never released."""
+    """width_evaluator through work, or through a new HeldWork on grid."""
     return width_evaluator(DEFAULT_GEOMETRY, cal, L1, C1, grid, inc, HeldWork(grid.points) if work is None else work)
 
 
@@ -457,25 +456,13 @@ def test_a_width_inside_the_cell_builds_no_records():
 # the width loop's arrays across loops
 
 
-@pytest.fixture
-def fresh_spares(monkeypatch):
-    """No array handed on yet, and no set released: what earlier tests left does not count."""
-    monkeypatch.setattr(twoport, "_SPARES", {})
-    monkeypatch.setattr(twoport.HeldArrays, "largest", 0, raising=False)
-    return twoport._SPARES
-
-
 WIDTHS = (2.2e-3, 0.6e-3, 1.4e-3)
 
 
-def released_sweep(grid, widths=WIDTHS, inc=NORMAL):
-    """evaluated_s21 at each width of an evaluator whose work is released at the end, as sweep-w does."""
-    work = HeldWork(grid.points)
-    try:
-        metrics_at = evaluator(grid=grid, inc=inc, work=work)
-        return [evaluated_s21(metrics_at, w) for w in widths]
-    finally:
-        work.arrays.release()
+def width_sweep(grid, widths=WIDTHS, inc=NORMAL):
+    """evaluated_s21 at each width of one evaluator, as sweep-w runs it."""
+    metrics_at = evaluator(grid=grid, inc=inc)
+    return [evaluated_s21(metrics_at, w) for w in widths]
 
 
 def assert_same_results(got, want):
@@ -489,95 +476,72 @@ def shipped_width_for_bandwidth(fbw=0.25):
 
 
 @pytest.mark.parametrize("between", ["nothing", "width_for_bandwidth"])
-def test_an_evaluator_after_a_released_one_makes_no_grid_sized_array(fresh_spares, between):
-    """The second loop takes up the two scratch arrays that the first handed
-    on, also after a width_for_bandwidth on its own 2001-point grid, and
-    takes the ring and spacer product from what the process holds; what is
-    left is extract_metrics."""
-    n = 20001
-    grid = FrequencyGrid(1e9, 5e9, n)
-    first = released_sweep(grid)
+def test_an_evaluator_after_another_has_the_bits_of_the_first(between):
+    """Also after a width_for_bandwidth on its own 2001-point grid; the second
+    takes the ring and spacer product from what the process holds."""
+    grid = FrequencyGrid(1e9, 5e9, 20001)
+    first = width_sweep(grid)
     if between == "width_for_bandwidth":
         shipped_width_for_bandwidth()
-    tracemalloc.start()
-    try:
-        again = released_sweep(grid, WIDTHS[:1])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert_same_results(again, first[:1])
-    assert peak / n < 40
+    assert_same_results(width_sweep(grid, WIDTHS[:1]), first[:1])
 
 
-def test_width_loops_leave_one_set_of_each_grid_in_the_spares(fresh_spares, fresh_phases):
+def test_width_loops_hold_one_set_of_values_per_grid(fresh_phases):
     """sweep-w and width_for_bandwidth in turn, as width_design runs them: the
-    spares keep the two scratch arrays of each grid (0.7 MB), inside twice
-    the 20001-point set, and the process holds on each grid (twoport.held)
-    a copy of the grid, the spacer's (cosh, sinh), jw and the ring-spacer
-    product's (a, b, c, d, b/z) (2.6 MB), however often the loops run.  The
-    product's a is the spacer's held cosh, so it counts once."""
+    process holds on each grid (twoport.held) a copy of the grid, the
+    spacer's (cosh, sinh), jw and the ring-spacer product's (a, b, c, d, b/z)
+    (2.6 MB), however often the loops run.  The product's a is the spacer's
+    held cosh, so it counts once."""
     n = 20001
     grid = FrequencyGrid(1e9, 5e9, n)
     for _ in range(3):
-        released_sweep(grid, WIDTHS[:1])
+        width_sweep(grid, WIDTHS[:1])
         shipped_width_for_bandwidth()
         shipped_width_for_bandwidth()
-        assert twoport.HeldArrays.largest == 2 * n * 16
-        assert {shape: len(spares) for shape, spares in fresh_spares.items()} == {(n,): 2, (2001,): 2}
-        spares = sum(x.nbytes for spares in fresh_spares.values() for x in spares)
-        assert spares == 2 * (n + 2001) * 16
         assert {shape: len(values) for shape, (_, values) in fresh_phases.items()} == {(n,): 3, (2001,): 3}
-        assert twoport.held_bytes() == (8 + 2 * 16 + 16 + 4 * 16) * (n + 2001)
-        assert spares + twoport.held_bytes() == 3_344_304
+        assert twoport.held_bytes() == (8 + 2 * 16 + 16 + 4 * 16) * (n + 2001) == 2_640_240
 
 
-def test_a_fit_of_one_value_between_fits_of_three_leaves_their_arrays(fresh_spares):
-    """The (2, 401) set of the one-value fit is handed on beside the (4, 401)
-    set, so the next three-value fit makes none of its arrays again (about
-    420 KiB while release kept one set alone)."""
+def test_a_sweep_w_and_a_fit_keep_only_what_the_process_holds(tmp_path, fresh_phases):
+    """After a 20001-point sweep-w and a fit, what they left allocated is the
+    growth of the held values: no scratch array outlives its loop."""
+    doc = json.loads((CONFIGS / "width_sweep.json").read_text())
+    doc["grid"]["n_points"] = 20001
+    cfg, problem = cli.parse_config(json.dumps(doc)), fit_problem(2, True, TM40)
+    b"".join(format_g12(np.ones((1, 1))))  # the CSV writer's tables, made once per process
+    fresh_phases.clear()
+    tracemalloc.start()
+    try:
+        cli.run(cfg, tmp_path)
+        fit_circuit(problem)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert twoport.held_bytes() > 20001 * 16
+    assert kept <= twoport.held_bytes() + 32 * 1024
+
+
+def test_a_fit_of_one_value_between_fits_of_three_leaves_their_result():
     problem = fit_problem(2, True, TM40)
     one = start_problem(problem.observed, problem.base, start={"C1": START["C1"]})
     first = fit_circuit(problem)
     fit_circuit(one)
-    tracemalloc.start()
-    try:
-        again = fit_circuit(problem)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert again == first
-    assert peak < 320 * 1024
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_fit_that_raises_hands_its_arrays_on(fresh_spares):
-    problem = fit_problem(2, True, TM40)
-    fit_circuit(problem)
-    counts = {shape: len(spares) for shape, spares in fresh_spares.items()}
-    # 1/(jw C1) overflows, so the start's admittance is not finite
-    bad = replace(problem, initial={**problem.initial, "C1": 1e-320}, bounds={**problem.bounds, "C1": (1e-321, 4 * C1)})
-    with pytest.raises(DomainError, match="^shunt admittance must be finite$"):
-        fit_circuit(bad)
-    assert {shape: len(spares) for shape, spares in fresh_spares.items()} == counts
+    assert fit_circuit(problem) == first
 
 
 @pytest.mark.parametrize("order", [("fit", "sweep", "fit"), ("sweep", "fit", "sweep")], ids="/".join)
-def test_fits_and_sweeps_in_turn_have_the_bits_of_fresh_ones(fresh_spares, order):
-    """The sweep's grid has the fit's 401 points, so each loop takes up the
-    (401,) arrays that the other handed on."""
+def test_fits_and_sweeps_in_turn_have_the_bits_of_fresh_ones(order):
+    """The sweep's grid has the fit's 401 points, so each loop runs on the jw
+    and the spacer's phase that the other left held."""
     problem = fit_problem(2, True, TM40)
     grid = FrequencyGrid(1e9, 5e9, 401)
     assert grid.points.shape == problem.observed.freqs.shape
-    want = {"fit": fit_circuit(problem)}
-    fresh_spares.clear()
-    want["sweep"] = released_sweep(grid, inc=TM40)
-    fresh_spares.clear()
+    want = {"fit": fit_circuit(problem), "sweep": width_sweep(grid, inc=TM40)}
     for step in order:
         if step == "fit":
             assert fit_circuit(problem) == want["fit"]
         else:
-            assert_same_results(released_sweep(grid, inc=TM40), want["sweep"])
-    assert fresh_spares[grid.points.shape]
+            assert_same_results(width_sweep(grid, inc=TM40), want["sweep"])
 
 
 def test_no_start_of_an_evaluators_work_frees_what_it_holds():
@@ -857,20 +821,9 @@ def test_a_model_call_after_the_first_allocates_under_112_kib():
         assert peak < 112 * 1024
 
 
-def test_a_fit_after_a_fit_takes_up_its_arrays():
-    """fit_circuit hands its held arrays on when it ends and the next fit takes
-    them up, so it makes none of the eleven (7, 401) arrays (484 KiB) again,
-    and what they held does not change its result."""
+def test_a_fit_after_a_fit_has_its_result():
     problem = fit_problem(2, True, TM40)
-    first = fit_circuit(problem)
-    tracemalloc.start()
-    try:
-        again = fit_circuit(problem)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert again == first
-    assert peak < 320 * 1024
+    assert fit_circuit(problem) == fit_circuit(problem)
 
 
 
@@ -910,8 +863,15 @@ def test_a_grid_one_ulp_apart_forms_its_phases_again(fresh_phases):
     assert _bits(held_grid) == _bits(f) and len(values) == 3  # the two phases and jw
 
 
-def test_every_held_array_is_read_only_aligned_and_apart_from_the_spares(tmp_path, fresh_spares, fresh_phases):
-    released_sweep(GRID)
+def test_every_held_array_is_read_only_aligned_and_apart_from_a_works_arrays(tmp_path, fresh_phases, monkeypatch):
+    taken, take = [], twoport.HeldArrays.take
+
+    def recorded(arrays):
+        taken.append(take(arrays))
+        return taken[-1]
+
+    monkeypatch.setattr(twoport.HeldArrays, "take", recorded)
+    width_sweep(GRID)
     fit_circuit(fit_problem(2, True, TM40))
     curve = sweep_response(ladder_at(2.6), GRID, TM40)
     write_touchstone(curve, tmp_path / "c.s2p")
@@ -924,8 +884,8 @@ def test_every_held_array_is_read_only_aligned_and_apart_from_the_spares(tmp_pat
         assert x.ctypes.data % 64 == 0 and x.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
             x[0] = 0
-    spares = [y for ys in fresh_spares.values() for y in ys]
-    assert spares and not any(np.shares_memory(x, y) for x in held for y in spares)
+    scratch = {id(y): y for y in taken}.values()
+    assert scratch and not any(np.shares_memory(x, y) for x in held for y in scratch)
 
 
 def test_a_line_of_length_minus_0_after_one_of_0_has_the_bits_of_a_cold_run(fresh_phases):
@@ -968,12 +928,8 @@ def held_step(step, net, grid, inc, out):
             write_touchstone(ResponseCurve(freqs=f, s11=s11, s21=s21, s22=s22, incidence=inc), out)
             return out.read_bytes()
         if step.startswith("width"):
-            work = HeldWork(f)
-            try:
-                result, s21 = evaluated_s21(evaluator(LOSSLESS if step == "width-lossless" else DEFAULT_CALIBRATION,
-                                                      grid, inc, work), 1.4e-3)
-            finally:
-                work.arrays.release()
+            result, s21 = evaluated_s21(evaluator(LOSSLESS if step == "width-lossless" else DEFAULT_CALIBRATION,
+                                                  grid, inc), 1.4e-3)
             return (type(result), str(result)) if s21 is None else _bits(s21)
         observed = ResponseCurve(freqs=f, s11=None, s21=np.abs(leaf_s21(net, f, inc)) + 0j, incidence=inc)
         return fit_circuit(FitProblem(observed=observed, base=replace(net_params(net), L=3e-9), free=("L",),

@@ -1,11 +1,11 @@
-"""The text writers' held block sets and the shared .s2p frequency column.
+"""The text writers' block sets and the shared .s2p frequency column.
 
-A writer formats in a block set (``touchstone._Blocks``) that it takes from
-``touchstone._SPARE_BLOCKS`` and hands back, and a .s2p writer takes the
-frequency column's cell words from the values that the process holds per
-grid (``twoport.held``) when an earlier file was on equal frequencies.  These tests check that neither ever
-changes a byte: not across threads, not after an error, and not when the
-frequencies change under the held copy.
+A writer formats in a block set of its own (``touchstone._Blocks``), and a
+.s2p writer takes the frequency column's cell words from the values that
+the process holds per grid (``twoport.held``) when an earlier file was on
+equal frequencies.  These tests check that neither ever changes a byte: not
+across threads, not after an error, and not when the frequencies change
+under the held copy.
 """
 
 import contextlib
@@ -51,14 +51,6 @@ def _fresh(curve, path) -> bytes:
 
 
 @pytest.fixture
-def spares(monkeypatch):
-    """An empty spares list of this test's own."""
-    held = []
-    monkeypatch.setattr(touchstone, "_SPARE_BLOCKS", held)
-    return held
-
-
-@pytest.fixture
 def switch_often():
     """Threads switch every 10 µs, so the writers' blocks interleave."""
     interval = sys.getswitchinterval()
@@ -93,7 +85,7 @@ class TestConcurrentWriters:
         assert not any(t.is_alive() for t in threads)
         assert not errors
 
-    def test_two_touchstone_writers_give_the_sequential_bytes(self, tmp_path, spares, switch_often):
+    def test_two_touchstone_writers_give_the_sequential_bytes(self, tmp_path, switch_often):
         """Each writer holds its own block set, and the frequency column it took
         stays whole while the other writer replaces the held one."""
         curves = [_curves(FrequencyGrid(1e9, 5e9, 2001), CONDITIONS[:1])[0],
@@ -106,9 +98,8 @@ class TestConcurrentWriters:
 
         self._run(work)
         assert [set(g) for g in got] == [{expected[k % 2]} for k in range(self.THREADS)]
-        assert 1 <= len(spares) <= self.THREADS
 
-    def test_two_csv_writers_give_the_sequential_bytes(self, spares, switch_often):
+    def test_two_csv_writers_give_the_sequential_bytes(self, switch_often):
         rng = np.random.default_rng(3)
         tables = [rng.normal(size=(2001, 17)) * 1e3, rng.normal(size=(1501, 5))]
         expected = [b"".join(format_g12(table)) for table in tables]
@@ -119,7 +110,6 @@ class TestConcurrentWriters:
 
         self._run(work)
         assert [set(g) for g in got] == [{expected[k % 2]} for k in range(self.THREADS)]
-        assert 1 <= len(spares) <= self.THREADS
 
 
 class TestFrequencyColumn:
@@ -164,7 +154,7 @@ class TestFrequencyColumn:
     def test_peak_memory_grows_by_the_held_column_alone(self, tmp_path):
         """Beyond the frequency column it holds (about 28 B a row), a write's
         peak does not grow with the table: each block is formatted in the
-        held set and written as it comes."""
+        writer's set and written as it comes."""
         def peak(n, f_start):
             curve = _curves(FrequencyGrid(f_start, 5e9, n), CONDITIONS[:1])[0]
             tracemalloc.start()
@@ -174,14 +164,14 @@ class TestFrequencyColumn:
             finally:
                 tracemalloc.stop()
 
-        peak(2001, 1e9)  # the block set and the word tables exist from here on
+        peak(2001, 1e9)  # the word tables exist from here on
         small, large = peak(2001, 1.5e9), peak(20001, 2e9)
         slack = 16 * 1024
         assert large - small <= COLUMN_BYTES_PER_ROW * (20001 - 2001) + slack
 
 
 class TestErrors:
-    def test_a_directory_at_the_third_name_is_an_io_error_after_two_whole_files(self, tmp_path, spares):
+    def test_a_directory_at_the_third_name_is_an_io_error_after_two_whole_files(self, tmp_path):
         doc = {
             "mode": "simulate", "circuit": {"l_nh": 2.85, "l1_nh": 1.61, "c1_pf": 0.6, "order": 2, "h1_mm": 10.0},
             "grid": {"n_points": 2001},
@@ -203,28 +193,15 @@ class TestErrors:
         for name in names[:2]:
             assert (tmp_path / "bad" / name).read_bytes() == (tmp_path / "good" / name).read_bytes()
         assert not any((tmp_path / "bad" / name).exists() for name in names[3:])
-        assert len(spares) <= 1
 
         assert main(tmp_path / "again") == (cli.EXIT_OK, "")
         for name in ("oblique.csv",) + names:
             assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "good" / name).read_bytes()
-        assert len(spares) <= 1
 
-    def test_a_curve_without_s22_is_refused_before_any_file_is_made(self, tmp_path, spares):
+    def test_a_curve_without_s22_is_refused_before_any_file_is_made(self, tmp_path):
         curve = _curves(FrequencyGrid(1e9, 5e9, 2001), CONDITIONS[:1])[0]
         expected = _fresh(curve, tmp_path / "fresh.s2p")
         with pytest.raises(DomainError, match="no s22"):
             write_touchstone(ResponseCurve(curve.freqs, curve.s11, curve.s21), tmp_path / "refused.s2p")
         assert not (tmp_path / "refused.s2p").exists()
         assert _written(curve, tmp_path / "next.s2p") == expected
-        assert len(spares) <= 1
-
-    def test_a_csv_writer_stopped_mid_table_hands_its_set_back(self, spares):
-        table = np.arange(40000.0).reshape(-1, 8)
-        expected = b"".join(format_g12(table))
-        pieces = format_g12(table)
-        next(pieces)
-        pieces.close()
-        assert len(spares) == 1
-        assert b"".join(format_g12(table)) == expected
-        assert len(spares) == 1

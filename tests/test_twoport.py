@@ -1,12 +1,9 @@
 """Two-port algebra: element matrices, cascading, S conversion, properties."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fsskit import twoport
 from fsskit.errors import DomainError, EvanescentModeError, SingularNetworkError
@@ -440,56 +437,13 @@ class TestHeldForms:
         delta = abcd_delta(m.a, m.b / 50.0, m.c * 50.0, m.d, out=out())
         assert _bits(delta) == _bits(abcd_delta(m.a, m.b / 50.0, m.c * 50.0, m.d))
 
-    @pytest.fixture
-    def spares(self, monkeypatch):
-        monkeypatch.setattr(twoport, "_SPARES", {})
-        monkeypatch.setattr(HeldArrays, "largest", 0)
-        return twoport._SPARES
-
     @pytest.mark.parametrize("shape", [(2001,), (4, 401), (20001,), ()])
-    def test_a_new_held_array_starts_on_a_64_byte_boundary(self, spares, shape):
+    def test_a_new_held_array_starts_on_a_64_byte_boundary(self, shape):
         arrays = HeldArrays()
         arrays.start(shape)
         for x in [arrays.take() for _ in range(10)]:
             assert x.shape == shape and x.dtype == complex and x.flags.c_contiguous
             assert x.ctypes.data % 64 == 0
-
-    def test_release_keeps_earlier_spares_up_to_the_largest_set_smallest_dropped_first(self, spares):
-        def loop(shape, count):
-            arrays = HeldArrays()
-            arrays.start(shape)
-            taken = [arrays.take() for _ in range(count)]
-            arrays.release()
-            return taken
-
-        big = loop((1000,), 3)
-        small = loop((100,), 2)
-        assert HeldArrays.largest == 3 * 1000 * 16
-        assert {k: len(v) for k, v in spares.items()} == {(1000,): 3, (100,): 2}
-        # a loop that takes no spare: what it leaves is over the bound by the (100,) set
-        loop((10,), 1)
-        assert {k: len(v) for k, v in spares.items() if v} == {(1000,): 3, (10,): 1}
-        assert all(any(x is y for y in spares[(1000,)]) for x in big)
-        assert not any(x is y for x in small for ys in spares.values() for y in ys)
-        # the large set is taken up again, and the small loops keep theirs beside it
-        assert all(any(x is y for y in big) for x in loop((1000,), 3))
-
-    @settings(max_examples=300, deadline=None)
-    @given(loops=st.lists(st.tuples(st.sampled_from([(10,), (100,), (3, 100), (1000,)]), st.integers(0, 7)),
-                          min_size=1, max_size=12))
-    def test_the_spares_never_hold_more_bytes_than_twice_the_largest_set(self, loops):
-        """Loops of taken arrays in any order: after each release the spares
-        total at most twice the bytes of the largest set one loop released."""
-        with mock.patch.object(twoport, "_SPARES", {}), mock.patch.object(HeldArrays, "largest", 0):
-            largest = 0
-            for shape, taken in loops:
-                arrays = HeldArrays()
-                arrays.start(shape)
-                held = [arrays.take() for _ in range(taken)]
-                arrays.release()
-                largest = max(largest, sum(x.nbytes for x in held))
-                assert HeldArrays.largest == largest
-                assert sum(x.nbytes for spares in twoport._SPARES.values() for x in spares) <= 2 * largest
 
     @pytest.fixture
     def store(self, monkeypatch):

@@ -9,7 +9,7 @@ The program is imported from src/ of the same checkout.
 
 starts: the fit_solve benchmark's fits (bench/workloads.py, FULL sizes) run
 in process through fsskit.cli.main: per fit the model calls, iterations
-and the largest relative error of L, L1 and C1 against the truth, and the
+and the greatest relative error of L, L1 and C1 against the truth, and the
 histogram of model calls.
 
 boxes: fits of L, L1 and C1 to the criterion-8 curve (401 points, 1-5 GHz)

@@ -19,8 +19,7 @@ faults it in again.  Every operation's output is checked as the benchmark
 checks it; a failed check is reported, not raised.  After the rounds, the
 report gives the bytes that the process still holds for the next operation:
 the values held per grid (twoport.held_bytes: line phases, jw, .s2p
-frequency words and width loop heads, with their grid copies) and the
-scratch arrays handed on in twoport._SPARES.
+frequency words and width loop heads, with their grid copies).
 """
 
 from __future__ import annotations
@@ -83,8 +82,7 @@ def measure(workload: str, seed: int, rounds: int, tiny: bool) -> dict:
                        "faults_p50": statistics.median(g["faults"]), "faults_max": max(g["faults"]),
                        "ms_p50": round(statistics.median(g["ms"]), 3), "ms_max": round(max(g["ms"]), 3)}
                 for name, g in groups.items()},
-        "held_bytes": {"held": twoport.held_bytes(),
-                       "spares": sum(x.nbytes for spares in twoport._SPARES.values() for x in spares)},
+        "held_bytes": twoport.held_bytes(),
         "problems": list(dict.fromkeys(problems))[:20],
     }
 
