@@ -35,6 +35,7 @@ import functools
 import json
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 from dataclasses import replace
 from unittest import mock
@@ -519,6 +520,27 @@ def test_a_sweep_w_and_a_fit_keep_only_what_the_process_holds(tmp_path, fresh_ph
         tracemalloc.stop()
     assert twoport.held_bytes() > 20001 * 16
     assert kept <= twoport.held_bytes() + 32 * 1024
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_fit_that_raises_lets_its_arrays_go_and_leaves_the_next_fit_as_fresh():
+    """No finally hands a fit's arrays on: they go with its work and the error."""
+    problem = fit_problem(2, True, TM40)
+    want = fit_circuit(problem)
+    # 1/(jw C1) overflows, so the start's admittance is not finite
+    bad = replace(problem, initial={**problem.initial, "C1": 1e-320}, bounds={**problem.bounds, "C1": (1e-321, 4 * C1)})
+    made = []
+
+    def recorded(*args, **kwargs):
+        work = HeldWork(*args, **kwargs)
+        made.append(weakref.ref(work.arrays))
+        return work
+
+    with mock.patch.object(synthesis, "HeldWork", recorded):
+        with pytest.raises(DomainError, match="^shunt admittance must be finite$"):
+            fit_circuit(bad)
+    assert len(made) == 1 and made[0]() is None
+    assert fit_circuit(problem) == want
 
 
 def test_a_fit_of_one_value_between_fits_of_three_leaves_their_result():

@@ -198,6 +198,22 @@ class TestErrors:
         for name in ("oblique.csv",) + names:
             assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "good" / name).read_bytes()
 
+    def test_a_csv_writer_stopped_mid_block_keeps_its_bytes_and_the_next_writers(self):
+        """Each writer's blocks are its own: one stopped after the first piece
+        of a block, while another writes a whole table, then resumed or
+        closed, changes no byte of either."""
+        table, other = np.arange(40000.0).reshape(-1, 8), -np.arange(40000.0).reshape(-1, 8) / 7
+        expected, expected_other = b"".join(format_g12(table)), b"".join(format_g12(other))
+        pieces = format_g12(table)
+        first = next(pieces)
+        assert len(first) < len(expected)
+        assert b"".join(format_g12(other)) == expected_other
+        assert first + b"".join(pieces) == expected
+        pieces = format_g12(table)
+        next(pieces)
+        pieces.close()
+        assert b"".join(format_g12(other)) == expected_other
+
     def test_a_curve_without_s22_is_refused_before_any_file_is_made(self, tmp_path):
         curve = _curves(FrequencyGrid(1e9, 5e9, 2001), CONDITIONS[:1])[0]
         expected = _fresh(curve, tmp_path / "fresh.s2p")
