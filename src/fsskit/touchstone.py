@@ -208,7 +208,8 @@ def _g12_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     A cell is eight words, and its NUL bytes are dropped from the output:
     the separator before it, sign or NUL, "0" or NUL, NUL | the integer
     part's 3 groups of 4 digits | ".", then the fraction's 15 digits in
-    groups of 3, 4, 4, 4.  Tables indexed ``q`` write the group ``q`` with
+    groups of 3, 4, 4, 4.  A six-word cell has the integer part's last
+    group only.  Tables indexed ``q`` write the group ``q`` with
     its leading or trailing zeros as NUL; indexed ``q + 10**width`` they
     write it in full.
     """
@@ -231,35 +232,44 @@ def _g12_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _g12_lines(block: np.ndarray, blocks: _Blocks) -> Iterator[bytes]:
-    """Comma-separated lines of ``"%.12g"`` cells, with the NaN cells empty."""
+    """Comma-separated lines of ``"%.12g"`` cells, with the NaN cells empty.
+
+    A block whose cells all have ``k >= 8`` (an integer part of at most 4
+    digits) drops the integer part's two high words, NUL in every such cell:
+    its cells are six words.  A cell that ``%`` formats takes ``k = 11``, as
+    1.0 does (``n`` is ``10**11``), and its text, at most 19 bytes, fits the
+    23 after the separator.
+    """
     x = block.ravel()
     n, k, ok = _mantissa(x)
     ok &= (k >= 0) & (k <= 15)  # fixed notation: -4 <= e < 12
-    k = np.clip(k, 0, 15)
+    k = np.where(ok, k, 11)
     head, integer, point, fraction = _g12_tables()
-    words = blocks.cells[: 8 * x.size + 1]
-    cells = words[:-1].reshape(x.size, 8)
+    width = 6 if (k >= 8).all() else 8
+    words = blocks.cells[: width * x.size + 1]
+    cells = words[:-1].reshape(x.size, width)
     cells[:, 0] = head[np.signbit(x) + 2 * (k >= 12)]
     n, f = _divmod(n, _IPOW10[k])
     f *= _IPOW10[15 - k]  # the fraction's digits, left-aligned to 15
-    high, n = _divmod(n, 10**8)
-    mid, n = _divmod(n, 10**4)
-    cells[:, 1] = integer[high]
-    cells[:, 2] = integer[mid + 10**4 * (k <= 3)]
-    cells[:, 3] = integer[n + 10**4 * (k <= 7)]
+    if width == 8:
+        high, n = _divmod(n, 10**8)
+        mid, n = _divmod(n, 10**4)
+        cells[:, 1] = integer[high]
+        cells[:, 2] = integer[mid + 10**4 * (k <= 3)]
+    cells[:, -5] = integer[n + 10**4 * (k <= 7)]
     q, f = _divmod(f, 10**12)
-    cells[:, 4] = point[q + 10**3 * (f > 0)]
+    cells[:, -4] = point[q + 10**3 * (f > 0)]
     q, f = _divmod(f, 10**8)
-    cells[:, 5] = fraction[q + 10**4 * (f > 0)]
+    cells[:, -3] = fraction[q + 10**4 * (f > 0)]
     q, f = _divmod(f, 10**4)
-    cells[:, 6] = fraction[q + 10**4 * (f > 0)]
-    cells[:, 7] = fraction[f]
+    cells[:, -2] = fraction[q + 10**4 * (f > 0)]
+    cells[:, -1] = fraction[f]
     text = cells.view(np.uint8)
     fallback = np.flatnonzero(~ok)
     for i, value in zip(fallback.tolist(), x[fallback].tolist()):
-        text[i, 1:] = np.frombuffer((b"%.12g" % value).ljust(31, b"\0"), np.uint8)
+        text[i, 1:] = np.frombuffer((b"%.12g" % value).ljust(4 * width - 1, b"\0"), np.uint8)
     text[np.isnan(x), 1:] = 0
-    text.reshape(block.shape + (32,))[:, 0, 0] = ord("\n")  # a row's first separator ends the row before
+    text.reshape(block.shape + (4 * width,))[:, 0, 0] = ord("\n")  # a row's first separator ends the row before
     text[0, 0] = 0  # the block's first row has none before it
     words[-1] = ord("\n")  # and one word after the cells ends its last
     yield from _text(words)
@@ -361,8 +371,12 @@ def _to_complex(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A dB magnitude too large for a float raises OverflowError.
     """
     if fmt == "db":
-        # numpy's pow differs from CPython's in the last bit for some inputs
-        a = np.array([10.0 ** x for x in (a / 20.0).ravel().tolist()]).reshape(a.shape)
+        # libm's pow, as CPython's ** calls it: 10.0 ** (x / 20.0) bit for bit,
+        # which np.power's SIMD loop is not for some inputs
+        with np.errstate(over="ignore"):
+            a = np.float_power(10.0, a / 20.0)
+        if not all_finite(a):
+            raise OverflowError("dB magnitude overflows")
     if fmt != "ri":
         rad = np.radians(b)
         cos, sin = np.cos(rad), np.sin(rad)
@@ -415,7 +429,8 @@ class _Header:
 
 
 def _parse_at_once(body: list[str], mult: float) -> np.ndarray | None:
-    """The (n, 9) fields of the records among the ``body`` lines, parsed in one call.
+    """The (n, 9) fields of the records among the ``body`` lines, parsed in one
+    call, with the frequencies scaled to Hz.
 
     None when a line is not nine numbers that ``np.loadtxt`` reads (with
     ``comments=None`` a comment or option line is not), or a row fails a check
@@ -425,18 +440,22 @@ def _parse_at_once(body: list[str], mult: float) -> np.ndarray | None:
         fields = np.loadtxt(body, ndmin=2, comments=None)
     except ValueError:
         return None
-    freqs = fields[:, 0] * mult
+    freqs = fields[:, 0]
+    with np.errstate(over="ignore"):  # an infinite frequency goes to the line loop
+        freqs *= mult
     ok = fields.shape[1] == 9 and all_finite(fields) and (freqs >= 0).all()
     return fields if ok and (freqs[1:] > freqs[:-1]).all() else None
 
 
 def _parse_lines(body: list[str], first_no: int, header: _Header) -> np.ndarray:
-    """The (n, 9) fields of the records among the ``body`` lines, numbered from ``first_no``.
+    """The (n, 9) fields of the records among the ``body`` lines, numbered from
+    ``first_no``, with the frequencies scaled to Hz.
 
     The comment and option lines among them go to ``header``.  The lines are
     read in order, and the first fault raises: a record that is not nine
-    numbers, a non-finite field, a negative frequency, a frequency that does
-    not increase, or a dB magnitude that overflows.
+    numbers, a non-finite field, a frequency that overflows in Hz, a
+    negative frequency, a frequency that does not increase, or a dB
+    magnitude that overflows.
     """
     rows, last = [], -math.inf
     for line_no, raw in enumerate(body, start=first_no):
@@ -453,6 +472,8 @@ def _parse_lines(body: list[str], first_no: int, header: _Header) -> np.ndarray:
         if not all(map(math.isfinite, row)):
             raise TouchstoneError(f"non-finite field in {line!r}", line_no)
         f = row[0] * header.mult
+        if not math.isfinite(f):
+            raise TouchstoneError(f"frequency overflows in Hz in {line!r}", line_no)
         if f < 0:
             raise TouchstoneError(f"negative frequency in {line!r}", line_no)
         if f <= last:
@@ -463,8 +484,8 @@ def _parse_lines(body: list[str], first_no: int, header: _Header) -> np.ndarray:
                     10.0 ** (mag / 20.0)
             except OverflowError:
                 raise TouchstoneError(f"dB magnitude overflows in {line!r}", line_no) from None
+        row[0] = last = f
         rows.append(row)
-        last = f
     return np.array(rows)
 
 
@@ -514,7 +535,7 @@ def read_touchstone(path: str | os.PathLike) -> ResponseCurve:
         _parse_lines(body, first + 1, header)  # names the line whose dB magnitude overflows
         raise
     return ResponseCurve(
-        freqs=fields[:, 0] * header.mult,
+        freqs=fields[:, 0].copy(),  # contiguous, and not holding the fields
         s11=data[:, 0],
         s21=data[:, 1],
         incidence=IncidenceCondition(math.radians(header.theta_deg), header.pol),

@@ -728,6 +728,13 @@ class TestMainEntry:
         assert main(["--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
         assert "line 2: dB magnitude overflows" in capsys.readouterr().err
 
+    def test_frequency_overflowing_in_hz_exits_as_input_data_error(self, tmp_path, capsys):
+        s2p = tmp_path / "far.s2p"
+        s2p.write_text("# GHz S RI R 50\n1.0 0 0 1 0 1 0 0 0\n1e300 0 0 1 0 1 0 0 0\n")
+        path = self.write_config(tmp_path, {"mode": "analyze", "analyze": {"touchstone": str(s2p)}})
+        assert main(["--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
+        assert "input data error: line 3: frequency overflows in Hz" in capsys.readouterr().err
+
     def test_invalid_utf8_exits_as_input_data_error(self, tmp_path, capsys):
         s2p = tmp_path / "latin.s2p"
         s2p.write_bytes(b"# GHz S RI R 50\n1.0 0 0 1 0 1 0 0 0\xff\n")

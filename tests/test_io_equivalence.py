@@ -10,6 +10,7 @@ gives, bit for bit, and that a faulty record is still reported on its own line.
 import json
 import math
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -54,6 +55,11 @@ G12_CASES = {
     "zeros, a subnormal, the -200 dB floor": [0.0, -0.0, 5e-324, -200.0],
     "leading and trailing zeros": [1.0, -10.0, 1e11, 0.5, 0.0001000002, 1.2300000000004, 9000.000001],
 }
+#: cells below 1e4 in magnitude, and cells that % formats: ties, a carry to
+#: 1e4, exponent notation below 1e-4 and from 1e12, subnormals
+G12_NARROW = [-3.25, 0.0625, 1.0, -200.0, 2.7, 1e-4, 9999.99999999, 1001 / 2**13, -11 / 2**16,
+              12345678901.25, 9999.99999999996, -9.99999999999996e-5, 1e-5, -1.23456789012e-5,
+              5e-324, -1e-310, -1.7976931348623157e308, 1e12]
 #: a value for every branch of both renderers, repeated to fill larger tables
 MIXED = sum(G12_CASES.values(), sum(E11_CASES.values(), EDGE_VALUES)) + [-3.25, 4.5e6, 0.0625]
 
@@ -168,6 +174,28 @@ class TestWriters:
         curve = ResponseCurve(np.linspace(1e9, 3e9, 5), s11, s21, s22=s22)
         assert _written_body(curve) == _s2p_body_per_cell(curve)
 
+    def test_g12_cell_widths_at_the_block_seams(self):
+        """A block whose cells all lie below 1e4 or fall to % takes six-word cells,
+        and one fixed-notation cell from 1e4 sends its block to eight words.
+        0.0, NaN, ties, carries, 1e-5, subnormals and exponent notation fall
+        to % (or are blank) inside a narrow block, and their text fits the 23
+        bytes a six-word cell has after its separator."""
+        assert max(len(b"%.12g" % x) for x in G12_NARROW) <= 23
+        cols = 7
+        rows = _block_rows(8 * cols)
+        narrow = np.resize(G12_NARROW, (rows, cols))
+        wide, zero, blank = narrow.copy(), narrow.copy(), narrow.copy()
+        wide[-1, -1], zero[3, 2], blank[0, 0] = 12345.678, 0.0, np.nan
+        table = np.concatenate([narrow, wide, narrow, zero, wide, blank, narrow[:5]])
+        with mock.patch.object(touchstone, "_text", wraps=touchstone._text) as text:
+            written = b"".join(format_g12(table))
+        block_words = [call.args[0].size for call in text.call_args_list]
+        assert block_words == [w * rows * cols + 1 for w in (6, 8, 6, 6, 8, 6)] + [6 * 5 * cols + 1]
+        expected = "".join(
+            ",".join("" if math.isnan(x) else format(x, ".12g") for x in row) + "\n" for row in table.tolist()
+        )
+        assert written == expected.encode()
+
 
 def _metrics_csv_per_cell(rows) -> bytes:
     """The metrics CSV as the former per-cell loop wrote it, kept as the reference.
@@ -258,6 +286,38 @@ class TestReader:
         assert np.array_equal(_bits(curve.freqs), _bits(np.array([(1.5 + i) * mult for i in range(n)])))
         for got, col in ((curve.s11, 0), (curve.s21, 1), (curve.s22, 3)):
             assert np.array_equal(_bits(got), _bits(expected[:, col]))
+
+
+#: the largest y whose 10.0 ** y is finite (a dB magnitude of 6165.09...) and
+#: the largest whose 10.0 ** y is 0
+Y_MAX, Y_ZERO = 308.2547155599167, -323.6072453387798
+EXPONENTS = st.one_of(
+    st.floats(Y_ZERO - 10.0, Y_MAX),  # every magnitude that does not overflow
+    st.floats(-323.7, -307.6),  # subnormal and zero results
+    SIGNED_ZEROS,
+    st.sampled_from([Y_MAX, Y_ZERO, math.nextafter(Y_ZERO, 0.0)]),
+)
+
+
+class TestDbMagnitudes:
+    """The reader takes each dB magnitude from ``np.float_power``, which calls
+    libm's ``pow`` as CPython's ``**`` does; ``np.power``'s SIMD loop differs
+    in the last bit for some inputs."""
+
+    @given(arrays(np.float64, st.integers(1, 100), elements=EXPONENTS))
+    @example(np.array([Y_MAX, Y_ZERO, math.nextafter(Y_ZERO, 0.0), 0.0, -0.0, -310.0, -320.5] * 3))
+    def test_float_power_is_cpython_pow_bit_for_bit(self, y):
+        assert np.array_equal(_bits(np.float_power(10.0, y)), _bits(np.array([10.0 ** v for v in y.tolist()])))
+
+    @given(st.floats(20.0 * math.nextafter(Y_MAX, math.inf), 1e308), st.sampled_from(["", "! late\n"]))
+    @example(6165.1, "")
+    def test_overflow_is_a_touchstone_error_not_a_warning(self, db, late):
+        text = f"# GHz S DB R 50\n1.0 0 0 0 0 0 0 0 0\n{late}2.0 0 0 {db!r} 0 0 0 0 0\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TouchstoneError, match="dB magnitude overflows") as err:
+                _read_text(text)
+        assert err.value.line_no == 3 + bool(late)
 
 
 FAULTS = {

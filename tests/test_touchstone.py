@@ -289,6 +289,20 @@ class TestReaderErrors:
         assert str(err.value) == "line 2: negative frequency in '-1.0 0 0 1 0 1 0 0 0'"
 
     @pytest.mark.parametrize("late", PATHS.values(), ids=PATHS)
+    def test_frequency_overflowing_in_hz_names_its_line(self, tmp_path, late):
+        """1e300 is a finite field, but 1e309 Hz is past the largest float; 1e308 Hz is read."""
+        path = tmp_path / "far.s2p"
+        path.write_text(f"# GHz S RI R 50\n1e299 0 0 1 0 1 0 0 0\n{late}1e300 0 0 1 0 1 0 0 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TouchstoneError) as err:
+                read_touchstone(path)
+        line_no = 3 + bool(late)
+        assert str(err.value) == f"line {line_no}: frequency overflows in Hz in '1e300 0 0 1 0 1 0 0 0'"
+        path.write_text("# GHz S RI R 50\n1e299 0 0 1 0 1 0 0 0\n")
+        assert read_touchstone(path).freqs.tolist() == [1e299 * 1e9]
+
+    @pytest.mark.parametrize("late", PATHS.values(), ids=PATHS)
     def test_zero_frequency_is_read(self, tmp_path, late):
         path = tmp_path / "dc.s2p"
         path.write_text(f"# GHz S RI R 50\n0 0 0 1 0 1 0 0 0\n{late}2.0 0 0 1 0 1 0 0 0\n")
