@@ -204,8 +204,10 @@ def width_for_bandwidth(
     Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971) on
     x = ln L(w), the log grid inductance, and g = ln fbw - ln fbw_target,
     which is smooth and monotone in x.  Each trial x is mapped back to a
-    width with grid_width and clamped into the bracket.  Each width is
-    evaluated at normal incidence on a 2001-point grid that brackets the
+    width with grid_width and clamped into the bracket.  An edge or trial
+    within FBW_TOL of the target is returned, or the midpoint once the
+    bracket is narrower than WIDTH_TOL.  One width evaluator evaluates each
+    width at normal incidence on a 2001-point grid that brackets the
     passband over the whole width range.  Relies on the fractional
     bandwidth being strictly decreasing in w.  Raises InfeasibleTargetError
     (reporting the achievable range) when the target is not within
@@ -214,17 +216,6 @@ def width_for_bandwidth(
     check_width_range(w_range, geometry.period)
     grid = _auto_grid(geometry, cal, l1, c1, w_range)
     metrics_at = width_evaluator(geometry, cal, l1, c1, grid, NORMAL, HeldWork(grid.points))
-    return _search_width(fbw_target, metrics_at, geometry, cal, w_range)
-
-
-def _search_width(
-    fbw_target: float,
-    metrics_at: Callable[[float], PassbandMetrics],
-    geometry: GeometryParams,
-    cal: CalibrationConstants,
-    w_range: tuple[float, float],
-) -> float:
-    """width_for_bandwidth's search, with its width evaluator."""
     w_lo, w_hi = w_range
     fbw_max = metrics_at(w_lo).fbw
     if w_lo == w_hi:

@@ -38,8 +38,8 @@ from .twoport import ETA0, IncidenceCondition, Polarization, aligned_empty, all_
 _UNIT_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 #: A block is whole rows of at most BLOCK_CELLS ``%.11e`` cells, five words
-#: each, or of as many ``%.12g`` cells, eight words each, as fill the same
-#: words (5120).  A writer formats each block in its own ``_Blocks``.
+#: each, or of 5120 ``%.12g`` cells (see ``format_g12``).  A writer formats
+#: each block in its own ``_Blocks``.
 BLOCK_CELLS = 8192
 _BLOCK_WORDS = 5 * BLOCK_CELLS
 #: A block's text is made _PIECE_WORDS words at a time.  Each piece is a new
@@ -205,13 +205,12 @@ def _e11_lines(s: list[np.ndarray], frequency: np.ndarray, blocks: _Blocks) -> I
 def _g12_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The word tables of ``format_g12``, built once, on its first call.
 
-    A cell is eight words, and its NUL bytes are dropped from the output:
+    A cell is six words, and its NUL bytes are dropped from the output:
     the separator before it, sign or NUL, "0" or NUL, NUL | the integer
-    part's 3 groups of 4 digits | ".", then the fraction's 15 digits in
-    groups of 3, 4, 4, 4.  A six-word cell has the integer part's last
-    group only.  Tables indexed ``q`` write the group ``q`` with
-    its leading or trailing zeros as NUL; indexed ``q + 10**width`` they
-    write it in full.
+    part's 4 digits | ".", then the fraction's 15 digits in groups of 3, 4,
+    4, 4.  Indexed ``q``, a table writes the group ``q`` with its leading
+    (integer) or trailing (fraction) zeros as NUL; the fraction's tables,
+    indexed ``q + 10**width``, write it in full.
     """
     four, three = _digits(4), _digits(3)
     q4, q3 = np.arange(10**4)[:, None], np.arange(10**3)[:, None]
@@ -224,7 +223,7 @@ def _g12_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return (
         # [(x < 0) + 2 * (e < 0)]
         _words(ord(","), [0, ord("-"), 0, ord("-")], [0, 0, ord("0"), ord("0")], 0),
-        _words(*np.concatenate([leading, four]).T),  # [q + 10**4 * (higher digits)]
+        _words(*leading.T),  # [q]
         # [q + 10**3 * (lower nonzero digits)]
         _words(*np.concatenate([points, np.concatenate([point_trailing, three])], axis=1).T),
         _words(*np.concatenate([trailing, four]).T),  # [q + 10**4 * (lower nonzero digits)]
@@ -232,44 +231,37 @@ def _g12_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _g12_lines(block: np.ndarray, blocks: _Blocks) -> Iterator[bytes]:
-    """Comma-separated lines of ``"%.12g"`` cells, with the NaN cells empty.
+    """Comma-separated lines of ``"%.12g"`` cells, six words each, with the NaN cells empty.
 
-    A block whose cells all have ``k >= 8`` (an integer part of at most 4
-    digits) drops the integer part's two high words, NUL in every such cell:
-    its cells are six words.  A cell that ``%`` formats takes ``k = 11``, as
-    1.0 does (``n`` is ``10**11``), and its text, at most 19 bytes, fits the
-    23 after the separator.
+    The kernel forms the fixed-notation cells whose integer part has at most
+    4 digits (``8 <= k <= 15``, ``-4 <= e < 4``).  A cell that ``%`` formats
+    takes ``k = 11``, as 1.0 does (``n`` is ``10**11``), and its text, at
+    most 19 bytes, fits the 23 after the separator.
     """
     x = block.ravel()
     n, k, ok = _mantissa(x)
-    ok &= (k >= 0) & (k <= 15)  # fixed notation: -4 <= e < 12
+    ok &= (k >= 8) & (k <= 15)  # fixed notation, at most 4 integer digits: -4 <= e < 4
     k = np.where(ok, k, 11)
     head, integer, point, fraction = _g12_tables()
-    width = 6 if (k >= 8).all() else 8
-    words = blocks.cells[: width * x.size + 1]
-    cells = words[:-1].reshape(x.size, width)
+    words = blocks.cells[: 6 * x.size + 1]
+    cells = words[:-1].reshape(x.size, 6)
     cells[:, 0] = head[np.signbit(x) + 2 * (k >= 12)]
     n, f = _divmod(n, _IPOW10[k])
     f *= _IPOW10[15 - k]  # the fraction's digits, left-aligned to 15
-    if width == 8:
-        high, n = _divmod(n, 10**8)
-        mid, n = _divmod(n, 10**4)
-        cells[:, 1] = integer[high]
-        cells[:, 2] = integer[mid + 10**4 * (k <= 3)]
-    cells[:, -5] = integer[n + 10**4 * (k <= 7)]
+    cells[:, 1] = integer[n]
     q, f = _divmod(f, 10**12)
-    cells[:, -4] = point[q + 10**3 * (f > 0)]
+    cells[:, 2] = point[q + 10**3 * (f > 0)]
     q, f = _divmod(f, 10**8)
-    cells[:, -3] = fraction[q + 10**4 * (f > 0)]
+    cells[:, 3] = fraction[q + 10**4 * (f > 0)]
     q, f = _divmod(f, 10**4)
-    cells[:, -2] = fraction[q + 10**4 * (f > 0)]
-    cells[:, -1] = fraction[f]
+    cells[:, 4] = fraction[q + 10**4 * (f > 0)]
+    cells[:, 5] = fraction[f]
     text = cells.view(np.uint8)
     fallback = np.flatnonzero(~ok)
     for i, value in zip(fallback.tolist(), x[fallback].tolist()):
-        text[i, 1:] = np.frombuffer((b"%.12g" % value).ljust(4 * width - 1, b"\0"), np.uint8)
+        text[i, 1:] = np.frombuffer((b"%.12g" % value).ljust(23, b"\0"), np.uint8)
     text[np.isnan(x), 1:] = 0
-    text.reshape(block.shape + (4 * width,))[:, 0, 0] = ord("\n")  # a row's first separator ends the row before
+    text.reshape(block.shape + (24,))[:, 0, 0] = ord("\n")  # a row's first separator ends the row before
     text[0, 0] = 0  # the block's first row has none before it
     words[-1] = ord("\n")  # and one word after the cells ends its last
     yield from _text(words)
@@ -280,12 +272,16 @@ def format_g12(table: np.ndarray) -> Iterator[bytes]:
 
     The text comes one block of rows at a time, to be written as it comes.
 
-    A cell with ``-4 <= e < 12`` (``e = 11 - k``, see ``_mantissa``) is in
-    fixed notation: the integer part ``n // 10**k``, then "." and the
-    fraction ``n % 10**k`` left-aligned to 15 digits, with the integer's
-    leading and the fraction's trailing zeros dropped.  ``%`` formats the
-    cells in exponent notation and the undecided ones.  A NaN cell, an
-    absent value, is written empty.
+    A cell with ``-4 <= e < 4`` (``e = 11 - k``, see ``_mantissa``) is in
+    fixed notation with at most 4 integer digits: the integer part
+    ``n // 10**k``, then "." and the fraction ``n % 10**k`` left-aligned to
+    15 digits, with the integer's leading and the fraction's trailing zeros
+    dropped.  ``%`` formats every other cell (from 1e4, in exponent
+    notation, or undecided).  A NaN cell, an absent value, is written empty.
+
+    A block holds the 5120 cells that eight words each would fill, not the
+    6826 that six words allow: 8192-cell blocks took 444-762 page faults per
+    CSV write against 0 at 5120 (README, "Performance notes").
     """
     step, blocks = _block_rows(8 * table.shape[1]), _Blocks()
     for i in range(0, len(table), step):
@@ -335,8 +331,8 @@ def write_touchstone(curve: ResponseCurve, path: str | os.PathLike) -> None:
 
 
 def _parse_option_line(tokens: list[str], line_no: int) -> tuple[float, str, float]:
-    """Return (unit multiplier, data format, reference impedance)."""
-    unit, fmt, z_ref = "ghz", "ma", 50.0
+    """Return (unit multiplier, data format, reference impedance); each may be set once."""
+    unit = fmt = z_ref = None
     want_r_value = False
     for tok in tokens:
         t = tok.lower()
@@ -348,6 +344,8 @@ def _parse_option_line(tokens: list[str], line_no: int) -> tuple[float, str, flo
             if not 0.0 < z_ref < math.inf:
                 raise TouchstoneError(f"reference impedance must be finite and positive, got {tok!r}", line_no)
             want_r_value = False
+        elif (t in _UNIT_HZ and unit) or (t in ("ri", "ma", "db") and fmt) or (t == "r" and z_ref):
+            raise TouchstoneError(f"repeated option {tok!r}: the line already sets its unit, format or R", line_no)
         elif t in _UNIT_HZ:
             unit = t
         elif t in ("ri", "ma", "db"):
@@ -362,7 +360,7 @@ def _parse_option_line(tokens: list[str], line_no: int) -> tuple[float, str, flo
             raise TouchstoneError(f"unrecognized option token {tok!r}", line_no)
     if want_r_value:
         raise TouchstoneError("option line ends after 'R' without a value", line_no)
-    return _UNIT_HZ[unit], fmt, z_ref
+    return _UNIT_HZ[unit or "ghz"], fmt or "ma", z_ref or 50.0
 
 
 def _to_complex(fmt: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:

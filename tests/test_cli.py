@@ -754,6 +754,13 @@ class TestMainEntry:
         assert main(["--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
         assert f"input data error: line 1: {error}" in capsys.readouterr().err
 
+    def test_repeated_option_exits_as_input_data_error(self, tmp_path, capsys):
+        s2p = tmp_path / "twice.s2p"
+        s2p.write_text("# GHz MHz S RI R 376.73\n1.0 0 0 1 0 1 0 0 0\n")
+        path = self.write_config(tmp_path, {"mode": "analyze", "analyze": {"touchstone": str(s2p)}})
+        assert main(["--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
+        assert "input data error: line 1: repeated option 'MHz'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("z_ref", ["nan", "inf", "0", "-5"])
     def test_bad_reference_impedance_exits_as_input_data_error(self, z_ref, tmp_path, capsys):
         s2p = tmp_path / "ref.s2p"

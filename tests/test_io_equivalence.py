@@ -60,6 +60,9 @@ G12_CASES = {
 G12_NARROW = [-3.25, 0.0625, 1.0, -200.0, 2.7, 1e-4, 9999.99999999, 1001 / 2**13, -11 / 2**16,
               12345678901.25, 9999.99999999996, -9.99999999999996e-5, 1e-5, -1.23456789012e-5,
               5e-324, -1e-310, -1.7976931348623157e308, 1e12]
+#: fixed-notation cells from 1e4 and the carries to it, which % formats
+G12_FROM_1E4 = [1e4, 12345.678, 9999.999999999998, 99999.99999999999, -5e4, 1e11,
+                123456789012.3, 999999999999.4, 999999999999.5]
 #: a value for every branch of both renderers, repeated to fill larger tables
 MIXED = sum(G12_CASES.values(), sum(E11_CASES.values(), EDGE_VALUES)) + [-3.25, 4.5e6, 0.0625]
 
@@ -151,12 +154,13 @@ class TestWriters:
         assert b"".join(format_g12(table)) == _per_cell(table, ".12g", ",").encode()
 
     @given(tables(extra=NEAR_TIES))
-    @_with_examples(*G12_CASES.values(), *_seam_tables(17))
+    @_with_examples(*G12_CASES.values(), G12_FROM_1E4, *_seam_tables(17))
     def test_g12_kernel_branches_are_per_cell(self, table):
         assert b"".join(format_g12(table)) == _per_cell(table, ".12g", ",").encode()
 
     @given(tables(extra=NEAR_TIES).flatmap(lambda t: st.tuples(st.just(t), arrays(bool, t.shape))))
     @example(tuple(np.resize(v, (2 * _block_rows(8 * 7) + 1, 7)) for v in (MIXED, [True, False, False])))
+    @example((np.array([G12_FROM_1E4]), np.arange(9)[None] % 4 == 1))
     def test_blank_cells_are_empty(self, case):
         table, blank = case
         expected = "".join(
@@ -175,22 +179,22 @@ class TestWriters:
         assert _written_body(curve) == _s2p_body_per_cell(curve)
 
     def test_g12_cell_widths_at_the_block_seams(self):
-        """A block whose cells all lie below 1e4 or fall to % takes six-word cells,
-        and one fixed-notation cell from 1e4 sends its block to eight words.
-        0.0, NaN, ties, carries, 1e-5, subnormals and exponent notation fall
-        to % (or are blank) inside a narrow block, and their text fits the 23
-        bytes a six-word cell has after its separator."""
-        assert max(len(b"%.12g" % x) for x in G12_NARROW) <= 23
+        """Every cell is six words, in blocks of _block_rows(8 * cols) rows.
+        0.0, NaN, ties, carries, 1e-5, subnormals, exponent notation and
+        fixed notation from 1e4 fall to % (or are blank), and their text fits
+        the 23 bytes a cell has after its separator."""
+        assert max(len(b"%.12g" % x) for x in G12_NARROW + G12_FROM_1E4) <= 23
         cols = 7
         rows = _block_rows(8 * cols)
         narrow = np.resize(G12_NARROW, (rows, cols))
-        wide, zero, blank = narrow.copy(), narrow.copy(), narrow.copy()
-        wide[-1, -1], zero[3, 2], blank[0, 0] = 12345.678, 0.0, np.nan
-        table = np.concatenate([narrow, wide, narrow, zero, wide, blank, narrow[:5]])
+        wide, zero = narrow.copy(), narrow.copy()
+        wide.flat[-len(G12_FROM_1E4):] = G12_FROM_1E4
+        wide[0, 0], zero[3, 2] = np.nan, 0.0
+        table = np.concatenate([narrow, wide, zero, narrow[:5]])
         with mock.patch.object(touchstone, "_text", wraps=touchstone._text) as text:
             written = b"".join(format_g12(table))
         block_words = [call.args[0].size for call in text.call_args_list]
-        assert block_words == [w * rows * cols + 1 for w in (6, 8, 6, 6, 8, 6)] + [6 * 5 * cols + 1]
+        assert block_words == [6 * rows * cols + 1] * 3 + [6 * 5 * cols + 1]
         expected = "".join(
             ",".join("" if math.isnan(x) else format(x, ".12g") for x in row) + "\n" for row in table.tolist()
         )

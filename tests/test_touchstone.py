@@ -220,6 +220,26 @@ class TestReaderErrors:
             read_touchstone(path)
         assert err.value.line_no == 1
 
+    @pytest.mark.parametrize("options, repeated", [
+        ("GHz MHz S RI R 376.73", "MHz"), ("GHz S RI MA", "MA"), ("GHz S RI R 50 R 75", "R"),
+    ])
+    def test_a_repeated_option_names_its_line(self, tmp_path, options, repeated):
+        path = tmp_path / "twice.s2p"
+        path.write_text(f"! measured\n# {options}\n1.0 0 0 1 0 1 0 0 0\n")
+        with pytest.raises(TouchstoneError) as err:
+            read_touchstone(path)
+        assert err.value.line_no == 2
+        assert f"repeated option {repeated!r}" in str(err.value)
+
+    @pytest.mark.parametrize("options, hz, s21", [
+        ("MHz S DB R 376.73", 1e6, 10.0 ** (-3 / 20)), ("R 75 ri s khz", 1e3, -3 + 0j), ("", 1e9, -3 + 0j),
+    ])
+    def test_one_option_of_each_kind_in_any_order(self, tmp_path, options, hz, s21):
+        path = tmp_path / "once.s2p"
+        path.write_text(f"# {options}\n1.0 0 0 -3 0 1 0 0 0\n")
+        curve = read_touchstone(path)
+        assert (curve.freqs[0], curve.s21[0]) == (hz, s21)
+
     @pytest.mark.parametrize("z_ref", ["nan", "inf", "-inf", "0", "-0.0", "-5"])
     def test_reference_impedance_must_be_finite_and_positive(self, tmp_path, z_ref):
         path = tmp_path / "ref.s2p"
