@@ -66,7 +66,6 @@ from .twoport import (
     SMatrix,
     TwoPortMatrix,
     abcd_shunt,
-    abcd_tline,
     abcd_to_s,
     cascade,
     shunt_rl_admittance,

@@ -12,9 +12,9 @@ rounding it cannot decide; ``_e11_words`` renders the digits as CPython's
 ``"%.12g" % cell`` (each CSV number).  ``%`` formats the marked cells one
 at a time, so every cell is exactly what ``%`` gives.
 
-A writer formats its table a block of whole rows at a time in a set of
-arrays of its own (``_Blocks``), and writes each block's text as it comes,
-so the memory that formatting takes does not grow with the table.  A .s2p
+A writer formats its table a block of whole rows at a time in arrays of
+its own (a .s2p writer's ``_Blocks``), and writes each block's text as it
+comes, so the memory that formatting takes does not grow with the table.  A .s2p
 file's frequency column is formatted once per grid: its cell words are
 held for the process per grid (``twoport.held``), for the next file on
 that grid.
@@ -39,7 +39,7 @@ _UNIT_HZ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 #: A block is whole rows of at most BLOCK_CELLS ``%.11e`` cells, five words
 #: each, or of 5120 ``%.12g`` cells (see ``format_g12``).  A writer formats
-#: each block in its own ``_Blocks``.
+#: each block in arrays of its own.
 BLOCK_CELLS = 8192
 _BLOCK_WORDS = 5 * BLOCK_CELLS
 #: A block's text is made _PIECE_WORDS words at a time.  Each piece is a new
@@ -67,16 +67,16 @@ def create(path: str | os.PathLike):
 
 
 class _Blocks:
-    """The arrays that one writer makes and formats its blocks in.
+    """The arrays that one .s2p writer makes and formats its blocks in.
 
-    ``parts`` takes a block's values, ``cells`` its cell words (and one word
-    more) and ``lines`` a .s2p block's rows of words.  Each block overwrites
-    them; the text made from them is a copy, so they go with the writer.
+    ``parts`` takes a block's values, ``cells`` its cell words and ``lines``
+    its rows of words.  Each block overwrites them; the text made from them
+    is a copy, so they go with the writer.
     """
 
     def __init__(self):
         self.parts = np.empty(BLOCK_CELLS)
-        self.cells = np.empty(_BLOCK_WORDS + 1, np.uint32)
+        self.cells = np.empty(_BLOCK_WORDS, np.uint32)
         self.lines = np.empty(_BLOCK_WORDS, np.uint32)
 
 
@@ -230,8 +230,9 @@ def _g12_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _g12_lines(block: np.ndarray, blocks: _Blocks) -> Iterator[bytes]:
-    """Comma-separated lines of ``"%.12g"`` cells, six words each, with the NaN cells empty.
+def _g12_lines(block: np.ndarray, words: np.ndarray) -> Iterator[bytes]:
+    """Comma-separated lines of ``"%.12g"`` cells, six words each, with the NaN cells empty,
+    formed in ``words``.
 
     The kernel forms the fixed-notation cells whose integer part has at most
     4 digits (``8 <= k <= 15``, ``-4 <= e < 4``).  A cell that ``%`` formats
@@ -243,7 +244,7 @@ def _g12_lines(block: np.ndarray, blocks: _Blocks) -> Iterator[bytes]:
     ok &= (k >= 8) & (k <= 15)  # fixed notation, at most 4 integer digits: -4 <= e < 4
     k = np.where(ok, k, 11)
     head, integer, point, fraction = _g12_tables()
-    words = blocks.cells[: 6 * x.size + 1]
+    words = words[: 6 * x.size + 1]
     cells = words[:-1].reshape(x.size, 6)
     cells[:, 0] = head[np.signbit(x) + 2 * (k >= 12)]
     n, f = _divmod(n, _IPOW10[k])
@@ -281,11 +282,13 @@ def format_g12(table: np.ndarray) -> Iterator[bytes]:
 
     A block holds the 5120 cells that eight words each would fill, not the
     6826 that six words allow: 8192-cell blocks took 444-762 page faults per
-    CSV write against 0 at 5120 (README, "Performance notes").
+    CSV write against 0 at 5120 (README, "Performance notes").  A row wider
+    than that is a block of its own, in words sized for it.
     """
-    step, blocks = _block_rows(8 * table.shape[1]), _Blocks()
+    step = _block_rows(8 * table.shape[1])
+    words = np.empty(max(_BLOCK_WORDS, 6 * table.shape[1]) + 1, np.uint32)
     for i in range(0, len(table), step):
-        yield from _g12_lines(table[i : i + step], blocks)
+        yield from _g12_lines(table[i : i + step], words)
 
 
 def _frequency_words(freqs: np.ndarray, blocks: _Blocks) -> np.ndarray:
@@ -330,36 +333,40 @@ def write_touchstone(curve: ResponseCurve, path: str | os.PathLike) -> None:
             fh.writelines(_e11_lines(s, frequency[rows], blocks))
 
 
+def _number(text: str) -> float:
+    """``float(text)`` in the grammar of ``np.loadtxt``, which reads every record
+    that parses at once: ValueError for any text that is not a number, an
+    underscore (``1_000``) or a non-ASCII digit included, which ``float`` takes."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
+
+
 def _parse_option_line(tokens: list[str], line_no: int) -> tuple[float, str, float]:
     """Return (unit multiplier, data format, reference impedance); each may be set once."""
     unit = fmt = z_ref = None
-    want_r_value = False
+    tokens = iter(tokens)
     for tok in tokens:
         t = tok.lower()
-        if want_r_value:
-            try:
-                z_ref = float(tok)
-            except ValueError as exc:
-                raise TouchstoneError(f"bad reference impedance {tok!r}", line_no) from exc
-            if not 0.0 < z_ref < math.inf:
-                raise TouchstoneError(f"reference impedance must be finite and positive, got {tok!r}", line_no)
-            want_r_value = False
-        elif (t in _UNIT_HZ and unit) or (t in ("ri", "ma", "db") and fmt) or (t == "r" and z_ref):
+        if (t in _UNIT_HZ and unit) or (t in ("ri", "ma", "db") and fmt) or (t == "r" and z_ref):
             raise TouchstoneError(f"repeated option {tok!r}: the line already sets its unit, format or R", line_no)
         elif t in _UNIT_HZ:
             unit = t
         elif t in ("ri", "ma", "db"):
             fmt = t
         elif t == "r":
-            want_r_value = True
+            if (tok := next(tokens, None)) is None:
+                raise TouchstoneError("option line ends after 'R' without a value", line_no)
+            try:
+                z_ref = _number(tok)
+            except ValueError as exc:
+                raise TouchstoneError(f"bad reference impedance {tok!r}", line_no) from exc
+            if not 0.0 < z_ref < math.inf:
+                raise TouchstoneError(f"reference impedance must be finite and positive, got {tok!r}", line_no)
         elif t in ("y", "z", "g", "h"):
             raise TouchstoneError(f"unsupported parameter type {tok!r}", line_no)
-        elif t == "s":
-            pass
-        else:
+        elif t != "s":
             raise TouchstoneError(f"unrecognized option token {tok!r}", line_no)
-    if want_r_value:
-        raise TouchstoneError("option line ends after 'R' without a value", line_no)
     return _UNIT_HZ[unit or "ghz"], fmt or "ma", z_ref or 50.0
 
 
@@ -404,13 +411,12 @@ class _Header:
             key, value = key.strip(), value.strip()
             if key == "incidence theta_deg":
                 try:
-                    self.theta_deg = float(value)
-                except ValueError:
-                    raise TouchstoneError(f"bad incidence angle in {line!r}", line_no) from None
-                try:
+                    self.theta_deg = _number(value)
                     IncidenceCondition(math.radians(self.theta_deg), self.pol)
                 except DomainError as exc:
                     raise TouchstoneError(f"{exc} in {line!r}", line_no) from None
+                except ValueError:
+                    raise TouchstoneError(f"bad incidence angle in {line!r}", line_no) from None
             elif key == "polarization":
                 if value.upper() not in ("TE", "TM"):
                     raise TouchstoneError(f"polarization must be TE or TM in {line!r}", line_no)
@@ -464,7 +470,7 @@ def _parse_lines(body: list[str], first_no: int, header: _Header) -> np.ndarray:
         if len(tokens) != 9:
             raise TouchstoneError(f"expected 9 columns for a two-port record, got {len(tokens)}", line_no)
         try:
-            row = list(map(float, tokens))
+            row = list(map(_number, tokens))
         except ValueError:
             raise TouchstoneError(f"non-numeric field in {line!r}", line_no) from None
         if not all(map(math.isfinite, row)):

@@ -411,31 +411,18 @@ def shunt_rl_admittance(r, l, f):
     return rl_admittance(r, l, j_omega(f))
 
 
-def abcd_tline(
-    eps_r: float, length: float, f, inc: IncidenceCondition = NORMAL, *, loss_tangent: float = 0.0
-) -> TwoPortMatrix:
-    """Chain matrix of a dielectric slab crossed at oblique incidence.
-
-    The longitudinal phase is phi = (2 pi f / c0) * sqrt(eps_r - sin^2 theta)
-    * length.  The effective impedance is eta0 / sqrt(eps_r - sin^2 theta)
-    for TE and eta0 * sqrt(eps_r - sin^2 theta) / eps_r for TM; both reduce
-    to eta0 / sqrt(eps_r) at normal incidence (the TM branch reuses the TE
-    expression at theta = 0 so the two polarizations agree bitwise).
-
-    A nonzero loss tangent adds dielectric attenuation via the complex
-    propagation factor gamma*l = phi * (tan_delta / 2 + j).
-
-    eps_r and loss_tangent are scalars; length may be a (k, 1) column array.
-    The phase part, tline_phase, does not depend on the polarization, so a
-    caller with both at one angle forms it once and calls tline_matrix twice.
-    """
-    return tline_matrix(tline_phase(eps_r, length, f, inc.theta, loss_tangent), eps_r, inc.polarization)
-
-
 def tline_phase(eps_r: float, length, f, theta: float, loss_tangent: float = 0.0):
-    """abcd_tline's checks and its (cosh gamma l, sinh gamma l) if the line is
-    lossy, else (cos phi, sin phi), with q = sqrt(eps_r - sin^2 theta) and
-    whether sin^2 theta is 0."""
+    """The phase of a dielectric slab crossed at oblique incidence, for tline_matrix.
+
+    The longitudinal phase is phi = (2 pi f / c0) q length, with
+    q = sqrt(eps_r - sin^2 theta).  A nonzero loss tangent adds dielectric
+    attenuation via the complex propagation factor
+    gamma l = phi (tan_delta / 2 + j).  Returns (cosh gamma l, sinh gamma l) if
+    the line is lossy, else (cos phi, sin phi), with q and whether sin^2 theta
+    is 0.  eps_r and loss_tangent are scalars; length may be a (k, 1) column
+    array.  The phase does not depend on the polarization, so a caller with
+    both at one angle forms it once and calls tline_matrix twice.
+    """
     if not eps_r > 0:
         raise DomainError(f"relative permittivity must be positive, got {eps_r}")
     if not everywhere(length >= 0):
@@ -461,7 +448,12 @@ def tline_phase(eps_r: float, length, f, theta: float, loss_tangent: float = 0.0
 
 
 def tline_matrix(phase, eps_r: float, pol: Polarization) -> TwoPortMatrix:
-    """abcd_tline's chain matrix at polarization pol, from its tline_phase."""
+    """The slab's chain matrix at polarization pol, from its tline_phase.
+
+    The effective impedance is eta0 / q for TE and eta0 q / eps_r for TM; both
+    reduce to eta0 / sqrt(eps_r) at normal incidence, where TM takes the TE
+    expression so that the two polarizations agree bitwise.
+    """
     even, odd, q, normal = phase  # cosh and sinh (complex) or cos and sin (real)
     z_eff = ETA0 / q if pol is Polarization.TE or normal else ETA0 * q / eps_r
     if np.iscomplexobj(even):

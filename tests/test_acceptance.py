@@ -29,6 +29,7 @@ from fsskit.builder import (
     DEFAULT_CALIBRATION,
     DEFAULT_GEOMETRY,
     CircuitParams,
+    LineSegment,
     build_first_order,
     build_second_order,
     params_from_geometry,
@@ -43,7 +44,6 @@ from fsskit.twoport import (
     IncidenceCondition,
     Polarization,
     abcd_shunt,
-    abcd_tline,
     abcd_to_s,
     cascade,
     shunt_rl_admittance,
@@ -161,7 +161,7 @@ class TestAcceptance:
                     parts.append(abcd_shunt(shunt_series_rlc_admittance(
                         r, float(rng.uniform(0.5, 4)) * 1e-9, float(rng.uniform(0.2, 2)) * 1e-12, f)))
                 else:
-                    parts.append(abcd_tline(float(rng.uniform(1, 4)), float(rng.uniform(0, 0.03)), f, NORMAL))
+                    parts.append(LineSegment(float(rng.uniform(1, 4)), float(rng.uniform(0, 0.03))).abcd(f, NORMAL))
             return cascade(parts)
 
         def det_defect(m):

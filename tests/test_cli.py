@@ -761,6 +761,24 @@ class TestMainEntry:
         assert main(["--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
         assert "input data error: line 1: repeated option 'MHz'" in capsys.readouterr().err
 
+    def test_a_number_that_np_loadtxt_does_not_read_exits_as_input_data_error(self, tmp_path, capsys):
+        s2p = tmp_path / "underscore.s2p"
+        s2p.write_text("# MHz S RI R 50\n1_000 0.5 0 0.5 0 0.5 0 0.5 0\n")
+        path = self.write_config(tmp_path, {"mode": "analyze", "analyze": {"touchstone": str(s2p)}})
+        assert main(["--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_COMPUTE
+        assert "input data error: line 2: non-numeric field in '1_000 0.5" in capsys.readouterr().err
+
+    def test_a_csv_row_wider_than_a_block_exits_zero(self, tmp_path, capsys):
+        # 3500 conditions make 7001 columns; a first-order stack at 1750 angles
+        # keeps the held line phases few
+        doc = simulate_doc(circuit={"order": 1, "l_nh": 2.85}, output={"csv": "wide.csv"},
+                           incidence={"theta_deg": [i / 25 for i in range(1750)], "pol": ["TE", "TM"]})
+        doc["grid"] = {"f_start_ghz": 2.0, "f_stop_ghz": 3.0, "n_points": 2}
+        code = main(["--config", self.write_config(tmp_path, doc), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_OK, capsys.readouterr().err
+        header, *rows = (tmp_path / "out" / "wide.csv").read_text().splitlines()
+        assert len(rows) == 2 and all(row.count(",") == 2 * 3500 for row in [header, *rows])
+
     @pytest.mark.parametrize("z_ref", ["nan", "inf", "0", "-5"])
     def test_bad_reference_impedance_exits_as_input_data_error(self, z_ref, tmp_path, capsys):
         s2p = tmp_path / "ref.s2p"

@@ -200,6 +200,20 @@ class TestWriters:
         )
         assert written == expected.encode()
 
+    @pytest.mark.parametrize("cols", [6826, 6827, 7001])
+    def test_a_row_wider_than_a_block_is_a_block_of_its_own(self, cols):
+        """From 6827 columns a row's six-word cells outgrow a block's 40960 words;
+        each row is then one block, in words sized for it."""
+        table = np.resize(MIXED, (2, cols))
+        table[0, 3], table[1, -1] = np.nan, np.nan
+        with mock.patch.object(touchstone, "_text", wraps=touchstone._text) as text:
+            written = b"".join(format_g12(table))
+        assert [call.args[0].size for call in text.call_args_list] == [6 * cols + 1] * 2
+        expected = "".join(
+            ",".join("" if math.isnan(x) else format(x, ".12g") for x in row) + "\n" for row in table.tolist()
+        )
+        assert written == expected.encode()
+
 
 def _metrics_csv_per_cell(rows) -> bytes:
     """The metrics CSV as the former per-cell loop wrote it, kept as the reference.
@@ -391,7 +405,7 @@ class TestReaderLineNumbers:
 
 #: runs of characters that both str.split and np.loadtxt read as whitespace
 SEPARATORS = st.text(st.sampled_from(" \t\x0c\xa0\x85"), min_size=1, max_size=3)
-#: tokens that float() reads and np.loadtxt does not, so only the line loop parses them
+#: tokens that float() reads and np.loadtxt does not: no number on either path
 LINE_ONLY_TOKENS = ("1_0", "١", "0.2_5")
 
 
@@ -430,24 +444,33 @@ class TestReaderPaths:
         if data.draw(st.booleans()):
             theta = data.draw(st.floats(0.0, 89.0))
             header += [f"! incidence theta_deg = {theta!r}", f"! polarization = {data.draw(st.sampled_from(['TE', 'TM']))}"]
-        line_only = False
+        spoiled = data.draw(st.booleans())  # whether a field may be a line-only token
+        records, line_only = [], []  # the line numbers of the records, and of those with a line-only token
         body = []
         for i in range(data.draw(st.integers(1, 6))):
             body += data.draw(st.lists(st.sampled_from(["", "  ", "\t\xa0", "\x0c"]), max_size=2))
             fields = [repr(1.5 + i)]
             for _ in range(4):
                 for kind in (FIRST[fmt], FIRST["ri"] if fmt == "ri" else ANGLES):
-                    token = data.draw(st.one_of(kind.map(repr), st.sampled_from(LINE_ONLY_TOKENS)))
-                    line_only |= token in LINE_ONLY_TOKENS
-                    fields.append(token)
+                    token = kind.map(repr)
+                    fields.append(data.draw(st.one_of(token, st.sampled_from(LINE_ONLY_TOKENS)) if spoiled else token))
             lead = data.draw(st.sampled_from(["", " ", "\xa0\t"]))
             body.append(lead + "".join(token + data.draw(SEPARATORS) for token in fields))
+            records.append(len(header) + len(body))
+            if set(fields) & set(LINE_ONLY_TOKENS):
+                line_only.append(records[-1])
         eol = data.draw(st.sampled_from(["\n", "\r\n"]))
         text = eol.join(header + body) + eol
 
+        if line_only:
+            for late in (False, True):  # the late note comes after the first record
+                with pytest.raises(TouchstoneError, match="non-numeric field") as err:
+                    _read_bytes(_with_late_note(text, eol) if late else text)
+                assert err.value.line_no == line_only[0] + (late and line_only[0] > records[0])
+            return
         with mock.patch.object(touchstone, "_parse_lines", wraps=touchstone._parse_lines) as loop:
             curve = _read_bytes(text)
-        assert loop.called == line_only
+        assert not loop.called
         _assert_same_curve(curve, _read_bytes(_with_late_note(text, eol)))
 
     def _second_order_curve(self, n):

@@ -1,13 +1,13 @@
 """Ladder-shaped kernels against the general formulas, bit for bit.
 
 A product with a shunt on either side takes an update form, and abcd_to_s
-forms b/z and c z once.  The reference below is the general eight-product
-chain multiply and the three-sum conversion written out in full, of element
-matrices formed by the public leaf kernels (abcd_tline, and abcd_shunt of
-shunt_series_rlc_admittance or shunt_rl_admittance), not by the HeldWork
-that every ladder is evaluated through; every final S bit must match it.  The general product computes a*0.0 + b, which
-may flip the sign of a zero that the update form keeps, so lossless ladders
-(whose lines have ±0 real parts) are part of the grid.  network_smatrix,
+forms b/z and c z once.  The reference is leaf_reference.leaf_s: the
+general eight-product chain multiply and the three-sum conversion written
+out in full, of element matrices formed by the public leaf kernels, not by
+the HeldWork that every ladder is evaluated through; every final S bit must
+match it.  The general product computes a*0.0 + b, which may flip the sign
+of a zero that the update form keeps, so lossless ladders (whose lines have
+±0 real parts) are part of the grid.  network_smatrix,
 which evaluates every element, and sweep_response, which evaluates each
 distinct element once, are both checked.
 """
@@ -30,17 +30,9 @@ from fsskit.builder import (
     build_network,
     params_from_geometry,
 )
-from fsskit.twoport import (
-    NORMAL,
-    IncidenceCondition,
-    Polarization,
-    TwoPortMatrix,
-    abcd_shunt,
-    abcd_tline,
-    shunt_rl_admittance,
-    shunt_series_rlc_admittance,
-    wave_impedance,
-)
+from fsskit.twoport import NORMAL, IncidenceCondition, Polarization
+
+from leaf_reference import leaf_s
 
 L1, C1 = 1.61e-9, 0.6e-12
 INCIDENCES = {
@@ -51,36 +43,6 @@ INCIDENCES = {
 LOSSLESS = CalibrationConstants(DEFAULT_CALIBRATION.l_scale, 0.0, 0.0)
 #: (order, mirrored)
 LADDERS = {"first": (1, True), "second-mirrored": (2, True), "second": (2, False)}
-
-
-def general_product(m, n):
-    return TwoPortMatrix(
-        a=m.a * n.a + m.b * n.c,
-        b=m.a * n.b + m.b * n.d,
-        c=m.c * n.a + m.d * n.c,
-        d=m.c * n.b + m.d * n.d,
-    )
-
-
-def leaf_matrix(el, f, inc):
-    """An element's chain matrix from the public leaf kernels, not through HeldWork."""
-    if isinstance(el, LineSegment):
-        return abcd_tline(el.eps_r, el.length, f, inc, loss_tangent=el.loss_tangent)
-    r, l, c = el.resistance, el.inductance, el.capacitance
-    return abcd_shunt(shunt_rl_admittance(r, l, f) if c is None else shunt_series_rlc_admittance(r, l, c, f))
-
-
-def reference_s(net, f, inc):
-    out = None
-    for el in net.elements:
-        m = leaf_matrix(el, f, inc)
-        out = m if out is None else general_product(out, m)
-    z = wave_impedance(inc.theta, inc.polarization)
-    delta = out.a + out.b / z + out.c * z + out.d
-    s11 = (out.a + out.b / z - out.c * z - out.d) / delta
-    s21 = 2.0 / delta
-    s22 = (-out.a + out.b / z - out.c * z + out.d) / delta
-    return s11, s21, s22
 
 
 def _bits(x) -> bytes:
@@ -115,7 +77,7 @@ def test_width_loop_matches_general_formulas(shape, lossy, inc):
     grid = FrequencyGrid(1e9, 5e9, 2001)
     for w_mm in (2.6, 0.6, 1.4, 0.6):
         net = ladder(w_mm, *shape, lossy)
-        want = reference_s(net, grid.points, inc)
+        want = leaf_s(net, grid.points, inc)
         assert_same_s(network_smatrix(net, grid.points, inc), want)
         assert_same_curve(sweep_response(net, grid, inc), want)
 
@@ -126,11 +88,11 @@ def test_dense_grid_and_scalar_frequency(lossy):
     grid = FrequencyGrid(1e9, 5e9, 20001)
     for w_mm in (1.0, 2.2):
         net = ladder(w_mm, 2, True, lossy)
-        want = reference_s(net, grid.points, inc)
+        want = leaf_s(net, grid.points, inc)
         assert_same_s(network_smatrix(net, grid.points, inc), want)
         assert_same_curve(sweep_response(net, grid, inc), want)
     for fk in (1.3e9, 2.7e9):
-        assert_same_s(network_smatrix(net, fk, inc), reference_s(net, fk, inc))
+        assert_same_s(network_smatrix(net, fk, inc), leaf_s(net, fk, inc))
 
 
 @pytest.mark.parametrize("lossy", [True, False], ids=["lossy", "lossless"])
@@ -144,7 +106,7 @@ def test_batch_matches_general_formulas(lossy):
     net = build_network(p)
     s = network_smatrix(net, f, inc)
     assert s.s21.shape == (3, f.size)
-    assert_same_s(s, reference_s(net, f, inc))
+    assert_same_s(s, leaf_s(net, f, inc))
 
 
 @pytest.mark.parametrize("rows", [False, True], ids=["1-D", "k-rows"])
@@ -168,4 +130,4 @@ def test_shunt_on_the_left_matches_general_formulas(lossy, rows):
         net = LayeredNetwork(elements)
         s = network_smatrix(net, f, inc)
         assert s.s21.shape == ((3, f.size) if rows else (f.size,))
-        assert_same_s(s, reference_s(net, f, inc))
+        assert_same_s(s, leaf_s(net, f, inc))

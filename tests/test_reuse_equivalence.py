@@ -13,12 +13,12 @@ per call, and the arrays that every call's admittances, products and s21
 are formed in.  jw and each line's phase are the ones that the process
 holds for the grid, within its byte budget.  A loop's scratch arrays go
 with its work.  These tests check the width loop's and the fit's held
-results and a sweep's, bit for bit, against leaf_s: each element formed
-afresh by the public leaf kernels, not by the HeldWork that every ladder is
-evaluated through, with the general chain product and abcd_to_s's formulas
-written out.  A held condition is checked against network_smatrix with no
-held arrays.  Loops after loops, and fits and sweeps in turn, are checked
-against the first ones.  They also count the element and kernel
+results and a sweep's, bit for bit, against leaf_reference.leaf_s: each
+element formed afresh by the public leaf kernels, not by the HeldWork that
+every ladder is evaluated through, with the general chain product and
+abcd_to_s's formulas written out.  A held condition is checked against
+network_smatrix with no held arrays.  Loops after loops, and fits and sweeps
+in turn, are checked against the first ones.  They also count the element and kernel
 evaluations, check that nothing held goes stale or is overwritten while it
 is held, bound what a width and a model call allocate, pin the bytes that
 the width loops leave in the held values, and check that a sweep-w and a
@@ -31,7 +31,6 @@ the budget.
 """
 
 import contextlib
-import functools
 import json
 import math
 import tracemalloc
@@ -69,14 +68,14 @@ from fsskit.twoport import (
     TwoPortMatrix,
     abcd_delta,
     abcd_shunt,
-    abcd_tline,
     abcd_to_s,
     j_omega,
     rl_admittance,
     shunt_rl_admittance,
-    shunt_series_rlc_admittance,
     wave_impedance,
 )
+
+from leaf_reference import leaf_s
 
 L1, C1 = 1.61e-9, 0.6e-12
 GRID = FrequencyGrid(1e9, 5e9, 2001)
@@ -237,30 +236,6 @@ def outcome(make_s21):
         return _bits(make_s21())
     except FssError as exc:
         return type(exc), str(exc)
-
-
-def leaf_matrix(el, f, inc):
-    """An element's chain matrix from the public leaf kernels, not through HeldWork."""
-    if isinstance(el, LineSegment):
-        return abcd_tline(el.eps_r, el.length, f, inc, loss_tangent=el.loss_tangent)
-    r, l, c = el.resistance, el.inductance, el.capacitance
-    return abcd_shunt(shunt_rl_admittance(r, l, f) if c is None else shunt_series_rlc_admittance(r, l, c, f))
-
-
-def general_product(m, n):
-    return TwoPortMatrix(a=m.a * n.a + m.b * n.c, b=m.a * n.b + m.b * n.d,
-                         c=m.c * n.a + m.d * n.c, d=m.c * n.b + m.d * n.d)
-
-
-def leaf_s(net, f, inc):
-    """The ladder's (s11, s21, s22) from its leaf_matrix elements, the general chain
-    product and abcd_to_s's formulas written out, with its error at Delta = 0."""
-    z = wave_impedance(inc.theta, inc.polarization)
-    m = functools.reduce(general_product, [leaf_matrix(el, f, inc) for el in net.elements])
-    delta = m.a + m.b / z + m.c * z + m.d
-    if np.any(delta == 0):
-        raise SingularNetworkError("singular network: a + b/z + c z + d = 0")
-    return (m.a + m.b / z - m.c * z - m.d) / delta, 2.0 / delta, (-m.a + m.b / z - m.c * z + m.d) / delta
 
 
 def leaf_s21(net, f, inc):
@@ -628,15 +603,15 @@ def test_a_fit_evaluates_each_line_phase_once(shape, element_evaluations, fresh_
     problem = fit_problem(order, mirrored, TM40)
     element_evaluations.clear()
     fresh_phases.clear()  # the sweep of the observed curve held its phases
-    with mock.patch.object(builder, "tline_phase", wraps=builder.tline_phase) as phase, \
-            mock.patch.object(twoport, "abcd_tline", wraps=twoport.abcd_tline) as tline, \
+    phase = mock.Mock(wraps=twoport.tline_phase)  # by the builder's name or twoport's
+    with mock.patch.object(builder, "tline_phase", phase), mock.patch.object(twoport, "tline_phase", phase), \
             mock.patch.object(synthesis, "network_smatrix", wraps=network_smatrix) as calls:
         result = fit_circuit(problem)
     assert result.converged and calls.call_count > 3
-    # the spacer and, in a second-order stack, the air gap, at the one angle of the fit
+    # the spacer and, in a second-order stack, the air gap, at the one angle of
+    # the fit, and by no other route: every element of every model call, each
+    # line's matrix formed from its held phase
     assert phase.call_count == order
-    # every element of every model call, each line's matrix formed from its held phase
-    assert tline.call_count == 0
     assert len(element_evaluations) == calls.call_count * (3 if order == 1 else 7)
 
 

@@ -373,6 +373,7 @@ class TestReaderErrors:
         ("! incidence theta_deg = forty", "bad incidence angle"),
         ("! incidence theta_deg =", "bad incidence angle"),
         ("! incidence theta_deg", "bad incidence angle"),
+        ("! incidence theta_deg = 1_0", "bad incidence angle"),
         ("! polarization = XM", "polarization must be TE or TM"),
         ("! polarization =", "polarization must be TE or TM"),
         ("!polarization", "polarization must be TE or TM"),
@@ -384,6 +385,28 @@ class TestReaderErrors:
             read_touchstone(path)
         assert err.value.line_no == 2
         assert str(err.value) == f"line 2: {why} in {annotation!r}"
+
+    @pytest.mark.parametrize("lines, line_no, why", [
+        ("# MHz S RI R 50\n1_000 0.5 0 0.5 0 0.5 0 0.5 0\n", 2, "non-numeric field in '1_000 0.5"),
+        ("# GHz S RI R 50\n1.0 0 0 1 0 1 0 0 0\n\u0661 0 0 1 0 1 0 0 0\n", 3, "non-numeric field in '\u0661 0"),
+        ("! measured\n# GHz S RI R 5_0\n1.0 0 0 1 0 1 0 0 0\n", 2, "bad reference impedance '5_0'"),
+    ], ids=["underscore", "arabic-indic", "R"])
+    def test_a_number_that_np_loadtxt_does_not_read_names_its_line(self, tmp_path, lines, line_no, why):
+        """float() takes an underscore and any Unicode digit; a number takes
+        np.loadtxt's grammar in every field, R value and annotation (the
+        annotation's case is in test_bad_incidence_annotation_names_its_line)."""
+        path = tmp_path / "grammar.s2p"
+        path.write_text(lines, encoding="utf-8")
+        with pytest.raises(TouchstoneError) as err:
+            read_touchstone(path)
+        assert err.value.line_no == line_no
+        assert str(err.value).startswith(f"line {line_no}: {why}")
+
+    def test_comment_text_stays_free_utf8(self, tmp_path):
+        path = tmp_path / "comment.s2p"
+        path.write_text("! \u0661_\u00e9\n# GHz S RI R 50\n1.0 0 0 1 0 1 0 0 0 ! \u0661_0\n! \u0661\n2.0 0 0 1 0 1 0 0 0\n",
+                        encoding="utf-8")
+        assert list(read_touchstone(path).freqs) == [1e9, 2e9]
 
     def test_annotations_are_read_by_their_exact_key(self, tmp_path):
         path = tmp_path / "annotated.s2p"

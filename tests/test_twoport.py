@@ -17,7 +17,6 @@ from fsskit.twoport import (
     TwoPortMatrix,
     abcd_delta,
     abcd_shunt,
-    abcd_tline,
     abcd_to_s,
     cascade,
     j_omega,
@@ -174,6 +173,11 @@ class TestSeriesRlcBranch:
             shunt_rl_admittance(0.1, l1, 1e9)
 
 
+def slab(eps_r, length, f, inc=NORMAL, loss_tangent=0.0):
+    """A dielectric slab's chain matrix: tline_matrix of its tline_phase."""
+    return tline_matrix(tline_phase(eps_r, length, f, inc.theta, loss_tangent), eps_r, inc.polarization)
+
+
 class TestTline:
     @pytest.mark.parametrize(
         "args, kwargs",
@@ -182,36 +186,36 @@ class TestTline:
     )
     def test_nan_inputs_rejected(self, args, kwargs):
         with pytest.raises(DomainError):
-            abcd_tline(*args, 3e9, NORMAL, **kwargs)
+            slab(*args, 3e9, NORMAL, **kwargs)
 
     def test_column_lengths_match_rows(self):
         f = np.linspace(1e9, 5e9, 7)
         lengths = np.array([[0.0], [0.254e-3], [10e-3]])
-        m = abcd_tline(2.2, lengths, f, NORMAL, loss_tangent=0.0009)
+        m = slab(2.2, lengths, f, NORMAL, loss_tangent=0.0009)
         assert m.a.shape == (3, 7)
         for i in range(3):
-            row = abcd_tline(2.2, lengths[i, 0], f, NORMAL, loss_tangent=0.0009)
+            row = slab(2.2, lengths[i, 0], f, NORMAL, loss_tangent=0.0009)
             for name in "abcd":
                 assert np.array_equal(getattr(m, name)[i], getattr(row, name))
         with pytest.raises(DomainError):
-            abcd_tline(2.2, np.array([[1e-3], [math.nan]]), f, NORMAL)
+            slab(2.2, np.array([[1e-3], [math.nan]]), f, NORMAL)
 
     def test_zero_length_is_identity(self):
-        m = abcd_tline(2.2, 0.0, 3.3e9, NORMAL)
+        m = slab(2.2, 0.0, 3.3e9, NORMAL)
         assert m.a == 1.0 and m.d == 1.0
         assert m.b == 0.0 and m.c == 0.0
 
     def test_quarter_wave_air_line(self):
         # 10 mm air line is a quarter wave at c0 / 0.04
         f = C0 / (4 * 0.01)
-        m = abcd_tline(1.0, 0.01, f, NORMAL)
+        m = slab(1.0, 0.01, f, NORMAL)
         assert abs(m.a) < 1e-6 and abs(m.d) < 1e-6
         assert m.b == pytest.approx(1j * ETA0, rel=1e-9)
         assert m.c == pytest.approx(1j / ETA0, rel=1e-9)
 
     def test_thin_dielectric_slab(self):
         # phi = (2 pi f / c0) sqrt(2.2) * 0.254 mm at 2.7 GHz
-        m = abcd_tline(2.2, 0.254e-3, 2.7e9, NORMAL)
+        m = slab(2.2, 0.254e-3, 2.7e9, NORMAL)
         assert m.a == pytest.approx(0.9997727575156841, rel=1e-12)
         assert m.b == pytest.approx(5.414445085197921j, rel=1e-9)
         assert m.c == pytest.approx(8.392980671786997e-05j, rel=1e-9)
@@ -221,8 +225,8 @@ class TestTline:
         inc_tm = IncidenceCondition(math.radians(40), TM)
         q = math.sqrt(2.2 - math.sin(math.radians(40)) ** 2)
         f = 3e9
-        m_te = abcd_tline(2.2, 1e-3, f, inc_te)
-        m_tm = abcd_tline(2.2, 1e-3, f, inc_tm)
+        m_te = slab(2.2, 1e-3, f, inc_te)
+        m_tm = slab(2.2, 1e-3, f, inc_tm)
         z_te = m_te.b / m_te.c
         z_tm = m_tm.b / m_tm.c
         assert math.sqrt(z_te.real) == pytest.approx(ETA0 / q, rel=1e-9)
@@ -232,13 +236,13 @@ class TestTline:
         inc_te = IncidenceCondition(0.0, TE)
         inc_tm = IncidenceCondition(0.0, TM)
         f = np.linspace(1e9, 6e9, 11)
-        m_te = abcd_tline(2.2, 0.254e-3, f, inc_te)
-        m_tm = abcd_tline(2.2, 0.254e-3, f, inc_tm)
+        m_te = slab(2.2, 0.254e-3, f, inc_te)
+        m_tm = slab(2.2, 0.254e-3, f, inc_tm)
         for name in "abcd":
             np.testing.assert_array_equal(getattr(m_te, name), getattr(m_tm, name))
 
     def test_lossy_line_keeps_unit_determinant(self):
-        m = abcd_tline(2.2, 5e-3, 4e9, NORMAL, loss_tangent=0.02)
+        m = slab(2.2, 5e-3, 4e9, NORMAL, loss_tangent=0.02)
         assert m.det() == pytest.approx(1.0, abs=1e-12)
         s = abcd_to_s(m, ETA0)
         assert abs(s.s11) ** 2 + abs(s.s21) ** 2 < 1.0
@@ -246,15 +250,15 @@ class TestTline:
     def test_evanescent_medium_rejected(self):
         inc = IncidenceCondition(math.radians(80), TE)
         with pytest.raises(EvanescentModeError):
-            abcd_tline(0.5, 1e-3, 1e9, inc)
+            slab(0.5, 1e-3, 1e9, inc)
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(DomainError):
-            abcd_tline(0.0, 1e-3, 1e9, NORMAL)
+            slab(0.0, 1e-3, 1e9, NORMAL)
         with pytest.raises(DomainError):
-            abcd_tline(2.2, -1e-3, 1e9, NORMAL)
+            slab(2.2, -1e-3, 1e9, NORMAL)
         with pytest.raises(DomainError):
-            abcd_tline(2.2, 1e-3, 0.0, NORMAL)
+            slab(2.2, 1e-3, 0.0, NORMAL)
 
 
 def _random_reciprocal(rng, f, lossless=True):
@@ -274,7 +278,7 @@ def _random_reciprocal(rng, f, lossless=True):
                 )
             )
         else:
-            parts.append(abcd_tline(float(rng.uniform(1, 4)), float(rng.uniform(0, 0.03)), f, NORMAL))
+            parts.append(slab(float(rng.uniform(1, 4)), float(rng.uniform(0, 0.03)), f, NORMAL))
     return cascade(parts)
 
 
@@ -312,7 +316,7 @@ class TestCascadeAndConversion:
         rng = np.random.default_rng(29)
         f = np.linspace(1e9, 5e9, 16)
         m = _random_reciprocal(rng, f, lossless=False)
-        zero_line = abcd_tline(2.2, 0.0, f, NORMAL)
+        zero_line = slab(2.2, 0.0, f, NORMAL)
         open_shunt = abcd_shunt(0j)
         wrapped = cascade([zero_line, m, open_shunt])
         for name in "abcd":
@@ -320,7 +324,7 @@ class TestCascadeAndConversion:
 
     def test_quarter_wave_matched_line(self):
         f = C0 / (4 * 0.01)
-        s = abcd_to_s(abcd_tline(1.0, 0.01, f, NORMAL), ETA0)
+        s = abcd_to_s(slab(1.0, 0.01, f, NORMAL), ETA0)
         assert abs(s.s11) < 1e-9
         assert s.s21 == pytest.approx(-1j, abs=1e-9)
 
@@ -359,8 +363,8 @@ class TestNetworkProperties:
         for m in (
             abcd_shunt(shunt_rl_admittance(0.3, 2.85e-9, f)),
             abcd_shunt(shunt_series_rlc_admittance(0.1, 1.61e-9, 0.6e-12, f)),
-            abcd_tline(2.2, 0.01, f, NORMAL),
-            abcd_tline(2.2, 0.01, f, NORMAL, loss_tangent=0.001),
+            slab(2.2, 0.01, f, NORMAL),
+            slab(2.2, 0.01, f, NORMAL, loss_tangent=0.001),
         ):
             assert np.max(np.abs(m.det() - 1.0)) < 1e-9
 
@@ -395,8 +399,8 @@ class TestNetworkProperties:
         for _ in range(20):
             eps = float(rng.uniform(1, 4))
             length = float(rng.uniform(0, 0.02))
-            m_te = abcd_tline(eps, length, f, inc_te)
-            m_tm = abcd_tline(eps, length, f, inc_tm)
+            m_te = slab(eps, length, f, inc_te)
+            m_tm = slab(eps, length, f, inc_tm)
             s_te = abcd_to_s(m_te, wave_impedance(0.0, TE))
             s_tm = abcd_to_s(m_tm, wave_impedance(0.0, TM))
             np.testing.assert_array_equal(s_te.s11, s_tm.s11)

@@ -9,8 +9,10 @@ The program is imported from src/ of the same checkout.
 
 starts: the fit_solve benchmark's fits (bench/workloads.py, FULL sizes) run
 in process through fsskit.cli.main: per fit the model calls, iterations
-and the greatest relative error of L, L1 and C1 against the truth, and the
-histogram of model calls.
+and the greatest relative error of L, L1 and C1 against the truth, the
+histogram of model calls, and the median wall time in ms of a fit
+(fit_circuit) and of one model call (synthesis.fit_model's function), the
+warm-up fit left out.
 
 boxes: fits of L, L1 and C1 to the criterion-8 curve (401 points, 1-5 GHz)
 in random boxes, each with a start drawn uniformly inside.  Per value, lo is
@@ -50,13 +52,26 @@ TRUTH = CircuitParams(L=2.85e-9, L1=1.61e-9, C1=0.6e-12, R=0.1, R1=0.1, h=0.254e
 def starts(seed: int) -> dict:
     import workloads
 
-    results = []
-    fit_circuit = cli.fit_circuit
+    results, fit_ms, call_ms = [], [], []
+    fit_circuit, fit_model = cli.fit_circuit, synthesis.fit_model
 
     def recording(problem):
+        t0 = time.perf_counter()
         result = fit_circuit(problem)
+        fit_ms.append(1e3 * (time.perf_counter() - t0))
         results.append(result)
         return result
+
+    def timed_model(problem, work):
+        model = fit_model(problem, work)
+
+        def timed(values):
+            t0 = time.perf_counter()
+            s = model(values)
+            call_ms.append(1e3 * (time.perf_counter() - t0))
+            return s
+
+        return timed
 
     def call(config: Path):
         out = io.StringIO()
@@ -70,7 +85,7 @@ def starts(seed: int) -> dict:
         problems = workload.prepare()
         results.clear()  # the warm-up fit
         errors = []
-        cli.fit_circuit = recording
+        cli.fit_circuit, synthesis.fit_model = recording, timed_model
         try:
             for op in workload.ops():
                 if op.primary:
@@ -80,7 +95,7 @@ def starts(seed: int) -> dict:
                     fitted, truth = summary["fitted"], workload.truth
                     errors.append(max(abs(fitted[n] / truth[n] - 1.0) for n in workload.FREE))
         finally:
-            cli.fit_circuit = fit_circuit
+            cli.fit_circuit, synthesis.fit_model = fit_circuit, fit_model
     calls = [r.model_calls for r in results]
     return {
         "study": "starts", "seed": seed, "fits": len(results), "problems": problems,
@@ -89,6 +104,8 @@ def starts(seed: int) -> dict:
         "iterations_mean": float(np.mean([r.iterations for r in results])),
         "rejected_steps_mean": float(np.mean([r.rejected_steps for r in results])),
         "worst_relative_error": max(errors),
+        "fit_ms_median": float(np.median(fit_ms)),
+        "model_call_ms_median": float(np.median(call_ms)),
     }
 
 
